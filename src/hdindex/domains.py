@@ -3,9 +3,17 @@
 A domain is an integer vector indexed by the regions of a diagram (a
 relative 2-chain).  Its boundary along the alpha and beta curves, and the
 vertex boundary of that 1-chain, decide whether the domain connects one
-generator to another.  Enumeration of connecting domains is exact: a
-particular solution of the small integer linear system plus an echelonized
-kernel basis, walked exhaustively inside the coefficient box.
+generator to another: the stacked vertex boundaries are M . A for the
+diagram's integer boundary matrix M.
+
+M is factored once per diagram, exactly and in integers: the row-echelon
+form of [M^T | I] is [H | U], so U . M^T = H with U unimodular, and the
+rows of U beside the vanishing rows of H are a Hermite-normal-form basis
+of the periodic lattice ker M.  The factorization is cached on the diagram
+instance.  Enumeration of connecting domains is then an integral
+particular solution by forward substitution on H, plus the kernel basis
+walked exhaustively inside the coefficient box; ``connects`` is one
+product with M.
 
 Sign convention (fixed): with the counterclockwise surface orientation an
 edge oriented along its curve's listed direction gets the coefficient
@@ -16,8 +24,7 @@ boundary of the alpha part be y - x and of the beta part be x - y.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from hdindex.diagram import ALPHA, BETA, DiagramError, HeegaardDiagram
 
@@ -173,20 +180,17 @@ def connects(d: HeegaardDiagram, a: Domain, x: Generator, y: Generator) -> bool:
     """True iff ``a`` is a strip class from x to y.
 
     Demands vertex_boundary(alpha part) = y - x and
-    vertex_boundary(beta part) = x - y as 0-chains.
+    vertex_boundary(beta part) = x - y as 0-chains, checked as one product
+    with the diagram's cached boundary matrix.
     """
     check_generator(d, x)
     check_generator(d, y)
-    ch = boundary_chain(d, a)
-    want_alpha = {v: 0 for v in d.vertices}
-    for v in y.points:
-        want_alpha[v] += 1
-    for v in x.points:
-        want_alpha[v] -= 1
-    if vertex_boundary(d, ch, ALPHA) != want_alpha:
-        return False
-    want_beta = {v: -c for v, c in want_alpha.items()}
-    return vertex_boundary(d, ch, BETA) == want_beta
+    _check_domain(d, a)
+    c = a.coeffs
+    return all(
+        sum(k * c[r] for r, k in row) == t
+        for row, t in zip(_lattice(d).rows, _target_vector(d, x, y))
+    )
 
 
 def compose(
@@ -241,7 +245,7 @@ def enumerate_generators(d: HeegaardDiagram) -> list[Generator]:
 
 
 # ---------------------------------------------------------------------------
-# Integer linear algebra: the boundary matrix, its kernel, and enumeration.
+# Integer linear algebra: one factorization of the boundary matrix per diagram.
 
 
 def _boundary_matrix(d: HeegaardDiagram) -> list[list[int]]:
@@ -266,48 +270,10 @@ def _boundary_matrix(d: HeegaardDiagram) -> list[list[int]]:
 
 
 def _target_vector(d: HeegaardDiagram, x: Generator, y: Generator) -> list[int]:
-    xs = set(x.points)
-    ys = set(y.points)
-    t: list[int] = []
-    for sgn in (1, -1):  # alpha block wants y - x, beta block x - y
-        for v in d.vertices:
-            t.append(sgn * (int(v in ys) - int(v in xs)))
-    return t
-
-
-def _kernel_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Integer kernel basis, in row-echelon form with positive pivots.
-
-    Row-reduces [M^T | I] over the integers; transpose rows whose M^T part
-    vanished carry kernel vectors in the identity part.
-    """
-    nrows = len(rows)
-    aug = [
-        [rows[r][c] for r in range(nrows)] + [int(i == c) for i in range(ncols)]
-        for c in range(ncols)
-    ]
-    pivot_row = 0
-    for col in range(nrows):
-        while pivot_row < len(aug):
-            nz = [r for r in range(pivot_row, len(aug)) if aug[r][col] != 0]
-            if not nz:
-                break
-            r0 = min(nz, key=lambda r: abs(aug[r][col]))
-            aug[pivot_row], aug[r0] = aug[r0], aug[pivot_row]
-            done = True
-            for r in range(pivot_row + 1, len(aug)):
-                if aug[r][col] != 0:
-                    q = aug[r][col] // aug[pivot_row][col]
-                    aug[r] = [a - q * b for a, b in zip(aug[r], aug[pivot_row])]
-                    if aug[r][col] != 0:
-                        done = False
-            if done:
-                pivot_row += 1
-                break
-    kernel = [
-        row[nrows:] for row in aug[pivot_row:] if all(a == 0 for a in row[:nrows])
-    ]
-    return _row_echelon(kernel)
+    """M . A for A from x to y: the alpha block is y - x, the beta block x - y."""
+    xs, ys = set(x.points), set(y.points)
+    alpha = [int(v in ys) - int(v in xs) for v in d.vertices]
+    return alpha + [-c for c in alpha]
 
 
 def _row_echelon(rows: list[list[int]]) -> list[list[int]]:
@@ -347,67 +313,89 @@ def _row_echelon(rows: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _particular_solution(
-    rows: list[list[int]], target: list[int], ncols: int
-) -> list[int] | None:
-    """One integer solution of M x = t, or None if the system is unsolvable.
+class _Factorization(NamedTuple):
+    """An exact integer factorization U . M^T = H of a matrix M.
 
-    Gaussian elimination over the rationals, then a walk along the kernel to
-    clear denominators if the free-variable slice came out non-integral.
+    The row-echelon form of [M^T | I] is [H | U] with U unimodular.
+    ``echelon`` holds the nonzero rows of H with their pivot columns,
+    ``unimodular`` the rows of U (the first ``len(echelon)`` match them)
+    and ``kernel`` the rest, the rows whose H part vanished: the Hermite
+    normal form of ker M, positive pivots and reduced above them.  Since
+    M . (sum z_i U_i) = sum z_i H_i, solving M a = t is forward
+    substitution on H.
     """
-    m = [[Fraction(a) for a in r] + [Fraction(t)] for r, t in zip(rows, target)]
-    nrows = len(m)
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        m[r] = [a / m[r][c] for a in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(piv_cols):
-        x[c] = m[i][ncols]
-    if all(v.denominator == 1 for v in x):
-        return [int(v) for v in x]
-    return _integer_point_in_coset(rows, ncols, x)
+
+    echelon: tuple[tuple[int, tuple[int, ...]], ...]
+    unimodular: tuple[tuple[int, ...], ...]
+    kernel: tuple[tuple[int, ...], ...]
+
+    @staticmethod
+    def of(rows: list[list[int]], ncols: int) -> "_Factorization":
+        nrows = len(rows)
+        reduced = _row_echelon(
+            [
+                [row[c] for row in rows] + [int(i == c) for i in range(ncols)]
+                for c in range(ncols)
+            ]
+        )
+        echelon = tuple(
+            (next(c for c, k in enumerate(r) if k), tuple(r[:nrows]))
+            for r in reduced
+            if any(r[:nrows])
+        )
+        unimodular = tuple(tuple(r[nrows:]) for r in reduced)
+        return _Factorization(echelon, unimodular, unimodular[len(echelon) :])
+
+    def solve(self, target: list[int]) -> list[int] | None:
+        """One integer solution of M a = target, or None if there is none.
+
+        The coefficients z_i of the H rows are forced pivot by pivot; a
+        pivot that does not divide its residue, or a residue left over once
+        every pivot is used, means no integer solution exists.
+        """
+        residue = list(target)
+        a = [0] * len(self.unimodular)
+        for (pc, h), u in zip(self.echelon, self.unimodular):
+            z, rem = divmod(residue[pc], h[pc])
+            if rem:
+                return None
+            if z:
+                residue = [r - z * c for r, c in zip(residue, h)]
+                a = [x + z * c for x, c in zip(a, u)]
+        return None if any(residue) else a
 
 
-def _integer_point_in_coset(rows, ncols, x_frac) -> list[int] | None:
-    """Search x + ker for an integer point by bounded denominators walk."""
-    basis = _kernel_basis(rows, ncols)
-    den = 1
-    for v in x_frac:
-        den = den * v.denominator // _gcd(den, v.denominator)
-    # Multipliers only matter modulo den; exhaustive over the small torus.
-    from itertools import product as _product
+class _Lattice(NamedTuple):
+    """The integer data of one diagram that the solver and formulas read.
 
-    for ts in _product(range(den), repeat=len(basis)):
-        cand = list(x_frac)
-        for t, vec in zip(ts, basis):
-            if t:
-                for i in range(ncols):
-                    cand[i] += t * vec[i]
-        if all(v.denominator == 1 for v in cand):
-            return [int(v) for v in cand]
-    return None
+    ``rows`` is the boundary matrix, each row as its nonzero
+    (region, coefficient) pairs; ``factorization`` factors it;
+    ``euler_weights`` is 4 - corners per region and ``quadrants`` the four
+    quadrant regions at each vertex, in rotation order.
+    """
+
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    factorization: _Factorization
+    euler_weights: tuple[int, ...]
+    quadrants: Mapping[str, tuple[int, ...]]
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def _lattice(d: HeegaardDiagram) -> _Lattice:
+    """The diagram's integer data, built on first use and kept on ``d``.
+
+    Diagrams are immutable, so the cache never goes stale; a mirror or a
+    re-parsed diagram is a new instance and builds its own.
+    """
+    lat = d.__dict__.get("_lattice")
+    if lat is None:
+        rows = _boundary_matrix(d)
+        lat = d._lattice = _Lattice(  # type: ignore[attr-defined]
+            tuple(tuple((c, k) for c, k in enumerate(row) if k) for row in rows),
+            _Factorization.of(rows, len(d.regions)),
+            tuple(4 - r.corner_count for r in d.regions),
+            {v: tuple(d.face_of[dart] for dart in d.rotation[v]) for v in d.vertices},
+        )
+    return lat
 
 
 def periodic_domain_basis(d: HeegaardDiagram) -> list[Domain]:
@@ -415,8 +403,7 @@ def periodic_domain_basis(d: HeegaardDiagram) -> list[Domain]:
 
     The full surface class always lies in the span.
     """
-    rows = _boundary_matrix(d)
-    return [Domain(tuple(v)) for v in _kernel_basis(rows, len(d.regions))]
+    return [Domain(v) for v in _lattice(d).factorization.kernel]
 
 
 def find_domains(
@@ -429,21 +416,25 @@ def find_domains(
     """All domains connecting x to y with coefficients in the given box.
 
     The box is 0..max_coeff when positive_only, else -max_coeff..max_coeff.
-    A particular solution plus the kernel lattice is walked exhaustively:
-    the echelonized basis gives each multiplier a finite pivot-driven range,
-    an over-approximation that the final membership filter tightens.
-    Results are sorted lexicographically in canonical region order.
+    The connecting domains form a coset of the periodic lattice: an integral
+    particular solution, read off the diagram's cached integer
+    factorization by forward substitution, plus the Hermite-normal-form
+    kernel basis.  The coset is walked exhaustively inside the box: the
+    echelonized basis gives each multiplier a finite pivot-driven range,
+    an over-approximation that the final membership filter tightens.  Any
+    integral particular solution gives the same coset, hence the same
+    results, sorted lexicographically in canonical region order.
     """
     if max_coeff < 0:
         raise ValueError("max_coeff must be >= 0")
     check_generator(d, x)
     check_generator(d, y)
     nreg = len(d.regions)
-    rows = _boundary_matrix(d)
-    x0 = _particular_solution(rows, _target_vector(d, x, y), nreg)
+    factorization = _lattice(d).factorization
+    x0 = factorization.solve(_target_vector(d, x, y))
     if x0 is None:
         return []
-    basis = _kernel_basis(rows, nreg)
+    basis = factorization.kernel
     lo = 0 if positive_only else -max_coeff
     hi = max_coeff
     pivots = [next(c for c in range(nreg) if vec[c] != 0) for vec in basis]
@@ -458,19 +449,15 @@ def find_domains(
         vec, pc = basis[i], pivots[i]
         # Rows after i have later pivots, hence zeros at column pc, so the
         # pivot coordinate is final once t is chosen: bracketing it inside
-        # the box is sound and complete.
+        # the box is sound and complete.  Pivots are positive.
         step = vec[pc]
         base = current[pc]
-        if step > 0:
-            t_min = -((base - lo) // step)
-            t_max = (hi - base) // step
-        else:
-            t_min = -((hi - base) // -step)
-            t_max = (base - lo) // -step
+        t_min = -((base - lo) // step)
+        t_max = (hi - base) // step
         for t in range(t_min, t_max + 1):
             rec(i + 1, [c + t * v for c, v in zip(current, vec)])
 
-    rec(0, list(x0))
+    rec(0, x0)
     doms = [Domain(c) for c in sorted(results)]
     return [a for a in doms if connects(d, a, x, y)]
 

@@ -3,8 +3,8 @@
 All results are ``fractions.Fraction`` values with denominators 1, 2 or 4;
 no floating point enters anywhere.  The quantities:
 
-* ``euler_measure``      e(A)  = sum of n_i (1 - c_i/4) over the regions,
-* ``point_multiplicity`` n_p(A) = mean of the four quadrant coefficients,
+* ``euler_measure``      e(A)  = sum of n_i (1 - c_i/4) = (sum of n_i (4 - c_i)) / 4,
+* ``point_multiplicity`` n_p(A) = (sum of the four quadrant coefficients) / 4,
 * ``generator_multiplicity``   n_x(A) = sum over the tuple,
 * ``maslov_index``       mu(A) = e + n_x + n_y,
 * ``embedded_euler_char`` chi  = g - n_x - n_y + e,
@@ -13,7 +13,9 @@ no floating point enters anywhere.  The quantities:
 * ``branch_budget``      g - chi(S)  (a g-fold cover of the disk).
 
 Regions traced from a diagram are disks with right-angle corners, so the
-Euler measure needs no obtuse-corner correction term.
+Euler measure needs no obtuse-corner correction term.  Both sums over 4
+are taken in integers, from per-diagram tables (4 - c_i per region, the
+quadrant regions per vertex) cached with the boundary factorization.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from fractions import Fraction
 
 from hdindex.diagram import DiagramError, HeegaardDiagram
 from hdindex.domains import Domain, Generator, check_generator, connects
+from hdindex.domains import _check_domain, _lattice
 
 
 @dataclass(frozen=True)
@@ -53,24 +56,29 @@ class IndexReport:
 
 def euler_measure(d: HeegaardDiagram, a: Domain) -> Fraction:
     """e(A): each region contributes coefficient times (1 - corners/4)."""
-    return sum(
-        (Fraction(4 - r.corner_count, 4) * a[r.index] for r in d.regions),
-        start=Fraction(0),
-    )
+    _check_domain(d, a)
+    weights = _lattice(d).euler_weights
+    return Fraction(sum(w * c for w, c in zip(weights, a.coeffs)), 4)
 
 
 def point_multiplicity(d: HeegaardDiagram, a: Domain, v: str) -> Fraction:
     """n_p(A): the mean of A's coefficients on the four quadrants at v."""
-    quads = d.quadrants_at(v)
-    return Fraction(sum(a[q.region] for q in quads), 4)
+    if v not in d.vertex_alpha:
+        raise DiagramError(f"unknown vertex {v!r}")
+    return _multiplicity(d, a, (v,))
 
 
 def generator_multiplicity(d: HeegaardDiagram, a: Domain, x: Generator) -> Fraction:
     """n_x(A): the sum of the point multiplicities over the tuple."""
     check_generator(d, x)
-    return sum(
-        (point_multiplicity(d, a, v) for v in x.points), start=Fraction(0)
-    )
+    return _multiplicity(d, a, x.points)
+
+
+def _multiplicity(d: HeegaardDiagram, a: Domain, points: tuple[str, ...]) -> Fraction:
+    _check_domain(d, a)
+    quadrants = _lattice(d).quadrants
+    c = a.coeffs
+    return Fraction(sum(c[r] for v in points for r in quadrants[v]), 4)
 
 
 def maslov_index(

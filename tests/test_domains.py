@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -6,6 +7,7 @@ from hdindex.diagram import ALPHA, BETA, DiagramError
 from hdindex.domains import (
     Domain,
     Generator,
+    _Factorization,
     boundary_chain,
     compose,
     connects,
@@ -16,6 +18,7 @@ from hdindex.domains import (
     sigma_class,
     vertex_boundary,
 )
+from hdindex.harness import load_bundled
 
 
 def brute_force_domains(d, x, y, max_coeff, positive_only):
@@ -73,6 +76,48 @@ def test_boundary_of_sigma_and_zero(corpus):
             assert all(c == 0 for c in ch.alpha_part.values()) or a == sigma_class(d)
             assert all(v == 0 for v in vertex_boundary(d, ch, ALPHA).values())
             assert all(v == 0 for v in vertex_boundary(d, ch, BETA).values())
+
+
+def vertex_boundaries(d, a):
+    """The alpha vertex boundary of a and the negated beta one: a connects x
+    to y by definition when both equal y - x."""
+    ch = boundary_chain(d, a)
+    beta = vertex_boundary(d, ch, BETA)
+    return vertex_boundary(d, ch, ALPHA), {v: -c for v, c in beta.items()}
+
+
+def y_minus_x(d, x, y):
+    out = {v: 0 for v in d.vertices}
+    for v in y.points:
+        out[v] += 1
+    for v in x.points:
+        out[v] -= 1
+    return out
+
+
+def test_connects_matches_boundary_chain_definition(corpus):
+    rng = random.Random(1301)
+    for d in corpus.values():
+        gens = enumerate_generators(d)
+        randoms = [
+            Domain(tuple(rng.randint(-3, 3) for _ in d.regions)) for _ in range(20)
+        ]
+        boundaries = {}
+        for x in gens:
+            for y in gens:
+                want = y_minus_x(d, x, y)
+                found = find_domains(d, x, y, 2, positive_only=False)
+                for a in [Domain.zero(d), sigma_class(d), *found, *randoms]:
+                    if a not in boundaries:
+                        boundaries[a] = vertex_boundaries(d, a)
+                    assert connects(d, a, x, y) == (boundaries[a] == (want, want))
+
+
+def test_connects_rejects_wrong_length_domain(torus3):
+    v0 = Generator(("v0",))
+    for bad in (Domain((0, 0, 0, 0)), Domain((0, 0))):
+        with pytest.raises(DiagramError):
+            connects(torus3, bad, v0, v0)
 
 
 def test_torus3_bigon_connects(torus3):
@@ -148,6 +193,59 @@ def test_find_domains_max_coeff_zero(torus3):
     v0, v2 = Generator(("v0",)), Generator(("v2",))
     assert find_domains(torus3, v0, v0, 0, True) == [Domain.zero(torus3)]
     assert find_domains(torus3, v0, v2, 0, True) == []
+
+
+def test_solver_needs_non_unit_pivot():
+    # 2 a0 + a1 = 1 has the integral solution (0, 1), but rational
+    # elimination pivots on the 2 and lands on (1/2, 0)
+    a = _Factorization.of([[2, 1]], 2).solve([1])
+    assert a is not None and 2 * a[0] + a[1] == 1
+    assert _Factorization.of([[2, 4]], 2).solve([1]) is None
+    assert _Factorization.of([[2, 4], [1, 2]], 2).solve([2, 2]) is None
+
+
+def _diagram(i):
+    """Diagram i of the interleaved cache test, freshly parsed."""
+    if i == 2:
+        return load_bundled("genus2_bigons.hd")
+    d = load_bundled("genus3_chain.hd")
+    return d.mirror() if i == 1 else d
+
+
+def _interleaved_queries(diagram_for, queries):
+    """Answers to find_domains, then connects on the domains just found and
+    on the last ones found on a diagram with as many regions, for each
+    (diagram, x, y) query.  Every answer is also checked against the
+    boundary-chain definition, which reads no cache."""
+    out = []
+    last: dict[int, list[Domain]] = {}
+    for i, x, y in queries:
+        d = diagram_for(i)
+        n = len(d.regions)
+        found = find_domains(d, x, y, 2, positive_only=False)
+        probes = [sigma_class(d), *found, *last.get(n, [])]
+        hits = [connects(d, a, x, y) for a in probes]
+        want = y_minus_x(d, x, y)
+        for a, hit in zip(probes, hits):
+            assert hit == (vertex_boundaries(d, a) == (want, want))
+        out.append((found, hits))
+        last[n] = found or last.get(n, [])
+    return out
+
+
+def test_interleaved_queries_match_fresh_diagrams():
+    # genus3_chain and its mirror share vertices, generators and region
+    # count, so a cache shared between them would go unnoticed by lengths
+    shared = [_diagram(i) for i in range(3)]
+    gens = [enumerate_generators(d) for d in shared]
+    rng = random.Random(4919)
+    queries = []
+    for _ in range(40):
+        i = rng.randrange(3)
+        queries.append((i, rng.choice(gens[i]), rng.choice(gens[i])))
+    got = _interleaved_queries(lambda i: shared[i], queries)
+    assert got == _interleaved_queries(_diagram, queries)
+    assert any(found for found, _ in got)
 
 
 def test_find_domains_closed_under_kernel(genus2s1s2):

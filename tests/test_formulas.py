@@ -162,6 +162,22 @@ def test_maslov_rejects_nonconnecting(torus3):
     ) + generator_multiplicity(torus3, b, v1)
 
 
+def test_formulas_reject_wrong_length_domain(torus3):
+    # torus_g1_3x has three regions; neither a spare nor a missing
+    # coefficient may be ignored, with or without force
+    v0 = Generator(("v0",))
+    for bad in (Domain((1, 1, 1, 5)), Domain((1, 1))):
+        with pytest.raises(DiagramError):
+            euler_measure(torus3, bad)
+        with pytest.raises(DiagramError):
+            point_multiplicity(torus3, bad, "v0")
+        with pytest.raises(DiagramError):
+            generator_multiplicity(torus3, bad, v0)
+        for formula in (maslov_index, embedded_euler_char, index_report):
+            with pytest.raises(DiagramError):
+                formula(torus3, bad, v0, v0, force=True)
+
+
 def test_mirror_symmetry(corpus):
     # reversing the orientation of the surface fixes e, n and mu
     for d in corpus.values():
