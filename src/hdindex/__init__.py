@@ -54,7 +54,6 @@ from hdindex.builder import (
     QuadrantSheet,
     branched_cover_check,
     build_surface,
-    classify_vertex_chains,
     cut_bad_corners,
     add_degenerate_corners,
     glue_copies,

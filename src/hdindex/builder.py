@@ -2,14 +2,23 @@
 
 A positive domain is realized as a surface by taking one polygon per region
 copy and gluing the copies along the curve arcs: top-aligned along alpha
-arcs, bottom-aligned along beta arcs.  The preimages of a crossing are then
-the chains of quadrant sheets linked by those gluings; odd chains of length
-three or more are ground down to right-angle corners by slitting along beta
-arc preimages, points shared by both generators receive their corners (as
-symbolic degenerate disks or boundary slits), and boundary circles lying
-over a single curve are spliced into the main boundary arc.  A final
-stabilization stage cuts open a fresh copy of the whole surface at every
-point of the outgoing generator and chains it onto the corners.
+arcs, bottom-aligned along beta arcs (``_sheet_pairs`` is the one rule).
+The preimages of a crossing are then the chains of quadrant sheets linked by
+those gluings; odd chains of length three or more are ground down to
+right-angle corners by slitting along beta arc preimages, points shared by
+both generators receive their corners (as symbolic degenerate disks or
+boundary slits), and boundary circles lying over a single curve are spliced
+into the main boundary arc.  A final stabilization stage cuts open a fresh
+copy of the whole surface at every point of the outgoing generator and
+chains it onto the corners.
+
+The complex is a half-edge structure: every polygon side has ``next`` and
+``prev`` pointers around its face, which is the ring of its sides, and a
+``partner`` twin across a glued edge (``None`` on the free boundary).  The
+corners around one point of the surface form an orbit of the step
+s -> next(s).partner, and ``_Surface.orbit`` is the only walk of it; the
+corner classes, the open classes at a point, the surface corners and the
+boundary components are all read off that walk.
 
 All surgery happens on edges: faces are created once and never split, so
 the Euler characteristic is always an honest cell count V - E + F.
@@ -18,15 +27,19 @@ Cut points land in the interior of edge preimages (each slit is half an
 edge long); the far end of a slit is a boundary branch point and never
 touches the preimages of other crossings, which keeps every cut local and
 the whole pipeline deterministic.
+
+``stage_contract`` states what stages S3 and S4 guarantee; the builder
+raises ``BuilderError`` when it fails, so a returned surface always
+satisfies it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
-from hdindex.diagram import ALPHA, BETA, Dart, DiagramError, HeegaardDiagram
+from hdindex.diagram import ALPHA, BETA, Dart, HeegaardDiagram
 from hdindex.domains import (
     Domain,
     Generator,
@@ -72,14 +85,15 @@ class PreimageChain:
 
 
 class _Side:
-    """One oriented edge of a face polygon.
+    """One oriented edge of a face polygon (a half-edge).
 
-    Runs from ``tail_pt`` to ``head_pt`` over the diagram dart ``dart``
-    (``None`` partner means the side is free boundary).  Faces keep their
-    sides in counterclockwise cyclic order.
+    Runs from ``tail_pt`` to ``head_pt`` over the diagram dart ``dart``;
+    ``next``/``prev`` go counterclockwise around the face and ``partner`` is
+    the twin across the glued edge (``None`` means the side is free
+    boundary).
     """
 
-    __slots__ = ("sid", "face", "dart", "tail_pt", "head_pt", "partner")
+    __slots__ = ("sid", "face", "dart", "tail_pt", "head_pt", "partner", "next", "prev")
 
     def __init__(self, sid: int, face: "_Face", dart, tail_pt: Point, head_pt: Point):
         self.sid = sid
@@ -88,19 +102,31 @@ class _Side:
         self.tail_pt = tail_pt
         self.head_pt = head_pt
         self.partner: Optional["_Side"] = None
+        self.next: "_Side" = self
+        self.prev: "_Side" = self
 
     def __repr__(self) -> str:
         return f"<side {self.sid} {self.dart} {self.tail_pt}->{self.head_pt}>"
 
 
 class _Face:
-    __slots__ = ("fid", "region", "layer", "sides")
+    """A polygon: the ring of sides reached from ``start`` by ``next``."""
+
+    __slots__ = ("fid", "region", "layer", "start")
 
     def __init__(self, fid: int, region: int, layer):
         self.fid = fid
         self.region = region
-        self.layer = layer  # sheet level (int) or ('sigma', copy) or ('local', i)
-        self.sides: list[_Side] = []
+        self.layer = layer  # sheet level (int) or ('sigma', copy)
+        self.start: Optional[_Side] = None
+
+    def sides(self) -> Iterator[_Side]:
+        s = self.start
+        while s is not None:
+            yield s
+            s = s.next
+            if s is self.start:
+                return
 
 
 @dataclass
@@ -110,11 +136,20 @@ class _DegenerateDisk:
     beta_curve: str
 
 
+def _min_sid(orbit: list[_Side]) -> int:
+    return min(s.sid for s in orbit)
+
+
 class _Surface:
-    """Mutable polygon complex with glued sides; all surgery lives here."""
+    """Mutable half-edge complex with glued sides; all surgery lives here.
+
+    The live sides are kept by id in allocation order, so iterating them
+    visits the sides in increasing id order.
+    """
 
     def __init__(self, curve_family: dict[str, str] | None = None) -> None:
         self.faces: list[_Face] = []
+        self._sides: dict[int, _Side] = {}
         self._next_sid = 0
         self._next_cut = 0
         self.curve_family: dict[str, str] = dict(curve_family or {})
@@ -131,10 +166,21 @@ class _Surface:
         self.faces.append(f)
         return f
 
-    def add_side(self, face: _Face, dart, tail_pt: Point, head_pt: Point) -> _Side:
+    def _new_side(self, face: _Face, dart, tail_pt: Point, head_pt: Point) -> _Side:
         s = _Side(self._next_sid, face, dart, tail_pt, head_pt)
+        self._sides[s.sid] = s
         self._next_sid += 1
-        face.sides.append(s)
+        return s
+
+    def add_side(self, face: _Face, dart, tail_pt: Point, head_pt: Point) -> _Side:
+        """Append a side to the face's ring, just before its start."""
+        s = self._new_side(face, dart, tail_pt, head_pt)
+        first = face.start
+        if first is None:
+            face.start = s
+        else:
+            s.prev, s.next = first.prev, first
+            first.prev.next = first.prev = s
         return s
 
     def glue(self, a: _Side, b: _Side) -> None:
@@ -149,17 +195,18 @@ class _Surface:
         out._next_cut = self._next_cut
         out.degenerate_disks = list(self.degenerate_disks)
         out.branch_marks = list(self.branch_marks)
-        clones: dict[int, _Side] = {}
-        for f in self.faces:
-            nf = out.new_face(f.region, f.layer)
-            for s in f.sides:
-                ns = _Side(s.sid, nf, s.dart, s.tail_pt, s.head_pt)
-                nf.sides.append(ns)
-                clones[s.sid] = ns
-        for f in self.faces:
-            for s in f.sides:
-                if s.partner is not None:
-                    clones[s.sid].partner = clones[s.partner.sid]
+        out.faces = [_Face(f.fid, f.region, f.layer) for f in self.faces]
+        clones = out._sides
+        for sid, s in self._sides.items():
+            clones[sid] = _Side(sid, out.faces[s.face.fid], s.dart, s.tail_pt, s.head_pt)
+        for s in self._sides.values():
+            c = clones[s.sid]
+            c.next = clones[s.next.sid]
+            c.prev = clones[s.prev.sid]
+            if s.partner is not None:
+                c.partner = clones[s.partner.sid]
+        for f, nf in zip(self.faces, out.faces):
+            nf.start = clones[f.start.sid]
         return out
 
     def fresh_cut_point(self) -> Point:
@@ -169,16 +216,8 @@ class _Surface:
     # -- elementary queries ------------------------------------------------
 
     def sides(self) -> Iterator[_Side]:
-        for f in self.faces:
-            yield from f.sides
-
-    def next_side(self, s: _Side) -> _Side:
-        sides = s.face.sides
-        return sides[(sides.index(s) + 1) % len(sides)]
-
-    def prev_side(self, s: _Side) -> _Side:
-        sides = s.face.sides
-        return sides[(sides.index(s) - 1) % len(sides)]
+        """Every live side, in increasing id order."""
+        return iter(self._sides.values())
 
     def cell_counts(self) -> tuple[int, int, int]:
         """(V, E, F) of the complex, symbolic degenerate disks excluded."""
@@ -191,80 +230,55 @@ class _Surface:
         v, e, f = self.cell_counts()
         return v - e + f + len(self.degenerate_disks)
 
-    # -- corner classes (vertex preimages) ---------------------------------
+    # -- corner orbits (vertex preimages) ------------------------------------
 
-    def corner_forward(self, s: _Side) -> Optional[_Side]:
-        """Next corner around the vertex point of corner(s), or None at boundary.
+    def orbit(self, s: _Side) -> list[_Side]:
+        """The corner orbit through corner(s), the corner between s and next(s).
 
-        corner(s) sits between s and next(s); crossing next(s) lands at the
-        corner of the partner side.
+        Each corner is named by its incoming side; the step to the next
+        corner around the point crosses next(s) to its partner.  An open
+        orbit is returned end to end from its boundary end (a side without
+        partner), a closed one from its side with the smallest id.
         """
-        n = self.next_side(s)
-        return n.partner
-
-    def corner_backward(self, s: _Side) -> Optional[_Side]:
-        if s.partner is None:
-            return None
-        return self.prev_side(s.partner)
+        back = [s]
+        while back[-1].partner is not None:
+            b = back[-1].partner.prev
+            if b is s:
+                closed = back[::-1]
+                m = min(range(len(closed)), key=lambda i: closed[i].sid)
+                return closed[m:] + closed[:m]
+            back.append(b)
+        orbit = back[::-1]
+        cur = s.next.partner
+        while cur is not None:
+            orbit.append(cur)
+            cur = cur.next.partner
+        return orbit
 
     def corner_classes(self) -> list[list[_Side]]:
-        """Orbits of corners under the around-the-vertex step.
+        """Every corner orbit, sorted by smallest side id.
 
-        Each corner is named by its incoming side; open orbits are returned
-        end to end starting at the boundary end, closed orbits starting at
-        the side with the smallest id.  The list itself is sorted by the
-        smallest corner id, so everything downstream is deterministic.
+        Sides are visited in id order, so each orbit is met first at its
+        smallest side and the list comes out sorted.
         """
-        all_corners = sorted((s for s in self.sides()), key=lambda s: s.sid)
         seen: set[int] = set()
         classes: list[list[_Side]] = []
-        for s in all_corners:
-            if s.sid in seen:
-                continue
-            # rewind to the open start if there is one
-            start = s
-            guard = 0
-            while True:
-                b = self.corner_backward(start)
-                if b is None or b is s:
-                    break
-                start = b
-                guard += 1
-                if guard > self._next_sid + 1:
-                    raise BuilderError("corner walk does not terminate")
-            if self.corner_backward(start) is None:
-                orbit = [start]
-                cur = self.corner_forward(start)
-                while cur is not None:
-                    orbit.append(cur)
-                    cur = self.corner_forward(cur)
-            else:  # closed orbit through s
-                orbit = [s]
-                cur = self.corner_forward(s)
-                while cur is not s:
-                    orbit.append(cur)
-                    cur = self.corner_forward(cur)
-                m = min(range(len(orbit)), key=lambda i: orbit[i].sid)
-                orbit = orbit[m:] + orbit[:m]
-            if any(c.sid in seen for c in orbit):
-                raise BuilderError("overlapping corner orbits")
-            seen.update(c.sid for c in orbit)
-            classes.append(orbit)
-        classes.sort(key=lambda orbit: min(c.sid for c in orbit))
+        for s in self.sides():
+            if s.sid not in seen:
+                orbit = self.orbit(s)
+                seen.update(c.sid for c in orbit)
+                classes.append(orbit)
         return classes
 
-    def class_point(self, orbit: list[_Side]) -> Point:
-        return orbit[0].head_pt
-
-    def class_is_open(self, orbit: list[_Side]) -> bool:
-        return self.corner_backward(orbit[0]) is None
-
     def open_classes_at(self, pt: Point) -> list[list[_Side]]:
-        return [
-            orbit
-            for orbit in self.corner_classes()
-            if self.class_point(orbit) == pt and self.class_is_open(orbit)
-        ]
+        """The open orbits at ``pt``, sorted by smallest side id."""
+        found = [self.orbit(s) for s in self.sides() if s.partner is None and s.head_pt == pt]
+        return sorted(found, key=_min_sid)
+
+    def corner_orbits(self) -> list[list[_Side]]:
+        """The surface corners: odd open orbits at diagram vertices, by smallest side id."""
+        starts = (s for s in self.sides() if s.partner is None and s.head_pt[0] == "v")
+        return sorted((o for o in map(self.orbit, starts) if len(o) % 2), key=_min_sid)
 
     def class_slots(self, orbit: list[_Side]) -> tuple[_Side, list[_Side], _Side]:
         """(start free side, link sides, end free side) of an open class.
@@ -272,44 +286,43 @@ class _Surface:
         The link between consecutive corners i, i+1 is the glued side
         next(orbit[i]); its tail sits at the class's vertex point.
         """
-        if not self.class_is_open(orbit):
-            raise BuilderError("slots of a closed class")
-        links = [self.next_side(orbit[i]) for i in range(len(orbit) - 1)]
-        return orbit[0], links, self.next_side(orbit[-1])
+        return orbit[0], [s.next for s in orbit[:-1]], orbit[-1].next
 
     # -- surgery primitives -------------------------------------------------
 
+    def _replace(self, s: _Side, first: _Side, second: _Side) -> None:
+        """Put the path first -> second in place of s in its face ring."""
+        prev, nxt = (second, first) if s.next is s else (s.prev, s.next)
+        prev.next, first.prev = first, prev
+        first.next, second.prev = second, first
+        second.next, nxt.prev = nxt, second
+        if s.face.start is s:
+            s.face.start = first
+        del self._sides[s.sid]
+
     def subdivide(self, s: _Side, mid: Point) -> tuple[_Side, _Side]:
         """Split s (and its partner, if any) at ``mid``; returns (tail, head) halves."""
-        f = s.face
-        i = f.sides.index(s)
-        first = _Side(self._next_sid, f, s.dart, s.tail_pt, mid)
-        self._next_sid += 1
-        second = _Side(self._next_sid, f, s.dart, mid, s.head_pt)
-        self._next_sid += 1
-        f.sides[i : i + 1] = [first, second]
+        first = self._new_side(s.face, s.dart, s.tail_pt, mid)
+        second = self._new_side(s.face, s.dart, mid, s.head_pt)
+        self._replace(s, first, second)
         p = s.partner
         if p is not None:
-            g = p.face
-            j = g.sides.index(p)
-            pfirst = _Side(self._next_sid, g, p.dart, p.tail_pt, mid)
-            self._next_sid += 1
-            psecond = _Side(self._next_sid, g, p.dart, mid, p.head_pt)
-            self._next_sid += 1
-            g.sides[j : j + 1] = [pfirst, psecond]
+            pfirst = self._new_side(p.face, p.dart, p.tail_pt, mid)
+            psecond = self._new_side(p.face, p.dart, mid, p.head_pt)
+            self._replace(p, pfirst, psecond)
             # s runs tail->head, p head->tail over the same segment
-            first.partner = psecond
-            psecond.partner = first
-            second.partner = pfirst
-            pfirst.partner = second
+            first.partner, psecond.partner = psecond, first
+            second.partner, pfirst.partner = pfirst, second
         return first, second
 
-    def slit_at_tail(self, s: _Side, mid: Point | None = None) -> Point:
-        """Open the tail half of the glued side s; returns the cut point.
+    def slit_at_tail(self, s: _Side, mid: Point | None = None) -> tuple[_Side, _Side]:
+        """Open the tail half of the glued side s; returns its two lips.
 
-        The far end of the slit is a boundary branch point recorded in
-        ``branch_marks``.  Two parallel slits that will be cross-glued may
-        share their cut point by passing ``mid`` explicitly.
+        The lips run over the opened half: the first from s's tail to the
+        cut point on s's face, the second back from the cut point on the
+        partner's face.  The far end of the slit is a boundary branch point
+        recorded in ``branch_marks``.  Two parallel slits that will be
+        cross-glued may share their cut point by passing ``mid`` explicitly.
         """
         if s.partner is None:
             raise BuilderError("cannot slit a boundary side")
@@ -317,45 +330,34 @@ class _Surface:
             mid = self.fresh_cut_point()
         first, _second = self.subdivide(s, mid)
         mate = first.partner
-        first.partner = None
-        mate.partner = None
+        first.partner = mate.partner = None
         self.branch_marks.append((mid, s.dart))
-        return mid
+        return first, mate
 
     def glue_boundary(self, a: _Side, b: _Side) -> None:
         """Glue two boundary sides running over the same segment oppositely."""
-        if a.partner is not None or b.partner is not None:
-            raise BuilderError("glue_boundary needs two boundary sides")
         if (a.tail_pt, a.head_pt) != (b.head_pt, b.tail_pt):
             raise BuilderError("glue_boundary segment mismatch")
-        a.partner = b
-        b.partner = a
+        self.glue(a, b)
 
     # -- boundary structure -------------------------------------------------
 
     def next_boundary_side(self, s: _Side) -> _Side:
-        t = self.next_side(s)
-        guard = 0
-        while t.partner is not None:
-            t = self.next_side(t.partner)
-            guard += 1
-            if guard > 4 * (self._next_sid + 1):
-                raise BuilderError("boundary walk does not terminate")
-        return t
+        """The boundary side after s: the end of the open orbit that s starts."""
+        return self.orbit(s)[-1].next
 
     def boundary_components(self) -> list[list[_Side]]:
         comps: list[list[_Side]] = []
         seen: set[int] = set()
-        for s in sorted(self.sides(), key=lambda s: s.sid):
+        for s in self.sides():
             if s.partner is not None or s.sid in seen:
                 continue
             comp = [s]
-            seen.add(s.sid)
             cur = self.next_boundary_side(s)
             while cur is not s:
                 comp.append(cur)
-                seen.add(cur.sid)
                 cur = self.next_boundary_side(cur)
+            seen.update(c.sid for c in comp)
             comps.append(comp)
         return comps
 
@@ -425,16 +427,9 @@ class BuiltSurface:
         stage every odd class has length one.  Each symbolic degenerate disk
         contributes two corners at its vertex.
         """
-        out: list[tuple[str, int]] = []
-        for orbit in self.surface.corner_classes():
-            pt = self.surface.class_point(orbit)
-            if pt[0] != "v" or not self.surface.class_is_open(orbit):
-                continue
-            if len(orbit) % 2 == 1:
-                out.append((pt[1], len(orbit)))
+        out = [(o[0].head_pt[1], len(o)) for o in self.surface.corner_orbits()]
         for disk in self.surface.degenerate_disks:
-            out.append((disk.vertex, 1))
-            out.append((disk.vertex, 1))
+            out += [(disk.vertex, 1), (disk.vertex, 1)]
         return sorted(out)
 
     def corner_count(self) -> int:
@@ -443,33 +438,19 @@ class BuiltSurface:
     def boundary_arcs(self) -> dict[str, list[dict]]:
         """Maximal boundary arcs per curve, split at the surface corners."""
         arcs: dict[str, list[dict]] = {name: [] for name in self.diagram.curve_vertices}
-        surf = self.surface
-        for comp in surf.boundary_components():
-            # mark the positions whose following vertex class is a corner
-            breaks: list[int] = []
-            for i, s in enumerate(comp):
-                orbit_rep = s  # corner(s) belongs to the class after side s
-                # find class of corner(s): open class containing this corner
-                # corner is odd <=> its class has odd length
-                orbit = _class_of_corner(surf, s)
-                pt = surf.class_point(orbit)
-                if pt[0] == "v" and len(orbit) % 2 == 1:
-                    breaks.append(i)
+        # the corner after boundary side s starts an open orbit
+        corner_after = {o[0].sid for o in self.surface.corner_orbits()}
+        for comp in self.surface.boundary_components():
+            breaks = [i for i, s in enumerate(comp) if s.sid in corner_after]
             if not breaks:
                 curve_names = {s.dart.curve for s in comp}
                 if len(curve_names) != 1:
                     raise BuilderError("cornerless boundary circle over several curves")
-                arcs[curve_names.pop()].append(
-                    {"sides": len(comp), "circle": True}
-                )
+                arcs[curve_names.pop()].append({"sides": len(comp), "circle": True})
                 continue
             for k, i in enumerate(breaks):
                 j = breaks[(k + 1) % len(breaks)]
-                run = (
-                    comp[i + 1 : j + 1]
-                    if j > i
-                    else comp[i + 1 :] + comp[: j + 1]
-                )
+                run = comp[i + 1 : j + 1] if j > i else comp[i + 1 :] + comp[: j + 1]
                 curve_names = {s.dart.curve for s in run}
                 if len(curve_names) != 1:
                     raise BuilderError("boundary arc crosses curves without a corner")
@@ -506,118 +487,87 @@ class BuiltSurface:
         if self.x is not None and self.y is not None:
             delta = self.delta()
             d["delta"] = str(delta)
-            d["branch_budget"] = str(branch_budget(self.diagram.genus, self.chi))
+            d["branch_budget"] = str(branch_budget(self.diagram.genus, d["chi"]))
         return d
-
-
-def _class_of_corner(surf: _Surface, s: _Side) -> list[_Side]:
-    """The full vertex class through corner(s) (walked, not cached)."""
-    start = s
-    guard = 0
-    while True:
-        b = surf.corner_backward(start)
-        if b is None or b is s:
-            break
-        start = b
-        guard += 1
-        if guard > surf._next_sid + 1:
-            raise BuilderError("corner walk does not terminate")
-    if surf.corner_backward(start) is None:
-        orbit = [start]
-        cur = surf.corner_forward(start)
-        while cur is not None:
-            orbit.append(cur)
-            cur = surf.corner_forward(cur)
-        return orbit
-    orbit = [s]
-    cur = surf.corner_forward(s)
-    while cur is not s:
-        orbit.append(cur)
-        cur = surf.corner_forward(cur)
-    return orbit
 
 
 # ---------------------------------------------------------------------------
 # Stage S0: gluing the region copies
 
 
+def _sheet_pairs(family: str, p: int, q: int) -> list[tuple[int, int]]:
+    """Sheets (m, m') glued across an arc with p sheets on one side, q on the other.
+
+    Top-aligned on alpha arcs (the offset is the coefficient difference),
+    bottom-aligned on beta arcs.
+    """
+    if family == BETA:
+        return [(m, m) for m in range(1, min(p, q) + 1)]
+    off = q - p
+    return [(m, m + off) for m in range(1, p + 1) if 1 <= m + off <= q]
+
+
+def _add_region_copies(
+    surf: _Surface, d: HeegaardDiagram, a: Domain, tag: str | None = None
+) -> list[_Face]:
+    """One polygon per sheet of ``a``, glued along the curve arcs.
+
+    Sheet m of a region gets layer m, or (tag, m) when a tag is given.  A
+    region adjacent to itself across an arc follows the same rule with its
+    two arc sides kept distinct.
+    """
+    faces: list[_Face] = []
+    side_of: dict[tuple, _Side] = {}
+    for r in d.regions:
+        for level in range(1, a[r.index] + 1):
+            f = surf.new_face(r.index, level if tag is None else (tag, level))
+            faces.append(f)
+            for dart in r.darts:
+                side_of[(dart, level)] = surf.add_side(
+                    f, dart, ("v", dart.vertex), ("v", d.rev(dart).vertex)
+                )
+    for name, edges in d.edges.items():
+        for tail, _ in edges:
+            e = Dart(tail, name, True)
+            f = d.rev(e)
+            pairs = _sheet_pairs(d.curve_family[name], a[d.face_of[e]], a[d.face_of[f]])
+            for m, m2 in pairs:
+                surf.glue(side_of[(e, m)], side_of[(f, m2)])
+    return faces
+
+
 def glue_copies(d: HeegaardDiagram, a: Domain) -> BuiltSurface:
     """Stage S0: one polygon per region copy, glued along the curve arcs.
 
-    Along every alpha arc the sheets are matched top-aligned (the offset is
-    the coefficient difference of the two sides); along every beta arc they
-    are matched bottom-aligned.  A region adjacent to itself across an arc
-    follows the same rules with its two arc sides kept distinct.
+    Sheets are matched top-aligned along alpha arcs and bottom-aligned
+    along beta arcs (``_sheet_pairs``).
     """
     if not is_positive(a):
         raise PreconditionError("glue_copies needs a positive domain")
     if len(a.coeffs) != len(d.regions):
         raise PreconditionError("domain does not match the diagram")
     surf = _Surface(d.curve_family)
-    side_of: dict[tuple, _Side] = {}
-    for r in d.regions:
-        n = a[r.index]
-        for level in range(1, n + 1):
-            f = surf.new_face(r.index, level)
-            for dart in r.darts:
-                s = surf.add_side(
-                    f,
-                    dart,
-                    ("v", dart.vertex),
-                    ("v", d.rev(dart).vertex),
-                )
-                side_of[(dart, level)] = s
-    for name, edges in d.edges.items():
-        fam = d.curve_family[name]
-        for i in range(len(edges)):
-            tail, _ = edges[i]
-            e = Dart(tail, name, True)
-            f = d.rev(e)
-            p = a[d.face_of[e]]
-            q = a[d.face_of[f]]
-            if fam == BETA:
-                pairs = [(m, m) for m in range(1, min(p, q) + 1)]
-            else:
-                off = q - p
-                pairs = [
-                    (m, m + off)
-                    for m in range(1, p + 1)
-                    if 1 <= m + off <= q
-                ]
-            for m, m2 in pairs:
-                surf.glue(side_of[(e, m)], side_of[(f, m2)])
+    _add_region_copies(surf, d, a)
     return BuiltSurface("S0", d, a, surf)
-
-
-def classify_vertex_chains(
-    d: HeegaardDiagram, a: Domain, v: str
-) -> list[PreimageChain]:
-    """The preimage chains of crossing v in the glued surface of ``a``."""
-    s0 = glue_copies(d, a)
-    return chains_at(s0, v)
 
 
 def chains_at(built: BuiltSurface, v: str) -> list[PreimageChain]:
     """Extract the quadrant-sheet chains at a crossing from any stage."""
-    d = built.diagram
-    surf = built.surface
-    rot = d.rotation[v]
+    rot = built.diagram.rotation[v]
     out: list[PreimageChain] = []
-    for orbit in surf.corner_classes():
-        if surf.class_point(orbit) != ("v", v):
+    for orbit in built.surface.corner_classes():
+        if orbit[0].head_pt != ("v", v):
             continue
         cells = []
         for s in orbit:
-            nxt = surf.next_side(s)
             # the corner between s and next(s) occupies the sector between
             # dart(next(s)) and its rotation successor
-            dart = nxt.dart
-            position = rot.index(dart) if dart in rot else None
-            if position is None:
+            dart = s.next.dart
+            if dart not in rot:
                 raise BuilderError(f"corner at {v} with foreign dart {dart}")
             level = s.face.layer if isinstance(s.face.layer, int) else 0
-            cells.append(QuadrantSheet(v, s.face.region, position, level))
-        kind = "open" if surf.class_is_open(orbit) else "closed"
+            cells.append(QuadrantSheet(v, s.face.region, rot.index(dart), level))
+        kind = "open" if orbit[0].partner is None else "closed"
         out.append(PreimageChain(v, tuple(cells), kind))
     return out
 
@@ -638,7 +588,7 @@ def local_vertex_chains(coeffs: tuple[int, int, int, int]) -> list[PreimageChain
 
     Sector i sits counterclockwise between half-dart i and half-dart i+1;
     half-darts 0 and 2 are alpha, 1 and 3 beta, and the gluings follow the
-    same top-/bottom-aligned rules as the full construction, so this is the
+    same top-/bottom-aligned rule as the full construction, so this is the
     local model of any crossing with the given quadrant pattern.
     """
     if len(coeffs) != 4 or any(c < 0 for c in coeffs):
@@ -667,25 +617,18 @@ def local_vertex_chains(coeffs: tuple[int, int, int, int]) -> list[PreimageChain
             surf.add_side(f, _SynthDart("lo", f"outer{i}"), o_start, o_end)
     for j in range(4):
         # ray j separates sector j (out-side) from sector j-1 (in-side)
-        c_out, c_in = coeffs[j], coeffs[(j - 1) % 4]
-        if j % 2 == 0:  # alpha ray: top-aligned
-            off = c_in - c_out
-            pairs = [(m, m + off) for m in range(1, c_out + 1) if 1 <= m + off <= c_in]
-        else:  # beta ray: bottom-aligned
-            pairs = [(m, m) for m in range(1, min(c_out, c_in) + 1)]
-        for m, m2 in pairs:
+        family = ALPHA if j % 2 == 0 else BETA
+        for m, m2 in _sheet_pairs(family, coeffs[j], coeffs[(j - 1) % 4]):
             surf.glue(sides_out[(j, m)], sides_in[(j, m2)])
-    out: list[PreimageChain] = []
-    for orbit in surf.corner_classes():
-        if surf.class_point(orbit) != center:
-            continue
-        cells = tuple(
-            QuadrantSheet("p", s.face.region, s.face.region, s.face.layer)
-            for s in orbit
+    return [
+        PreimageChain(
+            "p",
+            tuple(QuadrantSheet("p", s.face.region, s.face.region, s.face.layer) for s in orbit),
+            "open" if orbit[0].partner is None else "closed",
         )
-        kind = "open" if surf.class_is_open(orbit) else "closed"
-        out.append(PreimageChain("p", cells, kind))
-    return out
+        for orbit in surf.corner_classes()
+        if orbit[0].head_pt == center
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -707,20 +650,12 @@ def cut_bad_corners(built: BuiltSurface) -> BuiltSurface:
 def _grind_odd_chains(surf: _Surface) -> None:
     guard = 0
     while True:
-        target = None
-        for orbit in surf.corner_classes():
-            pt = surf.class_point(orbit)
-            if pt[0] != "v" or not surf.class_is_open(orbit):
-                continue
-            if len(orbit) % 2 == 1 and len(orbit) >= 3:
-                target = orbit
-                break
+        target = next((o for o in surf.corner_orbits() if len(o) >= 3), None)
         if target is None:
             return
         start_free, links, end_free = surf.class_slots(target)
         fam_start = surf.family(start_free.dart)
-        fam_end = surf.family(end_free.dart)
-        if fam_start == fam_end:
+        if fam_start == surf.family(end_free.dart):
             raise BuilderError("odd chain with equal end families")
         if fam_start != ALPHA:
             links = list(reversed(links))
@@ -752,8 +687,7 @@ def add_degenerate_corners(
     surf = built.surface.copy()
     shared = [v for v in x.points if v in set(y.points)]
     for v in shared:
-        pt = ("v", v)
-        open_here = surf.open_classes_at(pt)
+        open_here = surf.open_classes_at(("v", v))
         if not open_here:
             surf.degenerate_disks.append(
                 _DegenerateDisk(v, d.vertex_alpha[v][0], d.vertex_beta[v][0])
@@ -852,46 +786,32 @@ def _splice_circle(
     pt = ("v", v)
     other_family = BETA if fam == ALPHA else ALPHA
     circle_ids = {s.sid for s in circle}
-
-    def open_classes():
-        return surf.open_classes_at(pt)
-
-    passage_classes = [
-        orbit
-        for orbit in open_classes()
-        if len(orbit) % 2 == 0 and surf.class_slots(orbit)[0].sid in circle_ids
+    open_here = surf.open_classes_at(pt)
+    links = [
+        link
+        for orbit in open_here
+        if len(orbit) % 2 == 0 and orbit[0].sid in circle_ids
+        for link in surf.class_slots(orbit)[1]
+        if surf.family(link.dart) == other_family
     ]
     # corner-mate move
-    for orbit in passage_classes:
-        _, links, _ = surf.class_slots(orbit)
-        for link in links:
-            if surf.family(link.dart) != other_family:
+    for link in links:
+        for corner in open_here:
+            if len(corner) % 2 == 0:
                 continue
-            for corner in open_classes():
-                if len(corner) % 2 == 0:
-                    continue
-                k_in, _, k_out = surf.class_slots(corner)
-                for k_side in (k_in, k_out):
-                    if _dart_at(d, k_side, pt) != link.dart:
-                        continue
+            k_in, _, k_out = surf.class_slots(corner)
+            for k_side in (k_in, k_out):
+                if _dart_at(d, k_side, pt) == link.dart:
                     _execute_splice(surf, link, k_side, pt)
                     return
     # parallel-passage move
-    for orbit in passage_classes:
-        _, links, _ = surf.class_slots(orbit)
-        for link in links:
-            if surf.family(link.dart) != other_family:
+    for link in links:
+        for other in open_here:
+            if len(other) % 2 == 1 or other[0].sid in circle_ids:
                 continue
-            for other in open_classes():
-                if len(other) % 2 == 1:
-                    continue
-                slots = surf.class_slots(other)
-                if slots[0].sid in circle_ids:
-                    continue
-                for olink in slots[1]:
-                    if olink.dart != link.dart or olink is link:
-                        continue
-                    _execute_swap(surf, link, olink, pt)
+            for olink in surf.class_slots(other)[1]:
+                if olink.dart == link.dart:
+                    _execute_swap(surf, link, olink)
                     return
     raise BuilderError(f"no matching corner side to splice at {v}")
 
@@ -903,16 +823,8 @@ def _execute_splice(surf: _Surface, link: _Side, k_side: _Side, pt: Point) -> No
     of the corner over the same dart, pointing into or out of the vertex.
     Orientations determine which lip mates with which subdivided half.
     """
-    mate = link.partner
-    mid = surf.slit_at_tail(link)
-    # lips over [pt..mid]: tail-at-pt lip on link's face, head-at-pt on
-    # mate's; the fresh cut point makes both unique across the complex
-    tail_lip = next(
-        s for s in link.face.sides if s.tail_pt == pt and s.head_pt == mid
-    )
-    head_lip = next(
-        s for s in mate.face.sides if s.tail_pt == mid and s.head_pt == pt
-    )
+    tail_lip, head_lip = surf.slit_at_tail(link)
+    mid = tail_lip.head_pt
     if k_side.tail_pt == pt:
         first, _ = surf.subdivide(k_side, mid)
         surf.glue_boundary(first, head_lip)
@@ -923,22 +835,53 @@ def _execute_splice(surf: _Surface, link: _Side, k_side: _Side, pt: Point) -> No
         raise BuilderError("corner side does not touch the vertex")
 
 
-def _execute_swap(surf: _Surface, link: _Side, olink: _Side, pt: Point) -> None:
+def _execute_swap(surf: _Surface, link: _Side, olink: _Side) -> None:
     """Slit two parallel links at a shared cut point and cross-glue the lips."""
-    mate = link.partner
-    omate = olink.partner
-    mid = surf.slit_at_tail(link)
-    surf.slit_at_tail(olink, mid)
+    tail_lip, head_lip = surf.slit_at_tail(link)
+    otail_lip, ohead_lip = surf.slit_at_tail(olink, tail_lip.head_pt)
+    surf.glue_boundary(tail_lip, ohead_lip)
+    surf.glue_boundary(otail_lip, head_lip)
 
-    def lip(face: "_Face", tail: Point, head: Point) -> _Side:
-        return next(
-            s
-            for s in face.sides
-            if s.partner is None and s.tail_pt == tail and s.head_pt == head
-        )
 
-    surf.glue_boundary(lip(link.face, pt, mid), lip(omate.face, mid, pt))
-    surf.glue_boundary(lip(olink.face, pt, mid), lip(mate.face, mid, pt))
+# ---------------------------------------------------------------------------
+# The stage contract
+
+
+def stage_contract(built: BuiltSurface) -> list[str]:
+    """The ways ``built`` breaks its stage contract; empty when it holds.
+
+    Stage S4: connected, 2g corners, pushforward equal to its domain (the
+    class plus the full surface class).  Any other stage is held to the
+    stage-S3 contract: 2g corners, all right angles; one boundary arc per
+    curve; pushforward equal to the domain; chi congruent mod 2 to the
+    embedded Euler characteristic of the class.
+    """
+    d = built.diagram
+    corners = built.corners()
+    problems = []
+    if len(corners) != 2 * d.genus:
+        problems.append(f"{len(corners)} corners, wanted {2 * d.genus}")
+    if built.pushforward() != built.domain:
+        problems.append("pushforward differs from the domain")
+    if built.stage == "S4":
+        if built.component_count() != 1:
+            problems.append("not connected")
+        return problems
+    if any(length != 1 for _, length in corners):
+        problems.append("corner with angle above a right angle")
+    for curve, arcs in built.boundary_arcs().items():
+        if len(arcs) != 1 or arcs[0].get("circle"):
+            problems.append(f"boundary over {curve} is not one arc")
+    if (built.chi - embedded_euler_char(d, built.domain, built.x, built.y)) % 2:
+        problems.append("chi parity differs from the embedded chi")
+    return problems
+
+
+def _enforce_contract(built: BuiltSurface) -> BuiltSurface:
+    problems = stage_contract(built)
+    if problems:
+        raise BuilderError(f"stage {built.stage} contract: " + "; ".join(problems))
+    return built
 
 
 # ---------------------------------------------------------------------------
@@ -948,12 +891,7 @@ def _execute_swap(surf: _Surface, link: _Side, olink: _Side, pt: Point) -> None:
 def build_surface(
     d: HeegaardDiagram, a: Domain, x: Generator, y: Generator
 ) -> BuiltSurface:
-    """Glue, cut, add degenerate corners, splice; verify the stage-3 contract.
-
-    The result has 2g right-angle corners, exactly one boundary arc per
-    curve, pushforward equal to the domain, and an Euler characteristic of
-    the same parity as the embedded Euler characteristic of the class.
-    """
+    """Glue, cut, add degenerate corners, splice; enforce the stage-S3 contract."""
     if not is_positive(a):
         raise PreconditionError("build_surface needs a positive domain")
     if not connects(d, a, x, y):
@@ -962,28 +900,7 @@ def build_surface(
     s0 = BuiltSurface("S0", d, a, s0.surface, x, y)
     s1 = cut_bad_corners(s0)
     s2 = add_degenerate_corners(s1, x, y)
-    s3 = splice_boundary_circles(s2)
-    _verify_stage3(s3)
-    return s3
-
-
-def _verify_stage3(s3: BuiltSurface) -> None:
-    d = s3.diagram
-    g = d.genus
-    corners = s3.corners()
-    if len(corners) != 2 * g:
-        raise BuilderError(f"stage S3 has {len(corners)} corners, wanted {2 * g}")
-    if any(length != 1 for _, length in corners):
-        raise BuilderError("stage S3 corner with angle above a right angle")
-    arcs = s3.boundary_arcs()
-    for curve, lst in arcs.items():
-        if len(lst) != 1 or lst[0].get("circle"):
-            raise BuilderError(f"stage S3 boundary over {curve} is not one arc")
-    if s3.pushforward() != s3.domain:
-        raise BuilderError("stage S3 pushforward differs from the domain")
-    chi_emb = embedded_euler_char(d, s3.domain, s3.x, s3.y)
-    if (s3.chi - chi_emb) % 2 != 0:
-        raise BuilderError("stage S3 parity defect against the embedded chi")
+    return _enforce_contract(splice_boundary_circles(s2))
 
 
 # ---------------------------------------------------------------------------
@@ -1000,7 +917,8 @@ def stabilized_surface(
     beta curve) and chained onto the corners there.  Closed components of
     the stage-3 surface (full-surface layers of the domain) are opened at
     the same points and joined into the same chain, so the result is
-    connected with pushforward A plus the surface class.
+    connected with pushforward A plus the surface class.  The stage-S4
+    contract is enforced.
     """
     if d.genus <= 1:
         raise PreconditionError("should have assumed that g>1")
@@ -1011,7 +929,7 @@ def stabilized_surface(
     closed_layers = [
         comp
         for comp in surf.face_components()
-        if all(s.partner is not None for f in comp for s in f.sides)
+        if all(s.partner is not None for f in comp for s in f.sides())
     ]
     for comp in closed_layers:
         per_region = [0] * len(d.regions)
@@ -1020,39 +938,14 @@ def stabilized_surface(
         if any(c != 1 for c in per_region):
             raise BuilderError("closed component is not a single surface layer")
 
-    sigma_faces = _add_sigma_copy(surf, d)
-    layers: list[list[_Face]] = closed_layers + [sigma_faces]
-
-    for i in range(len(d.alpha)):
-        v = x.points[i]
+    sigma = sigma_class(d)
+    layers = closed_layers + [_add_region_copies(surf, d, sigma, "sigma")]
+    for v in x.points:
         pt = ("v", v)
         pending = _initial_pending_corner(surf, layers, pt)
         for layer in layers:
             pending = _cut_layer_and_chain(surf, d, layer, v, pending)
-    s4 = BuiltSurface("S4", d, a + sigma_class(d), surf, x, y)
-    if s4.component_count() != 1:
-        raise BuilderError("stage S4 is not connected")
-    if len(s4.corners()) != 2 * d.genus:
-        raise BuilderError("stage S4 corner count defect")
-    return s4
-
-
-def _add_sigma_copy(surf: _Surface, d: HeegaardDiagram) -> list[_Face]:
-    faces: list[_Face] = []
-    side_of: dict[Dart, _Side] = {}
-    for r in d.regions:
-        f = surf.new_face(r.index, ("sigma", 1))
-        faces.append(f)
-        for dart in r.darts:
-            side_of[dart] = surf.add_side(
-                f, dart, ("v", dart.vertex), ("v", d.rev(dart).vertex)
-            )
-    for name, edges in d.edges.items():
-        for i in range(len(edges)):
-            tail, _ = edges[i]
-            e = Dart(tail, name, True)
-            surf.glue(side_of[e], side_of[d.rev(e)])
-    return faces
+    return _enforce_contract(BuiltSurface("S4", d, a + sigma, surf, x, y))
 
 
 def _initial_pending_corner(
@@ -1071,10 +964,10 @@ def _initial_pending_corner(
     return None
 
 
-def _layer_side(surf: _Surface, layer: list[_Face], dart, pt: Point) -> _Side:
+def _layer_side(layer: list[_Face], dart, pt: Point) -> _Side:
     """The layer's side over ``dart`` whose tail sits at ``pt``."""
     for f in layer:
-        for s in f.sides:
+        for s in f.sides():
             if s.dart == dart and s.tail_pt == pt:
                 return s
     raise BuilderError(f"layer has no side over {dart} at {pt}")
@@ -1097,9 +990,6 @@ def _cut_layer_and_chain(
     layer is left with a fresh corner for the next layer up the chain.
     """
     pt = ("v", v)
-    af = Dart(v, d.vertex_alpha[v][0], True)
-    ab = Dart(v, d.vertex_alpha[v][0], False)
-    bf = Dart(v, d.vertex_beta[v][0], True)
     if pending is not None:
         k_in, _, k_out = surf.class_slots(pending)
         cuts = sorted(
@@ -1109,49 +999,25 @@ def _cut_layer_and_chain(
         if len(cuts) != 2:
             raise BuilderError("pending corner with degenerate free darts")
     else:
-        cuts = [af, ab, bf]
-    mids: dict[Dart, Point] = {}
+        alpha, beta = d.vertex_alpha[v][0], d.vertex_beta[v][0]
+        cuts = [Dart(v, alpha, True), Dart(v, alpha, False), Dart(v, beta, True)]
+    lips: dict[Dart, tuple[_Side, _Side]] = {}
     for dart in cuts:
-        side = _layer_side(surf, layer, dart, pt)
+        side = _layer_side(layer, dart, pt)
         if side.partner is None:
             raise BuilderError("layer cut along an already open side")
-        mids[dart] = surf.slit_at_tail(side)
-    if pending is None:
-        return _corner_in_layer(surf, layer, pt)
-    # glue the pending corner's two sides into the matching lips
-    k_in, _, k_out = surf.class_slots(pending)
-    for k_side in (k_in, k_out):
-        mid = mids[_dart_at(d, k_side, pt)]
-        lip_tail, lip_head = _lips(surf, pt, mid)
-        if k_side.head_pt == pt:
-            _, second = surf.subdivide(k_side, mid)
-            surf.glue_boundary(second, lip_tail)
-        else:
-            first, _ = surf.subdivide(k_side, mid)
-            surf.glue_boundary(first, lip_head)
-    return _corner_in_layer(surf, layer, pt)
-
-
-def _lips(surf: _Surface, pt: Point, mid: Point) -> tuple[_Side, _Side]:
-    """(tail-at-pt, head-at-pt) boundary lips of the cut ending at ``mid``.
-
-    Cut points are fresh, so the two lips are unique in the whole complex.
-    """
-    tail_lip = head_lip = None
-    for f in surf.faces:
-        for s in f.sides:
-            if s.partner is not None:
-                continue
-            if s.tail_pt == pt and s.head_pt == mid:
-                tail_lip = s
-            elif s.tail_pt == mid and s.head_pt == pt:
-                head_lip = s
-    if tail_lip is None or head_lip is None:
-        raise BuilderError("cut lips not found")
-    return tail_lip, head_lip
-
-
-def _corner_in_layer(surf: _Surface, layer: list[_Face], pt: Point) -> list[_Side]:
+        lips[dart] = surf.slit_at_tail(side)
+    if pending is not None:
+        # glue the pending corner's two sides into the matching lips
+        for k_side in (k_in, k_out):
+            tail_lip, head_lip = lips[_dart_at(d, k_side, pt)]
+            mid = tail_lip.head_pt
+            if k_side.head_pt == pt:
+                _, second = surf.subdivide(k_side, mid)
+                surf.glue_boundary(second, tail_lip)
+            else:
+                first, _ = surf.subdivide(k_side, mid)
+                surf.glue_boundary(first, head_lip)
     fids = {f.fid for f in layer}
     for orbit in surf.open_classes_at(pt):
         if len(orbit) % 2 == 1 and orbit[0].face.fid in fids:
@@ -1172,18 +1038,13 @@ def branched_cover_check(s4: BuiltSurface) -> dict:
     """
     if s4.stage != "S4":
         raise PreconditionError("branched_cover_check needs a stage S4 surface")
-    d = s4.diagram
-    g = d.genus
+    g = s4.diagram.genus
     surf = s4.surface
-    per_component: list[int] = []
-    for comp in surf.boundary_components():
-        n = 0
-        for s in comp:
-            orbit = _class_of_corner(surf, s)
-            pt = surf.class_point(orbit)
-            if pt[0] == "v" and len(orbit) % 2 == 1:
-                n += 1
-        per_component.append(n)
+    corner_after = {o[0].sid for o in surf.corner_orbits()}
+    per_component = [
+        sum(1 for s in comp if s.sid in corner_after)
+        for comp in surf.boundary_components()
+    ]
     halves = sum(Fraction(n, 2) for n in per_component)
     budget = branch_budget(g, s4.chi)
     report = {

@@ -108,10 +108,18 @@ def _cmd_generators(args) -> int:
     return EXIT_OK
 
 
-def _cmd_domains(args) -> int:
-    d = _load(args.diagram)
+def _case(args, d: HeegaardDiagram) -> tuple:
+    """The parsed --from and --to generators, and the --domain if the verb has one."""
     x = Generator.parse(d, args.from_)
     y = Generator.parse(d, args.to)
+    if not hasattr(args, "domain"):
+        return x, y
+    return x, y, Domain.parse(d, args.domain)
+
+
+def _cmd_domains(args) -> int:
+    d = _load(args.diagram)
+    x, y = _case(args, d)
     doms = find_domains(d, x, y, args.max_coeff, args.positive)
     payload = {"count": len(doms), "domains": [a.format() for a in doms]}
     _emit(args, payload, "\n".join(a.format() for a in doms))
@@ -120,9 +128,7 @@ def _cmd_domains(args) -> int:
 
 def _cmd_index(args) -> int:
     d = _load(args.diagram)
-    x = Generator.parse(d, args.from_)
-    y = Generator.parse(d, args.to)
-    a = Domain.parse(d, args.domain)
+    x, y, a = _case(args, d)
     rep = index_report(d, a, x, y, force=args.force)
     _emit(args, rep.as_dict(), rep.as_text())
     return EXIT_OK
@@ -130,9 +136,7 @@ def _cmd_index(args) -> int:
 
 def _cmd_build_surface(args) -> int:
     d = _load(args.diagram)
-    x = Generator.parse(d, args.from_)
-    y = Generator.parse(d, args.to)
-    a = Domain.parse(d, args.domain)
+    x, y, a = _case(args, d)
     s3 = build_surface(d, a, x, y)
     payload = s3.to_json_dict()
     text = "\n".join(
@@ -151,9 +155,7 @@ def _cmd_build_surface(args) -> int:
 
 def _cmd_stabilize(args) -> int:
     d = _load(args.diagram)
-    x = Generator.parse(d, args.from_)
-    y = Generator.parse(d, args.to)
-    a = Domain.parse(d, args.domain)
+    x, y, a = _case(args, d)
     s4 = stabilized_surface(d, a, x, y)
     check = branched_cover_check(s4)
     payload = dict(s4.to_json_dict(), cover_check=check)
@@ -205,35 +207,33 @@ def _build_parser() -> argparse.ArgumentParser:
         q.set_defaults(fn=fn)
         return q
 
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--from", dest="from_", required=True, help="source generator")
+    pair.add_argument("--to", dest="to", required=True, help="target generator")
+    triple = argparse.ArgumentParser(add_help=False, parents=[pair])
+    triple.add_argument("--domain", required=True)
+
     diagram_verb("validate", _cmd_validate, help="check diagram invariants")
     diagram_verb("info", _cmd_info, help="genus, regions, class summary")
     diagram_verb("generators", _cmd_generators, help="enumerate generators")
 
-    q = diagram_verb("domains", _cmd_domains, help="enumerate connecting domains")
-    q.add_argument("--from", dest="from_", required=True, help="source generator")
-    q.add_argument("--to", dest="to", required=True, help="target generator")
+    q = diagram_verb(
+        "domains", _cmd_domains, parents=[pair], help="enumerate connecting domains"
+    )
     q.add_argument("--max-coeff", type=int, default=4)
     q.add_argument("--positive", action="store_true")
 
-    q = diagram_verb("index", _cmd_index, help="index quantities of a domain")
-    q.add_argument("--from", dest="from_", required=True)
-    q.add_argument("--to", dest="to", required=True)
-    q.add_argument("--domain", required=True)
+    q = diagram_verb("index", _cmd_index, parents=[triple], help="index quantities of a domain")
     q.add_argument(
         "--force",
         action="store_true",
         help="evaluate even if the domain does not connect the generators",
     )
 
-    q = diagram_verb("build-surface", _cmd_build_surface, help="run the construction")
-    q.add_argument("--from", dest="from_", required=True)
-    q.add_argument("--to", dest="to", required=True)
-    q.add_argument("--domain", required=True)
-
-    q = diagram_verb("stabilize", _cmd_stabilize, help="stabilized construction")
-    q.add_argument("--from", dest="from_", required=True)
-    q.add_argument("--to", dest="to", required=True)
-    q.add_argument("--domain", required=True)
+    diagram_verb(
+        "build-surface", _cmd_build_surface, parents=[triple], help="run the construction"
+    )
+    diagram_verb("stabilize", _cmd_stabilize, parents=[triple], help="stabilized construction")
 
     q = sub.add_parser("check", help="run the verification suites")
     q.add_argument(

@@ -3,8 +3,8 @@
 A domain is an integer vector indexed by the regions of a diagram (a
 relative 2-chain).  Its boundary along the alpha and beta curves, and the
 vertex boundary of that 1-chain, decide whether the domain connects one
-generator to another: the stacked vertex boundaries are M . A for the
-diagram's integer boundary matrix M.
+generator to another: the alpha vertex boundary is M . A for the diagram's
+integer boundary matrix M (see the sign convention for the beta one).
 
 M is factored once per diagram, exactly and in integers: the row-echelon
 form of [M^T | I] is [H | U], so U . M^T = H with U unimodular, and the
@@ -18,7 +18,10 @@ product with M.
 Sign convention (fixed): with the counterclockwise surface orientation an
 edge oriented along its curve's listed direction gets the coefficient
 (left region) - (right region), and ``connects(A, x, y)`` demands the vertex
-boundary of the alpha part be y - x and of the beta part be x - y.
+boundary of the alpha part be y - x and of the beta part be x - y.  The
+boundary of a 2-chain is a cycle, so its alpha and beta parts have opposite
+vertex boundaries and the beta condition follows from the alpha one: M
+holds the alpha block only.
 """
 
 from __future__ import annotations
@@ -180,8 +183,9 @@ def connects(d: HeegaardDiagram, a: Domain, x: Generator, y: Generator) -> bool:
     """True iff ``a`` is a strip class from x to y.
 
     Demands vertex_boundary(alpha part) = y - x and
-    vertex_boundary(beta part) = x - y as 0-chains, checked as one product
-    with the diagram's cached boundary matrix.
+    vertex_boundary(beta part) = x - y as 0-chains.  The second follows
+    from the first, so this is one product with the diagram's cached
+    alpha boundary matrix.
     """
     check_generator(d, x)
     check_generator(d, y)
@@ -249,31 +253,29 @@ def enumerate_generators(d: HeegaardDiagram) -> list[Generator]:
 
 
 def _boundary_matrix(d: HeegaardDiagram) -> list[list[int]]:
-    """Rows: (family, vertex) pairs in canonical order; columns: regions.
+    """Rows: vertices in canonical order; columns: regions.
 
-    M . A gives the stacked vertex boundaries (alpha block then beta block).
+    M . A is the vertex boundary of the alpha part of the boundary of A.
+    The beta block is left out: it is always the negative of this one.
     """
     rows: list[list[int]] = []
     nreg = len(d.regions)
-    for family in (ALPHA, BETA):
-        lookup = d.vertex_alpha if family == ALPHA else d.vertex_beta
-        for v in d.vertices:
-            row = [0] * nreg
-            curve, pos = lookup[v]
-            k = len(d.curve_vertices[curve])
-            for e, s in (((pos - 1) % k, 1), (pos, -1)):
-                left, right = d.edge_sides(curve, e)
-                row[left] += s
-                row[right] -= s
-            rows.append(row)
+    for v in d.vertices:
+        row = [0] * nreg
+        curve, pos = d.vertex_alpha[v]
+        k = len(d.curve_vertices[curve])
+        for e, s in (((pos - 1) % k, 1), (pos, -1)):
+            left, right = d.edge_sides(curve, e)
+            row[left] += s
+            row[right] -= s
+        rows.append(row)
     return rows
 
 
 def _target_vector(d: HeegaardDiagram, x: Generator, y: Generator) -> list[int]:
-    """M . A for A from x to y: the alpha block is y - x, the beta block x - y."""
+    """M . A for A from x to y: y - x."""
     xs, ys = set(x.points), set(y.points)
-    alpha = [int(v in ys) - int(v in xs) for v in d.vertices]
-    return alpha + [-c for c in alpha]
+    return [int(v in ys) - int(v in xs) for v in d.vertices]
 
 
 def _row_echelon(rows: list[list[int]]) -> list[list[int]]:

@@ -225,12 +225,12 @@ def stabilization_suite(
 def builder_consistency_suite(
     d: HeegaardDiagram, max_coeff: int = 3
 ) -> SuiteResult:
-    """Build every bounded positive connecting domain and check the contract.
+    """Build every bounded positive connecting domain.
 
-    Checks per case: 2g right-angle corners, one boundary arc per curve,
-    pushforward equal to the domain, chi of the built surface congruent to
-    the embedded chi mod 2, and (for coefficient-one domains supported on
-    pairwise disjoint bigons and squares) exact equality of the two.
+    The builder enforces the stage-S3 contract (``stage_contract``) and
+    raises on a breach, which is reported as a failure.  On top of it, for
+    coefficient-one domains supported on pairwise disjoint bigons and
+    squares, chi of the built surface must equal the embedded chi exactly.
     """
     t0 = time.perf_counter()
     res = SuiteResult("builder-consistency")
@@ -240,36 +240,17 @@ def builder_consistency_suite(
             if not is_positive(a):
                 continue
             res.cases += 1
-            case = {
-                "x": x.format(),
-                "y": y.format(),
-                "a": a.format(),
-            }
+            case = {"x": x.format(), "y": y.format(), "a": a.format()}
             try:
                 s3 = build_surface(d, a, x, y)
             except BuilderError as exc:
                 res.failures.append(dict(case, error=str(exc)))
                 continue
             chi_emb = embedded_euler_char(d, a, x, y)
-            problems = []
-            corners = s3.corners()
-            if len(corners) != 2 * d.genus:
-                problems.append(f"corners {len(corners)}")
-            if any(length != 1 for _, length in corners):
-                problems.append("non-right-angle corner")
-            arcs = s3.boundary_arcs()
-            if any(
-                len(lst) != 1 or lst[0].get("circle") for lst in arcs.values()
-            ):
-                problems.append("boundary arcs")
-            if s3.pushforward() != a:
-                problems.append("pushforward")
-            if (s3.chi - chi_emb) % 2 != 0:
-                problems.append("chi parity")
             if _is_disjoint_strip_class(d, a) and s3.chi != chi_emb:
-                problems.append(f"strip class chi {s3.chi} != {chi_emb}")
-            if problems:
-                res.failures.append(dict(case, problems=problems))
+                res.failures.append(
+                    dict(case, problems=[f"strip class chi {s3.chi} != {chi_emb}"])
+                )
     res.elapsed = time.perf_counter() - t0
     return res
 
@@ -277,18 +258,18 @@ def builder_consistency_suite(
 def stabilized_surface_suite(
     d: HeegaardDiagram, max_coeff: int = 1
 ) -> SuiteResult:
-    """Stage-S4 contract over the bounded positive domains (genus above one).
+    """Stage S4 over the bounded positive domains (genus above one).
 
-    Checks connectivity, pushforward A plus the surface class, 2g corners,
-    even per-component corner counts with halves summing to the genus, and
-    a nonnegative integral branch budget.
+    The builder enforces the stage-S4 contract (``stage_contract``) and
+    raises on a breach; on top of it the branched-cover bookkeeping must
+    hold: even per-component corner counts with halves summing to the
+    genus, and a nonnegative integral branch budget.
     """
     t0 = time.perf_counter()
     res = SuiteResult("stabilized-surface")
     if d.genus <= 1:
         res.elapsed = time.perf_counter() - t0
         return res
-    sigma = sigma_class(d)
     table = _domain_table(d, max_coeff)
     for (x, y), domains in table.items():
         for a in domains:
@@ -300,15 +281,8 @@ def stabilized_surface_suite(
                 res.failures.append(dict(case, error=str(exc)))
                 continue
             rep = branched_cover_check(s4)
-            problems = []
             if not rep["ok"]:
-                problems.append("cover check")
-            if s4.pushforward() != a + sigma:
-                problems.append("pushforward")
-            if len(s4.corners()) != 2 * d.genus:
-                problems.append("corner count")
-            if problems:
-                res.failures.append(dict(case, problems=problems, report=rep))
+                res.failures.append(dict(case, problems=["cover check"], report=rep))
     res.elapsed = time.perf_counter() - t0
     return res
 

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from hdindex import builder
 from hdindex.builder import (
     BuilderError,
     PreconditionError,
@@ -9,16 +11,17 @@ from hdindex.builder import (
     branched_cover_check,
     build_surface,
     chains_at,
-    classify_vertex_chains,
     cut_bad_corners,
     glue_copies,
     local_vertex_chains,
     splice_boundary_circles,
     stabilized_surface,
+    stage_contract,
     BuiltSurface,
 )
 from hdindex.domains import Domain, Generator, enumerate_generators, find_domains, sigma_class
 from hdindex.formulas import embedded_euler_char
+from hdindex.harness import builder_consistency_suite, stabilized_surface_suite
 
 
 EXAMPLE1 = "r2:1,r3:1,r4:1,r6:1,r7:2"
@@ -75,11 +78,11 @@ def test_classify_vertex_chains_on_diagram(genus2):
     a, x, y = example1_data(genus2)
     for v, want in (("x2", [("open", 5)]), ("y2", [("open", 5)]),
                     ("x1", [("open", 1)]), ("r1", [("open", 2)])):
-        chains = classify_vertex_chains(genus2, a, v)
+        chains = chains_at(glue_copies(genus2, a), v)
         assert [(c.kind, c.length) for c in chains] == want
     # quadrant sheets of the bad chain cover the five sector sheets: both
     # lens levels and the three surrounding squares at that crossing
-    (chain,) = classify_vertex_chains(genus2, a, "x2")
+    (chain,) = chains_at(glue_copies(genus2, a), "x2")
     assert sorted((c.region, c.level) for c in chain.cells) == sorted(
         [(7, 1), (7, 2), (3, 1), (4, 1), (6, 1)]
     )
@@ -112,11 +115,11 @@ def test_double_bigon_chains(torus3):
     # two copies of the bigon stack into odd chains of length 5 at the
     # corners (one full turn plus the corner quadrant)
     a = Domain.parse(torus3, "r1:2")
-    chains = classify_vertex_chains(torus3, a, "v0")
+    chains = chains_at(glue_copies(torus3, a), "v0")
     assert sorted((c.kind, c.length) for c in chains) == [("open", 1), ("open", 1)]
     # and with the surrounding class the corner pattern deepens
     b = Domain.parse(torus3, "r0:1,r1:2,r2:1")
-    chains = classify_vertex_chains(torus3, b, "v0")
+    chains = chains_at(glue_copies(torus3, b), "v0")
     assert [(c.kind, c.length) for c in chains] == [("open", 5)]
 
 
@@ -316,3 +319,108 @@ def test_surface_report_json_fields(genus2):
         "delta",
         "branch_budget",
     }
+
+
+# -- the half-edge complex and the stage contract -----------------------------
+
+# sha256 of the stage-S3 and stage-S4 records of every positive domain with
+# coefficients at most 2, in generator and domain order, as computed before
+# the complex moved to pointer neighbours.
+GOLDEN = {
+    "genus2": (197, "9a343247e614a320cbf6f35c4aa78727b0ed0fc609235d03ac7bf28e89094c3a"),
+    "genus2s1s2": (18, "a6f14f926c4e874db9e40c880870def20d47879f28bb3f5eb7ef352c97845514"),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(GOLDEN))
+def test_surface_records_match_golden(fixture, request):
+    d = request.getfixturevalue(fixture)
+    gens = enumerate_generators(d)
+    records = [
+        [
+            [x.format(), y.format(), a.format()],
+            build_surface(d, a, x, y).to_json_dict(),
+            stabilized_surface(d, a, x, y).to_json_dict(),
+        ]
+        for x in gens
+        for y in gens
+        for a in find_domains(d, x, y, 2, True)
+    ]
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert (len(records), digest) == GOLDEN[fixture]
+
+
+def stage_surfaces(d, limit=3):
+    """Stages S0-S4 of the first few positive domains of every generator pair."""
+    gens = enumerate_generators(d)
+    for x in gens:
+        for y in gens:
+            for a in find_domains(d, x, y, 2, True)[:limit]:
+                s0 = BuiltSurface("S0", d, a, glue_copies(d, a).surface, x, y)
+                s1 = cut_bad_corners(s0)
+                s2 = add_degenerate_corners(s1, x, y)
+                yield from (s0, s1, s2, splice_boundary_circles(s2))
+                if d.genus > 1 and max(a.coeffs) <= 1:
+                    yield stabilized_surface(d, a, x, y)
+
+
+def test_corner_orbits_partition_and_open_classes_agree(corpus):
+    for d in corpus.values():
+        for built in stage_surfaces(d):
+            surf = built.surface
+            sides = list(surf.sides())
+            for f in surf.faces:
+                assert all(s.next.prev is s and s.face is f for s in f.sides())
+            assert sum(1 for f in surf.faces for _ in f.sides()) == len(sides)
+            classes = surf.corner_classes()
+            ids = sorted(s.sid for orbit in classes for s in orbit)
+            assert ids == [s.sid for s in sides]
+            for orbit in classes:
+                assert all(a.next.partner is b for a, b in zip(orbit, orbit[1:]))
+            for pt in {s.head_pt for s in sides}:
+                want = [
+                    [s.sid for s in o]
+                    for o in classes
+                    if o[0].head_pt == pt and o[0].partner is None
+                ]
+                assert [[s.sid for s in o] for o in surf.open_classes_at(pt)] == want
+
+
+def test_builder_suite_catches_a_skipped_splice(monkeypatch, genus2s1s2):
+    monkeypatch.setattr(builder, "splice_boundary_circles", lambda built: built)
+    res = builder_consistency_suite(genus2s1s2, max_coeff=2)
+    assert not res.ok
+    for failure in res.failures:
+        assert {"x", "y", "a"} <= set(failure)
+        assert "is not one arc" in failure["error"]
+
+
+def test_stabilized_suite_catches_a_wrong_pushforward(monkeypatch, genus2s1s2):
+    add_copies = builder._add_region_copies
+
+    def with_stray_sheet(surf, d, a, tag=None):
+        faces = add_copies(surf, d, a, tag)
+        if tag == "sigma":  # one unglued extra sheet of region 0
+            add_copies(surf, d, Domain((1,) + (0,) * (len(a.coeffs) - 1)), "stray")
+        return faces
+
+    monkeypatch.setattr(builder, "_add_region_copies", with_stray_sheet)
+    res = stabilized_surface_suite(genus2s1s2, max_coeff=1)
+    assert res.cases and len(res.failures) == res.cases
+    for failure in res.failures:
+        assert {"x", "y", "a"} <= set(failure)
+        assert "pushforward differs" in failure["error"]
+
+
+def test_stage_contract_reports_each_breach(genus2):
+    a, x, y = example1_data(genus2)
+    s3 = build_surface(genus2, a, x, y)
+    s4 = stabilized_surface(genus2, a, x, y)
+    assert stage_contract(s3) == [] and stage_contract(s4) == []
+    # an S4 labelled with the class it stabilizes, not the class plus sigma
+    assert stage_contract(BuiltSurface("S4", genus2, a, s4.surface, x, y)) == [
+        "pushforward differs from the domain"
+    ]
+    s2_like = BuiltSurface("S3", genus2, a, glue_copies(genus2, a).surface, x, y)
+    problems = stage_contract(s2_like)
+    assert "corner with angle above a right angle" in problems

@@ -113,6 +113,21 @@ def test_connects_matches_boundary_chain_definition(corpus):
                     assert connects(d, a, x, y) == (boundaries[a] == (want, want))
 
 
+def test_beta_vertex_boundary_is_minus_alpha(corpus):
+    # why the boundary matrix needs no beta block
+    rng = random.Random(4919)
+    for d in corpus.values():
+        gens = enumerate_generators(d)
+        found = [a for x in gens for y in gens for a in find_domains(d, x, y, 2)]
+        randoms = [
+            Domain(tuple(rng.randint(-3, 3) for _ in d.regions)) for _ in range(20)
+        ]
+        for a in found + randoms:
+            ch = boundary_chain(d, a)
+            alpha = vertex_boundary(d, ch, ALPHA)
+            assert vertex_boundary(d, ch, BETA) == {v: -c for v, c in alpha.items()}
+
+
 def test_connects_rejects_wrong_length_domain(torus3):
     v0 = Generator(("v0",))
     for bad in (Domain((0, 0, 0, 0)), Domain((0, 0))):
