@@ -2,7 +2,10 @@
 
 A positive domain is realized as a surface by taking one polygon per region
 copy and gluing the copies along the curve arcs: top-aligned along alpha
-arcs, bottom-aligned along beta arcs (``_sheet_pairs`` is the one rule).
+arcs, bottom-aligned along beta arcs (``_sheet_pairs`` is the one rule, and
+``_add_region_copies`` the one routine that applies it: to the domain in
+stage S0, to the fresh surface copy in S4, and to a fixed crossing in the
+local chain model ``local_vertex_chains``).
 The preimages of a crossing are then the chains of quadrant sheets linked by
 those gluings; odd chains of length three or more are ground down to
 right-angle corners by slitting along beta arc preimages, points shared by
@@ -28,6 +31,13 @@ edge long); the far end of a slit is a boundary branch point and never
 touches the preimages of other crossings, which keeps every cut local and
 the whole pipeline deterministic.
 
+Every stage works on one complex.  ``glue_copies`` makes it; each later
+stage transformer does its surgery on the complex of the stage it is
+given and returns the next stage over that same complex.  A stage is
+consumed by the transformer it is passed to, so read it before passing
+it on.  Every cut that receives a corner side (the S3 splice and the S4
+chaining) glues it to the slit's lips by one rule, ``_glue_to_lip``.
+
 ``stage_contract`` states what stages S3 and S4 guarantee; the builder
 raises ``BuilderError`` when it fails, so a returned surface always
 satisfies it.
@@ -35,11 +45,12 @@ satisfies it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from hdindex.diagram import ALPHA, BETA, Dart, HeegaardDiagram
+from hdindex.diagram import ALPHA, BETA, Dart, HeegaardDiagram, load_bundled
 from hdindex.domains import (
     Domain,
     Generator,
@@ -147,12 +158,12 @@ class _Surface:
     visits the sides in increasing id order.
     """
 
-    def __init__(self, curve_family: dict[str, str] | None = None) -> None:
+    def __init__(self, curve_family: dict[str, str]) -> None:
         self.faces: list[_Face] = []
         self._sides: dict[int, _Side] = {}
         self._next_sid = 0
         self._next_cut = 0
-        self.curve_family: dict[str, str] = dict(curve_family or {})
+        self.curve_family = curve_family
         self.degenerate_disks: list[_DegenerateDisk] = []
         self.branch_marks: list[tuple] = []  # (cut point, dart) of slit far ends
 
@@ -188,26 +199,6 @@ class _Surface:
             raise BuilderError("side already glued")
         a.partner = b
         b.partner = a
-
-    def copy(self) -> "_Surface":
-        out = _Surface(self.curve_family)
-        out._next_sid = self._next_sid
-        out._next_cut = self._next_cut
-        out.degenerate_disks = list(self.degenerate_disks)
-        out.branch_marks = list(self.branch_marks)
-        out.faces = [_Face(f.fid, f.region, f.layer) for f in self.faces]
-        clones = out._sides
-        for sid, s in self._sides.items():
-            clones[sid] = _Side(sid, out.faces[s.face.fid], s.dart, s.tail_pt, s.head_pt)
-        for s in self._sides.values():
-            c = clones[s.sid]
-            c.next = clones[s.next.sid]
-            c.prev = clones[s.prev.sid]
-            if s.partner is not None:
-                c.partner = clones[s.partner.sid]
-        for f, nf in zip(self.faces, out.faces):
-            nf.start = clones[f.start.sid]
-        return out
 
     def fresh_cut_point(self) -> Point:
         self._next_cut += 1
@@ -388,8 +379,9 @@ class _Surface:
 class BuiltSurface:
     """A stage of the construction, with its census.
 
-    Everything is recomputed from the cells on demand; instances are
-    treated as immutable snapshots (stage transformers copy the complex).
+    Everything is recomputed from the cells on demand.  A stage
+    transformer consumes the stage it is given: it does its surgery on
+    that stage's complex and returns the next stage over it.
     """
 
     def __init__(
@@ -519,12 +511,15 @@ def _add_region_copies(
     faces: list[_Face] = []
     side_of: dict[tuple, _Side] = {}
     for r in d.regions:
+        # face tracing puts the next dart of a region, rot^-1(rev d), at
+        # the head of d
+        heads = r.darts[1:] + r.darts[:1]
         for level in range(1, a[r.index] + 1):
             f = surf.new_face(r.index, level if tag is None else (tag, level))
             faces.append(f)
-            for dart in r.darts:
+            for dart, head in zip(r.darts, heads):
                 side_of[(dart, level)] = surf.add_side(
-                    f, dart, ("v", dart.vertex), ("v", d.rev(dart).vertex)
+                    f, dart, ("v", dart.vertex), ("v", head.vertex)
                 )
     for name, edges in d.edges.items():
         for tail, _ in edges:
@@ -572,63 +567,35 @@ def chains_at(built: BuiltSurface, v: str) -> list[PreimageChain]:
     return out
 
 
-@dataclass(frozen=True)
-class _SynthDart:
-    """Stand-in dart for the synthetic single-vertex model."""
+# The crossing of the local chain model: its four quadrants lie in four
+# distinct regions and none of its arcs returns to it, so the sheets there
+# are glued exactly as at any crossing with the same quadrant pattern.
+_MODEL_DIAGRAM, _MODEL_VERTEX = "genus2_bigons.hd", "x2"
 
-    curve: str
-    label: str
 
-    def __repr__(self) -> str:
-        return f"{self.label}:{self.curve}"
+@functools.cache
+def _model_diagram() -> HeegaardDiagram:
+    return load_bundled(_MODEL_DIAGRAM)
 
 
 def local_vertex_chains(coeffs: tuple[int, int, int, int]) -> list[PreimageChain]:
-    """Chains of a synthetic vertex whose four sectors have these coefficients.
+    """Chains of a crossing whose four sectors have these coefficients.
 
-    Sector i sits counterclockwise between half-dart i and half-dart i+1;
-    half-darts 0 and 2 are alpha, 1 and 3 beta, and the gluings follow the
-    same top-/bottom-aligned rule as the full construction, so this is the
-    local model of any crossing with the given quadrant pattern.
+    Sector i sits counterclockwise between rotation darts i and i+1, alpha
+    darts at 0 and 2.  The coefficients are put on the quadrant regions of
+    a fixed crossing and the sheets glued by the stage-S0 routine, so this
+    is the local model of any crossing with the given quadrant pattern.
     """
     if len(coeffs) != 4 or any(c < 0 for c in coeffs):
         raise PreconditionError("need four nonnegative sector coefficients")
-    fam = {"la": ALPHA, "lb": BETA, "lo": "outer"}
-    surf = _Surface(fam)
-    center: Point = ("v", "p")
-
-    def ray_dart(j: int, outward: bool) -> _SynthDart:
-        curve = "la" if j % 2 == 0 else "lb"
-        return _SynthDart(curve, f"{'out' if outward else 'in'}{j}")
-
-    sides_out: dict[tuple[int, int], _Side] = {}
-    sides_in: dict[tuple[int, int], _Side] = {}
-    for i in range(4):
-        for level in range(1, coeffs[i] + 1):
-            f = surf.new_face(i, level)
-            o_start: Point = ("v", f"o{i}")
-            o_end: Point = ("v", f"o{(i + 1) % 4}")
-            sides_in[((i + 1) % 4, level)] = surf.add_side(
-                f, ray_dart((i + 1) % 4, False), o_end, center
-            )
-            sides_out[(i, level)] = surf.add_side(
-                f, ray_dart(i, True), center, o_start
-            )
-            surf.add_side(f, _SynthDart("lo", f"outer{i}"), o_start, o_end)
-    for j in range(4):
-        # ray j separates sector j (out-side) from sector j-1 (in-side)
-        family = ALPHA if j % 2 == 0 else BETA
-        for m, m2 in _sheet_pairs(family, coeffs[j], coeffs[(j - 1) % 4]):
-            surf.glue(sides_out[(j, m)], sides_in[(j, m2)])
-    return [
-        PreimageChain(
-            "p",
-            tuple(QuadrantSheet("p", s.face.region, s.face.region, s.face.layer) for s in orbit),
-            "open" if orbit[0].partner is None else "closed",
-        )
-        for orbit in surf.corner_classes()
-        if orbit[0].head_pt == center
-    ]
+    d = _model_diagram()
+    counts = [0] * len(d.regions)
+    for quadrant, c in zip(d.quadrants_at(_MODEL_VERTEX), coeffs):
+        counts[quadrant.region] = c
+    a = Domain(tuple(counts))
+    surf = _Surface(d.curve_family)
+    _add_region_copies(surf, d, a)
+    return chains_at(BuiltSurface("S0", d, a, surf), _MODEL_VERTEX)
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +608,9 @@ def cut_bad_corners(built: BuiltSurface) -> BuiltSurface:
     The chain is oriented from its alpha-family free end and every second
     link (a beta-family side) is slit for half its length, repartitioning
     the class into one length-one corner and m smooth length-two pieces.
+    The cuts are made in ``built``'s complex.
     """
-    surf = built.surface.copy()
+    surf = built.surface
     _grind_odd_chains(surf)
     return BuiltSurface("S1", built.diagram, built.domain, surf, built.x, built.y)
 
@@ -679,12 +647,13 @@ def add_degenerate_corners(
 
     A shared point not covered by the boundary contributes a symbolic
     degenerate disk; a covered one gets a boundary slit, which introduces
-    two corners and a boundary branch point.
+    two corners and a boundary branch point.  The surgery is made in
+    ``built``'s complex.
     """
     d = built.diagram
     check_generator(d, x)
     check_generator(d, y)
-    surf = built.surface.copy()
+    surf = built.surface
     shared = [v for v in x.points if v in set(y.points)]
     for v in shared:
         open_here = surf.open_classes_at(("v", v))
@@ -714,12 +683,13 @@ def splice_boundary_circles(built: BuiltSurface) -> BuiltSurface:
     preimage at the circle's passage over the outgoing generator's point on
     that curve, and one lip of the slit is glued to the matching side of
     the corner there; beta circles are treated symmetrically.  Each splice
-    strictly decreases the number of circles.
+    strictly decreases the number of circles.  The splices are made in
+    ``built``'s complex.
     """
     if built.x is None:
         raise PreconditionError("splice needs the generator pair")
     d = built.diagram
-    surf = built.surface.copy()
+    surf = built.surface
     x = built.x
     guard = 0
     while True:
@@ -802,7 +772,7 @@ def _splice_circle(
             k_in, _, k_out = surf.class_slots(corner)
             for k_side in (k_in, k_out):
                 if _dart_at(d, k_side, pt) == link.dart:
-                    _execute_splice(surf, link, k_side, pt)
+                    _glue_to_lip(surf, k_side, surf.slit_at_tail(link), pt)
                     return
     # parallel-passage move
     for link in links:
@@ -816,21 +786,24 @@ def _splice_circle(
     raise BuilderError(f"no matching corner side to splice at {v}")
 
 
-def _execute_splice(surf: _Surface, link: _Side, k_side: _Side, pt: Point) -> None:
-    """Slit ``link`` at its tail and glue the matching lip to ``k_side``.
+def _glue_to_lip(
+    surf: _Surface, k_side: _Side, lips: tuple[_Side, _Side], pt: Point
+) -> None:
+    """Glue the corner side ``k_side`` to the matching lip of a slit at ``pt``.
 
-    ``link`` has its tail at the vertex point; ``k_side`` is a boundary side
-    of the corner over the same dart, pointing into or out of the vertex.
-    Orientations determine which lip mates with which subdivided half.
+    ``lips`` are the two lips of a slit made at the tail of a link over the
+    same dart as ``k_side``; ``k_side`` is a boundary side of a corner at
+    ``pt``, pointing into or out of it.  It is subdivided at the slit's cut
+    point and the half at ``pt`` is glued to the lip running the other way.
     """
-    tail_lip, head_lip = surf.slit_at_tail(link)
+    tail_lip, head_lip = lips
     mid = tail_lip.head_pt
-    if k_side.tail_pt == pt:
-        first, _ = surf.subdivide(k_side, mid)
-        surf.glue_boundary(first, head_lip)
-    elif k_side.head_pt == pt:
+    if k_side.head_pt == pt:
         _, second = surf.subdivide(k_side, mid)
         surf.glue_boundary(second, tail_lip)
+    elif k_side.tail_pt == pt:
+        first, _ = surf.subdivide(k_side, mid)
+        surf.glue_boundary(first, head_lip)
     else:
         raise BuilderError("corner side does not touch the vertex")
 
@@ -922,8 +895,7 @@ def stabilized_surface(
     """
     if d.genus <= 1:
         raise PreconditionError("should have assumed that g>1")
-    s3 = build_surface(d, a, x, y)
-    surf = s3.surface.copy()
+    surf = build_surface(d, a, x, y).surface
     surf.degenerate_disks = []
 
     closed_layers = [
@@ -1010,14 +982,7 @@ def _cut_layer_and_chain(
     if pending is not None:
         # glue the pending corner's two sides into the matching lips
         for k_side in (k_in, k_out):
-            tail_lip, head_lip = lips[_dart_at(d, k_side, pt)]
-            mid = tail_lip.head_pt
-            if k_side.head_pt == pt:
-                _, second = surf.subdivide(k_side, mid)
-                surf.glue_boundary(second, tail_lip)
-            else:
-                first, _ = surf.subdivide(k_side, mid)
-                surf.glue_boundary(first, head_lip)
+            _glue_to_lip(surf, k_side, lips[_dart_at(d, k_side, pt)], pt)
     fids = {f.fid for f in layer}
     for orbit in surf.open_classes_at(pt):
         if len(orbit) % 2 == 1 and orbit[0].face.fid in fids:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import resources
 from typing import Iterator, Sequence
 
 ALPHA = "alpha"
@@ -192,12 +193,23 @@ class HeegaardDiagram:
                 self.rotation[v] = (af, bf, ab, bb)
             else:
                 self.rotation[v] = (af, bb, ab, bf)
-        self._rot_next: dict[Dart, Dart] = {}
         self._rot_prev: dict[Dart, Dart] = {}
         for v, rot in self.rotation.items():
             for i, d in enumerate(rot):
-                self._rot_next[d] = rot[(i + 1) % 4]
                 self._rot_prev[d] = rot[(i - 1) % 4]
+
+        # Edges, oriented along their curve; (curve, i) runs from the i-th
+        # listed vertex to the next.  Edge reversal pairs the forward dart
+        # at its tail with the backward dart at its head.
+        self.edges: dict[str, tuple[tuple[str, str], ...]] = {}
+        self._rev: dict[Dart, Dart] = {}
+        for name, vs in self.alpha + self.beta:
+            k = len(vs)
+            self.edges[name] = tuple((vs[i], vs[(i + 1) % k]) for i in range(k))
+            for tail, head in self.edges[name]:
+                fwd, back = Dart(tail, name, True), Dart(head, name, False)
+                self._rev[fwd] = back
+                self._rev[back] = fwd
 
         self.regions: tuple[Region, ...] = trace_faces(self)
         self.face_of: dict[Dart, int] = {}
@@ -212,46 +224,15 @@ class HeegaardDiagram:
         assert chi % 2 == 0, "a rotation system always traces a closed oriented surface"
         self.genus: int = (2 - chi) // 2
 
-        # Edges, oriented along their curve; (curve, i) runs from the i-th
-        # listed vertex to the next.
-        self.edges: dict[str, tuple[tuple[str, str], ...]] = {}
-        self.dart_edge: dict[Dart, tuple[str, int]] = {}
-        for name, vs in self.alpha + self.beta:
-            k = len(vs)
-            self.edges[name] = tuple((vs[i], vs[(i + 1) % k]) for i in range(k))
-            for i, v in enumerate(vs):
-                self.dart_edge[Dart(v, name, True)] = (name, i)
-                self.dart_edge[Dart(v, name, False)] = (name, (i - 1) % k)
-
     # -- basic combinatorial maps ----------------------------------------
-
-    def curve_next(self, curve: str, v: str) -> str:
-        vs = self.curve_vertices[curve]
-        fam = self.curve_family[curve]
-        _, pos = (self.vertex_alpha if fam == ALPHA else self.vertex_beta)[v]
-        return vs[(pos + 1) % len(vs)]
-
-    def curve_prev(self, curve: str, v: str) -> str:
-        vs = self.curve_vertices[curve]
-        fam = self.curve_family[curve]
-        _, pos = (self.vertex_alpha if fam == ALPHA else self.vertex_beta)[v]
-        return vs[(pos - 1) % len(vs)]
 
     def rev(self, d: Dart) -> Dart:
         """Edge reversal: the matching dart at the other end of d's edge."""
-        if d.forward:
-            return Dart(self.curve_next(d.curve, d.vertex), d.curve, False)
-        return Dart(self.curve_prev(d.curve, d.vertex), d.curve, True)
-
-    def rot_next(self, d: Dart) -> Dart:
-        return self._rot_next[d]
-
-    def rot_prev(self, d: Dart) -> Dart:
-        return self._rot_prev[d]
+        return self._rev[d]
 
     def phi(self, d: Dart) -> Dart:
         """Face-walk step: rotation^-1 composed with edge reversal."""
-        return self._rot_prev[self.rev(d)]
+        return self._rot_prev[self._rev[d]]
 
     def darts(self) -> Iterator[Dart]:
         """All darts in canonical order (family, curve, position, sense)."""
@@ -260,9 +241,6 @@ class HeegaardDiagram:
                 for v in vs:
                     yield Dart(v, name, True)
                     yield Dart(v, name, False)
-
-    def family(self, d: Dart) -> str:
-        return self.curve_family[d.curve]
 
     def quadrants_at(self, v: str) -> tuple[Quadrant, Quadrant, Quadrant, Quadrant]:
         """The four sectors at v in rotation order.
@@ -448,6 +426,12 @@ def parse_diagram(text: str) -> HeegaardDiagram:
         else:
             raise DiagramError(f"unknown token {kind!r}", lineno)
     return HeegaardDiagram(alpha, beta, signs)
+
+
+def load_bundled(name: str) -> HeegaardDiagram:
+    """Parse one of the diagrams shipped with the package."""
+    text = resources.files("hdindex.data").joinpath(name).read_text()
+    return parse_diagram(text)
 
 
 def serialize_diagram(d: HeegaardDiagram) -> str:

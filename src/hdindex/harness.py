@@ -12,9 +12,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
 
-from hdindex.diagram import HeegaardDiagram, parse_diagram, validate_diagram
+from hdindex.diagram import HeegaardDiagram, load_bundled, validate_diagram
 from hdindex.domains import (
     Domain,
     Generator,
@@ -70,12 +69,6 @@ class SuiteResult:
         }
 
 
-def load_bundled(name: str) -> HeegaardDiagram:
-    """Parse one of the diagrams shipped with the package."""
-    text = resources.files("hdindex.data").joinpath(name).read_text()
-    return parse_diagram(text)
-
-
 def bundled_corpus() -> dict[str, HeegaardDiagram]:
     return {name: load_bundled(name) for name in BUNDLED_DIAGRAMS}
 
@@ -94,7 +87,6 @@ def local_pattern_oracle(bound: int = 3) -> SuiteResult:
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    t0 = time.perf_counter()
     res = SuiteResult("local-pattern-oracle")
     for n in range(bound + 1):
         for k in range(bound + 1):
@@ -133,7 +125,6 @@ def local_pattern_oracle(bound: int = 3) -> SuiteResult:
                             {"pattern": tuple(coeffs), "kind": "corner",
                              "chains": [(c.kind, c.length) for c in chains]}
                         )
-    res.elapsed = time.perf_counter() - t0
     return res
 
 
@@ -150,7 +141,6 @@ def _domain_table(
 
 def additivity_suite(d: HeegaardDiagram, max_coeff: int = 3) -> SuiteResult:
     """mu and e are additive under composition of connecting domains."""
-    t0 = time.perf_counter()
     res = SuiteResult("additivity")
     table = _domain_table(d, max_coeff)
     gens = enumerate_generators(d)
@@ -180,7 +170,6 @@ def additivity_suite(d: HeegaardDiagram, max_coeff: int = 3) -> SuiteResult:
                                     "mu_ab": str(mu_ab),
                                 }
                             )
-    res.elapsed = time.perf_counter() - t0
     return res
 
 
@@ -188,7 +177,6 @@ def stabilization_suite(
     d: HeegaardDiagram, k_max: int = 3, max_coeff: int = 2
 ) -> SuiteResult:
     """Adding k full-surface classes shifts mu by 2k and chi by k(2 - 4g)."""
-    t0 = time.perf_counter()
     res = SuiteResult("stabilization")
     sigma = sigma_class(d)
     g = d.genus
@@ -218,7 +206,6 @@ def stabilization_suite(
                             "chi": str(chi_k),
                         }
                     )
-    res.elapsed = time.perf_counter() - t0
     return res
 
 
@@ -232,7 +219,6 @@ def builder_consistency_suite(
     coefficient-one domains supported on pairwise disjoint bigons and
     squares, chi of the built surface must equal the embedded chi exactly.
     """
-    t0 = time.perf_counter()
     res = SuiteResult("builder-consistency")
     table = _domain_table(d, max_coeff)
     for (x, y), domains in table.items():
@@ -251,7 +237,6 @@ def builder_consistency_suite(
                 res.failures.append(
                     dict(case, problems=[f"strip class chi {s3.chi} != {chi_emb}"])
                 )
-    res.elapsed = time.perf_counter() - t0
     return res
 
 
@@ -265,10 +250,8 @@ def stabilized_surface_suite(
     hold: even per-component corner counts with halves summing to the
     genus, and a nonnegative integral branch budget.
     """
-    t0 = time.perf_counter()
     res = SuiteResult("stabilized-surface")
     if d.genus <= 1:
-        res.elapsed = time.perf_counter() - t0
         return res
     table = _domain_table(d, max_coeff)
     for (x, y), domains in table.items():
@@ -283,7 +266,6 @@ def stabilized_surface_suite(
             rep = branched_cover_check(s4)
             if not rep["ok"]:
                 res.failures.append(dict(case, problems=["cover check"], report=rep))
-    res.elapsed = time.perf_counter() - t0
     return res
 
 
@@ -322,16 +304,26 @@ def _is_disjoint_strip_class(d: HeegaardDiagram, a: Domain) -> bool:
 # Runner
 
 
+def _timed(suite, *args, **kwargs) -> SuiteResult:
+    t0 = time.perf_counter()
+    res = suite(*args, **kwargs)
+    res.elapsed = time.perf_counter() - t0
+    return res
+
+
 def run_all(
     diagrams: dict[str, HeegaardDiagram] | None = None,
     pattern_bound: int = 3,
     max_coeff: int = 3,
     k_max: int = 3,
 ) -> list[SuiteResult]:
-    """Run every suite; diagram-level suites run per bundled diagram."""
+    """Run every suite; diagram-level suites run per bundled diagram.
+
+    Each suite call is timed here, into its result's ``elapsed``.
+    """
     if diagrams is None:
         diagrams = bundled_corpus()
-    results = [local_pattern_oracle(pattern_bound)]
+    results = [_timed(local_pattern_oracle, pattern_bound)]
     for name, d in diagrams.items():
         bad = validate_diagram(d)
         res = SuiteResult(f"validity[{name}]", cases=1)
@@ -346,7 +338,7 @@ def run_all(
             (builder_consistency_suite, {"max_coeff": max_coeff}),
             (stabilized_surface_suite, {"max_coeff": 1}),
         ):
-            r = suite(d, **kwargs)
+            r = _timed(suite, d, **kwargs)
             r.suite = f"{r.suite}[{name}]"
             results.append(r)
     return results

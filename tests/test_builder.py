@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -74,6 +75,30 @@ def test_local_chains_absorbed_two_chains():
     assert [(c.kind, c.length) for c in chains] == [("open", 7)]
 
 
+# sha256 of the (kind, length) chain lists of every pattern with sector
+# coefficients 0..5, in itertools.product order, as computed by the
+# synthetic single-vertex model the real crossing replaced.
+LOCAL_GOLDEN = (1296, "048fe97583a40338c66a6600b91c51a2e6bbfcff38ed623a2755d197e6abfa3b")
+
+
+def test_local_chains_match_golden():
+    records = [
+        [[c.kind, c.length] for c in local_vertex_chains(p)]
+        for p in itertools.product(range(6), repeat=4)
+    ]
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert (len(records), digest) == LOCAL_GOLDEN
+
+
+def test_local_model_crossing_is_generic(genus2):
+    # the model reads its chains off x2 of genus2_bigons: the four sectors
+    # must be distinct regions and no arc may come back to the crossing
+    v = builder._MODEL_VERTEX
+    assert builder._model_diagram().rotation == genus2.rotation
+    assert len({q.region for q in genus2.quadrants_at(v)}) == 4
+    assert all(genus2.rev(dart).vertex != v for dart in genus2.rotation[v])
+
+
 def test_classify_vertex_chains_on_diagram(genus2):
     a, x, y = example1_data(genus2)
     for v, want in (("x2", [("open", 5)]), ("y2", [("open", 5)]),
@@ -129,8 +154,9 @@ def test_double_bigon_chains(torus3):
 def test_cut_bad_corners_noop_without_bad_points(torus3):
     a = Domain.parse(torus3, "r1:1")
     s0 = glue_copies(torus3, a)
+    chi0 = s0.chi
     s1 = cut_bad_corners(s0)
-    assert s1.chi == s0.chi
+    assert s1.chi == chi0
     assert not s1.surface.branch_marks
 
 
@@ -161,8 +187,9 @@ def test_no_shared_points_is_noop(genus2):
     a, x, y = example1_data(genus2)
     s1 = cut_bad_corners(glue_copies(genus2, a))
     s1 = BuiltSurface("S1", genus2, a, s1.surface, x, y)
+    chi1 = s1.chi
     s2 = add_degenerate_corners(s1, x, y)
-    assert s2.chi == s1.chi
+    assert s2.chi == chi1
     assert not s2.surface.degenerate_disks
 
 
@@ -351,15 +378,21 @@ def test_surface_records_match_golden(fixture, request):
 
 
 def stage_surfaces(d, limit=3):
-    """Stages S0-S4 of the first few positive domains of every generator pair."""
+    """Stages S0-S4 of the first few positive domains of every generator pair.
+
+    Each stage is yielded before the next is made from its complex.
+    """
     gens = enumerate_generators(d)
     for x in gens:
         for y in gens:
             for a in find_domains(d, x, y, 2, True)[:limit]:
                 s0 = BuiltSurface("S0", d, a, glue_copies(d, a).surface, x, y)
+                yield s0
                 s1 = cut_bad_corners(s0)
+                yield s1
                 s2 = add_degenerate_corners(s1, x, y)
-                yield from (s0, s1, s2, splice_boundary_circles(s2))
+                yield s2
+                yield splice_boundary_circles(s2)
                 if d.genus > 1 and max(a.coeffs) <= 1:
                     yield stabilized_surface(d, a, x, y)
 
@@ -384,6 +417,26 @@ def test_corner_orbits_partition_and_open_classes_agree(corpus):
                     if o[0].head_pt == pt and o[0].partner is None
                 ]
                 assert [[s.sid for s in o] for o in surf.open_classes_at(pt)] == want
+
+
+def test_stage_transformers_take_over_the_complex(monkeypatch, genus2):
+    a, x, y = example1_data(genus2)
+    s0 = BuiltSurface("S0", genus2, a, glue_copies(genus2, a).surface, x, y)
+    s1 = cut_bad_corners(s0)
+    s2 = add_degenerate_corners(s1, x, y)
+    s3 = splice_boundary_circles(s2)
+    assert s1.surface is s0.surface and s2.surface is s0.surface
+    assert s3.surface is s0.surface
+    assert [s.stage for s in (s0, s1, s2, s3)] == ["S0", "S1", "S2", "S3"]
+    built = []
+
+    def recording_build(*args):
+        built.append(build_surface(*args))
+        return built[-1]
+
+    # stage S4 works on the complex of the S3 it builds
+    monkeypatch.setattr(builder, "build_surface", recording_build)
+    assert stabilized_surface(genus2, a, x, y).surface is built[0].surface
 
 
 def test_builder_suite_catches_a_skipped_splice(monkeypatch, genus2s1s2):

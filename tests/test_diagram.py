@@ -104,6 +104,18 @@ def test_edge_reversal_involution(corpus):
             ) > 1  # a 1-vertex curve pairs forward with backward at the same vertex
 
 
+def test_rev_matches_edge_lists(corpus):
+    # every edge of every curve, the single-vertex curves' loops included
+    loops = 0
+    for d in corpus.values():
+        for name, edges in d.edges.items():
+            for tail, head in edges:
+                fwd, back = Dart(tail, name, True), Dart(head, name, False)
+                assert d.rev(fwd) == back and d.rev(back) == fwd
+                loops += tail == head
+    assert loops > 0
+
+
 def test_face_trace_partitions_darts(corpus):
     for d in corpus.values():
         seen = []

@@ -11,6 +11,7 @@ from hdindex.harness import (
     format_results,
     load_bundled,
     local_pattern_oracle,
+    run_all,
     stabilization_suite,
     stabilized_surface_suite,
 )
@@ -58,6 +59,14 @@ def test_stabilized_suite_small(genus2s1s2, torus1):
     # genus one is skipped, not failed
     res = stabilized_surface_suite(torus1, max_coeff=1)
     assert res.ok and res.cases == 0
+
+
+def test_run_all_times_each_suite_call(torus3):
+    results = run_all({"t": torus3}, pattern_bound=1, max_coeff=1, k_max=1)
+    timed = [r for r in results if not r.suite.startswith("validity")]
+    assert len(timed) == 5 and all(r.elapsed > 0 for r in timed)
+    # a suite called directly is not timed
+    assert local_pattern_oracle(1).elapsed == 0.0
 
 
 def test_strip_class_predicate(torus1, torus3, genus2):
