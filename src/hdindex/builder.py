@@ -38,9 +38,17 @@ consumed by the transformer it is passed to, so read it before passing
 it on.  Every cut that receives a corner side (the S3 splice and the S4
 chaining) glues it to the slit's lips by one rule, ``_glue_to_lip``.
 
+What a stage reports (chi, corners, boundary arcs, pushforward, components)
+is read from its census, taken on the first read from one walk of the
+corner orbits (``corner_classes``; its open orbits, linked end to end, are
+the boundary circles) and kept for the life of the stage.  The census is
+valid because a stage is read before it is passed on: once the next stage
+has been made, the complex is no longer the stage's own.
+
 ``stage_contract`` states what stages S3 and S4 guarantee; the builder
 raises ``BuilderError`` when it fails, so a returned surface always
-satisfies it.
+satisfies it.  The contract, the JSON record, ``delta`` and
+``branched_cover_check`` all read the one census of the stage.
 """
 
 from __future__ import annotations
@@ -151,6 +159,11 @@ def _min_sid(orbit: list[_Side]) -> int:
     return min(s.sid for s in orbit)
 
 
+def _is_corner(orbit: list[_Side]) -> bool:
+    """Whether an open orbit is a surface corner: odd, at a diagram vertex."""
+    return len(orbit) % 2 == 1 and orbit[0].head_pt[0] == "v"
+
+
 class _Surface:
     """Mutable half-edge complex with glued sides; all surgery lives here.
 
@@ -210,17 +223,6 @@ class _Surface:
         """Every live side, in increasing id order."""
         return iter(self._sides.values())
 
-    def cell_counts(self) -> tuple[int, int, int]:
-        """(V, E, F) of the complex, symbolic degenerate disks excluded."""
-        v = len(self.corner_classes())
-        pairs = sum(1 for s in self.sides() if s.partner is not None) // 2
-        boundary = sum(1 for s in self.sides() if s.partner is None)
-        return v, pairs + boundary, len(self.faces)
-
-    def chi(self) -> int:
-        v, e, f = self.cell_counts()
-        return v - e + f + len(self.degenerate_disks)
-
     # -- corner orbits (vertex preimages) ------------------------------------
 
     def orbit(self, s: _Side) -> list[_Side]:
@@ -269,7 +271,7 @@ class _Surface:
     def corner_orbits(self) -> list[list[_Side]]:
         """The surface corners: odd open orbits at diagram vertices, by smallest side id."""
         starts = (s for s in self.sides() if s.partner is None and s.head_pt[0] == "v")
-        return sorted((o for o in map(self.orbit, starts) if len(o) % 2), key=_min_sid)
+        return sorted(filter(_is_corner, map(self.orbit, starts)), key=_min_sid)
 
     def class_slots(self, orbit: list[_Side]) -> tuple[_Side, list[_Side], _Side]:
         """(start free side, link sides, end free side) of an open class.
@@ -333,23 +335,30 @@ class _Surface:
 
     # -- boundary structure -------------------------------------------------
 
-    def next_boundary_side(self, s: _Side) -> _Side:
-        """The boundary side after s: the end of the open orbit that s starts."""
-        return self.orbit(s)[-1].next
+    def boundary_components(
+        self, open_orbits: list[list[_Side]] | None = None
+    ) -> list[list[tuple[list[_Side], bool]]]:
+        """The boundary circles, each as the open orbits met along it.
 
-    def boundary_components(self) -> list[list[_Side]]:
-        comps: list[list[_Side]] = []
-        seen: set[int] = set()
-        for s in self.sides():
-            if s.partner is not None or s.sid in seen:
-                continue
-            comp = [s]
-            cur = self.next_boundary_side(s)
-            while cur is not s:
-                comp.append(cur)
-                cur = self.next_boundary_side(cur)
-            seen.update(c.sid for c in comp)
-            comps.append(comp)
+        Each orbit comes with its corner mark.  The open orbit ``o`` starts
+        at the free side ``o[0]``, and the circle goes on with the orbit that
+        starts at the free side ``o[-1].next``.  A circle starts at its
+        smallest free side, and the circles come in the order of those
+        sides.  ``open_orbits`` are every open orbit of the complex, walked
+        here when not given.
+        """
+        if open_orbits is None:
+            open_orbits = [self.orbit(s) for s in self.sides() if s.partner is None]
+        by_start = {o[0].sid: o for o in open_orbits}
+        comps = []
+        for sid in sorted(by_start):
+            o = by_start.pop(sid, None)
+            comp = []
+            while o is not None:
+                comp.append((o, _is_corner(o)))
+                o = by_start.pop(o[-1].next.sid, None)
+            if comp:
+                comps.append(comp)
         return comps
 
     def face_components(self) -> list[list[_Face]]:
@@ -376,12 +385,43 @@ class _Surface:
 # The public report object
 
 
+class _Census:
+    """What a finished stage reports, taken from one walk of its complex.
+
+    The walk is ``corner_classes``.  Its orbits are the vertices; its open
+    orbits each start at one free side and, linked end to end, make up the
+    ``boundary`` circles with their corner marks.  So E = (sides + free
+    sides) / 2, and chi = V - E + F plus the degenerate disks.  Faces,
+    disks and branch marks are counted alongside.  The face components
+    are counted on first use only (stage S4 and the tests ask for them),
+    so they too must be read before the stage is passed on.
+    """
+
+    def __init__(self, surf: _Surface):
+        classes = surf.corner_classes()
+        open_orbits = [o for o in classes if o[0].partner is None]
+        edges = (sum(map(len, classes)) + len(open_orbits)) // 2
+        self.surface = surf
+        self.boundary = surf.boundary_components(open_orbits)
+        self.regions = [f.region for f in surf.faces]
+        self.disks = list(surf.degenerate_disks)
+        self.branch_marks = len(surf.branch_marks)
+        self.chi = len(classes) - edges + len(self.regions) + len(self.disks)
+
+    @functools.cached_property
+    def components(self) -> int:
+        return len(self.surface.face_components()) + len(self.disks)
+
+
 class BuiltSurface:
     """A stage of the construction, with its census.
 
-    Everything is recomputed from the cells on demand.  A stage
-    transformer consumes the stage it is given: it does its surgery on
-    that stage's complex and returns the next stage over it.
+    A stage transformer consumes the stage it is given: it does its surgery
+    on that stage's complex and returns the next stage over it.  Everything
+    a stage reports is read from its census (``_Census``), taken on first
+    read and kept for the life of the stage, so read a stage before passing
+    it on: a census first taken after the next stage is made would count
+    the next stage's complex.
     """
 
     def __init__(
@@ -402,14 +442,18 @@ class BuiltSurface:
 
     # -- census -------------------------------------------------------------
 
+    @functools.cached_property
+    def census(self) -> _Census:
+        return _Census(self.surface)
+
     @property
     def chi(self) -> int:
-        return self.surface.chi()
+        return self.census.chi
 
     def pushforward(self) -> Domain:
         counts = [0] * len(self.diagram.regions)
-        for f in self.surface.faces:
-            counts[f.region] += 1
+        for region in self.census.regions:
+            counts[region] += 1
         return Domain(tuple(counts))
 
     def corners(self) -> list[tuple[str, int]]:
@@ -419,10 +463,9 @@ class BuiltSurface:
         stage every odd class has length one.  Each symbolic degenerate disk
         contributes two corners at its vertex.
         """
-        out = [(o[0].head_pt[1], len(o)) for o in self.surface.corner_orbits()]
-        for disk in self.surface.degenerate_disks:
-            out += [(disk.vertex, 1), (disk.vertex, 1)]
-        return sorted(out)
+        c = self.census
+        out = [(o[0].head_pt[1], len(o)) for comp in c.boundary for o, corner in comp if corner]
+        return sorted(out + [(disk.vertex, 1) for disk in c.disks] * 2)
 
     def corner_count(self) -> int:
         return len(self.corners())
@@ -430,30 +473,27 @@ class BuiltSurface:
     def boundary_arcs(self) -> dict[str, list[dict]]:
         """Maximal boundary arcs per curve, split at the surface corners."""
         arcs: dict[str, list[dict]] = {name: [] for name in self.diagram.curve_vertices}
-        # the corner after boundary side s starts an open orbit
-        corner_after = {o[0].sid for o in self.surface.corner_orbits()}
-        for comp in self.surface.boundary_components():
-            breaks = [i for i, s in enumerate(comp) if s.sid in corner_after]
-            if not breaks:
-                curve_names = {s.dart.curve for s in comp}
-                if len(curve_names) != 1:
-                    raise BuilderError("cornerless boundary circle over several curves")
-                arcs[curve_names.pop()].append({"sides": len(comp), "circle": True})
-                continue
-            for k, i in enumerate(breaks):
-                j = breaks[(k + 1) % len(breaks)]
-                run = comp[i + 1 : j + 1] if j > i else comp[i + 1 :] + comp[: j + 1]
-                curve_names = {s.dart.curve for s in run}
-                if len(curve_names) != 1:
+        for comp in self.census.boundary:
+            # the curves of the free sides in runs that each end at a
+            # corner, from just after the first one; a cornerless circle is
+            # one run
+            first = next((i + 1 for i, (_, corner) in enumerate(comp) if corner), 0)
+            runs: list[list[str]] = [[]]
+            for o, corner in comp[first:] + comp[:first]:
+                runs[-1].append(o[0].dart.curve)
+                if corner:
+                    runs.append([])
+            for run in runs[:-1] if first else runs:
+                if len(set(run)) != 1:
                     raise BuilderError("boundary arc crosses curves without a corner")
-                arcs[curve_names.pop()].append({"sides": len(run), "circle": False})
-        for disk in self.surface.degenerate_disks:
+                arcs[run[0]].append({"sides": len(run), "circle": not first})
+        for disk in self.census.disks:
             arcs[disk.alpha_curve].append({"sides": 1, "circle": False, "degenerate": True})
             arcs[disk.beta_curve].append({"sides": 1, "circle": False, "degenerate": True})
         return arcs
 
     def component_count(self) -> int:
-        return len(self.surface.face_components()) + len(self.surface.degenerate_disks)
+        return self.census.components
 
     def delta(self) -> Fraction:
         """Implied double-point excess (chi - chi_emb)/2 of the class."""
@@ -472,8 +512,8 @@ class BuiltSurface:
             "boundary_arcs": {
                 curve: arcs for curve, arcs in sorted(self.boundary_arcs().items())
             },
-            "degenerate_disks": len(self.surface.degenerate_disks),
-            "branch_marks": len(self.surface.branch_marks),
+            "degenerate_disks": len(self.census.disks),
+            "branch_marks": self.census.branch_marks,
             "pushforward": self.pushforward().format(),
         }
         if self.x is not None and self.y is not None:
@@ -708,12 +748,14 @@ def splice_boundary_circles(built: BuiltSurface) -> BuiltSurface:
 
 
 def _first_circle(surf: _Surface) -> list[_Side] | None:
+    """The free sides of the first boundary circle lying over a single curve."""
     for comp in surf.boundary_components():
-        curves = {s.dart.curve for s in comp}
-        if len(curves) == 1:
-            # a circle has no odd (corner) classes; mixed components always
-            # carry corners, single-curve ones never do
-            return comp
+        # a component over one curve is one without corners: the two free
+        # sides of an orbit at a vertex lie over curves of different
+        # families exactly when the orbit is odd, and at a cut point both
+        # lie over the slit's dart
+        if not any(corner for _, corner in comp):
+            return [o[0] for o, _ in comp]
     return None
 
 
@@ -904,36 +946,26 @@ def stabilized_surface(
         if all(s.partner is not None for f in comp for s in f.sides())
     ]
     for comp in closed_layers:
-        per_region = [0] * len(d.regions)
-        for f in comp:
-            per_region[f.region] += 1
-        if any(c != 1 for c in per_region):
+        if sorted(f.region for f in comp) != list(range(len(d.regions))):
             raise BuilderError("closed component is not a single surface layer")
 
     sigma = sigma_class(d)
     layers = closed_layers + [_add_region_copies(surf, d, sigma, "sigma")]
+    # corners of the closed layers and the fresh copy do not exist yet; a
+    # point of x with no stage-3 corner (a dropped degenerate disk) starts
+    # its chain inside the first layer
+    layer_fids = {f.fid for layer in layers for f in layer}
     for v in x.points:
-        pt = ("v", v)
-        pending = _initial_pending_corner(surf, layers, pt)
+        pending = _corner_at(surf, ("v", v), layer_fids, inside=False)
         for layer in layers:
             pending = _cut_layer_and_chain(surf, d, layer, v, pending)
     return _enforce_contract(BuiltSurface("S4", d, a + sigma, surf, x, y))
 
 
-def _initial_pending_corner(
-    surf: _Surface, layers: list[list[_Face]], pt: Point
-) -> list[_Side] | None:
-    """The stage-3 corner at pt to chain from, if the point has one.
-
-    Corners belonging to the closed layers or the fresh copy do not exist
-    yet; a point of x with no corner (a dropped degenerate disk) starts the
-    chain inside the first layer instead.
-    """
-    layer_fids = {f.fid for layer in layers for f in layer}
-    for orbit in surf.open_classes_at(pt):
-        if len(orbit) % 2 == 1 and orbit[0].face.fid not in layer_fids:
-            return orbit
-    return None
+def _corner_at(surf: _Surface, pt: Point, fids: set[int], inside: bool) -> list[_Side] | None:
+    """The corner at ``pt`` whose orbit starts on a face inside (or outside) ``fids``."""
+    orbits = surf.open_classes_at(pt)
+    return next((o for o in orbits if len(o) % 2 and (o[0].face.fid in fids) == inside), None)
 
 
 def _layer_side(layer: list[_Face], dart, pt: Point) -> _Side:
@@ -983,11 +1015,10 @@ def _cut_layer_and_chain(
         # glue the pending corner's two sides into the matching lips
         for k_side in (k_in, k_out):
             _glue_to_lip(surf, k_side, lips[_dart_at(d, k_side, pt)], pt)
-    fids = {f.fid for f in layer}
-    for orbit in surf.open_classes_at(pt):
-        if len(orbit) % 2 == 1 and orbit[0].face.fid in fids:
-            return orbit
-    raise BuilderError("layer cut produced no corner")
+    corner = _corner_at(surf, pt, {f.fid for f in layer}, inside=True)
+    if corner is None:
+        raise BuilderError("layer cut produced no corner")
+    return corner
 
 
 # ---------------------------------------------------------------------------
@@ -1004,12 +1035,7 @@ def branched_cover_check(s4: BuiltSurface) -> dict:
     if s4.stage != "S4":
         raise PreconditionError("branched_cover_check needs a stage S4 surface")
     g = s4.diagram.genus
-    surf = s4.surface
-    corner_after = {o[0].sid for o in surf.corner_orbits()}
-    per_component = [
-        sum(1 for s in comp if s.sid in corner_after)
-        for comp in surf.boundary_components()
-    ]
+    per_component = [sum(corner for _, corner in comp) for comp in s4.census.boundary]
     halves = sum(Fraction(n, 2) for n in per_component)
     budget = branch_budget(g, s4.chi)
     report = {
@@ -1020,12 +1046,7 @@ def branched_cover_check(s4: BuiltSurface) -> dict:
         "branch_budget": str(budget),
         "branch_budget_ok": budget >= 0 and budget.denominator == 1,
         "connected": s4.component_count() == 1,
-        "ok": (
-            halves == g
-            and all(n % 2 == 0 for n in per_component)
-            and budget >= 0
-            and budget.denominator == 1
-            and s4.component_count() == 1
-        ),
     }
+    flags = ("corner_halves_sum_is_genus", "all_components_even", "branch_budget_ok", "connected")
+    report["ok"] = all(report[flag] for flag in flags)
     return report

@@ -80,21 +80,22 @@ def _cmd_validate(args) -> int:
 
 def _cmd_info(args) -> int:
     d = _load(args.diagram)
-    sigma = sigma_class(d)
+    e_sigma = euler_measure(d, sigma_class(d))
+    rank = len(periodic_domain_basis(d))
     payload = {
         "genus": d.genus,
         "vertices": len(d.vertices),
         "regions": [
             {"id": r.name, "corners": r.corner_count} for r in d.regions
         ],
-        "euler_measure_sigma": str(euler_measure(d, sigma)),
-        "periodic_rank": len(periodic_domain_basis(d)),
+        "euler_measure_sigma": str(e_sigma),
+        "periodic_rank": rank,
     }
     text = (
         f"genus {d.genus}, {len(d.vertices)} crossings, "
         f"{len(d.regions)} regions {d.region_census()}\n"
-        f"e(full surface class) = {euler_measure(d, sigma)}\n"
-        f"periodic domain rank = {len(periodic_domain_basis(d))}"
+        f"e(full surface class) = {e_sigma}\n"
+        f"periodic domain rank = {rank}"
     )
     _emit(args, payload, text)
     return EXIT_OK
@@ -179,6 +180,8 @@ def _cmd_check(args) -> int:
         diagrams = {}
         for path in sorted(Path(args.corpus).glob("*.hd")):
             diagrams[path.name] = _load(str(path), require_valid=False)
+        if not diagrams:
+            raise DiagramError(f"no .hd diagrams in {args.corpus}")
     else:
         diagrams = harness.bundled_corpus()
     results = harness.run_all(
@@ -190,6 +193,19 @@ def _cmd_check(args) -> int:
     payload = {"suites": [r.as_dict() for r in results]}
     _emit(args, payload, harness.format_results(results))
     return EXIT_OK if all(r.ok for r in results) else EXIT_SUITE
+
+
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {minimum}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it for a non-integer, as with type=int
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -220,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = diagram_verb(
         "domains", _cmd_domains, parents=[pair], help="enumerate connecting domains"
     )
-    q.add_argument("--max-coeff", type=int, default=4)
+    q.add_argument("--max-coeff", type=_at_least(0), default=4)
     q.add_argument("--positive", action="store_true")
 
     q = diagram_verb("index", _cmd_index, parents=[triple], help="index quantities of a domain")
@@ -241,9 +257,9 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="?",
         help="directory of .hd files (default: the bundled corpus)",
     )
-    q.add_argument("--pattern-bound", type=int, default=3)
-    q.add_argument("--max-coeff", type=int, default=3)
-    q.add_argument("--k-max", type=int, default=3)
+    q.add_argument("--pattern-bound", type=_at_least(1), default=3)
+    q.add_argument("--max-coeff", type=_at_least(0), default=3)
+    q.add_argument("--k-max", type=_at_least(0), default=3)
     q.set_defaults(fn=_cmd_check)
 
     return p

@@ -15,7 +15,9 @@ no floating point enters anywhere.  The quantities:
 Regions traced from a diagram are disks with right-angle corners, so the
 Euler measure needs no obtuse-corner correction term.  Both sums over 4
 are taken in integers, from per-diagram tables (4 - c_i per region, the
-quadrant regions per vertex) cached with the boundary factorization.
+quadrant regions per vertex) cached with the boundary factorization; the
+index formulas check their inputs once and build each result from the
+integer sums 4e, 4n_x and 4n_y.
 """
 
 from __future__ import annotations
@@ -57,28 +59,34 @@ class IndexReport:
 def euler_measure(d: HeegaardDiagram, a: Domain) -> Fraction:
     """e(A): each region contributes coefficient times (1 - corners/4)."""
     _check_domain(d, a)
-    weights = _lattice(d).euler_weights
-    return Fraction(sum(w * c for w, c in zip(weights, a.coeffs)), 4)
+    return Fraction(_quarter_euler(d, a), 4)
+
+
+def _quarter_euler(d: HeegaardDiagram, a: Domain) -> int:
+    """4 e(A) = sum of n_i (4 - c_i)."""
+    return sum(w * c for w, c in zip(_lattice(d).euler_weights, a.coeffs))
 
 
 def point_multiplicity(d: HeegaardDiagram, a: Domain, v: str) -> Fraction:
     """n_p(A): the mean of A's coefficients on the four quadrants at v."""
     if v not in d.vertex_alpha:
         raise DiagramError(f"unknown vertex {v!r}")
-    return _multiplicity(d, a, (v,))
+    _check_domain(d, a)
+    return Fraction(_quarter_multiplicity(d, a, (v,)), 4)
 
 
 def generator_multiplicity(d: HeegaardDiagram, a: Domain, x: Generator) -> Fraction:
     """n_x(A): the sum of the point multiplicities over the tuple."""
     check_generator(d, x)
-    return _multiplicity(d, a, x.points)
-
-
-def _multiplicity(d: HeegaardDiagram, a: Domain, points: tuple[str, ...]) -> Fraction:
     _check_domain(d, a)
+    return Fraction(_quarter_multiplicity(d, a, x.points), 4)
+
+
+def _quarter_multiplicity(d: HeegaardDiagram, a: Domain, points: tuple[str, ...]) -> int:
+    """4 n_p(A) summed over ``points``: A's coefficients on their quadrants."""
     quadrants = _lattice(d).quadrants
     c = a.coeffs
-    return Fraction(sum(c[r] for v in points for r in quadrants[v]), 4)
+    return sum(c[r] for v in points for r in quadrants[v])
 
 
 def maslov_index(
@@ -94,12 +102,8 @@ def maslov_index(
     with ``force`` the same expression is evaluated off the strip classes,
     which is occasionally useful for exploration.
     """
-    _require_connects(d, a, x, y, force)
-    return (
-        euler_measure(d, a)
-        + generator_multiplicity(d, a, x)
-        + generator_multiplicity(d, a, y)
-    )
+    e, n_x, n_y = _index_sums(d, a, x, y, force)
+    return Fraction(e + n_x + n_y, 4)
 
 
 def embedded_euler_char(
@@ -110,13 +114,8 @@ def embedded_euler_char(
     force: bool = False,
 ) -> Fraction:
     """chi forced on an embedded representative: g - n_x - n_y + e."""
-    _require_connects(d, a, x, y, force)
-    return (
-        d.genus
-        - generator_multiplicity(d, a, x)
-        - generator_multiplicity(d, a, y)
-        + euler_measure(d, a)
-    )
+    e, n_x, n_y = _index_sums(d, a, x, y, force)
+    return Fraction(4 * d.genus - n_x - n_y + e, 4)
 
 
 def chi_with_double_points(
@@ -158,29 +157,37 @@ def index_report(
     y: Generator,
     force: bool = False,
 ) -> IndexReport:
-    _require_connects(d, a, x, y, force)
-    e = euler_measure(d, a)
-    n_x = generator_multiplicity(d, a, x)
-    n_y = generator_multiplicity(d, a, y)
+    e, n_x, n_y = _index_sums(d, a, x, y, force)
     return IndexReport(
         g=d.genus,
-        e=e,
-        n_x=n_x,
-        n_y=n_y,
-        mu=e + n_x + n_y,
-        chi_emb=d.genus - n_x - n_y + e,
+        e=Fraction(e, 4),
+        n_x=Fraction(n_x, 4),
+        n_y=Fraction(n_y, 4),
+        mu=Fraction(e + n_x + n_y, 4),
+        chi_emb=Fraction(4 * d.genus - n_x - n_y + e, 4),
     )
 
 
-def _require_connects(
+def _index_sums(
     d: HeegaardDiagram, a: Domain, x: Generator, y: Generator, force: bool
-) -> None:
+) -> tuple[int, int, int]:
+    """4e(A), 4n_x(A) and 4n_y(A), the inputs checked once.
+
+    Without ``force`` the domain must connect x to y; ``connects`` checks
+    the generators and the domain on the way.  With ``force`` they are
+    checked directly.
+    """
     if force:
         check_generator(d, x)
         check_generator(d, y)
-        return
-    if not connects(d, a, x, y):
+        _check_domain(d, a)
+    elif not connects(d, a, x, y):
         raise DiagramError(
             f"domain {a.format()} does not connect {x.format()} to {y.format()}"
             " (pass force=True to evaluate anyway)"
         )
+    return (
+        _quarter_euler(d, a),
+        _quarter_multiplicity(d, a, x.points),
+        _quarter_multiplicity(d, a, y.points),
+    )

@@ -9,6 +9,7 @@ failures.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -82,49 +83,28 @@ def local_pattern_oracle(bound: int = 3) -> SuiteResult:
 
     Interior patterns (n, n+k, n+k+l, n+l) must split into n closed chains
     of length four and k+l smooth open chains of length two; bumping any
-    single sector by one must yield exactly one odd open chain with every
-    other open chain of length two.
+    single sector by one must yield exactly one odd open chain, every other
+    chain being a closed one of length four or an open one of length two.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     res = SuiteResult("local-pattern-oracle")
-    for n in range(bound + 1):
-        for k in range(bound + 1):
-            for l in range(bound + 1):
-                base = (n, n + k, n + k + l, n + l)
-                res.cases += 1
-                chains = local_vertex_chains(base)
-                closed = [c for c in chains if c.kind == "closed"]
-                opens = [c for c in chains if c.kind == "open"]
-                if (
-                    len(closed) != n
-                    or any(c.length != 4 for c in closed)
-                    or len(opens) != k + l
-                    or any(c.length != 2 for c in opens)
-                ):
-                    res.failures.append(
-                        {"pattern": base, "kind": "interior",
-                         "chains": [(c.kind, c.length) for c in chains]}
-                    )
-                for bump in range(4):
-                    coeffs = list(base)
-                    coeffs[bump] += 1
-                    res.cases += 1
-                    chains = local_vertex_chains(tuple(coeffs))
-                    odd = [c for c in chains if c.kind == "open" and c.length % 2]
-                    even = [
-                        c for c in chains if c.kind == "open" and c.length % 2 == 0
-                    ]
-                    closed = [c for c in chains if c.kind == "closed"]
-                    if (
-                        len(odd) != 1
-                        or any(c.length != 2 for c in even)
-                        or any(c.length != 4 for c in closed)
-                    ):
-                        res.failures.append(
-                            {"pattern": tuple(coeffs), "kind": "corner",
-                             "chains": [(c.kind, c.length) for c in chains]}
-                        )
+    smooth = {("closed", 4), ("open", 2)}
+    for n, k, l in itertools.product(range(bound + 1), repeat=3):
+        base = (n, n + k, n + k + l, n + l)
+        interior = [("closed", 4)] * n + [("open", 2)] * (k + l)
+        cases = [(base, "interior")]
+        cases += [(base[:i] + (base[i] + 1,) + base[i + 1 :], "corner") for i in range(4)]
+        for pattern, kind in cases:
+            res.cases += 1
+            chains = [(c.kind, c.length) for c in local_vertex_chains(pattern)]
+            if kind == "interior":
+                ok = sorted(chains) == interior
+            else:
+                odd = [c for c in chains if c[0] == "open" and c[1] % 2]
+                ok = len(odd) == 1 and {c for c in chains if c not in odd} <= smooth
+            if not ok:
+                res.failures.append({"pattern": pattern, "kind": kind, "chains": chains})
     return res
 
 

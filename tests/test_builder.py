@@ -477,3 +477,25 @@ def test_stage_contract_reports_each_breach(genus2):
     s2_like = BuiltSurface("S3", genus2, a, glue_copies(genus2, a).surface, x, y)
     problems = stage_contract(s2_like)
     assert "corner with angle above a right angle" in problems
+
+
+def stage_values(built):
+    return built.chi, built.corners(), built.boundary_arcs(), built.component_count()
+
+
+def test_census_counts_the_cells_and_outlives_the_stage(corpus):
+    for d in corpus.values():
+        kept = []
+        for built in stage_surfaces(d):
+            surf = built.surface
+            sides = list(surf.sides())
+            free = sum(1 for s in sides if s.partner is None)
+            edges = (len(sides) - free) // 2 + free  # glued pairs + free sides
+            cells = len(surf.corner_classes()) - edges + len(surf.faces)
+            fresh = BuiltSurface(built.stage, d, built.domain, surf, built.x, built.y)
+            values = stage_values(built)
+            assert values[0] == cells + len(surf.degenerate_disks)
+            assert values[1:] == stage_values(fresh)[1:]
+            kept.append((built, values))
+        # every stage was read before the next one was made from its complex
+        assert all(stage_values(built) == values for built, values in kept)

@@ -175,3 +175,58 @@ def test_check_small_corpus(capsys, tmp_path):
     )
     assert code == 0
     assert "ok" in out
+
+
+@pytest.mark.parametrize("target", ["missing", "empty"])
+def test_check_rejects_a_corpus_without_diagrams(capsys, tmp_path, target):
+    corpus = tmp_path / target
+    if target == "empty":
+        corpus.mkdir()
+        (corpus / "notes.txt").write_text("not a diagram\n")
+    code, out, err = run(capsys, "check", str(corpus))
+    assert code == 1
+    assert out == ""
+    assert f"no .hd diagrams in {corpus}" in err
+
+
+@pytest.mark.parametrize(
+    "verb, flag, value, minimum",
+    [
+        ("domains", "--max-coeff", "-1", 0),
+        ("check", "--max-coeff", "-1", 0),
+        ("check", "--pattern-bound", "0", 1),
+        ("check", "--k-max", "-1", 0),
+    ],
+)
+def test_bound_flags_reject_values_below_their_minimum(
+    capsys, data_dir, verb, flag, value, minimum
+):
+    args = [verb, flag, value]
+    if verb == "domains":
+        args += [str(data_dir / "torus_g1_3x.hd"), "--from", "v0", "--to", "v2"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hdindex")
+    assert f"argument {flag}: {value} is below the minimum {minimum}" in err
+
+
+def test_bound_flags_keep_their_minimum_and_integer_check(capsys, data_dir):
+    code, out, _ = run(
+        capsys, "domains", str(data_dir / "torus_g1_3x.hd"),
+        "--from", "v0", "--to", "v0", "--max-coeff", "0",
+    )
+    assert (code, out.split()) == (0, ["0"])
+    with pytest.raises(SystemExit):
+        main(["check", "--k-max", "two"])
+    assert "argument --k-max: invalid int value: 'two'" in capsys.readouterr().err
+
+
+def test_info_text_matches_json(capsys, data_dir):
+    path = str(data_dir / "genus2_s1s2.hd")
+    _, out, _ = run(capsys, "--json", "info", path)
+    payload = json.loads(out)
+    _, text, _ = run(capsys, "info", path)
+    assert f"e(full surface class) = {payload['euler_measure_sigma']}" in text
+    assert f"periodic domain rank = {payload['periodic_rank']}" in text

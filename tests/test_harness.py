@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import pytest
 
+from hdindex import harness
 from hdindex.domains import Domain
 from hdindex.harness import (
     BUNDLED_DIAGRAMS,
@@ -90,3 +93,30 @@ def test_format_results_reports_failures():
     text = format_results(results)
     assert "FAIL (1)" in text
     assert "good" in text
+
+
+@pytest.mark.parametrize(
+    "stray, failing",
+    [(("open", 2), {"interior"}), (("closed", 3), {"interior", "corner"})],
+)
+def test_local_pattern_oracle_catches_a_stray_chain(monkeypatch, stray, failing):
+    # a smooth pair breaks only the interior shape; a closed chain of length
+    # three breaks both rules
+    real = harness.local_vertex_chains
+    extra = SimpleNamespace(kind=stray[0], length=stray[1])
+    monkeypatch.setattr(harness, "local_vertex_chains", lambda c: real(c) + [extra])
+    res = local_pattern_oracle(1)
+    assert res.cases == 8 * 5
+    assert {f["kind"] for f in res.failures} == failing
+    assert len(res.failures) == (res.cases if len(failing) == 2 else 8)
+    first = res.failures[0]
+    assert (first["pattern"], first["kind"], first["chains"]) == ((0, 0, 0, 0), "interior", [stray])
+    if "corner" in failing:
+        bumped = [(f["pattern"], f["kind"]) for f in res.failures[1:5]]
+        assert bumped == [
+            ((1, 0, 0, 0), "corner"),
+            ((0, 1, 0, 0), "corner"),
+            ((0, 0, 1, 0), "corner"),
+            ((0, 0, 0, 1), "corner"),
+        ]
+        assert res.failures[1]["chains"] == [("open", 1), stray]

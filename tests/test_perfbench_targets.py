@@ -25,3 +25,11 @@ def test_every_tracer_target_resolves(monkeypatch):
             assert hasattr(owner, part), f"{span}: {modname}.{attr} is gone"
             owner = getattr(owner, part)
         assert callable(owner), span
+
+
+def test_tracer_misses_no_rebinding(monkeypatch):
+    # the benchmark's self-test checks this after a minute of tracing; an
+    # alias that hides a traced entry point from the tracer fails here
+    importlib.import_module("hdindex.cli")
+    with load_tracer(monkeypatch).Tracer() as tracer:
+        assert tracer.missed_rebindings() == []
