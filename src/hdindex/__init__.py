@@ -15,18 +15,15 @@ from hdindex.diagram import (
     HeegaardDiagram,
     Region,
     Quadrant,
-    Violation,
     parse_diagram,
     serialize_diagram,
     trace_faces,
     validate_diagram,
 )
 from hdindex.domains import (
-    BoundaryChain,
     Domain,
     Generator,
     boundary_chain,
-    compose,
     connects,
     enumerate_generators,
     find_domains,
@@ -37,9 +34,7 @@ from hdindex.domains import (
 )
 from hdindex.formulas import (
     IndexReport,
-    analytic_index,
     branch_budget,
-    chi_with_double_points,
     embedded_euler_char,
     euler_measure,
     generator_multiplicity,
@@ -50,8 +45,6 @@ from hdindex.formulas import (
 from hdindex.builder import (
     BuiltSurface,
     PreconditionError,
-    PreimageChain,
-    QuadrantSheet,
     branched_cover_check,
     build_surface,
     cut_bad_corners,

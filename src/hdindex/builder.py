@@ -467,9 +467,6 @@ class BuiltSurface:
         out = [(o[0].head_pt[1], len(o)) for comp in c.boundary for o, corner in comp if corner]
         return sorted(out + [(disk.vertex, 1) for disk in c.disks] * 2)
 
-    def corner_count(self) -> int:
-        return len(self.corners())
-
     def boundary_arcs(self) -> dict[str, list[dict]]:
         """Maximal boundary arcs per curve, split at the surface corners."""
         arcs: dict[str, list[dict]] = {name: [] for name in self.diagram.curve_vertices}
@@ -911,9 +908,7 @@ def build_surface(
         raise PreconditionError("build_surface needs a positive domain")
     if not connects(d, a, x, y):
         raise PreconditionError("domain does not connect the generators")
-    s0 = glue_copies(d, a)
-    s0 = BuiltSurface("S0", d, a, s0.surface, x, y)
-    s1 = cut_bad_corners(s0)
+    s1 = cut_bad_corners(glue_copies(d, a))
     s2 = add_degenerate_corners(s1, x, y)
     return _enforce_contract(splice_boundary_circles(s2))
 

@@ -57,9 +57,6 @@ class Domain:
     def __neg__(self) -> "Domain":
         return Domain(tuple(-a for a in self.coeffs))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.coeffs) if c != 0)
 

@@ -9,7 +9,8 @@ no floating point enters anywhere.  The quantities:
 * ``maslov_index``       mu(A) = e + n_x + n_y,
 * ``embedded_euler_char`` chi  = g - n_x - n_y + e,
 * ``chi_with_double_points``   chi + 2(d_plus - d_minus),
-* ``analytic_index``     g - chi(S) + 2 e(A),
+* ``analytic_index``     g - chi(S) + 2 e(A); taken at chi(S) = chi_emb it is
+  mu by algebra alone, so ``hdindex check`` does not use it,
 * ``branch_budget``      g - chi(S)  (a g-fold cover of the disk).
 
 Regions traced from a diagram are disks with right-angle corners, so the

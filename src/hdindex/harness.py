@@ -1,8 +1,23 @@
 """Brute-force oracles and property suites over the bundled diagrams.
 
-Each suite exhaustively enumerates a bounded family of inputs, recomputes
-both sides of an identity through independent code paths, and reports every
-violation with enough data to replay the case through the command line.
+Each suite exhaustively enumerates a bounded family of inputs and reports
+every violation with enough data to replay the case through the command
+line.  The clauses:
+
+* local patterns: the chain shapes of the gluing model at one crossing;
+* additivity: mu(A + B) = mu(A) + mu(B) when A connects x to y and B
+  connects y to z, which needs the multiplicities at y to match;
+* stabilization: adding k surface classes shifts mu by 2k and the
+  embedded chi by k(2 - 4g).  Given the index formulas both shifts are
+  algebra (mu(Sigma) = chi + 2g = 2), so this suite catches little more
+  than a wrong surface class; it stays in ``check``, whose case count
+  ``perfbench/reference.json`` pins, until a check that can fail
+  replaces it;
+* the builder: the stage contracts S3 and S4, chi of disjoint strip
+  classes, and the branched-cover bookkeeping of S4.
+
+e-additivity (e is linear in the domain) and the analytic index at the
+embedded chi (which is mu) hold by algebra alone, so no suite checks them.
 All suites are deterministic; a run is green iff every suite reports zero
 failures.
 """
@@ -12,25 +27,17 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from hdindex.diagram import HeegaardDiagram, load_bundled, validate_diagram
 from hdindex.domains import (
     Domain,
     Generator,
-    connects,
     enumerate_generators,
     find_domains,
     is_positive,
     sigma_class,
 )
-from hdindex.formulas import (
-    analytic_index,
-    embedded_euler_char,
-    euler_measure,
-    generator_multiplicity,
-    maslov_index,
-)
+from hdindex.formulas import embedded_euler_char, maslov_index
 from hdindex.builder import (
     BuilderError,
     build_surface,
@@ -120,7 +127,12 @@ def _domain_table(
 
 
 def additivity_suite(d: HeegaardDiagram, max_coeff: int = 3) -> SuiteResult:
-    """mu and e are additive under composition of connecting domains."""
+    """mu is additive under composition of connecting domains.
+
+    e is linear in the domain, so the sum alone decides nothing; mu(A + B)
+    agrees with mu(A) + mu(B) only when n_x(B) + n_z(A) = n_y(A) + n_y(B),
+    a property of connecting domains that the multiplicities must honour.
+    """
     res = SuiteResult("additivity")
     table = _domain_table(d, max_coeff)
     gens = enumerate_generators(d)
@@ -134,10 +146,7 @@ def additivity_suite(d: HeegaardDiagram, max_coeff: int = 3) -> SuiteResult:
                         total = a + b
                         mu_b = maslov_index(d, b, y, z)
                         mu_ab = maslov_index(d, total, x, z)
-                        e_ok = euler_measure(d, total) == euler_measure(
-                            d, a
-                        ) + euler_measure(d, b)
-                        if mu_ab != mu_a + mu_b or not e_ok:
+                        if mu_ab != mu_a + mu_b:
                             res.failures.append(
                                 {
                                     "x": x.format(),
@@ -170,12 +179,7 @@ def stabilization_suite(
                 ak = a + k * sigma
                 mu_k = maslov_index(d, ak, x, y)
                 chi_k = embedded_euler_char(d, ak, x, y)
-                idx = analytic_index(g, chi_k, euler_measure(d, ak))
-                if (
-                    mu_k != mu0 + 2 * k
-                    or chi_k != chi0 + k * (2 - 4 * g)
-                    or idx != mu_k
-                ):
+                if mu_k != mu0 + 2 * k or chi_k != chi0 + k * (2 - 4 * g):
                     res.failures.append(
                         {
                             "x": x.format(),
@@ -292,17 +296,15 @@ def _timed(suite, *args, **kwargs) -> SuiteResult:
 
 
 def run_all(
-    diagrams: dict[str, HeegaardDiagram] | None = None,
+    diagrams: dict[str, HeegaardDiagram],
     pattern_bound: int = 3,
     max_coeff: int = 3,
     k_max: int = 3,
 ) -> list[SuiteResult]:
-    """Run every suite; diagram-level suites run per bundled diagram.
+    """Run every suite; diagram-level suites run per diagram of ``diagrams``.
 
     Each suite call is timed here, into its result's ``elapsed``.
     """
-    if diagrams is None:
-        diagrams = bundled_corpus()
     results = [_timed(local_pattern_oracle, pattern_bound)]
     for name, d in diagrams.items():
         bad = validate_diagram(d)

@@ -180,7 +180,7 @@ def test_degenerate_disk_added(torus3):
     s2 = add_degenerate_corners(cut_bad_corners(s0), x, x)
     assert len(s2.surface.degenerate_disks) == 1
     assert s2.chi == 1
-    assert s2.corner_count() == 2
+    assert len(s2.corners()) == 2
 
 
 def test_no_shared_points_is_noop(genus2):
@@ -207,7 +207,7 @@ def test_build_surface_zero_domain(torus3, genus2):
         x = Generator(pts)
         s3 = build_surface(d, Domain.zero(d), x, x)
         assert s3.chi == d.genus
-        assert s3.corner_count() == 2 * d.genus
+        assert len(s3.corners()) == 2 * d.genus
         assert len(s3.surface.degenerate_disks) == d.genus
         assert s3.delta() == 0
 
@@ -217,7 +217,7 @@ def test_build_surface_example1_is_annulus(genus2):
     s3 = build_surface(genus2, a, x, y)
     assert s3.chi == 0
     assert s3.delta() == 0
-    assert s3.corner_count() == 4
+    assert len(s3.corners()) == 4
     assert s3.component_count() == 1
     # two boundary circles and chi zero: the annulus of the resolved
     # double point
@@ -280,7 +280,7 @@ def test_stabilized_zero_domain(genus2):
     assert s4.stage == "S4"
     assert s4.chi == -4  # the surface with two cut stars
     assert s4.pushforward() == sigma_class(genus2)
-    assert s4.corner_count() == 4
+    assert len(s4.corners()) == 4
     assert s4.component_count() == 1
     assert not s4.surface.degenerate_disks
     rep = branched_cover_check(s4)
@@ -293,7 +293,7 @@ def test_stabilized_example1(genus2):
     s4 = stabilized_surface(genus2, a, x, y)
     assert s4.pushforward() == a + sigma_class(genus2)
     assert s4.component_count() == 1
-    assert s4.corner_count() == 4
+    assert len(s4.corners()) == 4
     rep = branched_cover_check(s4)
     assert rep["ok"]
     budget = int(rep["branch_budget"])
@@ -319,7 +319,7 @@ def test_stabilized_genus3(genus3):
     x = enumerate_generators(genus3)[0]
     s4 = stabilized_surface(genus3, Domain.zero(genus3), x, x)
     assert s4.component_count() == 1
-    assert s4.corner_count() == 6
+    assert len(s4.corners()) == 6
     rep = branched_cover_check(s4)
     assert rep["ok"]
     assert rep["corner_halves_sum"] == "3"
@@ -499,3 +499,17 @@ def test_census_counts_the_cells_and_outlives_the_stage(corpus):
             kept.append((built, values))
         # every stage was read before the next one was made from its complex
         assert all(stage_values(built) == values for built, values in kept)
+
+
+def test_builder_suite_catches_a_chi_parity_breach(monkeypatch, torus3):
+    # the builder's embedded chi one too high: every S3 breaks the parity
+    # clause of its contract, and only that clause
+    real = builder.embedded_euler_char
+    a, x, y = Domain.parse(torus3, "r1:1"), Generator(("v0",)), Generator(("v2",))
+    s3 = build_surface(torus3, a, x, y)
+    monkeypatch.setattr(builder, "embedded_euler_char", lambda *args: real(*args) + 1)
+    assert stage_contract(s3) == ["chi parity differs from the embedded chi"]
+    res = builder_consistency_suite(torus3, max_coeff=1)
+    assert res.cases == 10 and len(res.failures) == 10
+    for failure in res.failures:
+        assert failure["error"] == "stage S3 contract: chi parity differs from the embedded chi"

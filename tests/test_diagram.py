@@ -166,6 +166,32 @@ def test_curve_count_mismatch_is_violation():
     assert "curve-count" in codes
 
 
+# Two one-crossing tori listed in one file.
+TWO_TORI = "alpha a1: x\nalpha a2: y\nbeta b1: x\nbeta b2: y\nsign x: +\nsign y: +\n"
+VIOLATIONS = {
+    SPHERE: ["genus-mismatch", "alpha-complement", "beta-complement"],
+    "alpha a1: x\nalpha a2: y\nbeta b1: x y\nsign x: +\nsign y: +\n": [
+        "curve-count",
+        "genus-mismatch",
+        "alpha-complement",
+    ],
+    TWO_TORI: ["genus-mismatch", "disconnected", "alpha-complement", "beta-complement"],
+}
+
+
+def test_each_violation_code_fires():
+    for text, codes in VIOLATIONS.items():
+        assert [v.code for v in validate_diagram(parse_diagram(text))] == codes
+    # together the inputs reach every code validate_diagram reports
+    assert set().union(*VIOLATIONS.values()) == {
+        "curve-count",
+        "genus-mismatch",
+        "disconnected",
+        "alpha-complement",
+        "beta-complement",
+    }
+
+
 def test_comments_and_blank_lines():
     d = parse_diagram("# a torus\n\nalpha a: x  # inline\nbeta b: x\nsign x: +\n")
     assert d.genus == 1

@@ -118,18 +118,6 @@ def test_chi_with_double_points(torus3):
         chi_with_double_points(torus3, b, v0, v2, -1, 0)
 
 
-def test_analytic_index_identity(corpus):
-    # ind at the embedded Euler characteristic reproduces the Maslov index
-    for d in corpus.values():
-        gens = enumerate_generators(d)
-        for x in gens[:3]:
-            for y in gens[:3]:
-                for a in find_domains(d, x, y, 2, True):
-                    chi = embedded_euler_char(d, a, x, y)
-                    e = euler_measure(d, a)
-                    assert analytic_index(d.genus, chi, e) == maslov_index(d, a, x, y)
-
-
 def test_branch_budget():
     assert branch_budget(1, 1) == 0      # disk source over a torus diagram
     assert branch_budget(2, 0) == 2      # annulus source, genus two

@@ -1,8 +1,10 @@
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from hdindex import harness
+from hdindex import builder, formulas, harness
+from hdindex.builder import build_surface
 from hdindex.domains import Domain
 from hdindex.harness import (
     BUNDLED_DIAGRAMS,
@@ -120,3 +122,57 @@ def test_local_pattern_oracle_catches_a_stray_chain(monkeypatch, stray, failing)
             ((0, 0, 0, 1), "corner"),
         ]
         assert res.failures[1]["chains"] == [("open", 1), stray]
+
+
+def test_additivity_suite_catches_a_dropped_quadrant(monkeypatch, torus3):
+    # n_p read from three of the four quadrants at p: mu is no longer
+    # additive, while e (linear, whatever the quadrants) would still be
+    def three_quadrants(d, a, points):
+        quadrants = formulas._lattice(d).quadrants
+        return sum(a.coeffs[r] for v in points for r in quadrants[v][:3])
+
+    monkeypatch.setattr(formulas, "_quarter_multiplicity", three_quadrants)
+    res = additivity_suite(torus3, max_coeff=1)
+    assert res.cases == 34 and len(res.failures) == 2
+    assert res.failures[0] == {
+        "x": "v0",
+        "y": "v2",
+        "z": "v1",
+        "a": "r1:1",
+        "b": "r0:1,r1:1",
+        "mu_a": "3/4",
+        "mu_b": "1/2",
+        "mu_ab": "3/2",
+    }
+
+
+def test_builder_suite_catches_a_wrong_strip_class_chi(monkeypatch, torus3):
+    # the harness's embedded chi one too high: every strip class, and no
+    # other domain, fails with both values
+    real = harness.embedded_euler_char
+    monkeypatch.setattr(harness, "embedded_euler_char", lambda *args: real(*args) + 1)
+    res = builder_consistency_suite(torus3, max_coeff=1)
+    strips = []
+    for (x, y), domains in harness._domain_table(torus3, 1).items():
+        for a in domains:
+            if _is_disjoint_strip_class(torus3, a):
+                chi = build_surface(torus3, a, x, y).chi
+                problem = f"strip class chi {chi} != {real(torus3, a, x, y) + 1}"
+                strips.append(
+                    {"x": x.format(), "y": y.format(), "a": a.format(), "problems": [problem]}
+                )
+    assert res.cases == 10 and len(strips) == 5
+    assert res.failures == strips
+
+
+def test_stabilized_suite_catches_a_negative_branch_budget(monkeypatch, genus2s1s2):
+    monkeypatch.setattr(builder, "branch_budget", lambda g, chi: Fraction(-1))
+    res = stabilized_surface_suite(genus2s1s2, max_coeff=1)
+    assert res.cases == 8 and len(res.failures) == 8
+    for failure in res.failures:
+        assert {"x", "y", "a"} <= set(failure)
+        assert failure["problems"] == ["cover check"]
+        report = failure["report"]
+        assert report["branch_budget"] == "-1"
+        assert not report["branch_budget_ok"] and not report["ok"]
+        assert report["corner_halves_sum_is_genus"] and report["connected"]
