@@ -48,7 +48,12 @@ EXIT_SUITE = 3
 
 
 def _load(path: str, require_valid: bool = True) -> HeegaardDiagram:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DiagramError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DiagramError(f"{path} is not UTF-8 text: {exc.reason}") from None
     d = parse_diagram(text)
     if require_valid:
         bad = validate_diagram(d)

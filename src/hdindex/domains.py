@@ -12,8 +12,10 @@ rows of U beside the vanishing rows of H are a Hermite-normal-form basis
 of the periodic lattice ker M.  The factorization is cached on the diagram
 instance.  Enumeration of connecting domains is then an integral
 particular solution by forward substitution on H, plus the kernel basis
-walked exhaustively inside the coefficient box; ``connects`` is one
-product with M.
+walked exhaustively inside the coefficient box.  ``connects`` is one
+product with M over the domain's nonzero coefficients, read column by
+column, with x - y added in place; each generator is validated once per
+diagram.
 
 Sign convention (fixed): with the counterclockwise surface orientation an
 edge oriented along its curve's listed direction gets the coefficient
@@ -181,17 +183,19 @@ def connects(d: HeegaardDiagram, a: Domain, x: Generator, y: Generator) -> bool:
 
     Demands vertex_boundary(alpha part) = y - x and
     vertex_boundary(beta part) = x - y as 0-chains.  The second follows
-    from the first, so this is one product with the diagram's cached
-    alpha boundary matrix.
+    from the first, so this is one product M . a with the diagram's cached
+    alpha boundary matrix, summed over the columns of the nonzero
+    coefficients of ``a`` onto x - y (the target of the reverse class); the
+    domain connects iff nothing is left.
     """
-    check_generator(d, x)
-    check_generator(d, y)
+    lat = _checked_lattice(d, x, y)
     _check_domain(d, a)
-    c = a.coeffs
-    return all(
-        sum(k * c[r] for r, k in row) == t
-        for row, t in zip(_lattice(d).rows, _target_vector(d, x, y))
-    )
+    out = _target_vector(lat, y, x)
+    for column, c in zip(lat.columns, a.coeffs):
+        if c:
+            for v, k in column:
+                out[v] += k * c
+    return not any(out)
 
 
 def compose(
@@ -269,10 +273,14 @@ def _boundary_matrix(d: HeegaardDiagram) -> list[list[int]]:
     return rows
 
 
-def _target_vector(d: HeegaardDiagram, x: Generator, y: Generator) -> list[int]:
+def _target_vector(lat: "_Lattice", x: Generator, y: Generator) -> list[int]:
     """M . A for A from x to y: y - x."""
-    xs, ys = set(x.points), set(y.points)
-    return [int(v in ys) - int(v in xs) for v in d.vertices]
+    out = [0] * len(lat.vertex_index)
+    for v in y.points:
+        out[lat.vertex_index[v]] += 1
+    for v in x.points:
+        out[lat.vertex_index[v]] -= 1
+    return out
 
 
 def _row_echelon(rows: list[list[int]]) -> list[list[int]]:
@@ -367,16 +375,21 @@ class _Factorization(NamedTuple):
 class _Lattice(NamedTuple):
     """The integer data of one diagram that the solver and formulas read.
 
-    ``rows`` is the boundary matrix, each row as its nonzero
-    (region, coefficient) pairs; ``factorization`` factors it;
+    ``columns`` is the boundary matrix, each region's column as its
+    nonzero (vertex row, coefficient) pairs, and ``vertex_index`` maps a
+    vertex name to its row; ``factorization`` factors the matrix;
     ``euler_weights`` is 4 - corners per region and ``quadrants`` the four
-    quadrant regions at each vertex, in rotation order.
+    quadrant regions at each vertex, in rotation order.  ``generators``
+    holds the generators already validated on this diagram: at most all of
+    them, and never an invalid one, since ``check_generator`` raises first.
     """
 
-    rows: tuple[tuple[tuple[int, int], ...], ...]
+    columns: tuple[tuple[tuple[int, int], ...], ...]
+    vertex_index: Mapping[str, int]
     factorization: _Factorization
     euler_weights: tuple[int, ...]
     quadrants: Mapping[str, tuple[int, ...]]
+    generators: set[Generator]
 
 
 def _lattice(d: HeegaardDiagram) -> _Lattice:
@@ -389,11 +402,23 @@ def _lattice(d: HeegaardDiagram) -> _Lattice:
     if lat is None:
         rows = _boundary_matrix(d)
         lat = d._lattice = _Lattice(  # type: ignore[attr-defined]
-            tuple(tuple((c, k) for c, k in enumerate(row) if k) for row in rows),
+            tuple(tuple((v, k) for v, k in enumerate(col) if k) for col in zip(*rows)),
+            {v: i for i, v in enumerate(d.vertices)},
             _Factorization.of(rows, len(d.regions)),
             tuple(4 - r.corner_count for r in d.regions),
             {v: tuple(d.face_of[dart] for dart in d.rotation[v]) for v in d.vertices},
+            set(),
         )
+    return lat
+
+
+def _checked_lattice(d: HeegaardDiagram, x: Generator, y: Generator) -> _Lattice:
+    """The diagram's integer data, once x and y are valid generators of d."""
+    lat = _lattice(d)
+    for g in (x, y):
+        if g not in lat.generators:
+            check_generator(d, g)
+            lat.generators.add(g)
     return lat
 
 
@@ -426,11 +451,10 @@ def find_domains(
     """
     if max_coeff < 0:
         raise ValueError("max_coeff must be >= 0")
-    check_generator(d, x)
-    check_generator(d, y)
+    lat = _checked_lattice(d, x, y)
     nreg = len(d.regions)
-    factorization = _lattice(d).factorization
-    x0 = factorization.solve(_target_vector(d, x, y))
+    factorization = lat.factorization
+    x0 = factorization.solve(_target_vector(lat, x, y))
     if x0 is None:
         return []
     basis = factorization.kernel

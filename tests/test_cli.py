@@ -190,6 +190,26 @@ def test_check_rejects_a_corpus_without_diagrams(capsys, tmp_path, target):
 
 
 @pytest.mark.parametrize(
+    "case, reason",
+    [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
+        ("not-utf8", "is not UTF-8 text"),
+    ],
+)
+def test_unreadable_diagram_paths_end_in_a_diagram_error(capsys, tmp_path, case, reason):
+    path = tmp_path / "diagram.hd"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err and reason in err
+
+
+@pytest.mark.parametrize(
     "verb, flag, value, minimum",
     [
         ("domains", "--max-coeff", "-1", 0),

@@ -1,13 +1,16 @@
 import random
+import re
 from itertools import product
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from hdindex.diagram import ALPHA, BETA, DiagramError
 from hdindex.domains import (
     Domain,
     Generator,
     _Factorization,
+    _lattice,
     boundary_chain,
     compose,
     connects,
@@ -18,7 +21,7 @@ from hdindex.domains import (
     sigma_class,
     vertex_boundary,
 )
-from hdindex.harness import load_bundled
+from hdindex.harness import bundled_corpus, load_bundled
 
 
 def brute_force_domains(d, x, y, max_coeff, positive_only):
@@ -111,6 +114,69 @@ def test_connects_matches_boundary_chain_definition(corpus):
                     if a not in boundaries:
                         boundaries[a] = vertex_boundaries(d, a)
                     assert connects(d, a, x, y) == (boundaries[a] == (want, want))
+
+
+PROPERTY_CORPUS = bundled_corpus()
+PROPERTY_GENERATORS = {
+    name: enumerate_generators(d) for name, d in PROPERTY_CORPUS.items()
+}
+
+
+@st.composite
+def connects_cases(draw):
+    """A bundled diagram, any generator pair on it and a domain: random with
+    coefficients in -5..5 (zeros drawn often), the zero domain, Sigma, or a
+    class found from x to y shifted by a multiple of Sigma."""
+    name = draw(st.sampled_from(sorted(PROPERTY_CORPUS)))
+    d, gens = PROPERTY_CORPUS[name], PROPERTY_GENERATORS[name]
+    x, y = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+    kind = draw(st.sampled_from(["random", "zero", "sigma", "class"]))
+    if kind == "random":
+        coeff = st.one_of(st.just(0), st.integers(-5, 5))
+        n = len(d.regions)
+        a = Domain(tuple(draw(st.lists(coeff, min_size=n, max_size=n))))
+    elif kind == "class" and (found := find_domains(d, x, y, 1, positive_only=False)):
+        a = draw(st.sampled_from(found)) + draw(st.integers(-2, 2)) * sigma_class(d)
+    else:
+        a = sigma_class(d) if kind == "sigma" else Domain.zero(d)
+    return d, a, x, y
+
+
+@seed(71301)
+@settings(max_examples=400, deadline=None, database=None)
+@given(connects_cases())
+def test_connects_property_matches_boundary_chain_definition(case):
+    d, a, x, y = case
+    want = y_minus_x(d, x, y)
+    assert connects(d, a, x, y) == (vertex_boundaries(d, a) == (want, want))
+
+
+def test_connects_admits_no_invalid_generator(genus2):
+    x, y = Generator(("x1", "x2")), Generator(("y1", "y2"))
+    zero = Domain.zero(genus2)
+    assert not connects(genus2, zero, x, y)
+    bad = {
+        Generator(("x1",)): "generator needs 2 points, got 1",
+        Generator(("x1", "zz")): "unknown vertex 'zz' in generator",
+        Generator(("q1", "x2")): "vertex 'q1' is not on alpha curve 'a1'",
+        Generator(("y1", "q1")): "generator uses beta curve 'b1' twice (not a matching)",
+    }
+    for g, message in bad.items():
+        for _ in range(3):
+            for pair in ((g, y), (x, g), (g, g)):
+                with pytest.raises(DiagramError) as err:
+                    connects(genus2, zero, *pair)
+                assert str(err.value) == message
+            with pytest.raises(DiagramError, match=re.escape(message)):
+                find_domains(genus2, g, y)
+    assert _lattice(genus2).generators <= set(enumerate_generators(genus2))
+    assert connects(genus2, zero, x, x)
+    # admitted on genus2_bigons, still checked against each other diagram
+    genus3 = load_bundled("genus3_chain.hd")
+    for d in (genus3, genus3.mirror()):
+        for pair in ((x, x), (x, Generator(("x1", "x2", "t")))):
+            with pytest.raises(DiagramError, match="generator needs 3 points, got 2"):
+                connects(d, Domain.zero(d), *pair)
 
 
 def test_beta_vertex_boundary_is_minus_alpha(corpus):
