@@ -1,0 +1,159 @@
+"""Write a ``BENCH_<n>.json`` record from alternating parent/change benchmark runs.
+
+Given two checkouts of the repository, the parent commit and the change,
+this runs ``perfbench/run.py`` in each for every workload that the
+change's ``BENCHMARK.json`` declares, for its ``run_seconds``: ``--pairs``
+untraced pairs, the side that goes first alternating from pair to pair,
+then one traced run per side.  It writes the medians and quartiles of
+every end-to-end metric, the seeds, the run order, the failed operations
+and the chosen traced per-layer values, in the schema of ``BENCH_7.json``.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --out BENCH_8.json --pairs 10 --seed 8101 --traced-seed 8201 \\
+        --parent-commit 71004ac --change-note "what the change does"
+
+Each run is one process at a time, so the two sides see the same host.
+The exit code is 1 when any run was not correct, 0 otherwise; the record
+is written either way.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+END_TO_END = ("wall_s", "op_p50_ms", "op_p98_ms", "setup_s", "peak_rss_mb")
+TRACED = (
+    "domains.connects.self_s",
+    "domains.connects.calls",
+    "domains.find_domains.self_s",
+    "domains.find_domains.calls",
+    "harness.additivity.s",
+    "harness.builder-consistency.s",
+    "formulas.self_s",
+    "builder.s0_glue.self_s",
+    "builder.s4_stabilize.self_s",
+    "trace.wall_s",
+    "trace.untraced_wall_s",
+)
+SIDES = ("parent", "change")
+RUN = "python3 perfbench/run.py --workload <w> --seed {seed} --seconds {seconds} --trace {trace}"
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One ``perfbench/run.py`` process in ``checkout``; its last output line."""
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+    ]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise SystemExit(f"{checkout}: {workload} seed {seed} printed nothing\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def summary(runs: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return {
+        "median": round(median, 6),
+        "q1": round(q1, 6),
+        "q3": round(q3, 6),
+        "runs": [round(v, 6) for v in runs],
+    }
+
+
+def measure(args: argparse.Namespace, workload: str) -> tuple[dict, dict, bool]:
+    """(workload record, traced record, every run correct) for one workload."""
+    checkouts = {"parent": args.parent, "change": args.change}
+    seeds = [args.seed + k for k in range(args.pairs)]
+    first = [SIDES[k % 2] for k in range(args.pairs)]
+    values: dict = {side: {m: [] for m in END_TO_END} for side in SIDES}
+    failed = dict.fromkeys(SIDES, 0)
+    attempted, correct = None, True
+    units: dict[str, str] = {}
+    for seed, lead in zip(seeds, first):
+        for side in (lead, SIDES[1 - SIDES.index(lead)]):
+            out = run_once(checkouts[side], workload, seed, args.seconds, 0)
+            correct &= bool(out["correct"])
+            failed[side] += out["failed"]
+            attempted = out["attempted"]
+            for m in END_TO_END:
+                values[side][m].append(out["metrics"][m]["value"])
+                units[m] = out["metrics"][m]["unit"]
+            print(f"{workload} seed {seed} {side}: wall_s {values[side]['wall_s'][-1]:.4f}",
+                  file=sys.stderr)
+    metrics = {}
+    for m in END_TO_END:
+        parent, change = (summary(values[side][m]) for side in SIDES)
+        wins = sum(c < p for p, c in zip(values["parent"][m], values["change"][m]))
+        metrics[m] = {
+            "unit": units[m],
+            "parent": parent,
+            "change": change,
+            "change_wins": wins,
+            "median_change": round(change["median"] / parent["median"] - 1, 4),
+        }
+    record = {
+        "seeds": seeds,
+        "first_in_pair": first,
+        "attempted": attempted,
+        "failed": failed,
+        "metrics": metrics,
+    }
+    traced = {"seed": args.traced_seed}
+    for side in SIDES:
+        out = run_once(checkouts[side], workload, args.traced_seed, args.seconds, 1)
+        correct &= bool(out["correct"])
+        traced[side] = {k: round(out["metrics"][k]["value"], 6) for k in TRACED}
+    return record, traced, correct
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    ap.add_argument("--out", type=Path, required=True, help="the BENCH_<n>.json to write")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    ap.add_argument("--traced-seed", type=int, required=True)
+    ap.add_argument("--parent-commit", required=True)
+    ap.add_argument("--change-note", required=True, help="one line on what the change does")
+    args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2 for quartiles")
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    args.seconds = bench["run_seconds"]
+    host = f"{os.cpu_count()}-core {platform.machine()} host, Python {platform.python_version()}"
+    out = {
+        "provenance": f"measured: {args.pairs} alternating parent/change pairs per workload "
+        "by scripts/bench_pairs.py (not transcribed)",
+        "change": args.change_note,
+        "parent_commit": args.parent_commit,
+        "command": RUN.format(seed="<s>", seconds=f"{args.seconds:g}", trace=0),
+        "traced_command": RUN.format(seed=args.traced_seed, seconds=f"{args.seconds:g}", trace=1),
+        "host": host + "; times are probe-scaled to the reference host speed, traced times raw",
+        "statistics": f"median and quartiles (inclusive method) over the {args.pairs} runs of "
+        "each side; change_wins counts pairs where the change is lower; median_change is "
+        "change median / parent median - 1",
+        "workloads": {},
+        "traced": {},
+    }
+    all_correct = True
+    for workload in (w["name"] for w in bench["workloads"]):
+        record, traced, correct = measure(args, workload)
+        out["workloads"][workload] = record
+        out["traced"][workload] = traced
+        all_correct &= correct
+    args.out.write_text(json.dumps(out, indent=2) + "\n")
+    return 0 if all_correct else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,6 +6,11 @@ arcs, bottom-aligned along beta arcs (``_sheet_pairs`` is the one rule, and
 ``_add_region_copies`` the one routine that applies it: to the domain in
 stage S0, to the fresh surface copy in S4, and to a fixed crossing in the
 local chain model ``local_vertex_chains``).
+It reads the diagram through a template built once per diagram and kept
+on it (``_s0_template``): each region's ring of sides, and each arc as a
+seam joining two (region, ring position) slots.  Every sheet is one ring
+allocated whole (``_Surface.new_ring``) and every seam glues its sheet
+pairs side by slot, so no dart is hashed or compared while gluing.
 The preimages of a crossing are then the chains of quadrant sheets linked by
 those gluings; odd chains of length three or more are ground down to
 right-angle corners by slitting along beta arc preimages, points shared by
@@ -185,37 +190,37 @@ class _Surface:
 
     # -- construction ----------------------------------------------------
 
-    def new_face(self, region: int, layer) -> _Face:
-        f = _Face(len(self.faces), region, layer)
-        self.faces.append(f)
-        return f
-
     def _new_side(self, face: _Face, dart, tail_pt: Point, head_pt: Point) -> _Side:
         s = _Side(self._next_sid, face, dart, tail_pt, head_pt)
         self._sides[s.sid] = s
         self._next_sid += 1
         return s
 
-    def add_side(self, face: _Face, dart, tail_pt: Point, head_pt: Point) -> _Side:
-        """Append a side to the face's ring, just before its start."""
-        s = self._new_side(face, dart, tail_pt, head_pt)
-        first = face.start
-        if first is None:
-            face.start = s
-        else:
-            s.prev, s.next = first.prev, first
-            first.prev.next = first.prev = s
-        return s
+    def new_ring(self, region: int, layer, ring: tuple) -> int:
+        """A new face whose sides run over ``ring``'s (dart, tail, head) in order.
+
+        The sides take consecutive ids from the returned one, the face's
+        start, and are linked into the face's ring as they are made.
+        """
+        f = _Face(len(self.faces), region, layer)
+        self.faces.append(f)
+        first = sid = self._next_sid
+        table, prev = self._sides, None
+        for dart, tail, head in ring:
+            s = table[sid] = _Side(sid, f, dart, tail, head)
+            if prev is not None:
+                s.prev, prev.next = prev, s
+            prev, sid = s, sid + 1
+        start = f.start = table[first]
+        start.prev, prev.next = prev, start
+        self._next_sid = sid
+        return first
 
     def glue(self, a: _Side, b: _Side) -> None:
         if a.partner is not None or b.partner is not None:
             raise BuilderError("side already glued")
         a.partner = b
         b.partner = a
-
-    def fresh_cut_point(self) -> Point:
-        self._next_cut += 1
-        return ("cut", self._next_cut)
 
     # -- elementary queries ------------------------------------------------
 
@@ -320,7 +325,8 @@ class _Surface:
         if s.partner is None:
             raise BuilderError("cannot slit a boundary side")
         if mid is None:
-            mid = self.fresh_cut_point()
+            self._next_cut += 1
+            mid = ("cut", self._next_cut)
         first, _second = self.subdivide(s, mid)
         mate = first.partner
         first.partner = mate.partner = None
@@ -524,16 +530,41 @@ class BuiltSurface:
 # Stage S0: gluing the region copies
 
 
-def _sheet_pairs(family: str, p: int, q: int) -> list[tuple[int, int]]:
+@functools.lru_cache(maxsize=4096)
+def _sheet_pairs(family: str, p: int, q: int) -> tuple[tuple[int, int], ...]:
     """Sheets (m, m') glued across an arc with p sheets on one side, q on the other.
 
     Top-aligned on alpha arcs (the offset is the coefficient difference),
-    bottom-aligned on beta arcs.
+    bottom-aligned on beta arcs.  Kept per (family, p, q), since every
+    build asks for the same few.
     """
     if family == BETA:
-        return [(m, m) for m in range(1, min(p, q) + 1)]
+        return tuple((m, m) for m in range(1, min(p, q) + 1))
     off = q - p
-    return [(m, m + off) for m in range(1, p + 1) if 1 <= m + off <= q]
+    return tuple((m, m + off) for m in range(1, p + 1) if 1 <= m + off <= q)
+
+
+def _s0_template(d: HeegaardDiagram) -> tuple[tuple, tuple]:
+    """(rings, seams): what stage S0 reads of ``d``, in (region, position) slots.
+
+    ``rings`` holds each region's sides as (dart, tail point, head point) in
+    face-tracing order; ``seams`` holds each curve arc as (family, region,
+    position, region', position'), the slots of its forward dart and of
+    the reversed dart across it.  Built on first use and kept on ``d``:
+    diagrams are immutable, so the template never goes stale, and a mirror
+    or a re-parsed diagram is a new instance that builds its own.
+    """
+    t = d.__dict__.get("_s0_template")
+    if t is None:
+        # face tracing puts the next dart of a region, rot^-1(rev d), at
+        # the head of d
+        pts = [[("v", dart.vertex) for dart in r.darts] for r in d.regions]
+        rings = tuple(tuple(zip(r.darts, p, p[1:] + p[:1])) for r, p in zip(d.regions, pts))
+        slot = {dart: (d.face_of[dart], i) for r in d.regions for i, dart in enumerate(r.darts)}
+        arcs = [Dart(tail, name, True) for name, edges in d.edges.items() for tail, _ in edges]
+        seams = tuple((d.curve_family[e.curve], *slot[e], *slot[d.rev(e)]) for e in arcs)
+        t = d._s0_template = (rings, seams)  # type: ignore[attr-defined]
+    return t
 
 
 def _add_region_copies(
@@ -541,31 +572,23 @@ def _add_region_copies(
 ) -> list[_Face]:
     """One polygon per sheet of ``a``, glued along the curve arcs.
 
-    Sheet m of a region gets layer m, or (tag, m) when a tag is given.  A
-    region adjacent to itself across an arc follows the same rule with its
-    two arc sides kept distinct.
+    Sheet m of a region gets layer m, or (tag, m) when a tag is given.  The
+    sheets are instantiated from the diagram's template (``_s0_template``),
+    region by region, so side ids run by region, then sheet, then ring
+    position; each seam then glues the sheets ``_sheet_pairs`` gives,
+    side by slot (the side at position i of a sheet has the sheet's first
+    id plus i).  A region adjacent to itself across an arc follows the same
+    rule, its two arc sides being two slots of one ring.
     """
-    faces: list[_Face] = []
-    side_of: dict[tuple, _Side] = {}
-    for r in d.regions:
-        # face tracing puts the next dart of a region, rot^-1(rev d), at
-        # the head of d
-        heads = r.darts[1:] + r.darts[:1]
-        for level in range(1, a[r.index] + 1):
-            f = surf.new_face(r.index, level if tag is None else (tag, level))
-            faces.append(f)
-            for dart, head in zip(r.darts, heads):
-                side_of[(dart, level)] = surf.add_side(
-                    f, dart, ("v", dart.vertex), ("v", head.vertex)
-                )
-    for name, edges in d.edges.items():
-        for tail, _ in edges:
-            e = Dart(tail, name, True)
-            f = d.rev(e)
-            pairs = _sheet_pairs(d.curve_family[name], a[d.face_of[e]], a[d.face_of[f]])
-            for m, m2 in pairs:
-                surf.glue(side_of[(e, m)], side_of[(f, m2)])
-    return faces
+    rings, seams = _s0_template(d)
+    sheets = [
+        [surf.new_ring(r, m if tag is None else (tag, m), ring) for m in range(1, n + 1)]
+        for r, (ring, n) in enumerate(zip(rings, a.coeffs))
+    ]
+    for family, r, i, r2, i2 in seams:
+        for m, m2 in _sheet_pairs(family, len(sheets[r]), len(sheets[r2])):
+            surf.glue(surf._sides[sheets[r][m - 1] + i], surf._sides[sheets[r2][m2 - 1] + i2])
+    return [surf._sides[first].face for region in sheets for first in region]
 
 
 def glue_copies(d: HeegaardDiagram, a: Domain) -> BuiltSurface:

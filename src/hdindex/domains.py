@@ -380,8 +380,10 @@ class _Lattice(NamedTuple):
     vertex name to its row; ``factorization`` factors the matrix;
     ``euler_weights`` is 4 - corners per region and ``quadrants`` the four
     quadrant regions at each vertex, in rotation order.  ``generators``
-    holds the generators already validated on this diagram: at most all of
-    them, and never an invalid one, since ``check_generator`` raises first.
+    holds the points of the generators already validated on this diagram:
+    at most all of them, and never an invalid one, since
+    ``check_generator`` raises first.  It is keyed by the points tuple,
+    whose hash is cheaper than the dataclass's.
     """
 
     columns: tuple[tuple[tuple[int, int], ...], ...]
@@ -389,7 +391,7 @@ class _Lattice(NamedTuple):
     factorization: _Factorization
     euler_weights: tuple[int, ...]
     quadrants: Mapping[str, tuple[int, ...]]
-    generators: set[Generator]
+    generators: set[tuple[str, ...]]
 
 
 def _lattice(d: HeegaardDiagram) -> _Lattice:
@@ -416,9 +418,9 @@ def _checked_lattice(d: HeegaardDiagram, x: Generator, y: Generator) -> _Lattice
     """The diagram's integer data, once x and y are valid generators of d."""
     lat = _lattice(d)
     for g in (x, y):
-        if g not in lat.generators:
+        if g.points not in lat.generators:
             check_generator(d, g)
-            lat.generators.add(g)
+            lat.generators.add(g.points)
     return lat
 
 

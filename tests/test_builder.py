@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -20,6 +21,7 @@ from hdindex.builder import (
     stage_contract,
     BuiltSurface,
 )
+from hdindex.diagram import Dart, load_bundled
 from hdindex.domains import Domain, Generator, enumerate_generators, find_domains, sigma_class
 from hdindex.formulas import embedded_euler_char
 from hdindex.harness import builder_consistency_suite, stabilized_surface_suite
@@ -134,6 +136,137 @@ def test_glue_sigma_closes_up(torus2):
 def test_glue_rejects_negative(torus3):
     with pytest.raises(PreconditionError):
         glue_copies(torus3, Domain.parse(torus3, "r0:-1"))
+
+
+def test_glue_rejects_a_domain_of_the_wrong_length(corpus):
+    for d in corpus.values():
+        ones = (1,) * len(d.regions)
+        for coeffs in (ones[:-1], ones + (1,)):
+            with pytest.raises(PreconditionError, match="does not match the diagram"):
+                glue_copies(d, Domain(coeffs))
+
+
+def reference_s0(d, a, tag=None):
+    """Stage S0 keyed by (dart, level), each arc read through ``rev`` and ``face_of``.
+
+    Returns sid -> [region, layer, face start sid, dart, tail, head, prev sid,
+    next sid, partner sid], with sids in allocation order: region, then
+    level, then dart.
+    """
+    records, side_of = {}, {}
+    for r in d.regions:
+        heads = r.darts[1:] + r.darts[:1]
+        for level in range(1, a[r.index] + 1):
+            first = len(records)
+            layer = level if tag is None else (tag, level)
+            for dart, head in zip(r.darts, heads):
+                sid = side_of[(dart, level)] = len(records)
+                records[sid] = [r.index, layer, first, dart, ("v", dart.vertex), ("v", head.vertex)]
+                records[sid] += [sid - 1, sid + 1, None]
+            records[first][6], records[len(records) - 1][7] = len(records) - 1, first
+    for name, edges in d.edges.items():
+        for tail, _ in edges:
+            e = Dart(tail, name, True)
+            f = d.rev(e)
+            pairs = builder._sheet_pairs(d.curve_family[name], a[d.face_of[e]], a[d.face_of[f]])
+            for m, m2 in pairs:
+                s, t = side_of[(e, m)], side_of[(f, m2)]
+                assert records[s][8] is None and records[t][8] is None
+                records[s][8], records[t][8] = t, s
+    return records
+
+
+def s0_records(d, a, tag=None):
+    surf = builder._Surface(d.curve_family)
+    faces = builder._add_region_copies(surf, d, a, tag)
+    assert faces == surf.faces
+    return {
+        s.sid: [
+            s.face.region,
+            s.face.layer,
+            s.face.start.sid,
+            s.dart,
+            s.tail_pt,
+            s.head_pt,
+            s.prev.sid,
+            s.next.sid,
+            None if s.partner is None else s.partner.sid,
+        ]
+        for s in surf.sides()
+    }
+
+
+def s0_cases(d, seed):
+    rng = random.Random(seed)
+    sigma = sigma_class(d)
+    yield Domain.zero(d), None
+    yield sigma, None
+    yield sigma, "sigma"
+    for _ in range(6):
+        yield Domain(tuple(rng.randint(0, 4) for _ in d.regions)), None
+
+
+def self_adjacent_seams(d):
+    return [k for k, (_, r, _, r2, _) in enumerate(builder._s0_template(d)[1]) if r == r2]
+
+
+def test_s0_template_matches_the_dart_keyed_construction(corpus):
+    for k, d in enumerate(corpus.values()):
+        for a, tag in s0_cases(d, 8100 + k):
+            assert s0_records(d, a, tag) == reference_s0(d, a, tag)
+    # the case of two arc sides of one region is exercised
+    self_adjacent = [
+        name
+        for name, d in corpus.items()
+        if any(d.face_of[e] == d.face_of[d.rev(e)] for e in d.darts())
+    ]
+    assert len(self_adjacent) == 5
+
+
+def test_s0_oracle_catches_a_conflated_self_adjacent_seam(corpus):
+    rng = random.Random(8112)
+    for name in sorted(corpus):
+        d = load_bundled(name)  # a fresh instance, so its template is this test's own
+        seams = self_adjacent_seams(d)
+        if not seams:
+            continue
+        rings, template_seams = builder._s0_template(d)
+        k = rng.choice(seams)
+        family, r, i, _, i2 = template_seams[k]
+        a = Domain.parse(d, f"r{r}:{rng.randint(1, 4)}")
+        mutants = {}
+        swapped, conflated = (family, r, i2, r, i), (family, r, i, r, i)
+        for label, seam in (("swapped", swapped), ("conflated", conflated)):
+            seams_now = template_seams[:k] + (seam,) + template_seams[k + 1 :]
+            d._s0_template = (rings, seams_now)
+            mutants[label] = s0_records(d, a)
+        # gluing is symmetric and both ends carry the same sheet count, so
+        # swapping the two ends glues the same pairs; one end read for both
+        # glues a side to itself and leaves its arc's other side free
+        assert mutants["swapped"] == reference_s0(d, a)
+        assert mutants["conflated"] != reference_s0(d, a)
+
+
+def test_s0_template_is_built_once_per_diagram(monkeypatch):
+    d = load_bundled("genus2_s1s2.hd")  # a fresh instance, with no template yet
+    assert "_s0_template" not in d.__dict__
+    reversed_darts = []
+    real_rev = d.rev
+    monkeypatch.setattr(d, "rev", lambda dart: reversed_darts.append(dart) or real_rev(dart))
+    glue_copies(d, sigma_class(d))
+    template = d._s0_template
+    assert len(reversed_darts) == len(template[1]) == 2 * len(d.vertices)
+    for a in (sigma_class(d), Domain.zero(d), sigma_class(d) + sigma_class(d)):
+        glue_copies(d, a)
+    # later builds read the template: no edge reversal, no new template
+    assert len(reversed_darts) == len(template[1])
+    assert d._s0_template is template
+    m = d.mirror()
+    glue_copies(m, sigma_class(m))
+    assert m._s0_template is not template
+    assert [[side[0] for side in ring] for ring in m._s0_template[0]] == [
+        list(r.darts) for r in m.regions
+    ]
 
 
 def test_double_bigon_chains(torus3):
