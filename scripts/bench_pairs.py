@@ -38,6 +38,8 @@ TRACED = (
     "harness.builder-consistency.s",
     "formulas.self_s",
     "builder.s0_glue.self_s",
+    "builder.s1_cut.self_s",
+    "builder.s3_splice.self_s",
     "builder.s4_stabilize.self_s",
     "trace.wall_s",
     "trace.untraced_wall_s",

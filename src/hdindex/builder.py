@@ -13,10 +13,11 @@ allocated whole (``_Surface.new_ring``) and every seam glues its sheet
 pairs side by slot, so no dart is hashed or compared while gluing.
 The preimages of a crossing are then the chains of quadrant sheets linked by
 those gluings; odd chains of length three or more are ground down to
-right-angle corners by slitting along beta arc preimages, points shared by
-both generators receive their corners (as symbolic degenerate disks or
-boundary slits), and boundary circles lying over a single curve are spliced
-into the main boundary arc.  A final stabilization stage cuts open a fresh
+right-angle corners by slitting along beta arc preimages, in one pass (a
+slit cuts only its own chain and leaves every other orbit's length as it
+was), points shared by both generators receive their corners (as symbolic
+degenerate disks or boundary slits), and boundary circles lying over a
+single curve are spliced into the main boundary arc.  A final stabilization stage cuts open a fresh
 copy of the whole surface at every point of the outgoing generator and
 chains it onto the corners.
 
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from hdindex.diagram import ALPHA, BETA, Dart, HeegaardDiagram, load_bundled
+from hdindex.diagram import ALPHA, BETA, Dart, HeegaardDiagram, components, load_bundled
 from hdindex.domains import (
     Domain,
     Generator,
@@ -368,23 +369,9 @@ class _Surface:
         return comps
 
     def face_components(self) -> list[list[_Face]]:
-        parent = {f.fid: f.fid for f in self.faces}
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for s in self.sides():
-            if s.partner is not None:
-                a, b = find(s.face.fid), find(s.partner.face.fid)
-                if a != b:
-                    parent[a] = b
-        groups: dict[int, list[_Face]] = {}
-        for f in self.faces:
-            groups.setdefault(find(f.fid), []).append(f)
-        return [groups[k] for k in sorted(groups)]
+        """The faces connected across glued sides, by smallest face id."""
+        glued = ((s.face.fid, s.partner.face.fid) for s in self.sides() if s.partner is not None)
+        return [[self.faces[i] for i in comp] for comp in components(len(self.faces), glued)]
 
 
 # ---------------------------------------------------------------------------
@@ -676,12 +663,16 @@ def cut_bad_corners(built: BuiltSurface) -> BuiltSurface:
 
 
 def _grind_odd_chains(surf: _Surface) -> None:
-    guard = 0
-    while True:
-        target = next((o for o in surf.corner_orbits() if len(o) >= 3), None)
-        if target is None:
-            return
-        start_free, links, end_free = surf.class_slots(target)
+    """Slit every corner chain of length 2m+1 >= 3 down to one right angle.
+
+    One pass over the chains found at the start is enough.  A slit cuts
+    only its own chain, into one right angle and smooth length-2 pieces;
+    at the far end of the slit edge a glued half takes the place of a
+    glued side, so every other orbit keeps its length.  No free side is
+    subdivided, so each chain is walked again from its free start side.
+    """
+    for start in [o[0] for o in surf.corner_orbits() if len(o) >= 3]:
+        start_free, links, end_free = surf.class_slots(surf.orbit(start))
         fam_start = surf.family(start_free.dart)
         if fam_start == surf.family(end_free.dart):
             raise BuilderError("odd chain with equal end families")
@@ -691,9 +682,6 @@ def _grind_odd_chains(surf: _Surface) -> None:
             if surf.family(links[i].dart) == ALPHA:
                 raise BuilderError("cut scheduled along an alpha link")
             surf.slit_at_tail(links[i])
-        guard += 1
-        if guard > 4 * surf._next_sid:
-            raise BuilderError("bad-corner grinding does not terminate")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 ALPHA = "alpha"
 BETA = "beta"
@@ -323,36 +323,31 @@ def validate_diagram(d: HeegaardDiagram) -> list[Violation]:
                 f"traced genus {d.genus} != curve count {len(d.alpha)}",
             )
         )
-    if not _surface_connected(d):
+    # a closed surface traced from a rotation system is connected exactly
+    # when its regions are connected across edges
+    n = len(d.regions)
+    sides = [
+        (d.curve_family[name], *d.edge_sides(name, i))
+        for name, edges in d.edges.items()
+        for i in range(len(edges))
+    ]
+    if len(components(n, [(a, b) for _, a, b in sides])) > 1:
         out.append(Violation("disconnected", "traced surface is disconnected"))
     for family, code in ((ALPHA, "alpha-complement"), (BETA, "beta-complement")):
-        if not _complement_connected(d, family):
+        # the surface cut along the family: regions glued across the other one
+        if len(components(n, [(a, b) for f, a, b in sides if f != family])) > 1:
             out.append(
                 Violation(code, f"complement of the {family} curves is disconnected")
             )
     return out
 
 
-def _surface_connected(d: HeegaardDiagram) -> bool:
-    verts = list(d.vertices)
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        v = stack.pop()
-        for dart in d.rotation[v]:
-            w = d.rev(dart).vertex
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(verts)
+def components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The classes of 0..n-1 joined by ``pairs``, by first member (union-find).
 
-
-def _complement_connected(d: HeegaardDiagram, cut_family: str) -> bool:
-    """Connectivity of the surface cut along all curves of ``cut_family``.
-
-    The pieces are the regions, glued across edges of the *other* family.
+    Each class lists its members in increasing order.
     """
-    parent = list(range(len(d.regions)))
+    parent = list(range(n))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -360,15 +355,14 @@ def _complement_connected(d: HeegaardDiagram, cut_family: str) -> bool:
             i = parent[i]
         return i
 
-    for name, edges in d.edges.items():
-        if d.curve_family[name] == cut_family:
-            continue
-        for i in range(len(edges)):
-            a, b = d.edge_sides(name, i)
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    return len({find(i) for i in range(len(d.regions))}) == 1
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    classes: dict[int, list[int]] = {}
+    for i in range(n):
+        classes.setdefault(find(i), []).append(i)
+    return list(classes.values())
 
 
 # ---------------------------------------------------------------------------

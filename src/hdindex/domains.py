@@ -47,17 +47,10 @@ class Domain:
         _same_length(self, other)
         return Domain(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: "Domain") -> "Domain":
-        _same_length(self, other)
-        return Domain(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __mul__(self, k: int) -> "Domain":
         return Domain(tuple(k * a for a in self.coeffs))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "Domain":
-        return Domain(tuple(-a for a in self.coeffs))
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.coeffs) if c != 0)

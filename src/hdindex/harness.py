@@ -34,7 +34,6 @@ from hdindex.domains import (
     Generator,
     enumerate_generators,
     find_domains,
-    is_positive,
     sigma_class,
 )
 from hdindex.formulas import embedded_euler_char, maslov_index
@@ -116,11 +115,11 @@ def local_pattern_oracle(bound: int = 3) -> SuiteResult:
 
 
 def _domain_table(
-    d: HeegaardDiagram, max_coeff: int, positive_only: bool = True
+    d: HeegaardDiagram, max_coeff: int
 ) -> dict[tuple[Generator, Generator], list[Domain]]:
     gens = enumerate_generators(d)
     return {
-        (x, y): find_domains(d, x, y, max_coeff, positive_only)
+        (x, y): find_domains(d, x, y, max_coeff)
         for x in gens
         for y in gens
     }
@@ -207,8 +206,6 @@ def builder_consistency_suite(
     table = _domain_table(d, max_coeff)
     for (x, y), domains in table.items():
         for a in domains:
-            if not is_positive(a):
-                continue
             res.cases += 1
             case = {"x": x.format(), "y": y.format(), "a": a.format()}
             try:

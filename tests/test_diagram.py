@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from hdindex.diagram import (
     Dart,
@@ -195,3 +196,34 @@ def test_each_violation_code_fires():
 def test_comments_and_blank_lines():
     d = parse_diagram("# a torus\n\nalpha a: x  # inline\nbeta b: x\nsign x: +\n")
     assert d.genus == 1
+
+
+# Diagram texts as space-separated tokens, and the alphabet of the edits
+# the fuzz makes to them, so that a generated text is sometimes a diagram
+# and more often broken in one of many ways.
+PARSER_BASES = tuple(
+    text.replace(":", " :").replace("\n", " \n ").split(" ")
+    for text in (ONE_CROSSING, TWO_CROSSING, SPHERE)
+)
+PARSER_TOKENS = ("alpha", "beta", "sign", "a1", "b1", "x", "y", ":", "+", "-", "*", "#", "\n")
+
+
+@st.composite
+def parser_text(draw):
+    tokens = list(draw(st.sampled_from(PARSER_BASES)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(tokens)))
+        replaced = draw(st.integers(0, 1))
+        tokens[i : i + replaced] = draw(st.lists(st.sampled_from(PARSER_TOKENS), max_size=2))
+    return " ".join(tokens)
+
+
+@seed(1301)
+@settings(max_examples=400, deadline=None, database=None)
+@given(parser_text())
+def test_parser_accepts_or_raises_diagram_error(text):
+    try:
+        d = parse_diagram(text)
+    except DiagramError:
+        return
+    assert isinstance(validate_diagram(d), list)

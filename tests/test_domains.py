@@ -244,7 +244,7 @@ def test_compose_rejects_mismatched_middle(torus3):
 def test_positivity_and_sigma(torus3):
     assert is_positive(sigma_class(torus3))
     assert sigma_class(torus3).coeffs == (1, 1, 1)
-    assert not is_positive(Domain.parse(torus3, "r1:1") - Domain.parse(torus3, "r0:1"))
+    assert not is_positive(Domain.parse(torus3, "r0:-1,r1:1"))
 
 
 def test_enumerate_generators(corpus, torus2, torus3, genus2):
