@@ -40,6 +40,8 @@ TRACED = (
     "builder.s0_glue.self_s",
     "builder.s1_cut.self_s",
     "builder.s3_splice.self_s",
+    "builder.s3_verify.self_s",
+    "builder.census.self_s",
     "builder.s4_stabilize.self_s",
     "trace.wall_s",
     "trace.untraced_wall_s",

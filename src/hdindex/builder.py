@@ -25,8 +25,10 @@ The complex is a half-edge structure: every polygon side has ``next`` and
 ``prev`` pointers around its face, which is the ring of its sides, and a
 ``partner`` twin across a glued edge (``None`` on the free boundary).  The
 corners around one point of the surface form an orbit of the step
-s -> next(s).partner, and ``_Surface.orbit`` is the only walk of it; the
-corner classes, the open classes at a point, the surface corners and the
+s -> next(s).partner, and ``_Surface.orbit`` is the only walk of it.  It
+goes forward only, from the orbit's start: the free side that begins an
+open orbit, or the side a closed one is first met at.  The corner
+classes, the open classes at a point, the surface corners and the
 boundary components are all read off that walk.
 
 All surgery happens on edges: faces are created once and never split, so
@@ -47,9 +49,11 @@ chaining) glues it to the slit's lips by one rule, ``_glue_to_lip``.
 What a stage reports (chi, corners, boundary arcs, pushforward, components)
 is read from its census, taken on the first read from one walk of the
 corner orbits (``corner_classes``; its open orbits, linked end to end, are
-the boundary circles) and kept for the life of the stage.  The census is
-valid because a stage is read before it is passed on: once the next stage
-has been made, the complex is no longer the stage's own.
+the boundary circles) and kept for the life of the stage.  Stage S3 finds
+the circles to splice in a census of each round and hands the last one,
+which found none, to the stage it returns, so that walk is made once.
+The census is valid because a stage is read before it is passed on: once
+the next stage has been made, the complex is no longer the stage's own.
 
 ``stage_contract`` states what stages S3 and S4 guarantee; the builder
 raises ``BuilderError`` when it fails, so a returned surface always
@@ -235,39 +239,41 @@ class _Surface:
         """The corner orbit through corner(s), the corner between s and next(s).
 
         Each corner is named by its incoming side; the step to the next
-        corner around the point crosses next(s) to its partner.  An open
-        orbit is returned end to end from its boundary end (a side without
-        partner), a closed one from its side with the smallest id.
+        corner around the point crosses next(s) to its partner.  The walk
+        goes forward from s only, so s must be the orbit's start: the free
+        side that begins an open orbit (a side without partner is never
+        reached by the step), or any side of a closed one, which is then
+        returned from s.  A walk from a glued side that ends at a free end
+        started inside an open orbit and raises ``BuilderError``.
         """
-        back = [s]
-        while back[-1].partner is not None:
-            b = back[-1].partner.prev
-            if b is s:
-                closed = back[::-1]
-                m = min(range(len(closed)), key=lambda i: closed[i].sid)
-                return closed[m:] + closed[:m]
-            back.append(b)
-        orbit = back[::-1]
-        cur = s.next.partner
-        while cur is not None:
+        orbit, cur = [s], s.next.partner
+        while cur is not None and cur is not s:
             orbit.append(cur)
             cur = cur.next.partner
+        if cur is None and s.partner is not None:
+            raise BuilderError("corner orbit walked from inside an open chain")
         return orbit
 
-    def corner_classes(self) -> list[list[_Side]]:
-        """Every corner orbit, sorted by smallest side id.
+    def corner_classes(self) -> tuple[list[list[_Side]], list[list[_Side]]]:
+        """(open, closed): every corner orbit, each walked once from its start.
 
-        Sides are visited in id order, so each orbit is met first at its
-        smallest side and the list comes out sorted.
+        The open orbits are walked first, one from each free side, in id
+        order.  The closed ones are then walked from each side not yet
+        seen, in id order, so each is met first at its smallest side and
+        they come out sorted by it, each starting at that side.
         """
-        seen: set[int] = set()
-        classes: list[list[_Side]] = []
+        open_orbits = [self.orbit(s) for s in self.sides() if s.partner is None]
+        seen = bytearray(self._next_sid)
+        for orbit in open_orbits:
+            for c in orbit:
+                seen[c.sid] = 1
+        closed: list[list[_Side]] = []
         for s in self.sides():
-            if s.sid not in seen:
-                orbit = self.orbit(s)
-                seen.update(c.sid for c in orbit)
-                classes.append(orbit)
-        return classes
+            if not seen[s.sid]:
+                closed.append(self.orbit(s))
+                for c in closed[-1]:
+                    seen[c.sid] = 1
+        return open_orbits, closed
 
     def open_classes_at(self, pt: Point) -> list[list[_Side]]:
         """The open orbits at ``pt``, sorted by smallest side id."""
@@ -343,7 +349,7 @@ class _Surface:
     # -- boundary structure -------------------------------------------------
 
     def boundary_components(
-        self, open_orbits: list[list[_Side]] | None = None
+        self, open_orbits: list[list[_Side]]
     ) -> list[list[tuple[list[_Side], bool]]]:
         """The boundary circles, each as the open orbits met along it.
 
@@ -351,11 +357,8 @@ class _Surface:
         at the free side ``o[0]``, and the circle goes on with the orbit that
         starts at the free side ``o[-1].next``.  A circle starts at its
         smallest free side, and the circles come in the order of those
-        sides.  ``open_orbits`` are every open orbit of the complex, walked
-        here when not given.
+        sides.  ``open_orbits`` are every open orbit of the complex.
         """
-        if open_orbits is None:
-            open_orbits = [self.orbit(s) for s in self.sides() if s.partner is None]
         by_start = {o[0].sid: o for o in open_orbits}
         comps = []
         for sid in sorted(by_start):
@@ -381,25 +384,28 @@ class _Surface:
 class _Census:
     """What a finished stage reports, taken from one walk of its complex.
 
-    The walk is ``corner_classes``.  Its orbits are the vertices; its open
-    orbits each start at one free side and, linked end to end, make up the
-    ``boundary`` circles with their corner marks.  So E = (sides + free
-    sides) / 2, and chi = V - E + F plus the degenerate disks.  Faces,
+    The walk is ``corner_classes``, forward from each orbit's start.  Its
+    open and closed orbits together are the vertices; the open ones each
+    start at one free side and, linked end to end, make up the
+    ``boundary`` circles with their corner marks.  So E = (live sides +
+    free sides) / 2, and chi = V - E + F plus the degenerate disks.  Faces,
     disks and branch marks are counted alongside.  The face components
     are counted on first use only (stage S4 and the tests ask for them),
-    so they too must be read before the stage is passed on.
+    so they too must be read before the stage is passed on.  Stage S3
+    takes one census per splice round and hands the last one, which found
+    no circle to splice, to the stage it returns.
     """
 
     def __init__(self, surf: _Surface):
-        classes = surf.corner_classes()
-        open_orbits = [o for o in classes if o[0].partner is None]
-        edges = (sum(map(len, classes)) + len(open_orbits)) // 2
+        open_orbits, closed = surf.corner_classes()
+        edges = (len(surf._sides) + len(open_orbits)) // 2
         self.surface = surf
         self.boundary = surf.boundary_components(open_orbits)
         self.regions = [f.region for f in surf.faces]
         self.disks = list(surf.degenerate_disks)
         self.branch_marks = len(surf.branch_marks)
-        self.chi = len(classes) - edges + len(self.regions) + len(self.disks)
+        vertices = len(open_orbits) + len(closed)
+        self.chi = vertices - edges + len(self.regions) + len(self.disks)
 
     @functools.cached_property
     def components(self) -> int:
@@ -412,7 +418,8 @@ class BuiltSurface:
     A stage transformer consumes the stage it is given: it does its surgery
     on that stage's complex and returns the next stage over it.  Everything
     a stage reports is read from its census (``_Census``), taken on first
-    read and kept for the life of the stage, so read a stage before passing
+    read (stage S3 is handed the census of its last splice round) and
+    kept for the life of the stage, so read a stage before passing
     it on: a census first taken after the next stage is made would count
     the next stage's complex.
     """
@@ -594,12 +601,15 @@ def glue_copies(d: HeegaardDiagram, a: Domain) -> BuiltSurface:
 
 
 def chains_at(built: BuiltSurface, v: str) -> list[PreimageChain]:
-    """Extract the quadrant-sheet chains at a crossing from any stage."""
+    """Extract the quadrant-sheet chains at a crossing from any stage.
+
+    The chains come in the order of their orbits' smallest side ids.
+    """
     rot = built.diagram.rotation[v]
     out: list[PreimageChain] = []
-    for orbit in built.surface.corner_classes():
-        if orbit[0].head_pt != ("v", v):
-            continue
+    open_orbits, closed = built.surface.corner_classes()
+    at_v = [o for o in open_orbits + closed if o[0].head_pt == ("v", v)]
+    for orbit in sorted(at_v, key=_min_sid):
         cells = []
         for s in orbit:
             # the corner between s and next(s) occupies the sector between
@@ -732,39 +742,35 @@ def splice_boundary_circles(built: BuiltSurface) -> BuiltSurface:
     that curve, and one lip of the slit is glued to the matching side of
     the corner there; beta circles are treated symmetrically.  Each splice
     strictly decreases the number of circles.  The splices are made in
-    ``built``'s complex.
+    ``built``'s complex.  Each round looks for the circle in a census of
+    the complex; the last round's census, which found none, is the census
+    of the returned stage, since no surgery follows it.
     """
     if built.x is None:
         raise PreconditionError("splice needs the generator pair")
     d = built.diagram
     surf = built.surface
-    x = built.x
     guard = 0
     while True:
-        circle = _first_circle(surf)
-        if circle is None:
-            break
-        curve = circle[0].dart.curve
-        fam = d.curve_family[curve]
-        v = _generator_point_on_curve(d, x, curve)
-        _splice_circle(surf, d, circle, v, fam)
-        _grind_odd_chains(surf)
-        guard += 1
-        if guard > 4 * surf._next_sid:
-            raise BuilderError("splicing does not terminate")
-    return BuiltSurface("S3", d, built.domain, surf, built.x, built.y)
-
-
-def _first_circle(surf: _Surface) -> list[_Side] | None:
-    """The free sides of the first boundary circle lying over a single curve."""
-    for comp in surf.boundary_components():
+        census = _Census(surf)
         # a component over one curve is one without corners: the two free
         # sides of an orbit at a vertex lie over curves of different
         # families exactly when the orbit is odd, and at a cut point both
         # lie over the slit's dart
-        if not any(corner for _, corner in comp):
-            return [o[0] for o, _ in comp]
-    return None
+        circle = next((c for c in census.boundary if not any(k for _, k in c)), None)
+        if circle is None:
+            break
+        sides = [o[0] for o, _ in circle]
+        curve = sides[0].dart.curve
+        v = _generator_point_on_curve(d, built.x, curve)
+        _splice_circle(surf, d, sides, v, d.curve_family[curve])
+        _grind_odd_chains(surf)
+        guard += 1
+        if guard > 4 * surf._next_sid:
+            raise BuilderError("splicing does not terminate")
+    s3 = BuiltSurface("S3", d, built.domain, surf, built.x, built.y)
+    s3.census = census
+    return s3
 
 
 def _generator_point_on_curve(d: HeegaardDiagram, x: Generator, curve: str) -> str:
@@ -978,7 +984,8 @@ def _layer_side(layer: list[_Face], dart, pt: Point) -> _Side:
     """The layer's side over ``dart`` whose tail sits at ``pt``."""
     for f in layer:
         for s in f.sides():
-            if s.dart == dart and s.tail_pt == pt:
+            # the point first: a tuple compare is cheaper than ``Dart.__eq__``
+            if s.tail_pt == pt and s.dart == dart:
                 return s
     raise BuilderError(f"layer has no side over {dart} at {pt}")
 

@@ -354,7 +354,7 @@ def test_build_surface_example1_is_annulus(genus2):
     assert s3.component_count() == 1
     # two boundary circles and chi zero: the annulus of the resolved
     # double point
-    assert len(s3.surface.boundary_components()) == 2
+    assert len(s3.census.boundary) == 2
     arcs = s3.boundary_arcs()
     assert all(len(v) == 1 and not v[0].get("circle") for v in arcs.values())
 
@@ -538,7 +538,8 @@ def test_corner_orbits_partition_and_open_classes_agree(corpus):
             for f in surf.faces:
                 assert all(s.next.prev is s and s.face is f for s in f.sides())
             assert sum(1 for f in surf.faces for _ in f.sides()) == len(sides)
-            classes = surf.corner_classes()
+            open_orbits, closed = surf.corner_classes()
+            classes = sorted(open_orbits + closed, key=builder._min_sid)
             ids = sorted(s.sid for orbit in classes for s in orbit)
             assert ids == [s.sid for s in sides]
             for orbit in classes:
@@ -550,6 +551,104 @@ def test_corner_orbits_partition_and_open_classes_agree(corpus):
                     if o[0].head_pt == pt and o[0].partner is None
                 ]
                 assert [[s.sid for s in o] for o in surf.open_classes_at(pt)] == want
+
+
+def reference_orbit(s):
+    """The corner orbit through s, walked back to a free end and then forward.
+
+    A closed orbit is rotated to its smallest side id.  This is the walk the
+    forward-only ``_Surface.orbit`` replaced.
+    """
+    back = [s]
+    while back[-1].partner is not None:
+        b = back[-1].partner.prev
+        if b is s:
+            closed = back[::-1]
+            m = min(range(len(closed)), key=lambda i: closed[i].sid)
+            return closed[m:] + closed[:m]
+        back.append(b)
+    orbit = back[::-1]
+    cur = s.next.partner
+    while cur is not None:
+        orbit.append(cur)
+        cur = cur.next.partner
+    return orbit
+
+
+def reference_classes(surf):
+    """Every orbit by the reference walk, sorted by smallest side id."""
+    seen, classes = set(), []
+    for s in surf.sides():
+        if s.sid not in seen:
+            classes.append(reference_orbit(s))
+            seen.update(c.sid for c in classes[-1])
+    return classes
+
+
+def ids(orbits):
+    return [[s.sid for s in o] for o in orbits]
+
+
+def orbit_mismatches(built):
+    """How the orbit queries of ``built``'s complex depart from the reference walk."""
+    surf = built.surface
+    ref = reference_classes(surf)
+    ref_open = [o for o in ref if o[0].partner is None]
+    open_orbits, closed = surf.corner_classes()
+    found = []
+    if ids(open_orbits) != ids(sorted(ref_open, key=lambda o: o[0].sid)):
+        found.append("open classes")
+    if ids(closed) != ids(o for o in ref if o[0].partner is not None):
+        found.append("closed classes")
+    for pt in {s.head_pt for s in surf.sides()}:
+        if ids(surf.open_classes_at(pt)) != ids(o for o in ref_open if o[0].head_pt == pt):
+            found.append(f"open classes at {pt}")
+    corners = (o for o in ref_open if len(o) % 2 and o[0].head_pt[0] == "v")
+    if ids(surf.corner_orbits()) != ids(corners):
+        found.append("corner orbits")
+    return found
+
+
+def test_orbit_walk_matches_the_back_walk_reference(corpus):
+    from test_generated import GRIND_DIAGRAMS
+
+    stages = 0
+    for d in list(corpus.values()) + GRIND_DIAGRAMS:
+        for built in stage_surfaces(d):
+            assert orbit_mismatches(built) == [], (d, built.stage, built.domain)
+            stages += 1
+    assert stages > 5000
+
+
+def one_pass_classes(surf):
+    """A seeded mutant of ``corner_classes``: one walk from each unseen side
+    in id order, with no first step over the free sides."""
+    seen, classes = set(), []
+    for s in surf.sides():
+        if s.sid not in seen:
+            classes.append(surf.orbit(s))
+            seen.update(c.sid for c in classes[-1])
+    return classes
+
+
+def test_an_orbit_walked_from_inside_an_open_chain_raises(corpus):
+    rng = random.Random(1001)
+    walked = mutant_raised = 0
+    for d in corpus.values():
+        for built in stage_surfaces(d, limit=1):
+            surf = built.surface
+            middles = [s for o in surf.corner_classes()[0] for s in o[1:]]
+            for s in rng.sample(middles, min(3, len(middles))):
+                with pytest.raises(BuilderError, match="inside an open chain"):
+                    surf.orbit(s)
+                walked += 1
+            # an open chain met first at a glued side is an error, never a
+            # part of the chain returned as if it were closed
+            try:
+                one_pass_classes(surf)
+            except BuilderError:
+                mutant_raised += 1
+    assert walked > 3000 and mutant_raised > 1000
 
 
 def test_stage_transformers_take_over_the_complex(monkeypatch, genus2):
@@ -624,7 +723,7 @@ def test_census_counts_the_cells_and_outlives_the_stage(corpus):
             sides = list(surf.sides())
             free = sum(1 for s in sides if s.partner is None)
             edges = (len(sides) - free) // 2 + free  # glued pairs + free sides
-            cells = len(surf.corner_classes()) - edges + len(surf.faces)
+            cells = sum(map(len, surf.corner_classes())) - edges + len(surf.faces)
             fresh = BuiltSurface(built.stage, d, built.domain, surf, built.x, built.y)
             values = stage_values(built)
             assert values[0] == cells + len(surf.degenerate_disks)
@@ -632,6 +731,52 @@ def test_census_counts_the_cells_and_outlives_the_stage(corpus):
             kept.append((built, values))
         # every stage was read before the next one was made from its complex
         assert all(stage_values(built) == values for built, values in kept)
+
+
+def census_view(c):
+    boundary = [[([s.sid for s in o], corner) for o, corner in comp] for comp in c.boundary]
+    disks = [(k.vertex, k.alpha_curve, k.beta_curve) for k in c.disks]
+    return c.chi, boundary, disks, c.branch_marks
+
+
+def stale_s3_censuses(monkeypatch, corpus, keep_first_round=False):
+    """(builds, [circles spliced in each build whose S3 census is stale]).
+
+    The builds are those of ``check``: every positive domain at box 3.  An
+    S3 census is stale when it differs from a fresh census of the complex
+    S3 returns.  With ``keep_first_round`` the S3 stage is handed the
+    census of the first splice round instead of the last.
+    """
+    made = []
+    real_census = builder._Census
+    monkeypatch.setattr(builder, "_Census", lambda surf: made.append(real_census(surf)) or made[-1])
+    builds, stale = 0, []
+    for d in corpus.values():
+        gens = enumerate_generators(d)
+        for x, y in itertools.product(gens, gens):
+            for a in find_domains(d, x, y, 3):
+                s2 = add_degenerate_corners(cut_bad_corners(glue_copies(d, a)), x, y)
+                made.clear()
+                s3 = splice_boundary_circles(s2)
+                assert "census" in s3.__dict__  # handed over, not taken again
+                if keep_first_round:
+                    s3.census = made[0]
+                builds += 1
+                if census_view(s3.census) != census_view(real_census(s3.surface)):
+                    stale.append(len(made) - 1)
+    return builds, stale
+
+
+def test_the_s3_census_is_the_census_of_the_returned_complex(monkeypatch, corpus):
+    assert stale_s3_censuses(monkeypatch, corpus) == (1068, [])
+
+
+def test_stale_census_check_catches_the_first_round_census(monkeypatch, corpus):
+    builds, stale = stale_s3_censuses(monkeypatch, corpus, keep_first_round=True)
+    # caught on every build that splices, and only there: 36 builds, with
+    # the 62 circles the traced ``check`` census counts
+    assert builds == 1068 and len(stale) == 36 and sum(stale) == 62
+    assert min(stale) >= 1
 
 
 def test_builder_suite_catches_a_chi_parity_breach(monkeypatch, torus3):
