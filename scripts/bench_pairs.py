@@ -4,9 +4,18 @@ Given two checkouts of the repository, the parent commit and the change,
 this runs ``perfbench/run.py`` in each for every workload that the
 change's ``BENCHMARK.json`` declares, for its ``run_seconds``: ``--pairs``
 untraced pairs, the side that goes first alternating from pair to pair,
-then one traced run per side.  It writes the medians and quartiles of
-every end-to-end metric, the seeds, the run order, the failed operations
-and the chosen traced per-layer values, in the schema of ``BENCH_7.json``.
+then three traced pairs on the seeds from ``--traced-seed`` on.  It writes
+the medians and quartiles of every end-to-end metric, the seeds, the run
+order, the failed operations and the median of the three traced runs of
+each chosen per-layer value, in the schema of ``BENCH_7.json``.
+
+Each file is one step of a trajectory.  Its ``chained`` wall_s value per
+workload is the change median over the parent median of this file times
+the ``chained`` value of the ``BENCH_<n-1>.json`` beside it (computed
+from that file's own medians back to ``BENCH_7.json`` where a file has
+none), so it reads as the change's wall_s over that of ``BENCH_7``'s
+parent commit.  Medians of different files are not compared directly:
+probe scaling does not remove drift between sessions.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --out BENCH_8.json --pairs 10 --seed 8101 --traced-seed 8201 \\
@@ -23,6 +32,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -47,6 +57,7 @@ TRACED = (
     "trace.untraced_wall_s",
 )
 SIDES = ("parent", "change")
+TRACED_RUNS = 3
 RUN = "python3 perfbench/run.py --workload <w> --seed {seed} --seconds {seconds} --trace {trace}"
 
 
@@ -111,12 +122,37 @@ def measure(args: argparse.Namespace, workload: str) -> tuple[dict, dict, bool]:
         "failed": failed,
         "metrics": metrics,
     }
-    traced = {"seed": args.traced_seed}
+    traced: dict = {"seeds": [args.traced_seed + k for k in range(TRACED_RUNS)]}
+    runs: dict = {side: [] for side in SIDES}
+    for k, seed in enumerate(traced["seeds"]):
+        for side in SIDES[:: 1 if k % 2 == 0 else -1]:
+            out = run_once(checkouts[side], workload, seed, args.seconds, 1)
+            correct &= bool(out["correct"])
+            runs[side].append(out["metrics"])
     for side in SIDES:
-        out = run_once(checkouts[side], workload, args.traced_seed, args.seconds, 1)
-        correct &= bool(out["correct"])
-        traced[side] = {k: round(out["metrics"][k]["value"], 6) for k in TRACED}
+        traced[side] = {
+            k: round(statistics.median(m[k]["value"] for m in runs[side]), 6) for k in TRACED
+        }
     return record, traced, correct
+
+
+def chained(out: Path, workload: str, ratio: float) -> float:
+    """``ratio`` times the chained wall_s ratio of the file before ``out``.
+
+    The chain starts at the first ``BENCH_<n>.json`` whose predecessor is
+    missing or lacks the workload.
+    """
+    n = re.fullmatch(r"BENCH_(\d+)\.json", out.name)
+    prev = out.with_name(f"BENCH_{int(n[1]) - 1}.json") if n else None
+    if prev is None or not prev.exists():
+        return ratio
+    record = json.loads(prev.read_text())["workloads"].get(workload)
+    if record is None:
+        return ratio
+    wall = record["metrics"]["wall_s"]
+    if "chained" in wall:
+        return wall["chained"] * ratio
+    return chained(prev, workload, wall["change"]["median"] / wall["parent"]["median"]) * ratio
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -141,17 +177,23 @@ def main(argv: list[str] | None = None) -> int:
         "change": args.change_note,
         "parent_commit": args.parent_commit,
         "command": RUN.format(seed="<s>", seconds=f"{args.seconds:g}", trace=0),
-        "traced_command": RUN.format(seed=args.traced_seed, seconds=f"{args.seconds:g}", trace=1),
+        "traced_command": RUN.format(seed="<s>", seconds=f"{args.seconds:g}", trace=1),
         "host": host + "; times are probe-scaled to the reference host speed, traced times raw",
         "statistics": f"median and quartiles (inclusive method) over the {args.pairs} runs of "
         "each side; change_wins counts pairs where the change is lower; median_change is "
-        "change median / parent median - 1",
+        "change median / parent median - 1; wall_s chained is the product of the change / "
+        "parent median ratios of this file and of every BENCH file before it back to "
+        f"BENCH_7; each traced value is the median of {TRACED_RUNS} traced runs per side, "
+        "the side that goes first alternating",
         "workloads": {},
         "traced": {},
     }
     all_correct = True
     for workload in (w["name"] for w in bench["workloads"]):
         record, traced, correct = measure(args, workload)
+        wall = record["metrics"]["wall_s"]
+        ratio = wall["change"]["median"] / wall["parent"]["median"]
+        wall["chained"] = round(chained(args.out, workload, ratio), 4)
         out["workloads"][workload] = record
         out["traced"][workload] = traced
         all_correct &= correct

@@ -130,17 +130,17 @@ def fixpoint_grind(surf):
         if target is None:
             return
         start_free, links, end_free = surf.class_slots(target)
-        fam_start = surf.family(start_free.dart)
-        if fam_start == surf.family(end_free.dart):
+        fam_start = surf.family(start_free)
+        if fam_start == surf.family(end_free):
             raise BuilderError("odd chain with equal end families")
         if fam_start != ALPHA:
             links = list(reversed(links))
         for i in range(0, len(links), 2):
-            if surf.family(links[i].dart) == ALPHA:
+            if surf.family(links[i]) == ALPHA:
                 raise BuilderError("cut scheduled along an alpha link")
             surf.slit_at_tail(links[i])
         guard += 1
-        if guard > 4 * surf._next_sid:
+        if guard > 4 * len(surf.nxt):
             raise BuilderError("bad-corner grinding does not terminate")
 
 
