@@ -7,7 +7,10 @@ untraced pairs, the side that goes first alternating from pair to pair,
 then three traced pairs on the seeds from ``--traced-seed`` on.  It writes
 the medians and quartiles of every end-to-end metric, the seeds, the run
 order, the failed operations and the median of the three traced runs of
-each chosen per-layer value, in the schema of ``BENCH_7.json``.
+each chosen per-layer value, in the schema of ``BENCH_7.json``.  Traced
+times are brought to the probe's reference host speed, as ``run.py``
+brings untraced ones, so that traced runs made at different host speeds
+agree.
 
 Each file is one step of a trajectory.  Its ``chained`` wall_s value per
 workload is the change median over the parent median of this file times
@@ -15,7 +18,7 @@ the ``chained`` value of the ``BENCH_<n-1>.json`` beside it (computed
 from that file's own medians back to ``BENCH_7.json`` where a file has
 none), so it reads as the change's wall_s over that of ``BENCH_7``'s
 parent commit.  Medians of different files are not compared directly:
-probe scaling does not remove drift between sessions.
+probe scaling does not remove drift between runs made days apart.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --out BENCH_8.json --pairs 10 --seed 8101 --traced-seed 8201 \\
@@ -62,7 +65,8 @@ RUN = "python3 perfbench/run.py --workload <w> --seed {seed} --seconds {seconds}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``perfbench/run.py`` process in ``checkout``; its last output line."""
+    """One ``perfbench/run.py`` process in ``checkout``: its last output line,
+    with the line before it, the run's record, under ``"run"``."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
@@ -71,7 +75,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise SystemExit(f"{checkout}: {workload} seed {seed} printed nothing\n{proc.stderr}")
-    return json.loads(lines[-1])
+    return dict(json.loads(lines[-1]), run=json.loads(lines[-2]))
+
+
+def probe_scaled(out: dict) -> dict:
+    """The metrics of one traced run, its times at the probe's reference speed.
+
+    ``run.py`` reports traced times raw and ``trace.untraced_wall_s`` as the
+    untraced passes' median scaled wall over the traced pass's probe scale,
+    so that scale is the median scaled wall over ``trace.untraced_wall_s``.
+    """
+    run, metrics = out["run"], out["metrics"]
+    scaled = [w * f for w, f in zip(run["pass_wall_s"], run["pass_scale"])]
+    scale = statistics.median(scaled) / metrics["trace.untraced_wall_s"]["value"]
+    return {k: m["value"] * (scale if m["unit"] == "s" else 1) for k, m in metrics.items()}
 
 
 def summary(runs: list[float]) -> dict:
@@ -128,11 +145,9 @@ def measure(args: argparse.Namespace, workload: str) -> tuple[dict, dict, bool]:
         for side in SIDES[:: 1 if k % 2 == 0 else -1]:
             out = run_once(checkouts[side], workload, seed, args.seconds, 1)
             correct &= bool(out["correct"])
-            runs[side].append(out["metrics"])
+            runs[side].append(probe_scaled(out))
     for side in SIDES:
-        traced[side] = {
-            k: round(statistics.median(m[k]["value"] for m in runs[side]), 6) for k in TRACED
-        }
+        traced[side] = {k: round(statistics.median(m[k] for m in runs[side]), 6) for k in TRACED}
     return record, traced, correct
 
 
@@ -178,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
         "parent_commit": args.parent_commit,
         "command": RUN.format(seed="<s>", seconds=f"{args.seconds:g}", trace=0),
         "traced_command": RUN.format(seed="<s>", seconds=f"{args.seconds:g}", trace=1),
-        "host": host + "; times are probe-scaled to the reference host speed, traced times raw",
+        "host": host + "; times, traced ones too, are probe-scaled to the reference host speed",
         "statistics": f"median and quartiles (inclusive method) over the {args.pairs} runs of "
         "each side; change_wins counts pairs where the change is lower; median_change is "
         "change median / parent median - 1; wall_s chained is the product of the change / "

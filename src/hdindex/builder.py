@@ -538,11 +538,11 @@ def _s0_template(d: HeegaardDiagram) -> tuple[tuple, tuple]:
 
     ``rings`` holds each region's sides as three columns (darts, tail
     points, head points) in face-tracing order; ``seams`` holds each curve
-    arc as (family, region,
-    position, region', position'), the slots of its forward dart and of
-    the reversed dart across it.  Built on first use and kept on ``d``:
-    diagrams are immutable, so the template never goes stale, and a mirror
-    or a re-parsed diagram is a new instance that builds its own.
+    arc as (family, region, position, region', position'), the slots of its
+    forward dart and of the reversed dart across it.  Built on first use
+    and kept on ``d``: diagrams are immutable, so the template never goes
+    stale, and a mirror or a re-parsed diagram is a new instance that
+    builds its own.
     """
     t = d.__dict__.get("_s0_template")
     if t is None:

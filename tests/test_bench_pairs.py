@@ -43,13 +43,13 @@ def test_traced_values_are_the_median_of_three_alternating_runs(bench_pairs, mon
     def fake_run(checkout, workload, seed, seconds, trace):
         calls.append((checkout, seed, trace))
         value = 10.0 * (checkout == "change") + len(calls)
-        metric = {"value": value, "unit": "s"}
-        return {
-            "correct": True,
-            "failed": 0,
-            "attempted": 5,
-            "metrics": {k: metric for k in bench_pairs.END_TO_END + bench_pairs.TRACED},
-        }
+        metrics = {k: {"value": value, "unit": "s"} for k in bench_pairs.END_TO_END}
+        metrics.update({k: {"value": value, "unit": "count"} for k in bench_pairs.TRACED})
+        # a traced pass at half the reference host speed: its times halve
+        metrics["builder.s0_glue.self_s"] = {"value": value, "unit": "s"}
+        metrics["trace.untraced_wall_s"] = {"value": 4.0, "unit": "s"}
+        run = {"pass_wall_s": [4.0, 4.0, 9.0], "pass_scale": [0.5, 0.5]}
+        return {"correct": True, "failed": 0, "attempted": 5, "metrics": metrics, "run": run}
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     args = argparse.Namespace(
@@ -63,5 +63,6 @@ def test_traced_values_are_the_median_of_three_alternating_runs(bench_pairs, mon
     ]
     # the traced runs are calls 5-10: parent 5, 8, 9 and change 16, 17, 20
     assert traced["seeds"] == [50, 51, 52]
-    assert traced["parent"]["builder.s0_glue.self_s"] == 8
-    assert traced["change"]["builder.s0_glue.self_s"] == 17
+    assert traced["parent"]["builder.s0_glue.self_s"] == 8 / 2
+    assert traced["change"]["builder.s0_glue.self_s"] == 17 / 2
+    assert traced["change"]["domains.connects.calls"] == 17
