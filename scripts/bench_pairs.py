@@ -14,9 +14,9 @@ agree.
 
 Each file is one step of a trajectory.  Its ``chained`` wall_s value per
 workload is the change median over the parent median of this file times
-the ``chained`` value of the ``BENCH_<n-1>.json`` beside it (computed
-from that file's own medians back to ``BENCH_7.json`` where a file has
-none), so it reads as the change's wall_s over that of ``BENCH_7``'s
+the ``chained`` value of the nearest earlier ``BENCH_<m>.json`` beside
+it (computed from that file's own medians back to ``BENCH_7.json`` where
+a file has none), so it reads as the change's wall_s over that of ``BENCH_7``'s
 parent commit.  Medians of different files are not compared directly:
 probe scaling does not remove drift between runs made days apart.
 
@@ -58,6 +58,8 @@ TRACED = (
     "builder.s4_stabilize.self_s",
     "trace.wall_s",
     "trace.untraced_wall_s",
+    "setup.traced_s",
+    "diagram.parse_validate.self_s",
 )
 SIDES = ("parent", "change")
 TRACED_RUNS = 3
@@ -154,12 +156,15 @@ def measure(args: argparse.Namespace, workload: str) -> tuple[dict, dict, bool]:
 def chained(out: Path, workload: str, ratio: float) -> float:
     """``ratio`` times the chained wall_s ratio of the file before ``out``.
 
-    The chain starts at the first ``BENCH_<n>.json`` whose predecessor is
-    missing or lacks the workload.
+    The file before is the nearest earlier ``BENCH_<m>.json`` beside it: a
+    number without a file, a change measured but not merged, is skipped.
+    The chain starts at the first file with no file before it, or whose
+    file before lacks the workload.
     """
     n = re.fullmatch(r"BENCH_(\d+)\.json", out.name)
-    prev = out.with_name(f"BENCH_{int(n[1]) - 1}.json") if n else None
-    if prev is None or not prev.exists():
+    earlier = (out.with_name(f"BENCH_{m}.json") for m in range(int(n[1]) - 1, 0, -1)) if n else ()
+    prev = next((p for p in earlier if p.exists()), None)
+    if prev is None:
         return ratio
     record = json.loads(prev.read_text())["workloads"].get(workload)
     if record is None:

@@ -64,16 +64,18 @@ the next stage has been made, the complex is no longer the stage's own.
 ``stage_contract`` states what stages S3 and S4 guarantee; the builder
 raises ``BuilderError`` when it fails, so a returned surface always
 satisfies it.  The contract, the JSON record, ``delta`` and
-``branched_cover_check`` all read the one census of the stage.
+``branched_cover_check`` all read the one census of the stage: its
+corners and boundary arcs are computed once and shared, and the stage
+keeps its embedded chi, so ``delta`` reuses the contract's.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
 from operator import mul
+from typing import NamedTuple
 
 from hdindex.diagram import ALPHA, BETA, Dart, HeegaardDiagram, components, load_bundled
 from hdindex.domains import (
@@ -99,8 +101,7 @@ class BuilderError(RuntimeError):
     """Internal invariant of the construction failed; indicates a bug."""
 
 
-@dataclass(frozen=True)
-class QuadrantSheet:
+class QuadrantSheet(NamedTuple):
     """Sheet ``level`` of the quadrant at ``vertex`` in rotation ``position``."""
 
     vertex: str
@@ -109,8 +110,7 @@ class QuadrantSheet:
     level: int
 
 
-@dataclass(frozen=True)
-class PreimageChain:
+class PreimageChain(NamedTuple):
     """The quadrant sheets forming one preimage of a crossing."""
 
     vertex: str
@@ -122,8 +122,7 @@ class PreimageChain:
         return len(self.cells)
 
 
-@dataclass
-class _DegenerateDisk:
+class _DegenerateDisk(NamedTuple):
     vertex: str
     alpha_curve: str
     beta_curve: str
@@ -384,7 +383,9 @@ class _Census:
     free sides) / 2, and chi = V - E + F plus the degenerate disks.  Faces,
     disks and branch marks are counted alongside.  The face components
     are counted on first use only (stage S4 and the tests ask for them),
-    so they too must be read before the stage is passed on.  Stage S3
+    so they too must be read before the stage is passed on.  The corners
+    and the boundary arcs are read off the boundary on first use and kept;
+    the contract, the JSON record and any other reader share them.  Stage S3
     takes one census per splice round and hands the last one, which found
     no circle to splice, to the stage it returns.
     """
@@ -404,6 +405,42 @@ class _Census:
     @functools.cached_property
     def components(self) -> int:
         return len(self.surface.face_components()) + len(self.disks)
+
+    @functools.cached_property
+    def corners(self) -> list[tuple[str, int]]:
+        """(vertex, chain length) of the surface corners, plus degenerate disks.
+
+        A corner is an open vertex class of odd length; after the cutting
+        stage every odd class has length one.  Each symbolic degenerate disk
+        contributes two corners at its vertex.
+        """
+        head = self.surface.head
+        out = [(head[o[0]][1], len(o)) for comp in self.boundary for o, corner in comp if corner]
+        return sorted(out + [(disk.vertex, 1) for disk in self.disks] * 2)
+
+    @functools.cached_property
+    def boundary_arcs(self) -> dict[str, list[dict]]:
+        """Maximal boundary arcs per curve, split at the surface corners."""
+        arcs: dict[str, list[dict]] = {name: [] for name in self.surface.curve_family}
+        dart = self.surface.dart
+        for comp in self.boundary:
+            # the curves of the free sides in runs that each end at a
+            # corner, from just after the first one; a cornerless circle is
+            # one run
+            first = next((i + 1 for i, (_, corner) in enumerate(comp) if corner), 0)
+            runs: list[list[str]] = [[]]
+            for o, corner in comp[first:] + comp[:first]:
+                runs[-1].append(dart[o[0]].curve)
+                if corner:
+                    runs.append([])
+            for run in runs[:-1] if first else runs:
+                if len(set(run)) != 1:
+                    raise BuilderError("boundary arc crosses curves without a corner")
+                arcs[run[0]].append({"sides": len(run), "circle": not first})
+        for disk in self.disks:
+            arcs[disk.alpha_curve].append({"sides": 1, "circle": False, "degenerate": True})
+            arcs[disk.beta_curve].append({"sides": 1, "circle": False, "degenerate": True})
+        return arcs
 
 
 class BuiltSurface:
@@ -451,48 +488,26 @@ class BuiltSurface:
         return Domain(tuple(counts))
 
     def corners(self) -> list[tuple[str, int]]:
-        """(vertex, chain length) of the surface corners, plus degenerate disks.
-
-        A corner is an open vertex class of odd length; after the cutting
-        stage every odd class has length one.  Each symbolic degenerate disk
-        contributes two corners at its vertex.
-        """
-        c, head = self.census, self.surface.head
-        out = [(head[o[0]][1], len(o)) for comp in c.boundary for o, corner in comp if corner]
-        return sorted(out + [(disk.vertex, 1) for disk in c.disks] * 2)
+        """The census's surface corners (``_Census.corners``); do not change it."""
+        return self.census.corners
 
     def boundary_arcs(self) -> dict[str, list[dict]]:
-        """Maximal boundary arcs per curve, split at the surface corners."""
-        arcs: dict[str, list[dict]] = {name: [] for name in self.diagram.curve_vertices}
-        dart = self.surface.dart
-        for comp in self.census.boundary:
-            # the curves of the free sides in runs that each end at a
-            # corner, from just after the first one; a cornerless circle is
-            # one run
-            first = next((i + 1 for i, (_, corner) in enumerate(comp) if corner), 0)
-            runs: list[list[str]] = [[]]
-            for o, corner in comp[first:] + comp[:first]:
-                runs[-1].append(dart[o[0]].curve)
-                if corner:
-                    runs.append([])
-            for run in runs[:-1] if first else runs:
-                if len(set(run)) != 1:
-                    raise BuilderError("boundary arc crosses curves without a corner")
-                arcs[run[0]].append({"sides": len(run), "circle": not first})
-        for disk in self.census.disks:
-            arcs[disk.alpha_curve].append({"sides": 1, "circle": False, "degenerate": True})
-            arcs[disk.beta_curve].append({"sides": 1, "circle": False, "degenerate": True})
-        return arcs
+        """The census's boundary arcs (``_Census.boundary_arcs``); do not change them."""
+        return self.census.boundary_arcs
 
     def component_count(self) -> int:
         return self.census.components
+
+    @functools.cached_property
+    def chi_emb(self) -> Fraction:
+        """The embedded chi g - n_x - n_y + e of the class; the S3 contract sets it."""
+        return embedded_euler_char(self.diagram, self.domain, self.x, self.y)
 
     def delta(self) -> Fraction:
         """Implied double-point excess (chi - chi_emb)/2 of the class."""
         if self.x is None or self.y is None:
             raise PreconditionError("delta needs the generator pair")
-        chi_emb = embedded_euler_char(self.diagram, self.domain, self.x, self.y)
-        return Fraction(self.chi - chi_emb, 2)
+        return Fraction(self.chi - self.chi_emb, 2)
 
     def to_json_dict(self) -> dict:
         d: dict = {
@@ -910,7 +925,9 @@ def stage_contract(built: BuiltSurface) -> list[str]:
     for curve, arcs in built.boundary_arcs().items():
         if len(arcs) != 1 or arcs[0].get("circle"):
             problems.append(f"boundary over {curve} is not one arc")
-    if (built.chi - embedded_euler_char(d, built.domain, built.x, built.y)) % 2:
+    # taken afresh, since this is the check, and kept for ``delta``
+    built.chi_emb = embedded_euler_char(d, built.domain, built.x, built.y)
+    if (built.chi - built.chi_emb) % 2:
         problems.append("chi parity differs from the embedded chi")
     return problems
 

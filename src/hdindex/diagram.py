@@ -18,9 +18,8 @@ Orientation conventions (fixed once, globally):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 ALPHA = "alpha"
 BETA = "beta"
@@ -42,8 +41,7 @@ class DiagramError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Dart:
+class Dart(NamedTuple):
     """One of the four edge-germs at a crossing.
 
     ``forward`` means the dart leaves ``vertex`` in the direction the curve
@@ -60,8 +58,7 @@ class Dart:
         return f"{self.vertex}{arrow}{self.curve}"
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """A face of the traced surface: a disk with ``corner_count`` corners."""
 
     index: int
@@ -76,8 +73,7 @@ class Region:
         return f"r{self.index}"
 
 
-@dataclass(frozen=True)
-class Quadrant:
+class Quadrant(NamedTuple):
     """One of the four sectors at a vertex, in rotation order."""
 
     vertex: str
@@ -85,8 +81,7 @@ class Quadrant:
     position: int  # 0..3, counterclockwise from the alpha-forward dart
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     message: str
 

@@ -28,14 +28,12 @@ holds the alpha block only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from hdindex.diagram import ALPHA, BETA, DiagramError, HeegaardDiagram
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(NamedTuple):
     """Integer coefficients on the regions, in canonical region order."""
 
     coeffs: tuple[int, ...]
@@ -87,8 +85,7 @@ class Domain:
         return Domain(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """One intersection point per alpha curve, forming a matching with the betas."""
 
     points: tuple[str, ...]  # indexed by alpha-curve position
@@ -104,8 +101,7 @@ class Generator:
         return g
 
 
-@dataclass(frozen=True)
-class BoundaryChain:
+class BoundaryChain(NamedTuple):
     """Per-edge coefficients of the boundary of a domain, split by family.
 
     Keys are (curve name, edge index); edge i runs from the curve's i-th
@@ -217,29 +213,21 @@ def sigma_class(d: HeegaardDiagram) -> Domain:
 
 
 def enumerate_generators(d: HeegaardDiagram) -> list[Generator]:
-    """All matchings, by backtracking over alpha curves in canonical order."""
-    n = len(d.alpha)
-    out: list[Generator] = []
-    chosen: list[str] = []
-    used_beta: set[str] = set()
+    """All matchings, in lexicographic order over the alpha curves' vertex lists.
 
-    def rec(i: int) -> None:
-        if i == n:
-            out.append(Generator(tuple(chosen)))
-            return
-        _, vs = d.alpha[i]
-        for v in vs:
-            bname = d.vertex_beta[v][0]
-            if bname in used_beta:
-                continue
-            chosen.append(v)
-            used_beta.add(bname)
-            rec(i + 1)
-            chosen.pop()
-            used_beta.discard(bname)
-
-    rec(0)
-    return out
+    The partial matchings are extended one alpha curve at a time, each by
+    every vertex whose beta curve it does not use yet.
+    """
+    beta_of = {v: curve for v, (curve, _) in d.vertex_beta.items()}
+    partial: list[tuple[tuple[str, ...], frozenset[str]]] = [((), frozenset())]
+    for _, vs in d.alpha:
+        partial = [
+            (points + (v,), used | {beta_of[v]})
+            for points, used in partial
+            for v in vs
+            if beta_of[v] not in used
+        ]
+    return [Generator(points) for points, _ in partial]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +364,7 @@ class _Lattice(NamedTuple):
     holds the points of the generators already validated on this diagram:
     at most all of them, and never an invalid one, since
     ``check_generator`` raises first.  It is keyed by the points tuple,
-    whose hash is cheaper than the dataclass's.
+    one tuple level less to hash than the generator.
     """
 
     columns: tuple[tuple[tuple[int, int], ...], ...]
@@ -457,26 +445,20 @@ def find_domains(
     hi = max_coeff
     pivots = [next(c for c in range(nreg) if vec[c] != 0) for vec in basis]
 
-    results: set[tuple[int, ...]] = set()
-
-    def rec(i: int, current: list[int]) -> None:
-        if i == len(basis):
-            if all(lo <= c <= hi for c in current):
-                results.add(tuple(current))
-            return
-        vec, pc = basis[i], pivots[i]
-        # Rows after i have later pivots, hence zeros at column pc, so the
-        # pivot coordinate is final once t is chosen: bracketing it inside
-        # the box is sound and complete.  Pivots are positive.
+    points = [x0]
+    for vec, pc in zip(basis, pivots):
+        # Later basis rows have later pivots, hence zeros at column pc, so
+        # the pivot coordinate is final once t is chosen: bracketing it
+        # inside the box is sound and complete.  Pivots are positive.
         step = vec[pc]
-        base = current[pc]
-        t_min = -((base - lo) // step)
-        t_max = (hi - base) // step
-        for t in range(t_min, t_max + 1):
-            rec(i + 1, [c + t * v for c, v in zip(current, vec)])
-
-    rec(0, x0)
-    doms = [Domain(c) for c in sorted(results)]
+        points = [
+            [c + t * v for c, v in zip(current, vec)]
+            for current in points
+            for t in range(-((current[pc] - lo) // step), (hi - current[pc]) // step + 1)
+        ]
+    # the basis is independent, so the points are distinct
+    inside = sorted(p for p in points if lo <= min(p) and max(p) <= hi)
+    doms = [Domain(tuple(p)) for p in inside]
     return [a for a in doms if connects(d, a, x, y)]
 
 

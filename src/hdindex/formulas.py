@@ -23,16 +23,15 @@ integer sums 4e, 4n_x and 4n_y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from hdindex.diagram import DiagramError, HeegaardDiagram
 from hdindex.domains import Domain, Generator, check_generator, connects
 from hdindex.domains import _check_domain, _lattice
 
 
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(NamedTuple):
     """The index quantities of one (domain, generator pair) triple."""
 
     g: int

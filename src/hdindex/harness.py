@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 
 from hdindex.diagram import HeegaardDiagram, load_bundled, validate_diagram
 from hdindex.domains import (
@@ -55,12 +54,22 @@ BUNDLED_DIAGRAMS = (
 )
 
 
-@dataclass
 class SuiteResult:
-    suite: str
-    cases: int = 0
-    failures: list[dict] = field(default_factory=list)
-    elapsed: float = 0.0
+    """One suite's case count, failure records and time, filled in as it runs."""
+
+    __slots__ = ("suite", "cases", "failures", "elapsed")
+
+    def __init__(
+        self,
+        suite: str,
+        cases: int = 0,
+        failures: list[dict] | None = None,
+        elapsed: float = 0.0,
+    ):
+        self.suite = suite
+        self.cases = cases
+        self.failures = [] if failures is None else failures
+        self.elapsed = elapsed
 
     @property
     def ok(self) -> bool:

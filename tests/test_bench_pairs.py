@@ -35,6 +35,8 @@ def test_chained_ratio_multiplies_back_to_the_first_file(bench_pairs, tmp_path):
     # a workload the file before does not have starts its chain here
     assert bench_pairs.chained(out, "check", 0.9) == 0.9
     assert bench_pairs.chained(tmp_path / "BENCH_7.json", "surfaces", 0.5) == 0.5
+    # a number without a file is skipped: BENCH_11 chains on to BENCH_9
+    assert bench_pairs.chained(tmp_path / "BENCH_11.json", "surfaces", 0.9) == pytest.approx(0.225)
 
 
 def test_traced_values_are_the_median_of_three_alternating_runs(bench_pairs, monkeypatch):

@@ -753,7 +753,7 @@ def test_every_s4_corner_is_a_right_angle(corpus):
 def test_builds_leave_no_cyclic_garbage(corpus):
     # the complex is integer lists, so every dropped stage is freed by
     # reference counting alone and the collector finds nothing (the solve
-    # makes cycles of its own, so the cases are solved first)
+    # is kept out of it: ``test_solves_leave_no_cyclic_garbage`` covers it)
     cases = [(d, *case) for d in corpus.values() for case in stage_cases(d)]
     gc.collect()
     gc.disable()
@@ -911,6 +911,28 @@ def test_stale_census_check_catches_the_first_round_census(monkeypatch, corpus):
     # the 62 circles the traced ``check`` census counts
     assert builds == 1068 and len(stale) == 36 and sum(stale) == 62
     assert min(stale) >= 1
+
+
+def test_a_stage_computes_corners_arcs_and_embedded_chi_once(monkeypatch, genus2):
+    # the contract, the JSON record and ``delta`` share one computation of
+    # each: a recorded build takes its embedded chi once, in the contract,
+    # and a recorded S4 once more, for the class plus the surface class
+    a, x, y = example1_data(genus2)
+    calls = []
+    real = builder.embedded_euler_char
+    monkeypatch.setattr(builder, "embedded_euler_char", lambda *args: calls.append(1) or real(*args))
+    s3 = build_surface(genus2, a, x, y)
+    record = s3.to_json_dict()
+    assert s3.corners() is s3.corners() and s3.boundary_arcs() is s3.boundary_arcs()
+    assert len(calls) == 1 and s3.chi_emb == real(genus2, a, x, y)
+    assert record["delta"] == str((s3.chi - s3.chi_emb) / 2)
+    assert record["corners"] == [{"vertex": v, "length": n} for v, n in s3.corners()]
+    assert record["boundary_arcs"] == dict(sorted(s3.boundary_arcs().items()))
+    del calls[:]
+    s4 = stabilized_surface(genus2, a, x, y)
+    s4.to_json_dict()
+    # the S3 contract's, then the S4 class's for ``delta``
+    assert len(calls) == 2 and s4.chi_emb == real(genus2, a + sigma_class(genus2), x, y)
 
 
 def test_builder_suite_catches_a_chi_parity_breach(monkeypatch, torus3):

@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 from itertools import product
@@ -256,6 +257,38 @@ def test_enumerate_generators(corpus, torus2, torus3, genus2):
         # one point per alpha curve, distinct beta curves
         betas = {genus2.vertex_beta[v][0] for v in g.points}
         assert len(betas) == len(genus2.beta)
+
+
+def test_enumerate_generators_in_lexicographic_order(corpus):
+    # the alpha curves' vertex lists, taken in order, with each beta curve
+    # used once: the order of a backtracking search over the alpha curves
+    for d in corpus.values():
+        want = [
+            points
+            for points in product(*(vs for _, vs in d.alpha))
+            if len({d.vertex_beta[v][0] for v in points}) == len(points)
+        ]
+        assert [g.points for g in enumerate_generators(d)] == want
+
+
+def test_solves_leave_no_cyclic_garbage(corpus):
+    # every generator pair of the corpus at box 2, with the generators
+    # enumerated inside: reference counting alone frees everything
+    gc.collect()
+    gc.disable()
+    try:
+        solves = 0
+        for d in corpus.values():
+            gens = enumerate_generators(d)
+            for x in gens:
+                for y in gens:
+                    find_domains(d, x, y, 2)
+                    find_domains(d, x, y, 2, positive_only=False)
+                    solves += 1
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert solves == 863 and unreachable == 0
 
 
 def test_find_domains_matches_brute_force(torus2, torus3):
