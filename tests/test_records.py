@@ -81,7 +81,9 @@ RECORDS = [
 ]
 
 
-@pytest.mark.parametrize("record, again, fields, text", RECORDS, ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize(
+    "record, again, fields, text", RECORDS, ids=[type(r[0]).__name__ for r in RECORDS]
+)
 def test_record_hash_eq_immutability_and_repr(record, again, fields, text):
     values = tuple(getattr(record, f) for f in fields)
     assert hash(record) == hash(values)
