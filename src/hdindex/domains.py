@@ -10,12 +10,14 @@ M is factored once per diagram, exactly and in integers: the row-echelon
 form of [M^T | I] is [H | U], so U . M^T = H with U unimodular, and the
 rows of U beside the vanishing rows of H are a Hermite-normal-form basis
 of the periodic lattice ker M.  The factorization is cached on the diagram
-instance.  Enumeration of connecting domains is then an integral
-particular solution by forward substitution on H, plus the kernel basis
-walked exhaustively inside the coefficient box.  ``connects`` is one
-product with M over the domain's nonzero coefficients, read column by
-column, with x - y added in place; each generator is validated once per
-diagram.
+instance.  Each generator x is reduced once per diagram, by forward
+substitution on H: its point vector leaves a canonical residue modulo
+im M, its class key, and a potential a(x) with M . a(x) = x - key.  A
+domain from x to y exists exactly when the two keys are equal, and then
+a(y) - a(x) is an integral particular solution; the kernel basis is
+walked exhaustively from it inside the coefficient box.  ``connects`` is
+one product with M over the domain's nonzero coefficients, read column by
+column, with x - y added in place.
 
 Sign convention (fixed): with the counterclockwise surface orientation an
 edge oriented along its curve's listed direction gets the coefficient
@@ -179,28 +181,12 @@ def connects(d: HeegaardDiagram, a: Domain, x: Generator, y: Generator) -> bool:
     """
     lat = _checked_lattice(d, x, y)
     _check_domain(d, a)
-    out = _target_vector(lat, y, x)
+    out = _target_vector(lat, y.points, x.points)
     for column, c in zip(lat.columns, a.coeffs):
         if c:
             for v, k in column:
                 out[v] += k * c
     return not any(out)
-
-
-def compose(
-    d: HeegaardDiagram,
-    a: Domain,
-    x: Generator,
-    y: Generator,
-    b: Domain,
-    z: Generator,
-) -> Domain:
-    """Sum of a in pi2(x,y) and b in pi2(y,z); the result lies in pi2(x,z)."""
-    if not connects(d, a, x, y):
-        raise DiagramError("first domain does not connect x to y")
-    if not connects(d, b, y, z):
-        raise DiagramError("second domain does not connect y to z")
-    return a + b
 
 
 def is_positive(a: Domain) -> bool:
@@ -254,12 +240,14 @@ def _boundary_matrix(d: HeegaardDiagram) -> list[list[int]]:
     return rows
 
 
-def _target_vector(lat: "_Lattice", x: Generator, y: Generator) -> list[int]:
-    """M . A for A from x to y: y - x."""
+def _target_vector(
+    lat: "_Lattice", x: tuple[str, ...], y: tuple[str, ...]
+) -> list[int]:
+    """M . A for A from the points x to the points y: y - x."""
     out = [0] * len(lat.vertex_index)
-    for v in y.points:
+    for v in y:
         out[lat.vertex_index[v]] += 1
-    for v in x.points:
+    for v in x:
         out[lat.vertex_index[v]] -= 1
     return out
 
@@ -309,8 +297,9 @@ class _Factorization(NamedTuple):
     ``unimodular`` the rows of U (the first ``len(echelon)`` match them)
     and ``kernel`` the rest, the rows whose H part vanished: the Hermite
     normal form of ker M, positive pivots and reduced above them.  Since
-    M . (sum z_i U_i) = sum z_i H_i, solving M a = t is forward
-    substitution on H.
+    M . (sum z_i U_i) = sum z_i H_i and the rows of H span im M, forward
+    substitution on H reduces a vector modulo im M (``reduce``) and solves
+    M a = t when it can (``solve``).
     """
 
     echelon: tuple[tuple[int, tuple[int, ...]], ...]
@@ -334,23 +323,44 @@ class _Factorization(NamedTuple):
         unimodular = tuple(tuple(r[nrows:]) for r in reduced)
         return _Factorization(echelon, unimodular, unimodular[len(echelon) :])
 
-    def solve(self, target: list[int]) -> list[int] | None:
-        """One integer solution of M a = target, or None if there is none.
+    def reduce(self, target: list[int]) -> tuple[list[int], list[int]]:
+        """The residue of ``target`` modulo im M, and a with M a = target - residue.
 
-        The coefficients z_i of the H rows are forced pivot by pivot; a
-        pivot that does not divide its residue, or a residue left over once
-        every pivot is used, means no integer solution exists.
+        The coefficient z_i of each H row is the floor quotient at its
+        pivot, so every pivot coordinate of the residue ends in [0, h),
+        h the pivot; later rows vanish at earlier pivots, so it stays
+        there.  The residue is canonical: two vectors that differ by a
+        nonzero sum z_i H_i differ, at the pivot of the first i with
+        z_i != 0, by a nonzero multiple of its pivot, so at most one of
+        them is reduced.
         """
         residue = list(target)
         a = [0] * len(self.unimodular)
         for (pc, h), u in zip(self.echelon, self.unimodular):
-            z, rem = divmod(residue[pc], h[pc])
-            if rem:
-                return None
+            z = residue[pc] // h[pc]
             if z:
                 residue = [r - z * c for r, c in zip(residue, h)]
                 a = [x + z * c for x, c in zip(a, u)]
+        return residue, a
+
+    def solve(self, target: list[int]) -> list[int] | None:
+        """One integer solution of M a = target, or None if there is none:
+        the target lies in im M exactly when its residue is zero."""
+        residue, a = self.reduce(target)
         return None if any(residue) else a
+
+
+class _GeneratorRecord(NamedTuple):
+    """What the solver and the formulas read of one valid generator x.
+
+    ``key`` is x's point vector reduced modulo im M (its class key),
+    ``potential`` the a(x) with M . a(x) = x - key, and ``regions`` the
+    quadrant regions of x's points, four per point, flattened.
+    """
+
+    key: tuple[int, ...]
+    potential: tuple[int, ...]
+    regions: tuple[int, ...]
 
 
 class _Lattice(NamedTuple):
@@ -361,8 +371,8 @@ class _Lattice(NamedTuple):
     vertex name to its row; ``factorization`` factors the matrix;
     ``euler_weights`` is 4 - corners per region and ``quadrants`` the four
     quadrant regions at each vertex, in rotation order.  ``generators``
-    holds the points of the generators already validated on this diagram:
-    at most all of them, and never an invalid one, since
+    maps the points of each generator already validated on this diagram
+    to its record: at most all of them, and never an invalid one, since
     ``check_generator`` raises first.  It is keyed by the points tuple,
     one tuple level less to hash than the generator.
     """
@@ -372,7 +382,7 @@ class _Lattice(NamedTuple):
     factorization: _Factorization
     euler_weights: tuple[int, ...]
     quadrants: Mapping[str, tuple[int, ...]]
-    generators: set[tuple[str, ...]]
+    generators: dict[tuple[str, ...], _GeneratorRecord]
 
 
 def _lattice(d: HeegaardDiagram) -> _Lattice:
@@ -390,18 +400,22 @@ def _lattice(d: HeegaardDiagram) -> _Lattice:
             _Factorization.of(rows, len(d.regions)),
             tuple(4 - r.corner_count for r in d.regions),
             {v: tuple(d.face_of[dart] for dart in d.rotation[v]) for v in d.vertices},
-            set(),
+            {},
         )
     return lat
 
 
 def _checked_lattice(d: HeegaardDiagram, x: Generator, y: Generator) -> _Lattice:
-    """The diagram's integer data, once x and y are valid generators of d."""
+    """The diagram's integer data, once x and y are valid generators of d
+    and each has its record."""
     lat = _lattice(d)
+    records = lat.generators
     for g in (x, y):
-        if g.points not in lat.generators:
+        if g.points not in records:
             check_generator(d, g)
-            lat.generators.add(g.points)
+            residue, a = lat.factorization.reduce(_target_vector(lat, (), g.points))
+            regions = tuple(r for v in g.points for r in lat.quadrants[v])
+            records[g.points] = _GeneratorRecord(tuple(residue), tuple(a), regions)
     return lat
 
 
@@ -423,12 +437,13 @@ def find_domains(
     """All domains connecting x to y with coefficients in the given box.
 
     The box is 0..max_coeff when positive_only, else -max_coeff..max_coeff.
-    The connecting domains form a coset of the periodic lattice: an integral
-    particular solution, read off the diagram's cached integer
-    factorization by forward substitution, plus the Hermite-normal-form
-    kernel basis.  The coset is walked exhaustively inside the box: the
-    echelonized basis gives each multiplier a finite pivot-driven range,
-    an over-approximation that the final membership filter tightens.  Any
+    The connecting domains form a coset of the periodic lattice.  It is
+    empty unless x and y have the same class key, and then a(y) - a(x),
+    read off the two generators' records, is an integral particular
+    solution; the Hermite-normal-form kernel basis spans the rest.  The
+    coset is walked exhaustively inside the box: the echelonized basis
+    gives each multiplier a finite pivot-driven range, an
+    over-approximation that the final membership filter tightens.  Any
     integral particular solution gives the same coset, hence the same
     results, sorted lexicographically in canonical region order.
     """
@@ -436,11 +451,11 @@ def find_domains(
         raise ValueError("max_coeff must be >= 0")
     lat = _checked_lattice(d, x, y)
     nreg = len(d.regions)
-    factorization = lat.factorization
-    x0 = factorization.solve(_target_vector(lat, x, y))
-    if x0 is None:
+    rx, ry = lat.generators[x.points], lat.generators[y.points]
+    if rx.key != ry.key:
         return []
-    basis = factorization.kernel
+    x0 = [b - a for a, b in zip(rx.potential, ry.potential)]
+    basis = lat.factorization.kernel
     lo = 0 if positive_only else -max_coeff
     hi = max_coeff
     pivots = [next(c for c in range(nreg) if vec[c] != 0) for vec in basis]

@@ -8,27 +8,30 @@ no floating point enters anywhere.  The quantities:
 * ``generator_multiplicity``   n_x(A) = sum over the tuple,
 * ``maslov_index``       mu(A) = e + n_x + n_y,
 * ``embedded_euler_char`` chi  = g - n_x - n_y + e,
-* ``chi_with_double_points``   chi + 2(d_plus - d_minus),
 * ``analytic_index``     g - chi(S) + 2 e(A); taken at chi(S) = chi_emb it is
   mu by algebra alone, so ``hdindex check`` does not use it,
 * ``branch_budget``      g - chi(S)  (a g-fold cover of the disk).
 
 Regions traced from a diagram are disks with right-angle corners, so the
 Euler measure needs no obtuse-corner correction term.  Both sums over 4
-are taken in integers, from per-diagram tables (4 - c_i per region, the
-quadrant regions per vertex) cached with the boundary factorization; the
-index formulas check their inputs once and build each result from the
-integer sums 4e, 4n_x and 4n_y.
+are taken in integers, from tables cached with the boundary factorization:
+4 - c_i per region, the quadrant regions per vertex, and each validated
+generator's record, which holds its points' quadrant regions flattened.
+The index formulas check their inputs once, through the same validation
+that makes the records, and build each result from the integer sums 4e,
+4n_x and 4n_y; the quarters are shared from one bounded cache.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from hdindex.diagram import DiagramError, HeegaardDiagram
-from hdindex.domains import Domain, Generator, check_generator, connects
-from hdindex.domains import _check_domain, _lattice
+from hdindex.domains import Domain, Generator, connects
+from hdindex.domains import _check_domain, _checked_lattice, _lattice
 
 
 class IndexReport(NamedTuple):
@@ -56,15 +59,16 @@ class IndexReport(NamedTuple):
         return "\n".join(f"{k} = {v}" for k, v in self.as_dict().items())
 
 
+@lru_cache(maxsize=1024)
+def _quarter(n: int) -> Fraction:
+    """n / 4; the few distinct values a corpus produces are built once."""
+    return Fraction(n, 4)
+
+
 def euler_measure(d: HeegaardDiagram, a: Domain) -> Fraction:
     """e(A): each region contributes coefficient times (1 - corners/4)."""
     _check_domain(d, a)
-    return Fraction(_quarter_euler(d, a), 4)
-
-
-def _quarter_euler(d: HeegaardDiagram, a: Domain) -> int:
-    """4 e(A) = sum of n_i (4 - c_i)."""
-    return sum(w * c for w, c in zip(_lattice(d).euler_weights, a.coeffs))
+    return _quarter(sum(map(mul, _lattice(d).euler_weights, a.coeffs)))
 
 
 def point_multiplicity(d: HeegaardDiagram, a: Domain, v: str) -> Fraction:
@@ -72,21 +76,20 @@ def point_multiplicity(d: HeegaardDiagram, a: Domain, v: str) -> Fraction:
     if v not in d.vertex_alpha:
         raise DiagramError(f"unknown vertex {v!r}")
     _check_domain(d, a)
-    return Fraction(_quarter_multiplicity(d, a, (v,)), 4)
+    return _quarter(_quarter_multiplicity(a, _lattice(d).quadrants[v]))
 
 
 def generator_multiplicity(d: HeegaardDiagram, a: Domain, x: Generator) -> Fraction:
     """n_x(A): the sum of the point multiplicities over the tuple."""
-    check_generator(d, x)
+    lat = _checked_lattice(d, x, x)
     _check_domain(d, a)
-    return Fraction(_quarter_multiplicity(d, a, x.points), 4)
+    return _quarter(_quarter_multiplicity(a, lat.generators[x.points].regions))
 
 
-def _quarter_multiplicity(d: HeegaardDiagram, a: Domain, points: tuple[str, ...]) -> int:
-    """4 n_p(A) summed over ``points``: A's coefficients on their quadrants."""
-    quadrants = _lattice(d).quadrants
-    c = a.coeffs
-    return sum(c[r] for v in points for r in quadrants[v])
+def _quarter_multiplicity(a: Domain, regions: tuple[int, ...]) -> int:
+    """4 n_p(A) summed over points with these quadrant regions: A's
+    coefficients on them."""
+    return sum(map(a.coeffs.__getitem__, regions))
 
 
 def maslov_index(
@@ -103,7 +106,7 @@ def maslov_index(
     which is occasionally useful for exploration.
     """
     e, n_x, n_y = _index_sums(d, a, x, y, force)
-    return Fraction(e + n_x + n_y, 4)
+    return _quarter(e + n_x + n_y)
 
 
 def embedded_euler_char(
@@ -115,25 +118,7 @@ def embedded_euler_char(
 ) -> Fraction:
     """chi forced on an embedded representative: g - n_x - n_y + e."""
     e, n_x, n_y = _index_sums(d, a, x, y, force)
-    return Fraction(4 * d.genus - n_x - n_y + e, 4)
-
-
-def chi_with_double_points(
-    d: HeegaardDiagram,
-    a: Domain,
-    x: Generator,
-    y: Generator,
-    d_plus: int,
-    d_minus: int,
-    force: bool = False,
-) -> Fraction:
-    """chi of a representative with signed transverse double points.
-
-    Equals embedded_euler_char plus 2 (d_plus - d_minus).
-    """
-    if d_plus < 0 or d_minus < 0:
-        raise ValueError("double point counts must be nonnegative")
-    return embedded_euler_char(d, a, x, y, force) + 2 * (d_plus - d_minus)
+    return _quarter(4 * d.genus - n_x - n_y + e)
 
 
 def analytic_index(g: int, chi_s: Fraction | int, e: Fraction | int) -> Fraction:
@@ -158,13 +143,14 @@ def index_report(
     force: bool = False,
 ) -> IndexReport:
     e, n_x, n_y = _index_sums(d, a, x, y, force)
+    g = d.genus
     return IndexReport(
-        g=d.genus,
-        e=Fraction(e, 4),
-        n_x=Fraction(n_x, 4),
-        n_y=Fraction(n_y, 4),
-        mu=Fraction(e + n_x + n_y, 4),
-        chi_emb=Fraction(4 * d.genus - n_x - n_y + e, 4),
+        g,
+        _quarter(e),
+        _quarter(n_x),
+        _quarter(n_y),
+        _quarter(e + n_x + n_y),
+        _quarter(4 * g - n_x - n_y + e),
     )
 
 
@@ -175,19 +161,21 @@ def _index_sums(
 
     Without ``force`` the domain must connect x to y; ``connects`` checks
     the generators and the domain on the way.  With ``force`` they are
-    checked directly.
+    checked directly.  Either way both generators then have their records.
     """
     if force:
-        check_generator(d, x)
-        check_generator(d, y)
+        lat = _checked_lattice(d, x, y)
         _check_domain(d, a)
-    elif not connects(d, a, x, y):
+    elif connects(d, a, x, y):
+        lat = _lattice(d)
+    else:
         raise DiagramError(
             f"domain {a.format()} does not connect {x.format()} to {y.format()}"
             " (pass force=True to evaluate anyway)"
         )
+    records = lat.generators
     return (
-        _quarter_euler(d, a),
-        _quarter_multiplicity(d, a, x.points),
-        _quarter_multiplicity(d, a, y.points),
+        sum(map(mul, lat.euler_weights, a.coeffs)),
+        _quarter_multiplicity(a, records[x.points].regions),
+        _quarter_multiplicity(a, records[y.points].regions),
     )

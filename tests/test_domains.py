@@ -13,7 +13,6 @@ from hdindex.domains import (
     _Factorization,
     _lattice,
     boundary_chain,
-    compose,
     connects,
     enumerate_generators,
     find_domains,
@@ -170,7 +169,7 @@ def test_connects_admits_no_invalid_generator(genus2):
                 assert str(err.value) == message
             with pytest.raises(DiagramError, match=re.escape(message)):
                 find_domains(genus2, g, y)
-    assert _lattice(genus2).generators <= {g.points for g in enumerate_generators(genus2)}
+    assert _lattice(genus2).generators.keys() <= {g.points for g in enumerate_generators(genus2)}
     assert connects(genus2, zero, x, x)
     # admitted on genus2_bigons, still checked against each other diagram
     genus3 = load_bundled("genus3_chain.hd")
@@ -226,20 +225,24 @@ def test_connects_trivial_cases(torus2):
 
 
 def test_compose(torus3):
+    # a class from x to y plus one from y to z is a class from x to z
     v0, v2 = Generator(("v0",)), Generator(("v2",))
     bigon = Domain.parse(torus3, "r1:1")
     rest = Domain.parse(torus3, "r0:1,r2:1")
-    total = compose(torus3, bigon, v0, v2, rest, v0)
-    assert total == sigma_class(torus3)
-    with pytest.raises(DiagramError):
-        compose(torus3, bigon, v0, v2, bigon, v0)
+    assert connects(torus3, bigon, v0, v2) and connects(torus3, rest, v2, v0)
+    assert bigon + rest == sigma_class(torus3)
+    assert connects(torus3, bigon + rest, v0, v0)
+    assert not connects(torus3, bigon, v2, v0)
+    assert not connects(torus3, bigon + bigon, v0, v0)
 
 
 def test_compose_rejects_mismatched_middle(torus3):
-    v0, v1, v2 = (Generator((v,)) for v in ("v0", "v1", "v2"))
+    # the bigon ends at v2, so adding a class from v1 to v1 gives no class
+    # from v0 to v1
+    v0, v1 = Generator(("v0",)), Generator(("v1",))
     bigon = Domain.parse(torus3, "r1:1")
-    with pytest.raises(DiagramError):
-        compose(torus3, bigon, v0, v1, Domain.zero(torus3), v1)
+    assert connects(torus3, Domain.zero(torus3), v1, v1)
+    assert not connects(torus3, bigon + Domain.zero(torus3), v0, v1)
 
 
 def test_positivity_and_sigma(torus3):
@@ -291,8 +294,10 @@ def test_solves_leave_no_cyclic_garbage(corpus):
     assert solves == 863 and unreachable == 0
 
 
-def test_find_domains_matches_brute_force(torus2, torus3):
-    for d in (torus2, torus3):
+def test_find_domains_matches_brute_force(torus2, torus3, genus2s1s2):
+    # torus2 and torus3 have periodic lattices of rank 1, genus2s1s2 of rank 2
+    assert len(periodic_domain_basis(genus2s1s2)) == 2
+    for d in (torus2, torus3, genus2s1s2):
         gens = enumerate_generators(d)
         for x in gens:
             for y in gens:
@@ -301,6 +306,9 @@ def test_find_domains_matches_brute_force(torus2, torus3):
                         got = find_domains(d, x, y, mc, pos)
                         want = brute_force_domains(d, x, y, mc, pos)
                         assert got == want
+    # the lens diagram's two generators lie in different classes of H_1
+    x, y = (_lattice(torus2).generators[g.points] for g in enumerate_generators(torus2))
+    assert x.key != y.key
 
 
 def test_find_domains_max_coeff_zero(torus3):

@@ -2,8 +2,9 @@
 
 The diagrams have at most seven vertices; some are two independent blocks,
 so their traced surface is disconnected.  ``validate_diagram`` is compared
-with a vertex DFS and a per-family region union-find, and the one-pass
-grind of stage S1 with the fixpoint grind it replaced.
+with a vertex DFS and a per-family region union-find, the one-pass grind
+of stage S1 with the fixpoint grind it replaced, and the class keys of
+``find_domains`` with one solve per generator pair.
 """
 
 import random
@@ -11,7 +12,16 @@ import random
 from hdindex import builder
 from hdindex.builder import BuilderError
 from hdindex.diagram import ALPHA, BETA, HeegaardDiagram, validate_diagram
-from hdindex.domains import enumerate_generators, find_domains
+from hdindex.domains import (
+    Domain,
+    _Factorization,
+    _lattice,
+    _target_vector,
+    connects,
+    enumerate_generators,
+    find_domains,
+)
+from hdindex.harness import bundled_corpus
 
 MAX_VERTICES = 7
 
@@ -203,3 +213,116 @@ def test_grind_check_catches_a_grind_of_the_first_chain_only(monkeypatch):
 
     monkeypatch.setattr(builder, "_grind_odd_chains", first_chain_only)
     assert grind_mismatches(monkeypatch)
+
+
+# -- the reference solve per pair ---------------------------------------------
+
+
+REDUCE = _Factorization.reduce
+KEY_BOX = 2
+
+
+def reference_find_domains(d, x, y, box):
+    """The signed-box classes from x to y from one solve of M a = y - x: the
+    particular solution moved along the kernel basis inside the box.  There
+    is no connects filter, since every coset point connects x to y."""
+    lat = _lattice(d)
+    residue, x0 = REDUCE(lat.factorization, _target_vector(lat, x.points, y.points))
+    if any(residue):
+        return []
+    points = [x0]
+    for vec in lat.factorization.kernel:
+        pc = next(c for c, k in enumerate(vec) if k)
+        points = [
+            [c + t * v for c, v in zip(p, vec)]
+            for p in points
+            for t in range(-((p[pc] + box) // vec[pc]), (box - p[pc]) // vec[pc] + 1)
+        ]
+    return [Domain(tuple(p)) for p in sorted(points) if -box <= min(p) and max(p) <= box]
+
+
+def class_key_faults(diagrams):
+    """Pairs whose keys disagree with the per-pair solve, or whose classes
+    differ from the reference's, as whole lists: a wrong particular solution
+    would leave find_domains silently empty.  Also counts the pairs with
+    different keys and the nonempty lists, so a vacuous run shows."""
+    faults, apart, nonempty = [], 0, 0
+    for d in diagrams:
+        gens = enumerate_generators(d)
+        for x in gens:
+            for y in gens:
+                got = find_domains(d, x, y, KEY_BOX, positive_only=False)
+                lat = _lattice(d)
+                same = lat.generators[x.points].key == lat.generators[y.points].key
+                residue, _ = REDUCE(lat.factorization, _target_vector(lat, x.points, y.points))
+                want = reference_find_domains(d, x, y, KEY_BOX)
+                if same == any(residue) or got != want:
+                    faults.append((d, x, y, got, want))
+                apart += not same
+                nonempty += bool(want)
+    return faults, apart, nonempty
+
+
+def residue_faults(diagrams):
+    """Generators whose record is not (x reduced modulo im M, a(x)): M a(x)
+    must be x - key, and every pivot coordinate of the key in [0, pivot)."""
+    faults = []
+    for d in diagrams:
+        for x in enumerate_generators(d):
+            connects(d, Domain.zero(d), x, x)  # validates x and makes its record
+            lat = _lattice(d)
+            rec = lat.generators[x.points]
+            image = [0] * len(lat.vertex_index)
+            for column, c in zip(lat.columns, rec.potential):
+                for v, k in column:
+                    image[v] += k * c
+            point = _target_vector(lat, (), x.points)
+            reduced = all(0 <= rec.key[pc] < h[pc] for pc, h in lat.factorization.echelon)
+            if [p - k for p, k in zip(point, rec.key)] != image or not reduced:
+                faults.append((d, x, rec))
+    return faults
+
+
+def key_diagrams():
+    """The bundled corpus, its mirrors and the generated diagrams, fresh."""
+    corpus = list(bundled_corpus().values())
+    return corpus + [d.mirror() for d in corpus] + valid_diagrams(seed=4919, count=60)
+
+
+def test_class_keys_match_the_per_pair_solve():
+    diagrams = key_diagrams()
+    faults, apart, nonempty = class_key_faults(diagrams)
+    assert faults == []
+    assert apart > 0 and nonempty > 0
+    assert residue_faults(diagrams) == []
+
+
+def ceiling_reduce(fact, target):
+    """``_Factorization.reduce`` with the ceiling quotient at each pivot."""
+    residue = list(target)
+    a = [0] * len(fact.unimodular)
+    for (pc, h), u in zip(fact.echelon, fact.unimodular):
+        z = -(-residue[pc] // h[pc])
+        residue = [r - z * c for r, c in zip(residue, h)]
+        a = [x + z * c for x, c in zip(a, u)]
+    return residue, a
+
+
+def test_residue_check_catches_a_ceiling_reduction(monkeypatch):
+    # residues in (-pivot, 0] are canonical too, so keys and classes stay
+    # right under this mutant: only the residue window shows it
+    monkeypatch.setattr(_Factorization, "reduce", ceiling_reduce)
+    corpus = list(bundled_corpus().values())
+    assert residue_faults(corpus + [d.mirror() for d in corpus])
+
+
+def test_class_key_check_catches_a_reversed_particular_solution(monkeypatch):
+    # a(x) - a(y) in place of a(y) - a(x): the same as every potential negated
+    def negated(fact, target):
+        residue, a = REDUCE(fact, target)
+        return residue, [-c for c in a]
+
+    monkeypatch.setattr(_Factorization, "reduce", negated)
+    corpus = list(bundled_corpus().values())
+    faults, _, _ = class_key_faults(corpus + [d.mirror() for d in corpus])
+    assert faults and all(got == [] for _, _, _, got, _ in faults)

@@ -127,9 +127,9 @@ def test_local_pattern_oracle_catches_a_stray_chain(monkeypatch, stray, failing)
 def test_additivity_suite_catches_a_dropped_quadrant(monkeypatch, torus3):
     # n_p read from three of the four quadrants at p: mu is no longer
     # additive, while e (linear, whatever the quadrants) would still be
-    def three_quadrants(d, a, points):
-        quadrants = formulas._lattice(d).quadrants
-        return sum(a.coeffs[r] for v in points for r in quadrants[v][:3])
+    def three_quadrants(a, regions):
+        # the quadrant regions come four per point, in rotation order
+        return sum(a.coeffs[r] for i, r in enumerate(regions) if i % 4 != 3)
 
     monkeypatch.setattr(formulas, "_quarter_multiplicity", three_quadrants)
     res = additivity_suite(torus3, max_coeff=1)

@@ -62,3 +62,18 @@ def test_solver_is_exact_and_complete(system):
         assert not solvable_in_box(m, t)
     else:
         assert [sum(k * x for k, x in zip(row, a)) for row in m] == t
+
+
+@hypothesis.seed(1302)
+@hypothesis.settings(max_examples=300, deadline=None, database=None)
+@hypothesis.given(systems(), st.lists(st.integers(-BOX, BOX), min_size=5, max_size=5))
+def test_reduce_leaves_the_canonical_residue(system, shift):
+    # M a = t - residue, every pivot coordinate of the residue lies in
+    # [0, pivot), and t moved by any M c reduces to the same residue
+    m, t = system
+    fact = _Factorization.of(m, len(m[0]))
+    residue, a = fact.reduce(t)
+    assert [ti - sum(k * x for k, x in zip(row, a)) for row, ti in zip(m, t)] == residue
+    assert all(0 <= residue[pc] < h[pc] for pc, h in fact.echelon)
+    moved = [ti + sum(k * c for k, c in zip(row, shift)) for row, ti in zip(m, t)]
+    assert fact.reduce(moved)[0] == residue
