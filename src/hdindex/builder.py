@@ -7,29 +7,33 @@ arcs, bottom-aligned along beta arcs (``_sheet_pairs`` is the one rule, and
 stage S0, to the fresh surface copy in S4, and to a fixed crossing in the
 local chain model ``local_vertex_chains``).
 It reads the diagram through a template built once per diagram and kept
-on it (``_s0_template``): each region's ring of sides as columns, and each
-arc as a seam joining two (region, ring position) slots.  All the sheets
-of a domain are allocated in one extension of the complex's lists
-(``_Surface.new_rings``), and every seam glues its sheet pairs side by
-slot, so no dart is hashed or compared while gluing.
+on it (``_s0_template``): each region's ring of sides as columns (darts
+and head points), and each arc as a seam joining two (region, ring
+position) slots.  All the sheets of a domain are allocated in one
+extension of the complex's lists (``_Surface.new_rings``), and every seam
+glues its sheet pairs side by slot, so no dart is hashed or compared while
+gluing.
 The preimages of a crossing are then the chains of quadrant sheets linked by
 those gluings; odd chains of length three or more are ground down to
 right-angle corners by slitting along beta arc preimages, in one pass (a
 slit cuts only its own chain and leaves every other orbit's length as it
 was), points shared by both generators receive their corners (as symbolic
 degenerate disks or boundary slits), and boundary circles lying over a
-single curve are spliced into the main boundary arc.  A final stabilization stage cuts open a fresh
-copy of the whole surface at every point of the outgoing generator and
-chains it onto the corners.
+single curve are spliced into the main boundary arc.  Only stage S1
+grinds: the later stages keep every corner a right angle by construction,
+and the stage-S3 contract checks it.  A final stabilization stage cuts
+open a fresh copy of the whole surface at every point of the outgoing
+generator and chains it onto the corners.
 
 The complex is an array half-edge structure, as in mesh libraries: sides
 and faces are integer ids into parallel lists of ``_Surface``, with no
 object per side.  Every polygon side has ``nxt`` and ``prv`` ids around
-its face, which is the ring of its sides, and a ``partner`` twin across a
-glued edge (-1 on the free boundary); a byte per side says whether it is
-glued, free or replaced by surgery.  Side ids are handed out in order and
-never reused, and they fix the order of every record: a boundary circle
-starts at its smallest free side, and closed orbits come by smallest id.
+its face, which is the ring of its sides, a head point (its tail point is
+the head of ``prv``), and a ``partner`` twin across a glued edge (-1 on the
+free boundary); a byte per side says whether it is glued, free or
+replaced by surgery.  Side ids are handed out in order and never reused,
+and they fix the order of every record: a boundary circle starts at its
+smallest free side, and closed orbits come by smallest id.
 The corners around one point of the surface form an orbit of the step
 s -> partner[nxt[s]], and ``_Surface.orbit`` is the only walk of it.  It
 goes forward only, from the orbit's start: the free side that begins an
@@ -132,16 +136,19 @@ class _Surface:
     """Mutable half-edge complex with glued sides; all surgery lives here.
 
     Sides and faces are integer ids into parallel lists.  Side s runs from
-    ``tail[s]`` to ``head[s]`` over the diagram dart ``dart[s]`` on face
+    ``tail(s)`` to ``head[s]`` over the diagram dart ``dart[s]`` on face
     ``face[s]``; ``nxt``/``prv`` go counterclockwise around the face and
     ``partner[s]`` is the twin across the glued edge (-1 on the free
-    boundary).  ``state[s]`` says whether s is glued, free or replaced, so
-    the free sides are read off the bytes in one pass.  Face f lies over
-    region ``region[f]`` at sheet ``layer[f]`` (an int, or (tag, level) for
-    a tagged copy), and its ring was allocated whole from the side id
-    ``first[f]``.  Ids are never reused: a side that surgery replaces keeps
-    its id, and its ``nxt`` then leads to the tail half that took its
-    place.
+    boundary).  No tail is stored: rings are allocated and subdivided so
+    that a side starts where ``prv[s]`` ends, and a head never changes, so
+    this holds for replaced sides too.  ``state[s]`` says whether s is
+    glued, free or replaced, so the free sides are read off the bytes in
+    one pass.  Face f lies over region ``region[f]`` at sheet ``layer[f]``,
+    and its ring was allocated whole from the side id ``first[f]``.  Ids
+    are never reused: a side that surgery replaces keeps its id, and its
+    ``nxt`` then leads to the tail half that took its place.  The far ends
+    of the slits, the boundary branch points, are counted in
+    ``branch_marks``.
     """
 
     def __init__(self, curve_family: dict[str, str]) -> None:
@@ -150,31 +157,33 @@ class _Surface:
         self.partner: list[int] = []
         self.face: list[int] = []
         self.dart: list[Dart] = []
-        self.tail: list[Point] = []
         self.head: list[Point] = []
         self.state = bytearray()
         self.region: list[int] = []
-        self.layer: list = []
+        self.layer: list[int] = []
         self.first: list[int] = []
         self._next_cut = 0
         self.curve_family = curve_family
         self.degenerate_disks: list[_DegenerateDisk] = []
-        self.branch_marks: list[tuple] = []  # (cut point, dart) of slit far ends
+        self.branch_marks = 0
 
     def family(self, s: int) -> str:
         return self.curve_family[self.dart[s].curve]
 
+    def tail(self, s: int) -> Point:
+        return self.head[self.prv[s]]
+
     # -- construction ----------------------------------------------------
 
-    def new_rings(self, regions: list[int], layers: list, rings: list[tuple]) -> None:
+    def new_rings(self, regions: list[int], layers: list[int], rings: list[tuple]) -> None:
         """One new face per (region, layer, ring), bounded by the ring's sides.
 
-        A ring is three columns: the darts its sides run over, their tail
-        points and their head points.  The rings take consecutive ids, one
-        after the other: a ring of n sides at first id f has nxt f+1 ...
-        f+n-1, f and prv f+n-1, f ... f+n-2.
+        A ring is two columns: the darts its sides run over and their head
+        points.  The rings take consecutive ids, one after the other: a
+        ring of n sides at first id f has nxt f+1 ... f+n-1, f and prv
+        f+n-1, f ... f+n-2, so each side's tail is the head of its prv.
         """
-        darts, tails, heads = zip(*rings) if rings else ((), (), ())
+        darts, heads = zip(*rings) if rings else ((), ())
         sizes = list(map(len, darts))
         firsts = list(accumulate(sizes, initial=len(self.nxt)))
         f, end = firsts[0], firsts.pop()
@@ -187,7 +196,6 @@ class _Surface:
         self.face += chain.from_iterable(map(repeat, faces, sizes))
         self.partner += [-1] * (end - f)
         self.dart += chain.from_iterable(darts)
-        self.tail += chain.from_iterable(tails)
         self.head += chain.from_iterable(heads)
         self.state += bytes([FREE]) * (end - f)
         self.region += regions
@@ -300,7 +308,6 @@ class _Surface:
         self.partner += (-1, -1)
         self.face += (self.face[s],) * 2
         self.dart += (self.dart[s],) * 2
-        self.tail += (self.tail[s], mid)
         self.head += (mid, self.head[s])
         self.state += b"\1\1"  # both FREE
         self.state[s] = REPLACED
@@ -314,7 +321,7 @@ class _Surface:
         over s's head half are glued again.  The lips run over the opened half:
         the first from s's tail to the cut point on s's face, the second
         back from the cut point on the partner's face.  The far end of the
-        slit is a boundary branch point recorded in ``branch_marks``.  Two
+        slit is a boundary branch point counted in ``branch_marks``.  Two
         parallel slits that will be cross-glued may share their cut point by
         passing ``mid`` explicitly.
         """
@@ -327,12 +334,12 @@ class _Surface:
         # s runs tail->head, its partner head->tail over the same segment
         partner_tail, partner_head = self.subdivide(self.partner[s], mid)
         self.glue(second, partner_tail)
-        self.branch_marks.append((mid, self.dart[s]))
+        self.branch_marks += 1
         return first, partner_head
 
     def glue_boundary(self, a: int, b: int) -> None:
         """Glue two boundary sides running over the same segment oppositely."""
-        if (self.tail[a], self.head[a]) != (self.head[b], self.tail[b]):
+        if (self.tail(a), self.head[a]) != (self.head[b], self.tail(b)):
             raise BuilderError("glue_boundary segment mismatch")
         self.glue(a, b)
 
@@ -398,7 +405,7 @@ class _Census:
         self.boundary = surf.boundary_components(open_orbits)
         self.regions = list(surf.region)
         self.disks = list(surf.degenerate_disks)
-        self.branch_marks = len(surf.branch_marks)
+        self.branch_marks = surf.branch_marks
         vertices = len(open_orbits) + len(closed)
         self.chi = vertices - edges + len(self.regions) + len(self.disks)
 
@@ -551,10 +558,10 @@ def _sheet_pairs(family: str, p: int, q: int) -> tuple[tuple[int, int], ...]:
 def _s0_template(d: HeegaardDiagram) -> tuple[tuple, tuple]:
     """(rings, seams): what stage S0 reads of ``d``, in (region, position) slots.
 
-    ``rings`` holds each region's sides as three columns (darts, tail
-    points, head points) in face-tracing order; ``seams`` holds each curve
-    arc as (family, region, position, region', position'), the slots of its
-    forward dart and of the reversed dart across it.  Built on first use
+    ``rings`` holds each region's sides as two columns (darts, head points)
+    in face-tracing order; ``seams`` holds each curve arc as (family,
+    region, position, region', position'), the slots of its forward dart
+    and of the reversed dart across it.  Built on first use
     and kept on ``d``: diagrams are immutable, so the template never goes
     stale, and a mirror or a re-parsed diagram is a new instance that
     builds its own.
@@ -564,7 +571,7 @@ def _s0_template(d: HeegaardDiagram) -> tuple[tuple, tuple]:
         # face tracing puts the next dart of a region, rot^-1(rev d), at
         # the head of d
         pts = [tuple(("v", dart.vertex) for dart in r.darts) for r in d.regions]
-        rings = tuple((r.darts, p, p[1:] + p[:1]) for r, p in zip(d.regions, pts))
+        rings = tuple((r.darts, p[1:] + p[:1]) for r, p in zip(d.regions, pts))
         slot = {dart: (d.face_of[dart], i) for r in d.regions for i, dart in enumerate(r.darts)}
         arcs = [Dart(tail, name, True) for name, edges in d.edges.items() for tail, _ in edges]
         seams = tuple((d.curve_family[e.curve], *slot[e], *slot[d.rev(e)]) for e in arcs)
@@ -572,19 +579,16 @@ def _s0_template(d: HeegaardDiagram) -> tuple[tuple, tuple]:
     return t
 
 
-def _add_region_copies(
-    surf: _Surface, d: HeegaardDiagram, a: Domain, tag: str | None = None
-) -> list[int]:
+def _add_region_copies(surf: _Surface, d: HeegaardDiagram, a: Domain) -> list[int]:
     """One polygon per sheet of ``a``, glued along the curve arcs; their face ids.
 
-    Sheet m of a region gets layer m, or (tag, m) when a tag is given.  The
-    sheets are instantiated from the diagram's template (``_s0_template``),
-    region by region, so side ids run by region, then sheet, then ring
-    position; each seam then glues the sheets ``_sheet_pairs`` gives,
-    side by slot (the side at position i of sheet m of a region whose
-    sheets start at id b and have n sides is b + (m - 1) n + i).  A region
-    adjacent to itself across an arc follows the same rule, its two arc
-    sides being two slots of one ring.
+    Sheet m of a region gets layer m.  The sheets are instantiated from the
+    diagram's template (``_s0_template``), region by region, so side ids
+    run by region, then sheet, then ring position; each seam then glues the
+    sheets ``_sheet_pairs`` gives, side by slot (the side at position i of
+    sheet m of a region whose sheets start at id b and have n sides is
+    b + (m - 1) n + i).  A region adjacent to itself across an arc follows
+    the same rule, its two arc sides being two slots of one ring.
     """
     rings, seams = _s0_template(d)
     faces, coeffs = len(surf.region), a.coeffs
@@ -592,8 +596,7 @@ def _add_region_copies(
     starts = list(accumulate(map(mul, coeffs, sizes), initial=len(surf.nxt)))
     regions = [r for r, n in enumerate(coeffs) for _ in range(n)]
     levels = [m for n in coeffs for m in range(1, n + 1)]
-    layers = levels if tag is None else [(tag, m) for m in levels]
-    surf.new_rings(regions, layers, [rings[r] for r in regions])
+    surf.new_rings(regions, levels, [rings[r] for r in regions])
     glue = surf.glue
     for family, r, i, r2, i2 in seams:
         n, n2 = sizes[r], sizes[r2]
@@ -637,8 +640,7 @@ def chains_at(built: BuiltSurface, v: str) -> list[PreimageChain]:
             if dart not in rot:
                 raise BuilderError(f"corner at {v} with foreign dart {dart}")
             f = surf.face[s]
-            level = surf.layer[f] if isinstance(surf.layer[f], int) else 0
-            cells.append(QuadrantSheet(v, surf.region[f], rot.index(dart), level))
+            cells.append(QuadrantSheet(v, surf.region[f], rot.index(dart), surf.layer[f]))
         kind = "open" if surf.partner[orbit[0]] == -1 else "closed"
         out.append(PreimageChain(v, tuple(cells), kind))
     return out
@@ -731,6 +733,11 @@ def add_degenerate_corners(
     degenerate disk; a covered one gets a boundary slit, which introduces
     two corners and a boundary branch point.  The surgery is made in
     ``built``'s complex.
+
+    No grind follows the slit: at a point of both generators the sector
+    pattern is that of an interior point, so its open chains have length
+    two, and one slit leaves two right angles.  An input that broke this
+    would fail the right-angle clause of the stage-S3 contract.
     """
     d = built.diagram
     check_generator(d, x)
@@ -749,7 +756,6 @@ def add_degenerate_corners(
             raise BuilderError("shared generator point already has a corner")
         _, links, _ = surf.class_slots(orbit)
         surf.slit_at_tail(links[0])
-        _grind_odd_chains(surf)
     return BuiltSurface("S2", d, built.domain, surf, x, y)
 
 
@@ -769,6 +775,11 @@ def splice_boundary_circles(built: BuiltSurface) -> BuiltSurface:
     ``built``'s complex.  Each round looks for the circle in a census of
     the complex; the last round's census, which found none, is the census
     of the returned stage, since no surgery follows it.
+
+    No grind follows a splice: both splice moves take corners of length
+    one and passages of length two to corners of length one and passages
+    of length two.  An input that broke this would fail the right-angle
+    clause of the stage-S3 contract.
     """
     if built.x is None:
         raise PreconditionError("splice needs the generator pair")
@@ -788,7 +799,6 @@ def splice_boundary_circles(built: BuiltSurface) -> BuiltSurface:
         curve = surf.dart[sides[0]].curve
         v = _generator_point_on_curve(d, built.x, curve)
         _splice_circle(surf, d, sides, v, d.curve_family[curve])
-        _grind_odd_chains(surf)
         guard += 1
         if guard > 4 * len(surf.nxt):
             raise BuilderError("splicing does not terminate")
@@ -808,7 +818,7 @@ def _generator_point_on_curve(d: HeegaardDiagram, x: Generator, curve: str) -> s
 
 def _dart_at(d: HeegaardDiagram, surf: _Surface, s: int, pt: Point) -> Dart:
     """The diagram dart of side s as seen from the vertex point ``pt``."""
-    if surf.tail[s] == pt:
+    if surf.tail(s) == pt:
         return surf.dart[s]
     if surf.head[s] == pt:
         return d.rev(surf.dart[s])
@@ -881,7 +891,7 @@ def _glue_to_lip(
     if surf.head[k_side] == pt:
         _, second = surf.subdivide(k_side, mid)
         surf.glue_boundary(second, tail_lip)
-    elif surf.tail[k_side] == pt:
+    elif surf.tail(k_side) == pt:
         first, _ = surf.subdivide(k_side, mid)
         surf.glue_boundary(first, head_lip)
     else:
@@ -990,22 +1000,22 @@ def stabilized_surface(
             raise BuilderError("closed component is not a single surface layer")
 
     sigma = sigma_class(d)
-    layers = closed_layers + [_add_region_copies(surf, d, sigma, "sigma")]
-    # corners of the closed layers and the fresh copy do not exist yet; a
-    # point of x with no stage-3 corner (a dropped degenerate disk) starts
-    # its chain inside the first layer
-    layer_fids = {f for layer in layers for f in layer}
+    layers = closed_layers + [_add_region_copies(surf, d, sigma)]
+    # a layer has free sides only at the points of x it was cut at and at
+    # cut points, so the first corner at v is a stage-3 corner; a point of
+    # x with none (a dropped degenerate disk) starts its chain inside the
+    # first layer
     for v in x.points:
-        pending = _corner_at(surf, ("v", v), layer_fids, inside=False)
+        pending = _corner_at(surf, ("v", v))
         for layer in layers:
             pending = _cut_layer_and_chain(surf, d, layer, v, pending)
     return _enforce_contract(BuiltSurface("S4", d, a + sigma, surf, x, y))
 
 
-def _corner_at(surf: _Surface, pt: Point, fids: set[int], inside: bool) -> list[int] | None:
-    """The corner at ``pt`` whose orbit starts on a face inside (or outside) ``fids``."""
-    orbits = surf.open_classes_at(pt)
-    return next((o for o in orbits if len(o) % 2 and (surf.face[o[0]] in fids) == inside), None)
+def _corner_at(surf: _Surface, pt: Point, faces: set[int] | None = None) -> list[int] | None:
+    """The first corner at ``pt``, or the first whose orbit starts on one of ``faces``."""
+    corners = (o for o in surf.open_classes_at(pt) if len(o) % 2)
+    return next((o for o in corners if faces is None or surf.face[o[0]] in faces), None)
 
 
 def _layer_side(d: HeegaardDiagram, surf: _Surface, layer: list[int], dart: Dart, pt: Point) -> int:
@@ -1017,7 +1027,7 @@ def _layer_side(d: HeegaardDiagram, surf: _Surface, layer: list[int], dart: Dart
     """
     r = d.face_of[dart]
     s = surf.current(surf.first[layer[r]] + d.regions[r].darts.index(dart))
-    if surf.tail[s] != pt or surf.dart[s] != dart:
+    if surf.tail(s) != pt or surf.dart[s] != dart:
         raise BuilderError(f"layer has no side over {dart} at {pt}")
     return s
 
@@ -1057,7 +1067,7 @@ def _cut_layer_and_chain(
         # glue the pending corner's two sides into the matching lips
         for k_side in (k_in, k_out):
             _glue_to_lip(surf, k_side, lips[_dart_at(d, surf, k_side, pt)], pt)
-    corner = _corner_at(surf, pt, set(layer), inside=True)
+    corner = _corner_at(surf, pt, set(layer))
     if corner is None:
         raise BuilderError("layer cut produced no corner")
     return corner

@@ -66,11 +66,15 @@ class Domain(NamedTuple):
 
     @staticmethod
     def parse(d: HeegaardDiagram, text: str) -> "Domain":
-        """Parse ``r<k>:<int>`` pairs separated by commas; ``0`` is the zero domain."""
+        """Parse ``r<k>:<int>`` pairs separated by commas; ``0`` is the zero domain.
+
+        Each region is named at most once, as ``format`` writes it.
+        """
         coeffs = [0] * len(d.regions)
         text = text.strip()
         if text in ("", "0"):
             return Domain(tuple(coeffs))
+        seen = set()
         for part in text.split(","):
             part = part.strip()
             name, sep, value = part.partition(":")
@@ -81,9 +85,14 @@ class Domain(NamedTuple):
                 c = int(value)
             except ValueError:
                 raise DiagramError(f"bad domain term {part!r}") from None
+            if name != f"r{idx}":
+                raise DiagramError(f"region {name!r} should be written r{idx}")
             if not 0 <= idx < len(coeffs):
                 raise DiagramError(f"unknown region {name!r}")
-            coeffs[idx] += c
+            if idx in seen:
+                raise DiagramError(f"region {name!r} given twice")
+            seen.add(idx)
+            coeffs[idx] = c
         return Domain(tuple(coeffs))
 
 

@@ -171,7 +171,7 @@ def _index_sums(
     else:
         raise DiagramError(
             f"domain {a.format()} does not connect {x.format()} to {y.format()}"
-            " (pass force=True to evaluate anyway)"
+            " (evaluate it anyway with force=True, or --force on the command line)"
         )
     records = lat.generators
     return (

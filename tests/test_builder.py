@@ -188,33 +188,35 @@ def test_glue_rejects_a_domain_of_the_wrong_length(corpus):
                 glue_copies(d, Domain(coeffs))
 
 
-def reference_s0(d, a, tag=None):
+def reference_s0(d, domains):
     """Stage S0 keyed by (dart, level), each arc read through ``rev`` and ``face_of``.
 
-    Returns sid -> [region, layer, face start sid, dart, tail, head, prev sid,
-    next sid, partner sid], with sids in allocation order: region, then
-    level, then dart.
+    The copies of each domain in turn are added to one complex.  Returns
+    sid -> [region, layer, face start sid, dart, tail, head, prev sid,
+    next sid, partner sid], with sids in allocation order: domain, then
+    region, then level, then dart.
     """
-    records, side_of = {}, {}
-    for r in d.regions:
-        heads = r.darts[1:] + r.darts[:1]
-        for level in range(1, a[r.index] + 1):
-            first = len(records)
-            layer = level if tag is None else (tag, level)
-            for dart, head in zip(r.darts, heads):
-                sid = side_of[(dart, level)] = len(records)
-                records[sid] = [r.index, layer, first, dart, ("v", dart.vertex), ("v", head.vertex)]
-                records[sid] += [sid - 1, sid + 1, None]
-            records[first][6], records[len(records) - 1][7] = len(records) - 1, first
-    for name, edges in d.edges.items():
-        for tail, _ in edges:
-            e = Dart(tail, name, True)
-            f = d.rev(e)
-            pairs = builder._sheet_pairs(d.curve_family[name], a[d.face_of[e]], a[d.face_of[f]])
-            for m, m2 in pairs:
-                s, t = side_of[(e, m)], side_of[(f, m2)]
-                assert records[s][8] is None and records[t][8] is None
-                records[s][8], records[t][8] = t, s
+    records = {}
+    for a in domains:
+        side_of = {}
+        for r in d.regions:
+            heads = r.darts[1:] + r.darts[:1]
+            for level in range(1, a[r.index] + 1):
+                first = len(records)
+                for dart, head in zip(r.darts, heads):
+                    sid = side_of[(dart, level)] = len(records)
+                    records[sid] = [r.index, level, first, dart, ("v", dart.vertex)]
+                    records[sid] += [("v", head.vertex), sid - 1, sid + 1, None]
+                records[first][6], records[len(records) - 1][7] = len(records) - 1, first
+        for name, edges in d.edges.items():
+            for tail, _ in edges:
+                e = Dart(tail, name, True)
+                f = d.rev(e)
+                family = d.curve_family[name]
+                for m, m2 in builder._sheet_pairs(family, a[d.face_of[e]], a[d.face_of[f]]):
+                    s, t = side_of[(e, m)], side_of[(f, m2)]
+                    assert records[s][8] is None and records[t][8] is None
+                    records[s][8], records[t][8] = t, s
     return records
 
 
@@ -223,17 +225,18 @@ def live_sides(surf):
     return [s for s, state in enumerate(surf.state) if state != builder.REPLACED]
 
 
-def s0_records(d, a, tag=None):
+def s0_records(d, domains):
     surf = builder._Surface(d.curve_family)
-    faces = builder._add_region_copies(surf, d, a, tag)
-    assert faces == list(range(len(surf.region)))
+    for a in domains:
+        start = len(surf.region)
+        assert builder._add_region_copies(surf, d, a) == list(range(start, len(surf.region)))
     return {
         s: [
             surf.region[surf.face[s]],
             surf.layer[surf.face[s]],
             surf.first[surf.face[s]],
             surf.dart[s],
-            surf.tail[s],
+            surf.tail(s),
             surf.head[s],
             surf.prv[s],
             surf.nxt[s],
@@ -244,13 +247,16 @@ def s0_records(d, a, tag=None):
 
 
 def s0_cases(d, seed):
+    """Lists of domains whose copies are added to one complex in turn."""
     rng = random.Random(seed)
     sigma = sigma_class(d)
-    yield Domain.zero(d), None
-    yield sigma, None
-    yield sigma, "sigma"
-    for _ in range(6):
-        yield Domain(tuple(rng.randint(0, 4) for _ in d.regions)), None
+    randoms = [Domain(tuple(rng.randint(0, 4) for _ in d.regions)) for _ in range(6)]
+    yield [Domain.zero(d)]
+    yield [sigma]
+    # a full-surface copy added onto a built complex, as stage S4 adds it
+    yield [randoms[0], sigma]
+    for a in randoms:
+        yield [a]
 
 
 def self_adjacent_seams(d):
@@ -259,8 +265,8 @@ def self_adjacent_seams(d):
 
 def test_s0_template_matches_the_dart_keyed_construction(corpus):
     for k, d in enumerate(corpus.values()):
-        for a, tag in s0_cases(d, 8100 + k):
-            assert s0_records(d, a, tag) == reference_s0(d, a, tag)
+        for domains in s0_cases(d, 8100 + k):
+            assert s0_records(d, domains) == reference_s0(d, domains)
     # the case of two arc sides of one region is exercised
     self_adjacent = [
         name
@@ -286,12 +292,12 @@ def test_s0_oracle_catches_a_conflated_self_adjacent_seam(corpus):
         for label, seam in (("swapped", swapped), ("conflated", conflated)):
             seams_now = template_seams[:k] + (seam,) + template_seams[k + 1 :]
             d._s0_template = (rings, seams_now)
-            mutants[label] = s0_records(d, a)
+            mutants[label] = s0_records(d, [a])
         # gluing is symmetric and both ends carry the same sheet count, so
         # swapping the two ends glues the same pairs; one end read for both
         # glues a side to itself and leaves its arc's other side free
-        assert mutants["swapped"] == reference_s0(d, a)
-        assert mutants["conflated"] != reference_s0(d, a)
+        assert mutants["swapped"] == reference_s0(d, [a])
+        assert mutants["conflated"] != reference_s0(d, [a])
 
 
 def test_s0_template_is_built_once_per_diagram(monkeypatch):
@@ -345,7 +351,7 @@ def test_cuts_on_example1(genus2):
     assert s0.chi == 0
     s1 = cut_bad_corners(s0)
     # two bad points of angle 5 pi/2, two cuts each
-    assert len(s1.surface.branch_marks) == 4
+    assert s1.surface.branch_marks == 4
     assert s1.chi == 0  # boundary-anchored slits preserve chi
     assert s1.corners() == [("x1", 1), ("x2", 1), ("y1", 1), ("y2", 1)]
 
@@ -510,6 +516,20 @@ def test_branched_cover_check_needs_s4(genus2):
         branched_cover_check(s3)
 
 
+def test_stages_without_the_generator_pair_raise(torus3):
+    s0 = glue_copies(torus3, Domain.parse(torus3, "r1:1"))
+    with pytest.raises(PreconditionError, match="delta needs the generator pair"):
+        s0.delta()
+    with pytest.raises(PreconditionError, match="splice needs the generator pair"):
+        splice_boundary_circles(s0)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1, 1), (1, 1, 1, 1, 1), (1, 0, -1, 0)])
+def test_local_vertex_chains_needs_four_nonnegative_coefficients(coeffs):
+    with pytest.raises(PreconditionError, match="need four nonnegative sector coefficients"):
+        local_vertex_chains(coeffs)
+
+
 def test_surface_report_json_fields(genus2):
     a, x, y = example1_data(genus2)
     payload = build_surface(genus2, a, x, y).to_json_dict()
@@ -603,7 +623,7 @@ def test_corner_orbits_partition_and_open_classes_agree(corpus):
             for s in sides:
                 assert (surf.state[s] == builder.FREE) == (surf.partner[s] == -1)
             for s in range(len(surf.state)):
-                assert surf.tail[surf.current(s)] == surf.tail[s]
+                assert surf.tail(surf.current(s)) == surf.tail(s)
             open_orbits, closed = surf.corner_classes()
             classes = sorted(open_orbits + closed, key=min)
             assert sorted(s for orbit in classes for s in orbit) == sides
@@ -709,7 +729,7 @@ def test_layer_side_by_slot_is_the_side_a_scan_finds(monkeypatch, corpus):
             t
             for f in layer
             for t in face_ring(surf, f)
-            if surf.tail[t] == pt and surf.dart[t] == dart
+            if surf.tail(t) == pt and surf.dart[t] == dart
         ]
         r = d.face_of[dart]
         found.append((scan == [s], s != surf.first[layer[r]] + d.regions[r].darts.index(dart)))
@@ -816,13 +836,15 @@ def test_builder_suite_catches_a_skipped_splice(monkeypatch, genus2s1s2):
 
 def test_stabilized_suite_catches_a_wrong_pushforward(monkeypatch, genus2s1s2):
     add_copies = builder._add_region_copies
+    asked = []  # the full-surface classes stage S4 asked for
 
-    def with_stray_sheet(surf, d, a, tag=None):
-        faces = add_copies(surf, d, a, tag)
-        if tag == "sigma":  # one unglued extra sheet of region 0
-            add_copies(surf, d, Domain((1,) + (0,) * (len(a.coeffs) - 1)), "stray")
+    def with_stray_sheet(surf, d, a):
+        faces = add_copies(surf, d, a)
+        if asked and a is asked[-1]:  # the S4 copy: one unglued extra sheet of region 0
+            add_copies(surf, d, Domain((1,) + (0,) * (len(a.coeffs) - 1)))
         return faces
 
+    monkeypatch.setattr(builder, "sigma_class", lambda d: asked.append(sigma_class(d)) or asked[-1])
     monkeypatch.setattr(builder, "_add_region_copies", with_stray_sheet)
     res = stabilized_surface_suite(genus2s1s2, max_coeff=1)
     assert res.cases and len(res.failures) == res.cases

@@ -110,6 +110,43 @@ def test_index_nonconnecting_precondition(capsys, data_dir):
     )
     assert code == 1
     assert "does not connect" in err
+    assert "--force on the command line" in err
+    code, _, _ = run(
+        capsys,
+        "index",
+        str(data_dir / "torus_g1_3x.hd"),
+        "--from", "v0", "--to", "v1", "--domain", "r1:1", "--force",
+    )
+    assert code == 0
+
+
+# two alpha curves and one beta curve: it parses, but it is not valid
+TWO_ALPHAS_ONE_BETA = "alpha a1: x\nalpha a2: y\nbeta b1: x y\nsign x: +\nsign y: +\n"
+
+
+def test_an_invalid_diagram_is_refused_by_the_verbs_that_need_a_valid_one(capsys, tmp_path):
+    path = tmp_path / "bad.hd"
+    path.write_text(TWO_ALPHAS_ONE_BETA)
+    code, out, err = run(capsys, "info", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid diagram: curve count mismatch: 2 alpha vs 1 beta; ")
+
+
+def test_check_reports_an_invalid_diagram_and_runs_no_suite_on_it(capsys, tmp_path, data_dir):
+    (tmp_path / "bad.hd").write_text(TWO_ALPHAS_ONE_BETA)
+    (tmp_path / "good.hd").write_text((data_dir / "torus_g1_3x.hd").read_text())
+    code, out, _ = run(
+        capsys, "--json", "check", str(tmp_path),
+        "--pattern-bound", "1", "--max-coeff", "1", "--k-max", "1",
+    )
+    assert code == 3
+    suites = {r["suite"]: r for r in json.loads(out)["suites"]}
+    assert [name for name in suites if name.endswith("[bad.hd]")] == ["validity[bad.hd]"]
+    assert suites["validity[bad.hd]"]["failures"] == [
+        {"violations": ["curve-count", "genus-mismatch", "alpha-complement"]}
+    ]
+    assert len([name for name in suites if name.endswith("[good.hd]")]) == 5
+    assert all(r["ok"] for name, r in suites.items() if name != "validity[bad.hd]")
 
 
 def test_build_surface(capsys, data_dir):

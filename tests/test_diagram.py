@@ -160,6 +160,20 @@ def test_parse_duplicate_sign():
         parse_diagram("alpha a: x\nbeta b: x\nsign x: +\nsign x: -\n")
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, signs, message",
+    [
+        ([("a", [])], [("b", ["x"])], {"x": 1}, "alpha curve 'a' has no vertices"),
+        ([("a", ["x"])], [("b", [])], {"x": 1}, "beta curve 'b' has no vertices"),
+        ([("a", ["x"])], [("b", ["x"])], {"x": 1, "q": 1}, "sign given for unknown vertex 'q'"),
+        ([("a", ["x"])], [("b", ["x"])], {"x": 2}, "signs must be \\+1 or -1"),
+    ],
+)
+def test_constructor_refuses_structural_defects(alpha, beta, signs, message):
+    with pytest.raises(DiagramError, match=message):
+        HeegaardDiagram(alpha, beta, signs)
+
+
 def test_curve_count_mismatch_is_violation():
     text = "alpha a1: x\nalpha a2: y\nbeta b1: x y\nsign x: +\nsign y: +\n"
     d = parse_diagram(text)

@@ -443,3 +443,38 @@ def test_domain_parse_and_format(torus3):
         Domain.parse(torus3, "r9:1")
     with pytest.raises(DiagramError):
         Domain.parse(torus3, "x0:1")
+    with pytest.raises(DiagramError, match="bad domain term 'r1:one'"):
+        Domain.parse(torus3, "r1:one")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("r1:1,r1:-1", "region 'r1' given twice"),
+        ("r0:2, r0:2", "region 'r0' given twice"),
+        ("r01:1", "region 'r01' should be written r1"),
+        ("r+1:1", "region 'r\\+1' should be written r1"),
+    ],
+)
+def test_domain_parse_refuses_a_region_named_twice_or_not_as_format_writes_it(
+    torus3, text, message
+):
+    with pytest.raises(DiagramError, match=message):
+        Domain.parse(torus3, text)
+
+
+def test_domain_format_parses_back_to_the_same_domain(corpus):
+    rng = random.Random(436)
+    for d in corpus.values():
+        for _ in range(20):
+            a = Domain(tuple(rng.randint(-3, 3) for _ in d.regions))
+            assert Domain.parse(d, a.format()) == a
+
+
+def test_bad_arguments_raise_value_errors(torus3):
+    x = Generator(("v0",))
+    with pytest.raises(ValueError, match="max_coeff must be >= 0"):
+        find_domains(torus3, x, x, -1)
+    chain = boundary_chain(torus3, Domain.parse(torus3, "r1:1"))
+    with pytest.raises(ValueError, match="family must be 'alpha' or 'beta'"):
+        vertex_boundary(torus3, chain, "gamma")

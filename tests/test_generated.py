@@ -4,7 +4,8 @@ The diagrams have at most seven vertices; some are two independent blocks,
 so their traced surface is disconnected.  ``validate_diagram`` is compared
 with a vertex DFS and a per-family region union-find, the one-pass grind
 of stage S1 with the fixpoint grind it replaced, and the class keys of
-``find_domains`` with one solve per generator pair.
+``find_domains`` with one solve per generator pair.  Every build of a
+generated case must succeed.
 """
 
 import random
@@ -213,6 +214,24 @@ def test_grind_check_catches_a_grind_of_the_first_chain_only(monkeypatch):
 
     monkeypatch.setattr(builder, "_grind_odd_chains", first_chain_only)
     assert grind_mismatches(monkeypatch)
+
+
+def build_errors():
+    """(records, records that are the builder's error text) over every case."""
+    out = [r for case in cases() for r in records(*case)]
+    return len(out), sum(isinstance(r, str) for r in out)
+
+
+def test_generated_builds_succeed():
+    # the one-pass and fixpoint grinds agree even where both raise, so the
+    # builds must succeed on their own; only stage S1 grinds, and this
+    # holds the later stages to right angles on diagrams outside the corpus
+    assert build_errors() == (804, 0)
+
+
+def test_build_check_catches_a_grind_that_cuts_nothing(monkeypatch):
+    monkeypatch.setattr(builder, "_grind_odd_chains", lambda surf: None)
+    assert build_errors() == (804, 226)
 
 
 # -- the reference solve per pair ---------------------------------------------
