@@ -14,10 +14,10 @@ agree.
 
 Each file is one step of a trajectory.  Its ``chained`` wall_s value per
 workload is the change median over the parent median of this file times
-the ``chained`` value of the nearest earlier ``BENCH_<m>.json`` beside
-it (computed from that file's own medians back to ``BENCH_7.json`` where
-a file has none), so it reads as the change's wall_s over that of ``BENCH_7``'s
-parent commit.  Medians of different files are not compared directly:
+the ``chained`` value of the nearest earlier ``BENCH_<m>.json`` in the
+``--change`` checkout, wherever ``--out`` is written (computed from that
+file's own medians back to ``BENCH_7.json`` where a file has none), so it
+reads as the change's wall_s over that of ``BENCH_7``'s parent commit.  Medians of different files are not compared directly:
 probe scaling does not remove drift between runs made days apart.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
@@ -156,8 +156,9 @@ def measure(args: argparse.Namespace, workload: str) -> tuple[dict, dict, bool]:
 def chained(out: Path, workload: str, ratio: float) -> float:
     """``ratio`` times the chained wall_s ratio of the file before ``out``.
 
-    The file before is the nearest earlier ``BENCH_<m>.json`` beside it: a
-    number without a file, a change measured but not merged, is skipped.
+    The file before is the nearest earlier ``BENCH_<m>.json`` beside it (so
+    pass ``out`` as its place in the trajectory, the ``--change`` checkout):
+    a number without a file, a change measured but not merged, is skipped.
     The chain starts at the first file with no file before it, or whose
     file before lacks the workload.
     """
@@ -213,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
         record, traced, correct = measure(args, workload)
         wall = record["metrics"]["wall_s"]
         ratio = wall["change"]["median"] / wall["parent"]["median"]
-        wall["chained"] = round(chained(args.out, workload, ratio), 4)
+        wall["chained"] = round(chained(args.change / args.out.name, workload, ratio), 4)
         out["workloads"][workload] = record
         out["traced"][workload] = traced
         all_correct &= correct

@@ -37,9 +37,12 @@ smallest free side, and closed orbits come by smallest id.
 The corners around one point of the surface form an orbit of the step
 s -> partner[nxt[s]], and ``_Surface.orbit`` is the only walk of it.  It
 goes forward only, from the orbit's start: the free side that begins an
-open orbit, or the side a closed one is first met at.  The corner
-classes, the open classes at a point, the surface corners and the
-boundary components are all read off that walk.
+open orbit, or the side a closed one is first met at.  The open orbits
+are met along the boundary circles (``_Surface.circles``): the orbit
+that starts at the free side o[0] and ends at o[-1] is followed on its
+circle by the one that starts at the free side nxt[o[-1]].  The corner
+classes, the surface corners and the boundary circles are all read off
+that walk.
 
 All surgery happens on edges: faces are created once and never split, so
 the Euler characteristic is always an honest cell count V - E + F.
@@ -58,10 +61,12 @@ chaining) glues it to the slit's lips by one rule, ``_glue_to_lip``.
 
 What a stage reports (chi, corners, boundary arcs, pushforward, components)
 is read from its census, taken on the first read from one walk of the
-corner orbits (``corner_classes``; its open orbits, linked end to end, are
-the boundary circles) and kept for the life of the stage.  Stage S3 finds
-the circles to splice in a census of each round and hands the last one,
-which found none, to the stage it returns, so that walk is made once.
+corner orbits (``corner_classes``: the boundary circles, then the closed
+orbits) and kept for the life of the stage.  Stage S3 finds the circle
+to splice, and the open classes at its splice point, in a census of each
+round and hands the last one, which found none, to the stage it returns,
+so that walk is made once.  Stage S1 walks the circles only, and stage
+S4 reads each fresh corner off the lips of the cut that made it.
 The census is valid because a stage is read before it is passed on: once
 the next stage has been made, the complex is no longer the stage's own.
 
@@ -94,6 +99,7 @@ from hdindex.formulas import branch_budget, embedded_euler_char
 
 Point = tuple  # ('v', vertex) or ('cut', serial)
 GLUED, FREE, REPLACED = 0, 1, 2  # the states of a side
+_MET = 3  # a side an orbit walk has met, in the marks of ``_Surface.circles``
 _FREE_MARKS = bytes(state == FREE for state in range(256))  # state -> 1 if free
 
 
@@ -247,39 +253,53 @@ class _Surface:
         """Every free side, in increasing id order."""
         return list(compress(range(len(self.state)), self.state.translate(_FREE_MARKS)))
 
-    def corner_classes(self) -> tuple[list[list[int]], list[list[int]]]:
-        """(open, closed): every corner orbit, each walked once from its start.
+    def circles(self) -> tuple[list[list[list[int]]], bytearray]:
+        """(circles, marks): the boundary circles, each as its open orbits in turn.
 
-        The open orbits are walked first, one from each free side, in id
-        order.  The closed ones are then walked from each side not yet
-        seen, in id order, so each is met first at its smallest side and
-        they come out sorted by it, each starting at that side.
+        Each free side starts one open orbit ``o``, and the circle goes on
+        with the orbit that starts at the free side ``nxt[o[-1]]``.  The
+        free sides are taken in id order, and a circle is walked from each
+        one not yet met, so a circle starts at its smallest free side and
+        the circles come in the order of those sides.  ``marks`` is the
+        side states with every side met marked ``_MET``: it is 0 exactly on
+        the glued sides of the closed orbits.
         """
-        open_orbits = [self.orbit(s) for s in self._free_sides()]
-        # the glued sides start unseen: the free ones start the open
-        # orbits, and no walk meets a replaced side
-        seen = bytearray(self.state)
-        for orbit in open_orbits:
-            for c in orbit:
-                seen[c] = 1
+        nxt, orbit = self.nxt, self.orbit
+        marks = bytearray(self.state)
+        circles = []
+        for s in self._free_sides():
+            circle = []
+            while marks[s] == FREE:
+                circle.append(orbit(s))
+                for c in circle[-1]:
+                    marks[c] = _MET
+                s = nxt[circle[-1][-1]]
+            if circle:
+                circles.append(circle)
+        return circles, marks
+
+    def corner_classes(self) -> tuple[list[list[list[int]]], list[list[int]]]:
+        """(circles, closed): every corner orbit, each walked once from its start.
+
+        The open orbits are walked along the boundary circles (``circles``).
+        The closed ones are then walked from each side not yet met, in id
+        order, so each is met first at its smallest side and they come out
+        sorted by it, each starting at that side.
+        """
+        circles, marks = self.circles()
         closed: list[list[int]] = []
-        s = seen.find(0)
+        s = marks.find(0)
         while s != -1:
             closed.append(self.orbit(s))
             for c in closed[-1]:
-                seen[c] = 1
-            s = seen.find(0, s)
-        return open_orbits, closed
+                marks[c] = _MET
+            s = marks.find(0, s)
+        return circles, closed
 
     def open_classes_at(self, pt: Point) -> list[list[int]]:
         """The open orbits at ``pt``, sorted by smallest side id."""
         head = self.head
         return sorted((self.orbit(s) for s in self._free_sides() if head[s] == pt), key=min)
-
-    def corner_orbits(self) -> list[list[int]]:
-        """The surface corners: odd open orbits at diagram vertices, by smallest side id."""
-        starts = (s for s in self._free_sides() if self.head[s][0] == "v")
-        return sorted(filter(self.is_corner, map(self.orbit, starts)), key=min)
 
     def class_slots(self, orbit: list[int]) -> tuple[int, list[int], int]:
         """(start free side, link sides, end free side) of an open class.
@@ -343,31 +363,7 @@ class _Surface:
             raise BuilderError("glue_boundary segment mismatch")
         self.glue(a, b)
 
-    # -- boundary structure -------------------------------------------------
-
-    def boundary_components(
-        self, open_orbits: list[list[int]]
-    ) -> list[list[tuple[list[int], bool]]]:
-        """The boundary circles, each as the open orbits met along it.
-
-        Each orbit comes with its corner mark.  The open orbit ``o`` starts
-        at the free side ``o[0]``, and the circle goes on with the orbit that
-        starts at the free side ``nxt[o[-1]]``.  A circle starts at its
-        smallest free side, and the circles come in the order of those
-        sides.  ``open_orbits`` are every open orbit of the complex.
-        """
-        nxt, is_corner = self.nxt, self.is_corner
-        by_start = {o[0]: o for o in open_orbits}
-        comps = []
-        for sid in sorted(by_start):
-            o = by_start.pop(sid, None)
-            comp = []
-            while o is not None:
-                comp.append((o, is_corner(o)))
-                o = by_start.pop(nxt[o[-1]], None)
-            if comp:
-                comps.append(comp)
-        return comps
+    # -- components -----------------------------------------------------------
 
     def face_components(self) -> list[list[int]]:
         """The faces connected across glued sides, by smallest face id."""
@@ -383,31 +379,33 @@ class _Surface:
 class _Census:
     """What a finished stage reports, taken from one walk of its complex.
 
-    The walk is ``corner_classes``, forward from each orbit's start.  Its
-    open and closed orbits together are the vertices; the open ones each
-    start at one free side and, linked end to end, make up the
-    ``boundary`` circles with their corner marks.  So E = (live sides +
-    free sides) / 2, and chi = V - E + F plus the degenerate disks.  Faces,
-    disks and branch marks are counted alongside.  The face components
-    are counted on first use only (stage S4 and the tests ask for them),
-    so they too must be read before the stage is passed on.  The corners
-    and the boundary arcs are read off the boundary on first use and kept;
-    the contract, the JSON record and any other reader share them.  Stage S3
-    takes one census per splice round and hands the last one, which found
-    no circle to splice, to the stage it returns.
+    The walk is ``corner_classes``: it follows each boundary circle, orbit
+    by orbit, and then walks the closed orbits, each forward from its start.
+    The circles' open orbits and the closed orbits together are the
+    vertices, and the circles, each orbit with its corner mark, are the
+    ``boundary``.  Each open orbit starts at one free side, so E = (live
+    sides + free sides) / 2, and chi = V - E + F plus the degenerate disks.
+    Faces, disks and branch marks are counted alongside.  The face
+    components are counted on first use only (stage S4 and the tests ask
+    for them), so they too must be read before the stage is passed on.
+    The corners and the boundary arcs are read off the boundary on first
+    use and kept; the contract, the JSON record and any other reader share
+    them.  Stage S3 takes one census per splice round, reads the open
+    classes at the splice point off it, and hands the last one, which
+    found no circle to splice, to the stage it returns.
     """
 
     def __init__(self, surf: _Surface):
-        open_orbits, closed = surf.corner_classes()
-        live = len(surf.state) - surf.state.count(REPLACED)
-        edges = (live + len(open_orbits)) // 2
+        circles, closed = surf.corner_classes()
+        is_corner = surf.is_corner
         self.surface = surf
-        self.boundary = surf.boundary_components(open_orbits)
+        self.boundary = [[(o, is_corner(o)) for o in circle] for circle in circles]
         self.regions = list(surf.region)
         self.disks = list(surf.degenerate_disks)
         self.branch_marks = surf.branch_marks
-        vertices = len(open_orbits) + len(closed)
-        self.chi = vertices - edges + len(self.regions) + len(self.disks)
+        opens = sum(map(len, circles))
+        live = len(surf.state) - surf.state.count(REPLACED)
+        self.chi = opens + len(closed) - (live + opens) // 2 + len(self.regions) + len(self.disks)
 
     @functools.cached_property
     def components(self) -> int:
@@ -629,8 +627,8 @@ def chains_at(built: BuiltSurface, v: str) -> list[PreimageChain]:
     rot = built.diagram.rotation[v]
     surf = built.surface
     out: list[PreimageChain] = []
-    open_orbits, closed = surf.corner_classes()
-    at_v = [o for o in open_orbits + closed if surf.head[o[0]] == ("v", v)]
+    circles, closed = surf.corner_classes()
+    at_v = [o for o in chain(*circles, closed) if surf.head[o[0]] == ("v", v)]
     for orbit in sorted(at_v, key=min):
         cells = []
         for s in orbit:
@@ -701,13 +699,18 @@ def cut_bad_corners(built: BuiltSurface) -> BuiltSurface:
 def _grind_odd_chains(surf: _Surface) -> None:
     """Slit every corner chain of length 2m+1 >= 3 down to one right angle.
 
-    One pass over the chains found at the start is enough.  A slit cuts
-    only its own chain, into one right angle and smooth length-2 pieces;
-    at the far end of the slit edge a glued half takes the place of a
-    glued side, so every other orbit keeps its length.  No free side is
-    subdivided, so each chain is walked again from its free start side.
+    The chains are the odd open orbits at diagram vertices, read off the
+    boundary circles (``_Surface.circles``, which walks no closed orbit)
+    and taken by smallest side id.  One pass over the chains found at the
+    start is enough.  A slit cuts only its own chain, into one right angle
+    and smooth length-2 pieces; at the far end of the slit edge a glued
+    half takes the place of a glued side, so every other orbit keeps its
+    length.  No free side is subdivided, so each chain is walked again
+    from its free start side.
     """
-    for start in [o[0] for o in surf.corner_orbits() if len(o) >= 3]:
+    circles, _ = surf.circles()
+    chains = (o for circle in circles for o in circle if len(o) >= 3 and surf.is_corner(o))
+    for start in [o[0] for o in sorted(chains, key=min)]:
         start_free, links, end_free = surf.class_slots(surf.orbit(start))
         fam_start = surf.family(start_free)
         if fam_start == surf.family(end_free):
@@ -773,7 +776,8 @@ def splice_boundary_circles(built: BuiltSurface) -> BuiltSurface:
     the corner there; beta circles are treated symmetrically.  Each splice
     strictly decreases the number of circles.  The splices are made in
     ``built``'s complex.  Each round looks for the circle in a census of
-    the complex; the last round's census, which found none, is the census
+    the complex and reads the open classes at the splice point off that
+    census too; the last round's census, which found none, is the census
     of the returned stage, since no surgery follows it.
 
     No grind follows a splice: both splice moves take corners of length
@@ -798,7 +802,8 @@ def splice_boundary_circles(built: BuiltSurface) -> BuiltSurface:
         sides = [o[0] for o, _ in circle]
         curve = surf.dart[sides[0]].curve
         v = _generator_point_on_curve(d, built.x, curve)
-        _splice_circle(surf, d, sides, v, d.curve_family[curve])
+        at_v = [o for comp in census.boundary for o, _ in comp if surf.head[o[0]] == ("v", v)]
+        _splice_circle(surf, d, sides, v, d.curve_family[curve], sorted(at_v, key=min))
         guard += 1
         if guard > 4 * len(surf.nxt):
             raise BuilderError("splicing does not terminate")
@@ -826,9 +831,11 @@ def _dart_at(d: HeegaardDiagram, surf: _Surface, s: int, pt: Point) -> Dart:
 
 
 def _splice_circle(
-    surf: _Surface, d: HeegaardDiagram, circle: list[int], v: str, fam: str
+    surf: _Surface, d: HeegaardDiagram, circle: list[int], v: str, fam: str, open_here: list
 ) -> None:
     """Merge the circle into the rest of the boundary at its passage over v.
+
+    ``open_here`` holds the open classes at v, sorted by smallest side id.
 
     Two local moves, tried in this order over the circle's passages and
     their other-family links:
@@ -846,7 +853,6 @@ def _splice_circle(
     pt = ("v", v)
     other_family = BETA if fam == ALPHA else ALPHA
     circle_ids = set(circle)
-    open_here = surf.open_classes_at(pt)
     links = [
         link
         for orbit in open_here
@@ -1006,16 +1012,10 @@ def stabilized_surface(
     # x with none (a dropped degenerate disk) starts its chain inside the
     # first layer
     for v in x.points:
-        pending = _corner_at(surf, ("v", v))
+        pending = next((o for o in surf.open_classes_at(("v", v)) if len(o) % 2), None)
         for layer in layers:
             pending = _cut_layer_and_chain(surf, d, layer, v, pending)
     return _enforce_contract(BuiltSurface("S4", d, a + sigma, surf, x, y))
-
-
-def _corner_at(surf: _Surface, pt: Point, faces: set[int] | None = None) -> list[int] | None:
-    """The first corner at ``pt``, or the first whose orbit starts on one of ``faces``."""
-    corners = (o for o in surf.open_classes_at(pt) if len(o) % 2)
-    return next((o for o in corners if faces is None or surf.face[o[0]] in faces), None)
 
 
 def _layer_side(d: HeegaardDiagram, surf: _Surface, layer: list[int], dart: Dart, pt: Point) -> int:
@@ -1047,6 +1047,12 @@ def _cut_layer_and_chain(
     the two free darts of the received corner; the corner then closes the
     three remaining sectors into a smooth interior point.  Either way the
     layer is left with a fresh corner for the next layer up the chain.
+
+    Before the cut the layer has no free side at v: it is cut at each
+    point of x once, and it has free sides only at the points it was cut
+    at and at cut points.  So after the cut its free sides at v are the
+    lips that run back to v and received no corner side, and the fresh
+    corner is the first odd orbit among theirs, by smallest side id.
     """
     pt = ("v", v)
     if pending is not None:
@@ -1067,10 +1073,11 @@ def _cut_layer_and_chain(
         # glue the pending corner's two sides into the matching lips
         for k_side in (k_in, k_out):
             _glue_to_lip(surf, k_side, lips[_dart_at(d, surf, k_side, pt)], pt)
-    corner = _corner_at(surf, pt, set(layer))
-    if corner is None:
+    free_lips = [lip for _, lip in lips.values() if surf.state[lip] == FREE]
+    corners = [o for o in map(surf.orbit, free_lips) if len(o) % 2]
+    if not corners:
         raise BuilderError("layer cut produced no corner")
-    return corner
+    return min(corners, key=min)
 
 
 # ---------------------------------------------------------------------------

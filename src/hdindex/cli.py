@@ -29,6 +29,7 @@ from hdindex.domains import (
     Generator,
     enumerate_generators,
     find_domains,
+    parse_int,
     periodic_domain_basis,
     sigma_class,
 )
@@ -201,10 +202,11 @@ def _cmd_check(args) -> int:
 
 
 def _at_least(minimum: int):
-    """An argparse type: an integer no smaller than ``minimum``."""
+    """An argparse type: an integer no smaller than ``minimum``, written as
+    ``Domain.parse`` reads a coefficient (``parse_int``)."""
 
     def parse(text: str) -> int:
-        value = int(text)
+        value = parse_int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"{value} is below the minimum {minimum}")
         return value

@@ -35,6 +35,18 @@ from typing import Mapping, NamedTuple
 from hdindex.diagram import ALPHA, BETA, DiagramError, HeegaardDiagram
 
 
+def parse_int(text: str) -> int:
+    """The integer ``text`` spells, as ``str`` writes one: ASCII digits with
+    an optional leading ``-`` and no leading zero.
+
+    Python's ``int`` also reads ``+3``, ``1_0``, ``03``, blanks around the
+    digits and non-ASCII digits; each of those raises ``ValueError`` here.
+    """
+    if str(value := int(text)) != text:
+        raise ValueError(f"not a plain decimal integer: {text!r}")
+    return value
+
+
 class Domain(NamedTuple):
     """Integer coefficients on the regions, in canonical region order."""
 
@@ -82,7 +94,7 @@ class Domain(NamedTuple):
                 raise DiagramError(f"bad domain term {part!r}")
             try:
                 idx = int(name[1:])
-                c = int(value)
+                c = parse_int(value)
             except ValueError:
                 raise DiagramError(f"bad domain term {part!r}") from None
             if name != f"r{idx}":

@@ -68,3 +68,28 @@ def test_traced_values_are_the_median_of_three_alternating_runs(bench_pairs, mon
     assert traced["parent"]["builder.s0_glue.self_s"] == 8 / 2
     assert traced["change"]["builder.s0_glue.self_s"] == 17 / 2
     assert traced["change"]["domains.connects.calls"] == 17
+
+
+def test_the_chain_is_read_from_the_change_checkout(bench_pairs, monkeypatch, tmp_path):
+    change, elsewhere = tmp_path / "change", tmp_path / "elsewhere"
+    change.mkdir()
+    elsewhere.mkdir()
+    workloads = [{"name": "surfaces"}]
+    (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "workloads": workloads}))
+    write_bench(change / "BENCH_9.json", 1.0, 0.5, chained=0.25)
+    # a stray file beside --out is not the trajectory
+    write_bench(elsewhere / "BENCH_9.json", 1.0, 1.0, chained=1.0)
+
+    def fake_measure(args, workload):
+        wall = {"parent": {"median": 2.0}, "change": {"median": 1.0}}
+        return {"metrics": {"wall_s": wall}}, {}, True
+
+    monkeypatch.setattr(bench_pairs, "measure", fake_measure)
+    out = elsewhere / "BENCH_10.json"
+    argv = [
+        "--parent", str(tmp_path / "parent"), "--change", str(change), "--out", str(out),
+        "--seed", "1", "--traced-seed", "2", "--parent-commit", "abc", "--change-note", "n",
+    ]
+    assert bench_pairs.main(argv) == 0
+    wall = json.loads(out.read_text())["workloads"]["surfaces"]["metrics"]["wall_s"]
+    assert wall["chained"] == 0.125

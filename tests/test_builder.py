@@ -624,8 +624,8 @@ def test_corner_orbits_partition_and_open_classes_agree(corpus):
                 assert (surf.state[s] == builder.FREE) == (surf.partner[s] == -1)
             for s in range(len(surf.state)):
                 assert surf.tail(surf.current(s)) == surf.tail(s)
-            open_orbits, closed = surf.corner_classes()
-            classes = sorted(open_orbits + closed, key=min)
+            circles, closed = surf.corner_classes()
+            classes = sorted([o for circle in circles for o in circle] + closed, key=min)
             assert sorted(s for orbit in classes for s in orbit) == sides
             for orbit in classes:
                 assert all(surf.partner[surf.nxt[a]] == b for a, b in zip(orbit, orbit[1:]))
@@ -667,23 +667,43 @@ def reference_classes(surf):
     return classes
 
 
+def reference_circles(surf, ref_open):
+    """The reference's open orbits linked by ``nxt`` into boundary circles.
+
+    The orbit ``o`` is followed by the one that starts at ``nxt[o[-1]]``; a
+    circle starts at its smallest free side, and the circles come in the
+    order of those sides.
+    """
+    by_start = {o[0]: o for o in ref_open}
+    circles = []
+    for s in sorted(by_start):
+        circle = []
+        while s in by_start:
+            circle.append(by_start.pop(s))
+            s = surf.nxt[circle[-1][-1]]
+        if circle:
+            circles.append(circle)
+    return circles
+
+
 def orbit_mismatches(built):
     """How the orbit queries of ``built``'s complex depart from the reference walk."""
     surf = built.surface
     ref = reference_classes(surf)
     ref_open = [o for o in ref if surf.partner[o[0]] == -1]
-    open_orbits, closed = surf.corner_classes()
+    circles, closed = surf.corner_classes()
     found = []
-    if open_orbits != sorted(ref_open):
-        found.append("open classes")
+    if circles != reference_circles(surf, ref_open):
+        found.append("circles")
     if closed != [o for o in ref if surf.partner[o[0]] != -1]:
         found.append("closed classes")
     for pt in {surf.head[s] for s in live_sides(surf)}:
         if surf.open_classes_at(pt) != [o for o in ref_open if surf.head[o[0]] == pt]:
             found.append(f"open classes at {pt}")
     corners = [o for o in ref_open if len(o) % 2 and surf.head[o[0]][0] == "v"]
-    if surf.corner_orbits() != corners:
-        found.append("corner orbits")
+    census = builder._Census(surf)
+    if sorted((o for comp in census.boundary for o, corner in comp if corner), key=min) != corners:
+        found.append("corner marks")
     return found
 
 
@@ -696,6 +716,23 @@ def test_orbit_walk_matches_the_back_walk_reference(corpus):
             assert orbit_mismatches(built) == [], (d, built.stage, built.domain)
             stages += 1
     assert stages > 5000
+
+
+def test_the_circle_reference_catches_circles_that_are_not_linked(monkeypatch, corpus):
+    walk = builder._Surface.circles
+
+    def unlinked(surf):
+        """A seeded mutant of ``_Surface.circles``: every open orbit its own circle."""
+        return [[surf.orbit(s)] for s in surf._free_sides()], walk(surf)[1]
+
+    stages = caught = 0
+    for d in corpus.values():
+        for built in stage_surfaces(d, limit=1):
+            with monkeypatch.context() as m:
+                m.setattr(builder._Surface, "circles", unlinked)
+                caught += orbit_mismatches(built) == ["circles"]
+            stages += 1
+    assert stages > 1000 and caught > stages // 2
 
 
 def one_pass_classes(surf):
@@ -791,7 +828,7 @@ def test_an_orbit_walked_from_inside_an_open_chain_raises(corpus):
     for d in corpus.values():
         for built in stage_surfaces(d, limit=1):
             surf = built.surface
-            middles = [s for o in surf.corner_classes()[0] for s in o[1:]]
+            middles = [s for circle in surf.circles()[0] for o in circle for s in o[1:]]
             for s in rng.sample(middles, min(3, len(middles))):
                 with pytest.raises(BuilderError, match="inside an open chain"):
                     surf.orbit(s)
@@ -879,7 +916,9 @@ def test_census_counts_the_cells_and_outlives_the_stage(corpus):
             sides = live_sides(surf)
             free = sum(1 for s in sides if surf.partner[s] == -1)
             edges = (len(sides) - free) // 2 + free  # glued pairs + free sides
-            cells = sum(map(len, surf.corner_classes())) - edges + len(surf.region)
+            circles, closed = surf.corner_classes()
+            vertices = sum(map(len, circles)) + len(closed)
+            cells = vertices - edges + len(surf.region)
             fresh = BuiltSurface(built.stage, d, built.domain, surf, built.x, built.y)
             values = stage_values(built)
             assert values[0] == cells + len(surf.degenerate_disks)

@@ -280,6 +280,16 @@ def test_bound_flags_keep_their_minimum_and_integer_check(capsys, data_dir):
     assert "argument --k-max: invalid int value: 'two'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1_0", "\u0661", "+3", "03"])
+@pytest.mark.parametrize("flag", ["--max-coeff", "--k-max"])
+def test_bound_flags_read_integers_as_domain_coefficients_are_read(capsys, flag, value):
+    # Python's int reads 1_0 as 10, the Arabic-Indic one as 1, +3 and 03 as 3
+    with pytest.raises(SystemExit) as exc:
+        main(["check", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
+
+
 def test_info_text_matches_json(capsys, data_dir):
     path = str(data_dir / "genus2_s1s2.hd")
     _, out, _ = run(capsys, "--json", "info", path)

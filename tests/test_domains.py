@@ -463,6 +463,13 @@ def test_domain_parse_refuses_a_region_named_twice_or_not_as_format_writes_it(
         Domain.parse(torus3, text)
 
 
+@pytest.mark.parametrize("value", ["1_0", "+1", "01", "\u0661", " 1", "-0"])
+def test_domain_parse_reads_a_coefficient_only_as_format_writes_it(torus3, value):
+    # Python's int reads each of these (1_0 as 10, the others as 1 or 0)
+    with pytest.raises(DiagramError, match="bad domain term"):
+        Domain.parse(torus3, f"r1:{value}")
+
+
 def test_domain_format_parses_back_to_the_same_domain(corpus):
     rng = random.Random(436)
     for d in corpus.values():
