@@ -5,7 +5,8 @@ this runs ``perfbench/run.py`` in each for every workload that the
 change's ``BENCHMARK.json`` declares, for its ``run_seconds``: ``--pairs``
 untraced pairs, the side that goes first alternating from pair to pair,
 then three traced pairs on the seeds from ``--traced-seed`` on.  It writes
-the medians and quartiles of every end-to-end metric, the seeds, the run
+the medians and quartiles of every end-to-end metric, whether each one
+meets the gain rule (``gain_rule_met``), the seeds, the run
 order, the failed operations and the median of the three traced runs of
 each chosen per-layer value, in the schema of ``BENCH_7.json``.  Traced
 times are brought to the probe's reference host speed, as ``run.py``
@@ -103,6 +104,16 @@ def summary(runs: list[float]) -> dict:
     }
 
 
+def gain_rule_met(parent: dict, change: dict, wins: int) -> bool:
+    """Whether a gain may be claimed on one metric, from the two sides'
+    summaries and the pairs the change won (lower, ties counting for
+    neither): it must win at least nine tenths of the pairs, and its median
+    must be lower than the parent's by more than the parent's quartile
+    distance q3 - q1."""
+    spread = parent["q3"] - parent["q1"]
+    return 10 * wins >= 9 * len(parent["runs"]) and parent["median"] - change["median"] > spread
+
+
 def measure(args: argparse.Namespace, workload: str) -> tuple[dict, dict, bool]:
     """(workload record, traced record, every run correct) for one workload."""
     checkouts = {"parent": args.parent, "change": args.change}
@@ -133,6 +144,7 @@ def measure(args: argparse.Namespace, workload: str) -> tuple[dict, dict, bool]:
             "change": change,
             "change_wins": wins,
             "median_change": round(change["median"] / parent["median"] - 1, 4),
+            "gain_rule_met": gain_rule_met(parent, change, wins),
         }
     record = {
         "seeds": seeds,
@@ -202,7 +214,9 @@ def main(argv: list[str] | None = None) -> int:
         "host": host + "; times, traced ones too, are probe-scaled to the reference host speed",
         "statistics": f"median and quartiles (inclusive method) over the {args.pairs} runs of "
         "each side; change_wins counts pairs where the change is lower; median_change is "
-        "change median / parent median - 1; wall_s chained is the product of the change / "
+        "change median / parent median - 1; gain_rule_met is true when the change wins at "
+        "least nine tenths of the pairs and parent median - change median exceeds the "
+        "parent's q3 - q1; wall_s chained is the product of the change / "
         "parent median ratios of this file and of every BENCH file before it back to "
         f"BENCH_7; each traced value is the median of {TRACED_RUNS} traced runs per side, "
         "the side that goes first alternating",

@@ -15,9 +15,18 @@ substitution on H: its point vector leaves a canonical residue modulo
 im M, its class key, and a potential a(x) with M . a(x) = x - key.  A
 domain from x to y exists exactly when the two keys are equal, and then
 a(y) - a(x) is an integral particular solution; the kernel basis is
-walked exhaustively from it inside the coefficient box.  ``connects`` is
-one product with M over the domain's nonzero coefficients, read column by
-column, with x - y added in place.
+walked exhaustively from it inside the coefficient box.
+
+``connects`` tests M . A = y - x as one integer dot product.  Each column
+of M is packed into one Python int with a signed 32-bit field per vertex
+row, and so is each generator's point vector.  Packing is Z-linear, and
+injective on vectors whose entries lie in (-2^31, 2^31).  Every row of M
+has absolute sum at most 4 (two alpha edges, each giving +-1 to the
+regions on its two sides), so while every coefficient of A lies strictly
+between -2^28 and 2^28 each entry of M . A - (y - x) is at most
+4 (2^28 - 1) + 1 < 2^31 in absolute value, and the packed sums are equal
+exactly when the vectors are.  A domain with a larger coefficient is
+tested column by column instead.
 
 Sign convention (fixed): with the counterclockwise surface orientation an
 edge oriented along its curve's listed direction gets the coefficient
@@ -30,9 +39,15 @@ holds the alpha block only.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Mapping, NamedTuple
 
 from hdindex.diagram import ALPHA, BETA, DiagramError, HeegaardDiagram
+
+# The packed dot product of ``connects`` is exact while every coefficient
+# lies strictly between -_PACK_LIMIT and _PACK_LIMIT (see the module text).
+_PACK_BITS = 32
+_PACK_LIMIT = 1 << 28
 
 
 def parse_int(text: str) -> int:
@@ -195,15 +210,25 @@ def connects(d: HeegaardDiagram, a: Domain, x: Generator, y: Generator) -> bool:
 
     Demands vertex_boundary(alpha part) = y - x and
     vertex_boundary(beta part) = x - y as 0-chains.  The second follows
-    from the first, so this is one product M . a with the diagram's cached
-    alpha boundary matrix, summed over the columns of the nonzero
-    coefficients of ``a`` onto x - y (the target of the reverse class); the
-    domain connects iff nothing is left.
+    from the first, so this is M . a = y - x for the diagram's cached alpha
+    boundary matrix M.  While every coefficient of ``a`` lies strictly
+    between -2^28 and 2^28 that is one dot product of the coefficients with
+    M's packed columns against the difference of the two generators' packed
+    points, exact by the row-sum bound of the module text.  Otherwise the
+    columns of the nonzero coefficients are summed onto x - y (the target
+    of the reverse class), and the domain connects iff nothing is left.
     """
-    lat = _checked_lattice(d, x, y)
-    _check_domain(d, a)
+    lat = _lattice(d)
+    rx, ry = lat.generators.get(x.points), lat.generators.get(y.points)
+    if rx is None or ry is None:
+        _checked_lattice(d, x, y)
+        rx, ry = lat.generators[x.points], lat.generators[y.points]
+    _check_domain(d, a)  # before ``map``, which would stop at a short domain
+    coeffs = a.coeffs
+    if -_PACK_LIMIT < min(coeffs) and max(coeffs) < _PACK_LIMIT:
+        return sum(map(mul, lat.packed, coeffs)) == ry.packed - rx.packed
     out = _target_vector(lat, y.points, x.points)
-    for column, c in zip(lat.columns, a.coeffs):
+    for column, c in zip(lat.columns, coeffs):
         if c:
             for v, k in column:
                 out[v] += k * c
@@ -317,7 +342,8 @@ class _Factorization(NamedTuple):
     ``echelon`` holds the nonzero rows of H with their pivot columns,
     ``unimodular`` the rows of U (the first ``len(echelon)`` match them)
     and ``kernel`` the rest, the rows whose H part vanished: the Hermite
-    normal form of ker M, positive pivots and reduced above them.  Since
+    normal form of ker M, positive pivots and reduced above them, with
+    their pivot columns in ``kernel_pivots``.  Since
     M . (sum z_i U_i) = sum z_i H_i and the rows of H span im M, forward
     substitution on H reduces a vector modulo im M (``reduce``) and solves
     M a = t when it can (``solve``).
@@ -326,6 +352,7 @@ class _Factorization(NamedTuple):
     echelon: tuple[tuple[int, tuple[int, ...]], ...]
     unimodular: tuple[tuple[int, ...], ...]
     kernel: tuple[tuple[int, ...], ...]
+    kernel_pivots: tuple[int, ...]
 
     @staticmethod
     def of(rows: list[list[int]], ncols: int) -> "_Factorization":
@@ -342,7 +369,9 @@ class _Factorization(NamedTuple):
             if any(r[:nrows])
         )
         unimodular = tuple(tuple(r[nrows:]) for r in reduced)
-        return _Factorization(echelon, unimodular, unimodular[len(echelon) :])
+        kernel = unimodular[len(echelon) :]
+        pivots = tuple(next(c for c, k in enumerate(r) if k) for r in kernel)
+        return _Factorization(echelon, unimodular, kernel, pivots)
 
     def reduce(self, target: list[int]) -> tuple[list[int], list[int]]:
         """The residue of ``target`` modulo im M, and a with M a = target - residue.
@@ -375,30 +404,37 @@ class _GeneratorRecord(NamedTuple):
     """What the solver and the formulas read of one valid generator x.
 
     ``key`` is x's point vector reduced modulo im M (its class key),
-    ``potential`` the a(x) with M . a(x) = x - key, and ``regions`` the
-    quadrant regions of x's points, four per point, flattened.
+    ``potential`` the a(x) with M . a(x) = x - key, ``regions`` the
+    quadrant regions of x's points, four per point, flattened, and
+    ``packed`` x's point vector packed as ``_Lattice.packed`` packs a
+    column: bit 32 v set for each point in vertex row v.
     """
 
     key: tuple[int, ...]
     potential: tuple[int, ...]
     regions: tuple[int, ...]
+    packed: int
 
 
 class _Lattice(NamedTuple):
     """The integer data of one diagram that the solver and formulas read.
 
     ``columns`` is the boundary matrix, each region's column as its
-    nonzero (vertex row, coefficient) pairs, and ``vertex_index`` maps a
-    vertex name to its row; ``factorization`` factors the matrix;
-    ``euler_weights`` is 4 - corners per region and ``quadrants`` the four
-    quadrant regions at each vertex, in rotation order.  ``generators``
-    maps the points of each generator already validated on this diagram
-    to its record: at most all of them, and never an invalid one, since
-    ``check_generator`` raises first.  It is keyed by the points tuple,
-    one tuple level less to hash than the generator.
+    nonzero (vertex row, coefficient) pairs, and ``packed`` each column as
+    one int, the sum of coefficient * 2^(32 row): a signed 32-bit field per
+    vertex row, which ``connects`` dots with a domain's coefficients.
+    ``vertex_index`` maps a vertex name to its row; ``factorization``
+    factors the matrix; ``euler_weights`` is 4 - corners per region and
+    ``quadrants`` the four quadrant regions at each vertex, in rotation
+    order.  ``generators`` maps the points of each generator already
+    validated on this diagram to its record: at most all of them, and
+    never an invalid one, since ``check_generator`` raises first.  It is
+    keyed by the points tuple, one tuple level less to hash than the
+    generator.
     """
 
     columns: tuple[tuple[tuple[int, int], ...], ...]
+    packed: tuple[int, ...]
     vertex_index: Mapping[str, int]
     factorization: _Factorization
     euler_weights: tuple[int, ...]
@@ -415,8 +451,10 @@ def _lattice(d: HeegaardDiagram) -> _Lattice:
     lat = d.__dict__.get("_lattice")
     if lat is None:
         rows = _boundary_matrix(d)
+        columns = tuple(tuple((v, k) for v, k in enumerate(col) if k) for col in zip(*rows))
         lat = d._lattice = _Lattice(  # type: ignore[attr-defined]
-            tuple(tuple((v, k) for v, k in enumerate(col) if k) for col in zip(*rows)),
+            columns,
+            tuple(sum(k << _PACK_BITS * v for v, k in col) for col in columns),
             {v: i for i, v in enumerate(d.vertices)},
             _Factorization.of(rows, len(d.regions)),
             tuple(4 - r.corner_count for r in d.regions),
@@ -436,7 +474,8 @@ def _checked_lattice(d: HeegaardDiagram, x: Generator, y: Generator) -> _Lattice
             check_generator(d, g)
             residue, a = lat.factorization.reduce(_target_vector(lat, (), g.points))
             regions = tuple(r for v in g.points for r in lat.quadrants[v])
-            records[g.points] = _GeneratorRecord(tuple(residue), tuple(a), regions)
+            packed = sum(1 << _PACK_BITS * lat.vertex_index[v] for v in g.points)
+            records[g.points] = _GeneratorRecord(tuple(residue), tuple(a), regions, packed)
     return lat
 
 
@@ -471,18 +510,16 @@ def find_domains(
     if max_coeff < 0:
         raise ValueError("max_coeff must be >= 0")
     lat = _checked_lattice(d, x, y)
-    nreg = len(d.regions)
     rx, ry = lat.generators[x.points], lat.generators[y.points]
     if rx.key != ry.key:
         return []
     x0 = [b - a for a, b in zip(rx.potential, ry.potential)]
-    basis = lat.factorization.kernel
     lo = 0 if positive_only else -max_coeff
     hi = max_coeff
-    pivots = [next(c for c in range(nreg) if vec[c] != 0) for vec in basis]
 
     points = [x0]
-    for vec, pc in zip(basis, pivots):
+    fact = lat.factorization
+    for vec, pc in zip(fact.kernel, fact.kernel_pivots):
         # Later basis rows have later pivots, hence zeros at column pc, so
         # the pivot coordinate is final once t is chosen: bracketing it
         # inside the box is sound and complete.  Pivots are positive.

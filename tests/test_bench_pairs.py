@@ -59,6 +59,8 @@ def test_traced_values_are_the_median_of_three_alternating_runs(bench_pairs, mon
     )
     record, traced, correct = bench_pairs.measure(args, "surfaces")
     assert correct and record["seeds"] == [1, 2]
+    # the change side runs 10 higher, so it wins nothing
+    assert record["metrics"]["wall_s"]["gain_rule_met"] is False
     assert [c[:2] for c in calls if c[2]] == [
         ("parent", 50), ("change", 50), ("change", 51), ("parent", 51),
         ("parent", 52), ("change", 52),
@@ -93,3 +95,21 @@ def test_the_chain_is_read_from_the_change_checkout(bench_pairs, monkeypatch, tm
     assert bench_pairs.main(argv) == 0
     wall = json.loads(out.read_text())["workloads"]["surfaces"]["metrics"]["wall_s"]
     assert wall["chained"] == 0.125
+
+
+def test_the_gain_rule_needs_both_the_wins_and_a_drop_beyond_the_parent_spread(bench_pairs):
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # q1 1.225, q3 1.675
+    rule = bench_pairs.gain_rule_met
+
+    def met(change):
+        wins = sum(c < p for p, c in zip(parent, change))
+        return rule(bench_pairs.summary(parent), bench_pairs.summary(change), wins)
+
+    # ten wins, but the medians differ by 0.01, well inside the parent's 0.45
+    assert not met([p - 0.01 for p in parent])
+    # the median drops by 0.6, but the change wins only eight pairs
+    assert not met([p - 0.6 for p in parent[:8]] + [2.0, 2.0])
+    # nine wins (a tie counts for neither) and a drop of 0.5
+    assert met([p - 0.5 for p in parent[:9]] + [parent[9]])
+    # ten wins and a drop of 0.4, still inside the spread
+    assert not met([p - 0.4 for p in parent])

@@ -2,6 +2,7 @@ import gc
 import random
 import re
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -10,6 +11,7 @@ from hdindex.diagram import ALPHA, BETA, DiagramError
 from hdindex.domains import (
     Domain,
     Generator,
+    _PACK_LIMIT,
     _Factorization,
     _lattice,
     boundary_chain,
@@ -122,11 +124,22 @@ PROPERTY_GENERATORS = {
 }
 
 
+# Multiples of Sigma for the shifted cases: small ones, and ones just inside
+# and just outside the packed product's guard on either side, so that both
+# paths of ``connects`` are compared with the definition.
+SIGMA_SHIFTS = st.one_of(
+    st.integers(-2, 2),
+    st.integers(_PACK_LIMIT - 3, _PACK_LIMIT + 3),
+    st.integers(-_PACK_LIMIT - 3, -_PACK_LIMIT + 3),
+)
+
+
 @st.composite
 def connects_cases(draw):
-    """A bundled diagram, any generator pair on it and a domain: random with
-    coefficients in -5..5 (zeros drawn often), the zero domain, Sigma, or a
-    class found from x to y shifted by a multiple of Sigma."""
+    """A bundled diagram, any generator pair on it and a domain: the zero
+    domain, Sigma, or one shifted by a multiple of Sigma, small or near
+    +-2^28: random with coefficients in -5..5 (zeros drawn often), which
+    almost never connects, or a class found from x to y, which does."""
     name = draw(st.sampled_from(sorted(PROPERTY_CORPUS)))
     d, gens = PROPERTY_CORPUS[name], PROPERTY_GENERATORS[name]
     x, y = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
@@ -135,8 +148,9 @@ def connects_cases(draw):
         coeff = st.one_of(st.just(0), st.integers(-5, 5))
         n = len(d.regions)
         a = Domain(tuple(draw(st.lists(coeff, min_size=n, max_size=n))))
+        a += draw(SIGMA_SHIFTS) * sigma_class(d)
     elif kind == "class" and (found := find_domains(d, x, y, 1, positive_only=False)):
-        a = draw(st.sampled_from(found)) + draw(st.integers(-2, 2)) * sigma_class(d)
+        a = draw(st.sampled_from(found)) + draw(SIGMA_SHIFTS) * sigma_class(d)
     else:
         a = sigma_class(d) if kind == "sigma" else Domain.zero(d)
     return d, a, x, y
@@ -149,6 +163,44 @@ def test_connects_property_matches_boundary_chain_definition(case):
     d, a, x, y = case
     want = y_minus_x(d, x, y)
     assert connects(d, a, x, y) == (vertex_boundaries(d, a) == (want, want))
+
+
+def packed_sum(d, a):
+    """The packed product of ``connects`` alone, with no guard: M . a with
+    every vertex row in its own 32-bit field."""
+    return sum(map(mul, _lattice(d).packed, a.coeffs))
+
+
+def test_every_row_of_the_boundary_matrix_has_absolute_sum_at_most_four(corpus):
+    # the bound that makes the packed product exact under the guard
+    for d in corpus.values():
+        rows = [0] * len(d.vertices)
+        for column in _lattice(d).columns:
+            for v, k in column:
+                rows[v] += abs(k)
+        assert max(rows) <= 4
+
+
+def test_the_guard_keeps_a_packed_collision_from_connecting(genus2, genus3):
+    # Where one region's column is another's moved down one vertex row, the
+    # 32-bit packing of the second is 2^32 times the first, so 2^32 on the
+    # first and -1 on the second packs to 0 although M . A is not 0.  Only
+    # the guard on the coefficients sends this domain to the column loop.
+    for d in (genus2, genus3):
+        columns = _lattice(d).columns
+        i, j = next(
+            (i, j)
+            for i, low in enumerate(columns)
+            for j, high in enumerate(columns)
+            if low and high == tuple((v + 1, k) for v, k in low)
+        )
+        coeffs = [0] * len(d.regions)
+        coeffs[i], coeffs[j] = 1 << 32, -1
+        a = Domain(tuple(coeffs))
+        x = enumerate_generators(d)[0]
+        assert packed_sum(d, a) == 0
+        assert vertex_boundaries(d, a) != (y_minus_x(d, x, x),) * 2
+        assert not connects(d, a, x, x)
 
 
 def test_connects_admits_no_invalid_generator(genus2):
@@ -396,6 +448,15 @@ def test_periodic_domain_basis(corpus, torus2, genus2s1s2):
         assert _in_integer_span(basis, sigma)
     assert len(periodic_domain_basis(torus2)) == 1
     assert len(periodic_domain_basis(genus2s1s2)) == 2
+
+
+def test_kernel_pivots_are_stored_with_the_factorization(corpus):
+    for d in corpus.values():
+        fact = _lattice(d).factorization
+        assert fact.kernel_pivots == tuple(
+            next(c for c, k in enumerate(vec) if k) for vec in fact.kernel
+        )
+        assert list(fact.kernel_pivots) == sorted(set(fact.kernel_pivots))
 
 
 def _in_integer_span(basis, target):
