@@ -165,12 +165,6 @@ def test_connects_property_matches_boundary_chain_definition(case):
     assert connects(d, a, x, y) == (vertex_boundaries(d, a) == (want, want))
 
 
-def packed_sum(d, a):
-    """The packed product of ``connects`` alone, with no guard: M . a with
-    every vertex row in its own 32-bit field."""
-    return sum(map(mul, _lattice(d).packed, a.coeffs))
-
-
 def test_every_row_of_the_boundary_matrix_has_absolute_sum_at_most_four(corpus):
     # the bound that makes the packed product exact under the guard
     for d in corpus.values():
@@ -198,7 +192,7 @@ def test_the_guard_keeps_a_packed_collision_from_connecting(genus2, genus3):
         coeffs[i], coeffs[j] = 1 << 32, -1
         a = Domain(tuple(coeffs))
         x = enumerate_generators(d)[0]
-        assert packed_sum(d, a) == 0
+        assert sum(map(mul, _lattice(d).packed, a.coeffs)) == 0  # unguarded product
         assert vertex_boundaries(d, a) != (y_minus_x(d, x, x),) * 2
         assert not connects(d, a, x, x)
 
