@@ -40,6 +40,7 @@ from hdindex.formulas import (
     generator_multiplicity,
     index_report,
     maslov_index,
+    maslov_quarters,
     point_multiplicity,
 )
 from hdindex.builder import (

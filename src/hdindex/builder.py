@@ -90,7 +90,7 @@ from hdindex.diagram import ALPHA, BETA, Dart, HeegaardDiagram, components, load
 from hdindex.domains import (
     Domain,
     Generator,
-    check_generator,
+    _checked_lattice,
     connects,
     is_positive,
     sigma_class,
@@ -295,6 +295,22 @@ class _Surface:
                 marks[c] = _MET
             s = marks.find(0, s)
         return circles, closed
+
+    def orbits_at(self, pt: Point) -> list[list[int]]:
+        """Every corner orbit at ``pt``, sorted by smallest side id.
+
+        Each is walked from where ``corner_classes`` starts it: the open
+        ones from their free start sides (``open_classes_at``), then each
+        closed one from its smallest side not met yet.  No orbit at
+        another point is walked.
+        """
+        orbits = self.open_classes_at(pt)
+        met = set(chain.from_iterable(orbits))
+        for s, h in enumerate(self.head):
+            if h == pt and self.state[s] == GLUED and s not in met:
+                orbits.append(self.orbit(s))
+                met.update(orbits[-1])
+        return sorted(orbits, key=min)
 
     def open_classes_at(self, pt: Point) -> list[list[int]]:
         """The open orbits at ``pt``, sorted by smallest side id."""
@@ -627,9 +643,7 @@ def chains_at(built: BuiltSurface, v: str) -> list[PreimageChain]:
     rot = built.diagram.rotation[v]
     surf = built.surface
     out: list[PreimageChain] = []
-    circles, closed = surf.corner_classes()
-    at_v = [o for o in chain(*circles, closed) if surf.head[o[0]] == ("v", v)]
-    for orbit in sorted(at_v, key=min):
+    for orbit in surf.orbits_at(("v", v)):
         cells = []
         for s in orbit:
             # the corner between s and nxt(s) occupies the sector between
@@ -743,8 +757,7 @@ def add_degenerate_corners(
     would fail the right-angle clause of the stage-S3 contract.
     """
     d = built.diagram
-    check_generator(d, x)
-    check_generator(d, y)
+    _checked_lattice(d, x, y)  # raises unless both are generators of d
     surf = built.surface
     shared = [v for v in x.points if v in set(y.points)]
     for v in shared:
@@ -942,8 +955,8 @@ def stage_contract(built: BuiltSurface) -> list[str]:
         if len(arcs) != 1 or arcs[0].get("circle"):
             problems.append(f"boundary over {curve} is not one arc")
     # taken afresh, since this is the check, and kept for ``delta``
-    built.chi_emb = embedded_euler_char(d, built.domain, built.x, built.y)
-    if (built.chi - built.chi_emb) % 2:
+    built.chi_emb = chi_emb = embedded_euler_char(d, built.domain, built.x, built.y)
+    if chi_emb.denominator != 1 or (built.chi - chi_emb.numerator) % 2:
         problems.append("chi parity differs from the embedded chi")
     return problems
 

@@ -39,7 +39,7 @@ holds the alpha block only.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul
 from typing import Mapping, NamedTuple
 
 from hdindex.diagram import ALPHA, BETA, DiagramError, HeegaardDiagram
@@ -72,7 +72,7 @@ class Domain(NamedTuple):
 
     def __add__(self, other: "Domain") -> "Domain":
         _same_length(self, other)
-        return Domain(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Domain(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __mul__(self, k: int) -> "Domain":
         return Domain(tuple(k * a for a in self.coeffs))
@@ -404,15 +404,16 @@ class _GeneratorRecord(NamedTuple):
     """What the solver and the formulas read of one valid generator x.
 
     ``key`` is x's point vector reduced modulo im M (its class key),
-    ``potential`` the a(x) with M . a(x) = x - key, ``regions`` the
-    quadrant regions of x's points, four per point, flattened, and
+    ``potential`` the a(x) with M . a(x) = x - key, ``weights`` a count
+    per region of the quadrants of x's points that lie in it (4g in all),
+    so that 4 n_x(A) is the dot product of ``weights`` with A, and
     ``packed`` x's point vector packed as ``_Lattice.packed`` packs a
     column: bit 32 v set for each point in vertex row v.
     """
 
     key: tuple[int, ...]
     potential: tuple[int, ...]
-    regions: tuple[int, ...]
+    weights: tuple[int, ...]
     packed: int
 
 
@@ -424,13 +425,14 @@ class _Lattice(NamedTuple):
     one int, the sum of coefficient * 2^(32 row): a signed 32-bit field per
     vertex row, which ``connects`` dots with a domain's coefficients.
     ``vertex_index`` maps a vertex name to its row; ``factorization``
-    factors the matrix; ``euler_weights`` is 4 - corners per region and
-    ``quadrants`` the four quadrant regions at each vertex, in rotation
-    order.  ``generators`` maps the points of each generator already
-    validated on this diagram to its record: at most all of them, and
-    never an invalid one, since ``check_generator`` raises first.  It is
-    keyed by the points tuple, one tuple level less to hash than the
-    generator.
+    factors the matrix; ``euler_weights`` is 4 - corners per region, so
+    that 4e(A) is its dot product with A, and ``quadrants`` the four
+    quadrant regions at each vertex, in rotation order, from which each
+    generator record counts its ``weights``.  ``generators`` maps the
+    points of each generator already validated on this diagram to its
+    record: at most all of them, and never an invalid one, since
+    ``check_generator`` raises first.  It is keyed by the points tuple,
+    one tuple level less to hash than the generator.
     """
 
     columns: tuple[tuple[tuple[int, int], ...], ...]
@@ -473,9 +475,10 @@ def _checked_lattice(d: HeegaardDiagram, x: Generator, y: Generator) -> _Lattice
         if g.points not in records:
             check_generator(d, g)
             residue, a = lat.factorization.reduce(_target_vector(lat, (), g.points))
-            regions = tuple(r for v in g.points for r in lat.quadrants[v])
+            regions = [r for v in g.points for r in lat.quadrants[v]]
+            weights = tuple(map(regions.count, range(len(lat.euler_weights))))
             packed = sum(1 << _PACK_BITS * lat.vertex_index[v] for v in g.points)
-            records[g.points] = _GeneratorRecord(tuple(residue), tuple(a), regions, packed)
+            records[g.points] = _GeneratorRecord(tuple(residue), tuple(a), weights, packed)
     return lat
 
 

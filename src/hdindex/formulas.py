@@ -6,7 +6,8 @@ no floating point enters anywhere.  The quantities:
 * ``euler_measure``      e(A)  = sum of n_i (1 - c_i/4) = (sum of n_i (4 - c_i)) / 4,
 * ``point_multiplicity`` n_p(A) = (sum of the four quadrant coefficients) / 4,
 * ``generator_multiplicity``   n_x(A) = sum over the tuple,
-* ``maslov_index``       mu(A) = e + n_x + n_y,
+* ``maslov_index``       mu(A) = e + n_x + n_y, and ``maslov_quarters`` 4 mu(A)
+  as an exact integer,
 * ``embedded_euler_char`` chi  = g - n_x - n_y + e,
 * ``analytic_index``     g - chi(S) + 2 e(A); taken at chi(S) = chi_emb it is
   mu by algebra alone, so ``hdindex check`` does not use it,
@@ -16,10 +17,12 @@ Regions traced from a diagram are disks with right-angle corners, so the
 Euler measure needs no obtuse-corner correction term.  Both sums over 4
 are taken in integers, from tables cached with the boundary factorization:
 4 - c_i per region, the quadrant regions per vertex, and each validated
-generator's record, which holds its points' quadrant regions flattened.
-The index formulas check their inputs once, through the same validation
-that makes the records, and build each result from the integer sums 4e,
-4n_x and 4n_y; the quarters are shared from one bounded cache.
+generator's record, which holds a weight per region, the number of its
+points' quadrants there.  So 4e, 4n_x and 4n_y are each one dot product
+of a weight vector with the coefficients.  The index formulas check their
+inputs once, through the same validation that makes the records, and
+build each result from those three integers; the quarters are shared from
+one bounded cache.
 """
 
 from __future__ import annotations
@@ -76,20 +79,30 @@ def point_multiplicity(d: HeegaardDiagram, a: Domain, v: str) -> Fraction:
     if v not in d.vertex_alpha:
         raise DiagramError(f"unknown vertex {v!r}")
     _check_domain(d, a)
-    return _quarter(_quarter_multiplicity(a, _lattice(d).quadrants[v]))
+    return _quarter(sum(map(a.coeffs.__getitem__, _lattice(d).quadrants[v])))
 
 
 def generator_multiplicity(d: HeegaardDiagram, a: Domain, x: Generator) -> Fraction:
     """n_x(A): the sum of the point multiplicities over the tuple."""
     lat = _checked_lattice(d, x, x)
     _check_domain(d, a)
-    return _quarter(_quarter_multiplicity(a, lat.generators[x.points].regions))
+    return _quarter(sum(map(mul, lat.generators[x.points].weights, a.coeffs)))
 
 
-def _quarter_multiplicity(a: Domain, regions: tuple[int, ...]) -> int:
-    """4 n_p(A) summed over points with these quadrant regions: A's
-    coefficients on them."""
-    return sum(map(a.coeffs.__getitem__, regions))
+def maslov_quarters(
+    d: HeegaardDiagram,
+    a: Domain,
+    x: Generator,
+    y: Generator,
+    force: bool = False,
+) -> int:
+    """4 mu(A) = 4e(A) + 4n_x(A) + 4n_y(A), an exact integer.
+
+    Rejects domains that do not connect x to y unless ``force`` is set;
+    with ``force`` the same expression is evaluated off the strip classes,
+    which is occasionally useful for exploration.
+    """
+    return sum(_index_sums(d, a, x, y, force))
 
 
 def maslov_index(
@@ -99,14 +112,8 @@ def maslov_index(
     y: Generator,
     force: bool = False,
 ) -> Fraction:
-    """mu(A) = e(A) + n_x(A) + n_y(A).
-
-    Rejects domains that do not connect x to y unless ``force`` is set;
-    with ``force`` the same expression is evaluated off the strip classes,
-    which is occasionally useful for exploration.
-    """
-    e, n_x, n_y = _index_sums(d, a, x, y, force)
-    return _quarter(e + n_x + n_y)
+    """mu(A) = e(A) + n_x(A) + n_y(A): ``maslov_quarters`` over 4."""
+    return _quarter(maslov_quarters(d, a, x, y, force))
 
 
 def embedded_euler_char(
@@ -173,9 +180,9 @@ def _index_sums(
             f"domain {a.format()} does not connect {x.format()} to {y.format()}"
             " (evaluate it anyway with force=True, or --force on the command line)"
         )
-    records = lat.generators
+    records, coeffs = lat.generators, a.coeffs
     return (
-        sum(map(mul, lat.euler_weights, a.coeffs)),
-        _quarter_multiplicity(a, records[x.points].regions),
-        _quarter_multiplicity(a, records[y.points].regions),
+        sum(map(mul, lat.euler_weights, coeffs)),
+        sum(map(mul, records[x.points].weights, coeffs)),
+        sum(map(mul, records[y.points].weights, coeffs)),
     )

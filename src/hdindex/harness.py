@@ -6,7 +6,8 @@ line.  The clauses:
 
 * local patterns: the chain shapes of the gluing model at one crossing;
 * additivity: mu(A + B) = mu(A) + mu(B) when A connects x to y and B
-  connects y to z, which needs the multiplicities at y to match;
+  connects y to z, which needs the multiplicities at y to match; it is
+  compared in whole quarters, 4 mu as an exact integer;
 * stabilization: adding k surface classes shifts mu by 2k and the
   embedded chi by k(2 - 4g).  Given the index formulas both shifts are
   algebra (mu(Sigma) = chi + 2g = 2), so this suite catches little more
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from fractions import Fraction
 
 from hdindex.diagram import HeegaardDiagram, load_bundled, validate_diagram
 from hdindex.domains import (
@@ -35,7 +37,7 @@ from hdindex.domains import (
     find_domains,
     sigma_class,
 )
-from hdindex.formulas import embedded_euler_char, maslov_index
+from hdindex.formulas import embedded_euler_char, maslov_index, maslov_quarters
 from hdindex.builder import (
     BuilderError,
     build_surface,
@@ -140,6 +142,8 @@ def additivity_suite(d: HeegaardDiagram, max_coeff: int = 3) -> SuiteResult:
     e is linear in the domain, so the sum alone decides nothing; mu(A + B)
     agrees with mu(A) + mu(B) only when n_x(B) + n_z(A) = n_y(A) + n_y(B),
     a property of connecting domains that the multiplicities must honour.
+    Each mu is taken as 4 mu (``maslov_quarters``), so the sums compared
+    are integers; a failure record writes each mu as a fraction.
     """
     res = SuiteResult("additivity")
     table = _domain_table(d, max_coeff)
@@ -147,13 +151,12 @@ def additivity_suite(d: HeegaardDiagram, max_coeff: int = 3) -> SuiteResult:
     for x in gens:
         for y in gens:
             for a in table[(x, y)]:
-                mu_a = maslov_index(d, a, x, y)
+                mu_a = maslov_quarters(d, a, x, y)
                 for z in gens:
                     for b in table[(y, z)]:
                         res.cases += 1
-                        total = a + b
-                        mu_b = maslov_index(d, b, y, z)
-                        mu_ab = maslov_index(d, total, x, z)
+                        mu_b = maslov_quarters(d, b, y, z)
+                        mu_ab = maslov_quarters(d, a + b, x, z)
                         if mu_ab != mu_a + mu_b:
                             res.failures.append(
                                 {
@@ -162,9 +165,9 @@ def additivity_suite(d: HeegaardDiagram, max_coeff: int = 3) -> SuiteResult:
                                     "z": z.format(),
                                     "a": a.format(),
                                     "b": b.format(),
-                                    "mu_a": str(mu_a),
-                                    "mu_b": str(mu_b),
-                                    "mu_ab": str(mu_ab),
+                                    "mu_a": str(Fraction(mu_a, 4)),
+                                    "mu_b": str(Fraction(mu_b, 4)),
+                                    "mu_ab": str(Fraction(mu_ab, 4)),
                                 }
                             )
     return res
@@ -176,15 +179,16 @@ def stabilization_suite(
     """Adding k full-surface classes shifts mu by 2k and chi by k(2 - 4g)."""
     res = SuiteResult("stabilization")
     sigma = sigma_class(d)
+    shifts = [k * sigma for k in range(k_max + 1)]
     g = d.genus
     table = _domain_table(d, max_coeff)
     for (x, y), domains in table.items():
         for a in domains:
             mu0 = maslov_index(d, a, x, y)
             chi0 = embedded_euler_char(d, a, x, y)
-            for k in range(k_max + 1):
+            for k, shift in enumerate(shifts):
                 res.cases += 1
-                ak = a + k * sigma
+                ak = a + shift
                 mu_k = maslov_index(d, ak, x, y)
                 chi_k = embedded_euler_char(d, ak, x, y)
                 if mu_k != mu0 + 2 * k or chi_k != chi0 + k * (2 - 4 * g):

@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import json
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -22,8 +24,15 @@ from hdindex.builder import (
     stage_contract,
     BuiltSurface,
 )
-from hdindex.diagram import ALPHA, BETA, Dart, load_bundled
-from hdindex.domains import Domain, Generator, enumerate_generators, find_domains, sigma_class
+from hdindex.diagram import ALPHA, BETA, Dart, DiagramError, load_bundled
+from hdindex.domains import (
+    Domain,
+    Generator,
+    check_generator,
+    enumerate_generators,
+    find_domains,
+    sigma_class,
+)
 from hdindex.formulas import embedded_euler_char
 from hdindex.harness import builder_consistency_suite, stabilized_surface_suite
 
@@ -102,6 +111,13 @@ def test_local_model_crossing_is_generic(genus2):
     assert all(genus2.rev(dart).vertex != v for dart in genus2.rotation[v])
 
 
+def box3_domains(d):
+    """Every distinct positive domain of ``d`` at box 3, in coefficient order."""
+    gens = enumerate_generators(d)
+    domains = {a for x, y in itertools.product(gens, gens) for a in find_domains(d, x, y, 3)}
+    return sorted(domains, key=lambda a: a.coeffs)
+
+
 def local_model_mismatches(d):
     """(crossing checks, mismatches) of the S0 builds of ``d`` against the local model.
 
@@ -109,10 +125,8 @@ def local_model_mismatches(d):
     crossing the (kind, length) multiset of its chains is compared with
     that of the local model for the crossing's quadrant pattern.
     """
-    gens = enumerate_generators(d)
-    domains = {a for x, y in itertools.product(gens, gens) for a in find_domains(d, x, y, 3)}
     checks = mismatches = 0
-    for a in sorted(domains, key=lambda a: a.coeffs):
+    for a in box3_domains(d):
         s0 = glue_copies(d, a)
         for v in d.vertices:
             pattern = tuple(a[q.region] for q in d.quadrants_at(v))
@@ -128,6 +142,23 @@ def test_local_model_matches_every_crossing_of_real_builds(corpus):
     results = {name: local_model_mismatches(d) for name, d in corpus.items()}
     assert sum(checks for checks, _ in results.values()) == 5568
     assert {name: bad for name, (_, bad) in results.items() if bad} == {}
+
+
+def test_chains_at_walks_the_orbits_the_full_walk_finds_at_every_crossing(corpus):
+    # ``chains_at`` walks only the orbits at its crossing; the full walk of
+    # every corner class, filtered to the crossing, must give the same
+    # orbits, each from the same start side, in the same order
+    checks = 0
+    for d in corpus.values():
+        for a in box3_domains(d):
+            surf = glue_copies(d, a).surface
+            circles, closed = surf.corner_classes()
+            full = sorted(itertools.chain(*circles, closed), key=min)
+            for v in d.vertices:
+                pt = ("v", v)
+                assert surf.orbits_at(pt) == [o for o in full if surf.head[o[0]] == pt]
+                checks += 1
+    assert checks == 5568
 
 
 @pytest.mark.parametrize(
@@ -630,8 +661,9 @@ def test_corner_orbits_partition_and_open_classes_agree(corpus):
             for orbit in classes:
                 assert all(surf.partner[surf.nxt[a]] == b for a, b in zip(orbit, orbit[1:]))
             for pt in {surf.head[s] for s in sides}:
-                want = [o for o in classes if surf.head[o[0]] == pt and surf.partner[o[0]] == -1]
-                assert surf.open_classes_at(pt) == want
+                here = [o for o in classes if surf.head[o[0]] == pt]
+                assert surf.orbits_at(pt) == here
+                assert surf.open_classes_at(pt) == [o for o in here if surf.partner[o[0]] == -1]
 
 
 def reference_orbit(surf, s):
@@ -998,13 +1030,28 @@ def test_a_stage_computes_corners_arcs_and_embedded_chi_once(monkeypatch, genus2
 
 def test_builder_suite_catches_a_chi_parity_breach(monkeypatch, torus3):
     # the builder's embedded chi one too high: every S3 breaks the parity
-    # clause of its contract, and only that clause
+    # clause of its contract, and only that clause; so does one a half too
+    # high, which is not an integer
     real = builder.embedded_euler_char
     a, x, y = Domain.parse(torus3, "r1:1"), Generator(("v0",)), Generator(("v2",))
     s3 = build_surface(torus3, a, x, y)
-    monkeypatch.setattr(builder, "embedded_euler_char", lambda *args: real(*args) + 1)
-    assert stage_contract(s3) == ["chi parity differs from the embedded chi"]
-    res = builder_consistency_suite(torus3, max_coeff=1)
-    assert res.cases == 10 and len(res.failures) == 10
-    for failure in res.failures:
-        assert failure["error"] == "stage S3 contract: chi parity differs from the embedded chi"
+    for shift in (1, Fraction(1, 2)):
+        monkeypatch.setattr(
+            builder, "embedded_euler_char", lambda *args, shift=shift: real(*args) + shift
+        )
+        assert stage_contract(s3) == ["chi parity differs from the embedded chi"]
+        res = builder_consistency_suite(torus3, max_coeff=1)
+        assert res.cases == 10 and len(res.failures) == 10
+        for failure in res.failures:
+            assert failure["error"] == "stage S3 contract: chi parity differs from the embedded chi"
+
+
+def test_the_degenerate_stage_rejects_a_bad_generator(genus2):
+    # called directly, stage S2 raises what ``check_generator`` raises
+    a, x, y = example1_data(genus2)
+    for bad in (Generator(("x1",)), Generator(("x1", "nope")), Generator(("x2", "x1"))):
+        with pytest.raises(DiagramError) as want:
+            check_generator(genus2, bad)
+        for pair in ((bad, y), (x, bad)):
+            with pytest.raises(DiagramError, match=f"^{re.escape(str(want.value))}$"):
+                add_degenerate_corners(cut_bad_corners(glue_copies(genus2, a)), *pair)

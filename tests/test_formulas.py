@@ -1,16 +1,21 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from hdindex.diagram import DiagramError
 from hdindex.domains import (
     Domain,
     Generator,
+    _checked_lattice,
+    _lattice,
     connects,
     enumerate_generators,
     find_domains,
     sigma_class,
 )
+from hdindex.harness import bundled_corpus
 from hdindex.formulas import (
     analytic_index,
     branch_budget,
@@ -19,6 +24,7 @@ from hdindex.formulas import (
     generator_multiplicity,
     index_report,
     maslov_index,
+    maslov_quarters,
     point_multiplicity,
 )
 
@@ -211,3 +217,69 @@ def test_integrality(corpus):
                 for a in find_domains(d, x, y, 2, True):
                     assert maslov_index(d, a, x, y).denominator == 1
                     assert embedded_euler_char(d, a, x, y).denominator == 1
+
+
+def quadrant_quarters(d, a, x):
+    """4 n_x(A) summed straight off the diagram: A's coefficients on the
+    four quadrants of each point of x."""
+    return sum(a[q.region] for v in x.points for q in d.quadrants_at(v))
+
+
+def test_generator_weights_count_the_quadrants_of_the_points(corpus):
+    # for every generator of every bundled diagram and of its mirror, the
+    # record's weight on a region is the number of x's quadrants in it
+    for d in [*corpus.values(), *(d.mirror() for d in corpus.values())]:
+        gens = enumerate_generators(d)
+        for x in gens:
+            _checked_lattice(d, x, x)
+        records = _lattice(d).generators
+        assert set(records) == {x.points for x in gens}
+        for x in gens:
+            weights = records[x.points].weights
+            counts = Counter(q.region for v in x.points for q in d.quadrants_at(v))
+            assert weights == tuple(counts[r] for r in range(len(d.regions)))
+            assert sum(weights) == 4 * d.genus
+
+
+INDEX_CORPUS = {
+    key: (d, enumerate_generators(d))
+    for name, diagram in bundled_corpus().items()
+    for key, d in ((name, diagram), (f"{name} mirrored", diagram.mirror()))
+}
+
+
+@st.composite
+def index_cases(draw):
+    """A bundled diagram or its mirror, a generator pair on it and a
+    domain: a class from x to y shifted by a multiple of Sigma, or random
+    coefficients in -5..5, which almost never connect."""
+    d, gens = INDEX_CORPUS[draw(st.sampled_from(sorted(INDEX_CORPUS)))]
+    x, y = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+    found = find_domains(d, x, y, 1, positive_only=False)
+    if found and draw(st.booleans()):
+        a = draw(st.sampled_from(found)) + draw(st.integers(-3, 3)) * sigma_class(d)
+    else:
+        n = len(d.regions)
+        a = Domain(tuple(draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))))
+    return d, a, x, y
+
+
+@seed(191301)
+@settings(max_examples=200, deadline=None, database=None)
+@given(index_cases(), st.booleans())
+def test_index_sums_match_a_quadrant_reference(case, force):
+    d, a, x, y = case
+    e4 = sum(c * (4 - r.corner_count) for c, r in zip(a.coeffs, d.regions))
+    nx4, ny4 = quadrant_quarters(d, a, x), quadrant_quarters(d, a, y)
+    assert generator_multiplicity(d, a, x) == F(nx4, 4)
+    assert generator_multiplicity(d, a, y) == F(ny4, 4)
+    mu4, chi4 = e4 + nx4 + ny4, 4 * d.genus - nx4 - ny4 + e4
+    if force or connects(d, a, x, y):
+        assert maslov_quarters(d, a, x, y, force) == mu4
+        want = (d.genus, F(e4, 4), F(nx4, 4), F(ny4, 4), F(mu4, 4), F(chi4, 4))
+        assert index_report(d, a, x, y, force) == want
+    else:
+        with pytest.raises(DiagramError, match="does not connect"):
+            maslov_quarters(d, a, x, y)
+        with pytest.raises(DiagramError, match="does not connect"):
+            index_report(d, a, x, y)

@@ -3,9 +3,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from hdindex import builder, formulas, harness
+from hdindex import builder, harness
 from hdindex.builder import build_surface
-from hdindex.domains import Domain
+from hdindex.domains import Domain, _lattice
 from hdindex.harness import (
     BUNDLED_DIAGRAMS,
     SuiteResult,
@@ -126,13 +126,15 @@ def test_local_pattern_oracle_catches_a_stray_chain(monkeypatch, stray, failing)
 
 def test_additivity_suite_catches_a_dropped_quadrant(monkeypatch, torus3):
     # n_p read from three of the four quadrants at p: mu is no longer
-    # additive, while e (linear, whatever the quadrants) would still be
-    def three_quadrants(a, regions):
-        # the quadrant regions come four per point, in rotation order
-        return sum(a.coeffs[r] for i, r in enumerate(regions) if i % 4 != 3)
-
-    monkeypatch.setattr(formulas, "_quarter_multiplicity", three_quadrants)
+    # additive, while e (linear, whatever the quadrants) would still be.
+    # The generator records are dropped, so each is rebuilt with weights
+    # counted over the first three quadrants of each point in rotation order.
+    lat = _lattice(torus3)
+    three = {v: quadrants[:3] for v, quadrants in lat.quadrants.items()}
+    mutant = lat._replace(quadrants=three, generators={})
+    monkeypatch.setitem(torus3.__dict__, "_lattice", mutant)
     res = additivity_suite(torus3, max_coeff=1)
+    assert all(sum(rec.weights) == 3 for rec in mutant.generators.values())
     assert res.cases == 34 and len(res.failures) == 2
     assert res.failures[0] == {
         "x": "v0",
