@@ -90,7 +90,7 @@ from hdindex.diagram import ALPHA, BETA, Dart, HeegaardDiagram, components, load
 from hdindex.domains import (
     Domain,
     Generator,
-    _checked_lattice,
+    _records,
     connects,
     is_positive,
     sigma_class,
@@ -757,7 +757,7 @@ def add_degenerate_corners(
     would fail the right-angle clause of the stage-S3 contract.
     """
     d = built.diagram
-    _checked_lattice(d, x, y)  # raises unless both are generators of d
+    _records(d, x, y)  # raises unless both are generators of d
     surf = built.surface
     shared = [v for v in x.points if v in set(y.points)]
     for v in shared:

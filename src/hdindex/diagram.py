@@ -122,34 +122,31 @@ class HeegaardDiagram:
         if dup is not None:
             raise DiagramError(f"duplicate curve name {dup!r}")
 
-        # Vertex -> (curve name, position) per family; also fixes the
-        # canonical vertex order (order of first appearance in the alpha
-        # family).
+        # Vertex -> (curve name, position) per family, and curve -> family.
+        # The canonical vertex order is the order of first appearance in
+        # the alpha family.
         self.vertex_alpha: dict[str, tuple[str, int]] = {}
         self.vertex_beta: dict[str, tuple[str, int]] = {}
-        order: list[str] = []
-        for name, vs in self.alpha:
-            if not vs:
-                raise DiagramError(f"alpha curve {name!r} has no vertices")
-            for pos, v in enumerate(vs):
-                if v in self.vertex_alpha:
-                    raise DiagramError(f"vertex {v!r} listed twice in the alpha family")
-                self.vertex_alpha[v] = (name, pos)
-                order.append(v)
-        for name, vs in self.beta:
-            if not vs:
-                raise DiagramError(f"beta curve {name!r} has no vertices")
-            for pos, v in enumerate(vs):
-                if v in self.vertex_beta:
-                    raise DiagramError(f"vertex {v!r} listed twice in the beta family")
-                self.vertex_beta[v] = (name, pos)
+        self.curve_family: dict[str, str] = {}
+        for family, curves, table in (
+            (ALPHA, self.alpha, self.vertex_alpha),
+            (BETA, self.beta, self.vertex_beta),
+        ):
+            for name, vs in curves:
+                if not vs:
+                    raise DiagramError(f"{family} curve {name!r} has no vertices")
+                self.curve_family[name] = family
+                for pos, v in enumerate(vs):
+                    if v in table:
+                        raise DiagramError(f"vertex {v!r} listed twice in the {family} family")
+                    table[v] = (name, pos)
         for v in self.vertex_alpha:
             if v not in self.vertex_beta:
                 raise DiagramError(f"vertex {v!r} is not on any beta curve")
         for v in self.vertex_beta:
             if v not in self.vertex_alpha:
                 raise DiagramError(f"vertex {v!r} is not on any alpha curve")
-        self.vertices: tuple[str, ...] = tuple(order)
+        self.vertices: tuple[str, ...] = tuple(self.vertex_alpha)
 
         for v in self.vertices:
             if v not in self.signs:
@@ -163,11 +160,6 @@ class HeegaardDiagram:
         self.curve_vertices: dict[str, tuple[str, ...]] = {
             name: vs for name, vs in self.alpha + self.beta
         }
-        self.curve_family: dict[str, str] = {}
-        for name, _ in self.alpha:
-            self.curve_family[name] = ALPHA
-        for name, _ in self.beta:
-            self.curve_family[name] = BETA
 
         self._derive()
 
@@ -379,9 +371,11 @@ def parse_diagram(text: str) -> HeegaardDiagram:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head, _, rest = line.partition(":")
+        head, colon, rest = line.partition(":")
         head_tokens = head.split()
-        if len(head_tokens) != 2 or not _:
+        if len(head_tokens) != 2 or not colon:
+            if head_tokens and head_tokens[0] in (ALPHA, BETA, "sign"):
+                raise DiagramError(f"expected '{head_tokens[0]} <name>: ...'", lineno)
             raise DiagramError(f"unknown token {line.split()[0]!r}", lineno)
         kind, name = head_tokens
         body = rest.split()
@@ -408,13 +402,12 @@ def load_bundled(name: str) -> HeegaardDiagram:
 
 def serialize_diagram(d: HeegaardDiagram) -> str:
     """Emit the diagram in canonical form; ``parse . serialize`` is identity."""
-    lines: list[str] = []
-    for name, vs in d.alpha:
-        lines.append(f"alpha {name}: {' '.join(vs)}")
-    for name, vs in d.beta:
-        lines.append(f"beta {name}: {' '.join(vs)}")
-    for v in d.vertices:
-        lines.append(f"sign {v}: {'+' if d.signs[v] == 1 else '-'}")
+    lines = [
+        f"{family} {name}: {' '.join(vs)}"
+        for family, curves in ((ALPHA, d.alpha), (BETA, d.beta))
+        for name, vs in curves
+    ]
+    lines += [f"sign {v}: {'+' if d.signs[v] == 1 else '-'}" for v in d.vertices]
     return "\n".join(lines) + "\n"
 
 

@@ -218,11 +218,7 @@ def connects(d: HeegaardDiagram, a: Domain, x: Generator, y: Generator) -> bool:
     columns of the nonzero coefficients are summed onto x - y (the target
     of the reverse class), and the domain connects iff nothing is left.
     """
-    lat = _lattice(d)
-    rx, ry = lat.generators.get(x.points), lat.generators.get(y.points)
-    if rx is None or ry is None:
-        _checked_lattice(d, x, y)
-        rx, ry = lat.generators[x.points], lat.generators[y.points]
+    lat, rx, ry = _records(d, x, y)
     _check_domain(d, a)  # before ``map``, which would stop at a short domain
     coeffs = a.coeffs
     if -_PACK_LIMIT < min(coeffs) and max(coeffs) < _PACK_LIMIT:
@@ -466,20 +462,28 @@ def _lattice(d: HeegaardDiagram) -> _Lattice:
     return lat
 
 
-def _checked_lattice(d: HeegaardDiagram, x: Generator, y: Generator) -> _Lattice:
-    """The diagram's integer data, once x and y are valid generators of d
-    and each has its record."""
+def _records(
+    d: HeegaardDiagram, x: Generator, y: Generator
+) -> tuple[_Lattice, _GeneratorRecord, _GeneratorRecord]:
+    """The diagram's integer data and the records of x and y.
+
+    A generator is checked, and its record made, on its first use on d
+    only: ``check_generator`` raises before an invalid one is stored.
+    """
     lat = _lattice(d)
     records = lat.generators
-    for g in (x, y):
-        if g.points not in records:
-            check_generator(d, g)
-            residue, a = lat.factorization.reduce(_target_vector(lat, (), g.points))
-            regions = [r for v in g.points for r in lat.quadrants[v]]
-            weights = tuple(map(regions.count, range(len(lat.euler_weights))))
-            packed = sum(1 << _PACK_BITS * lat.vertex_index[v] for v in g.points)
-            records[g.points] = _GeneratorRecord(tuple(residue), tuple(a), weights, packed)
-    return lat
+    rx, ry = records.get(x.points), records.get(y.points)
+    if rx is None or ry is None:
+        for g in (x, y):
+            if g.points not in records:
+                check_generator(d, g)
+                residue, a = lat.factorization.reduce(_target_vector(lat, (), g.points))
+                regions = [r for v in g.points for r in lat.quadrants[v]]
+                weights = tuple(map(regions.count, range(len(lat.euler_weights))))
+                packed = sum(1 << _PACK_BITS * lat.vertex_index[v] for v in g.points)
+                records[g.points] = _GeneratorRecord(tuple(residue), tuple(a), weights, packed)
+        rx, ry = records[x.points], records[y.points]
+    return lat, rx, ry
 
 
 def periodic_domain_basis(d: HeegaardDiagram) -> list[Domain]:
@@ -512,8 +516,7 @@ def find_domains(
     """
     if max_coeff < 0:
         raise ValueError("max_coeff must be >= 0")
-    lat = _checked_lattice(d, x, y)
-    rx, ry = lat.generators[x.points], lat.generators[y.points]
+    lat, rx, ry = _records(d, x, y)
     if rx.key != ry.key:
         return []
     x0 = [b - a for a, b in zip(rx.potential, ry.potential)]

@@ -19,10 +19,10 @@ are taken in integers, from tables cached with the boundary factorization:
 4 - c_i per region, the quadrant regions per vertex, and each validated
 generator's record, which holds a weight per region, the number of its
 points' quadrants there.  So 4e, 4n_x and 4n_y are each one dot product
-of a weight vector with the coefficients.  The index formulas check their
-inputs once, through the same validation that makes the records, and
-build each result from those three integers; the quarters are shared from
-one bounded cache.
+of a weight vector with the coefficients.  The index formulas check each
+generator once per diagram, through the same validation that makes its
+record, and build each result from those three integers; the quarters are
+shared from one bounded cache.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from hdindex.diagram import DiagramError, HeegaardDiagram
 from hdindex.domains import Domain, Generator, connects
-from hdindex.domains import _check_domain, _checked_lattice, _lattice
+from hdindex.domains import _check_domain, _lattice, _records
 
 
 class IndexReport(NamedTuple):
@@ -84,9 +84,9 @@ def point_multiplicity(d: HeegaardDiagram, a: Domain, v: str) -> Fraction:
 
 def generator_multiplicity(d: HeegaardDiagram, a: Domain, x: Generator) -> Fraction:
     """n_x(A): the sum of the point multiplicities over the tuple."""
-    lat = _checked_lattice(d, x, x)
+    _, rx, _ = _records(d, x, x)
     _check_domain(d, a)
-    return _quarter(sum(map(mul, lat.generators[x.points].weights, a.coeffs)))
+    return _quarter(sum(map(mul, rx.weights, a.coeffs)))
 
 
 def maslov_quarters(
@@ -167,22 +167,21 @@ def _index_sums(
     """4e(A), 4n_x(A) and 4n_y(A), the inputs checked once.
 
     Without ``force`` the domain must connect x to y; ``connects`` checks
-    the generators and the domain on the way.  With ``force`` they are
-    checked directly.  Either way both generators then have their records.
+    the generators and the domain on the way, and is called through this
+    module's global so that a tracer that rebinds it sees every call.
+    With ``force`` the generators are checked as their records are read,
+    and then the domain.
     """
-    if force:
-        lat = _checked_lattice(d, x, y)
-        _check_domain(d, a)
-    elif connects(d, a, x, y):
-        lat = _lattice(d)
-    else:
+    if not (force or connects(d, a, x, y)):
         raise DiagramError(
             f"domain {a.format()} does not connect {x.format()} to {y.format()}"
             " (evaluate it anyway with force=True, or --force on the command line)"
         )
-    records, coeffs = lat.generators, a.coeffs
+    lat, rx, ry = _records(d, x, y)
+    _check_domain(d, a)
+    coeffs = a.coeffs
     return (
         sum(map(mul, lat.euler_weights, coeffs)),
-        sum(map(mul, records[x.points].weights, coeffs)),
-        sum(map(mul, records[y.points].weights, coeffs)),
+        sum(map(mul, rx.weights, coeffs)),
+        sum(map(mul, ry.weights, coeffs)),
     )

@@ -150,6 +150,24 @@ def test_parse_unknown_token_has_line_number():
         parse_diagram("alpha a: x\nbogus q: x\nbeta b: x\nsign x: +\n")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("alpha a1 x", "line 2: expected 'alpha <name>: ...'"),
+        ("alpha: x", "line 2: expected 'alpha <name>: ...'"),
+        ("beta b1 b2: x", "line 2: expected 'beta <name>: ...'"),
+        ("sign x +", "line 2: expected 'sign <name>: ...'"),
+        ("bogus q: x", "line 2: unknown token 'bogus'"),
+    ],
+)
+def test_parse_names_the_shape_a_keyword_line_needs(line, message):
+    # a known keyword with a malformed head names its line shape; an unknown
+    # first word is reported as such
+    with pytest.raises(DiagramError) as err:
+        parse_diagram(f"alpha a: x\n{line}\nbeta b: x\nsign x: +\n")
+    assert str(err.value) == message
+
+
 def test_parse_vertex_missing_from_beta():
     with pytest.raises(DiagramError, match="not on any beta"):
         parse_diagram("alpha a: x y\nbeta b: x\nsign x: +\nsign y: +\n")
@@ -167,6 +185,14 @@ def test_parse_duplicate_sign():
         ([("a", ["x"])], [("b", [])], {"x": 1}, "beta curve 'b' has no vertices"),
         ([("a", ["x"])], [("b", ["x"])], {"x": 1, "q": 1}, "sign given for unknown vertex 'q'"),
         ([("a", ["x"])], [("b", ["x"])], {"x": 2}, "signs must be \\+1 or -1"),
+        (
+            [("a", ["x", "y"])],
+            [("b1", ["x"]), ("b2", ["x", "y"])],
+            {"x": 1, "y": 1},
+            "vertex 'x' listed twice in the beta family",
+        ),
+        ([("a", ["x"])], [("b", ["x", "y"])], {"x": 1, "y": 1}, "vertex 'y' is not on any alpha curve"),
+        ([("c", ["x"])], [("c", ["x"])], {"x": 1}, "duplicate curve name 'c'"),
     ],
 )
 def test_constructor_refuses_structural_defects(alpha, beta, signs, message):

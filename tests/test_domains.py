@@ -14,6 +14,7 @@ from hdindex.domains import (
     _PACK_LIMIT,
     _Factorization,
     _lattice,
+    _records,
     boundary_chain,
     connects,
     enumerate_generators,
@@ -353,8 +354,8 @@ def test_find_domains_matches_brute_force(torus2, torus3, genus2s1s2):
                         want = brute_force_domains(d, x, y, mc, pos)
                         assert got == want
     # the lens diagram's two generators lie in different classes of H_1
-    x, y = (_lattice(torus2).generators[g.points] for g in enumerate_generators(torus2))
-    assert x.key != y.key
+    _, rx, ry = _records(torus2, *enumerate_generators(torus2))
+    assert rx.key != ry.key
 
 
 def test_find_domains_max_coeff_zero(torus3):

@@ -8,14 +8,14 @@ from hdindex.diagram import DiagramError
 from hdindex.domains import (
     Domain,
     Generator,
-    _checked_lattice,
     _lattice,
+    _records,
     connects,
     enumerate_generators,
     find_domains,
     sigma_class,
 )
-from hdindex.harness import bundled_corpus
+from hdindex.harness import bundled_corpus, load_bundled
 from hdindex.formulas import (
     analytic_index,
     branch_budget,
@@ -165,6 +165,44 @@ def test_formulas_reject_wrong_length_domain(torus3):
                 formula(torus3, bad, v0, v0, force=True)
 
 
+# hand-built invalid generators of genus2_bigons, with check_generator's message
+BAD_GENERATORS = {
+    ("x1",): "generator needs 2 points, got 1",
+    ("x1", "zz"): "unknown vertex 'zz' in generator",
+    ("q1", "x2"): "vertex 'q1' is not on alpha curve 'a1'",
+    ("y1", "q1"): "generator uses beta curve 'b1' twice (not a matching)",
+}
+
+
+def test_index_formulas_admit_no_invalid_generator():
+    # the index formulas check each generator where its record is made: a
+    # bad one raises check_generator's message and leaves no record, with
+    # or without force, and a good one checked before it keeps its record
+    d = load_bundled("genus2_bigons.hd")  # a new instance: no records yet
+    records = _lattice(d).generators
+    x, zero = Generator(("x1", "x2")), Domain.zero(d)
+    for points, message in BAD_GENERATORS.items():
+        g = Generator(points)
+        for _ in range(2):
+            for call in (
+                lambda: maslov_quarters(d, zero, g, x, force=True),
+                lambda: maslov_quarters(d, zero, g, g, force=True),
+                lambda: maslov_quarters(d, zero, g, x),
+                lambda: generator_multiplicity(d, zero, g),
+            ):
+                with pytest.raises(DiagramError) as err:
+                    call()
+                assert str(err.value) == message
+                assert not records
+    for points, message in BAD_GENERATORS.items():
+        for force in (True, False):
+            with pytest.raises(DiagramError) as err:
+                maslov_quarters(d, zero, x, Generator(points), force)
+            assert str(err.value) == message
+            assert list(records) == [x.points]
+    assert maslov_quarters(d, zero, x, x) == 0 and generator_multiplicity(d, zero, x) == 0
+
+
 def test_mirror_symmetry(corpus):
     # reversing the orientation of the surface fixes e, n and mu
     for d in corpus.values():
@@ -230,12 +268,10 @@ def test_generator_weights_count_the_quadrants_of_the_points(corpus):
     # record's weight on a region is the number of x's quadrants in it
     for d in [*corpus.values(), *(d.mirror() for d in corpus.values())]:
         gens = enumerate_generators(d)
-        for x in gens:
-            _checked_lattice(d, x, x)
-        records = _lattice(d).generators
-        assert set(records) == {x.points for x in gens}
-        for x in gens:
-            weights = records[x.points].weights
+        records = [_records(d, x, x)[1] for x in gens]
+        assert set(_lattice(d).generators) == {x.points for x in gens}
+        for x, record in zip(gens, records):
+            weights = record.weights
             counts = Counter(q.region for v in x.points for q in d.quadrants_at(v))
             assert weights == tuple(counts[r] for r in range(len(d.regions)))
             assert sum(weights) == 4 * d.genus

@@ -17,8 +17,8 @@ from hdindex.domains import (
     Domain,
     _Factorization,
     _lattice,
+    _records,
     _target_vector,
-    connects,
     enumerate_generators,
     find_domains,
 )
@@ -279,8 +279,8 @@ def class_key_faults(diagrams):
         for x in gens:
             for y in gens:
                 got = find_domains(d, x, y, KEY_BOX, positive_only=False)
-                lat = _lattice(d)
-                same = lat.generators[x.points].key == lat.generators[y.points].key
+                lat, rx, ry = _records(d, x, y)
+                same = rx.key == ry.key
                 residue, _ = REDUCE(lat.factorization, _target_vector(lat, x.points, y.points))
                 want = reference_find_domains(d, x, y, KEY_BOX)
                 if same == any(residue) or got != want:
@@ -296,9 +296,7 @@ def residue_faults(diagrams):
     faults = []
     for d in diagrams:
         for x in enumerate_generators(d):
-            connects(d, Domain.zero(d), x, x)  # validates x and makes its record
-            lat = _lattice(d)
-            rec = lat.generators[x.points]
+            lat, rec, _ = _records(d, x, x)
             image = [0] * len(lat.vertex_index)
             for column, c in zip(lat.columns, rec.potential):
                 for v, k in column:
