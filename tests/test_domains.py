@@ -1,6 +1,7 @@
 import gc
 import random
 import re
+from functools import partial
 from itertools import product
 from operator import mul
 
@@ -24,6 +25,7 @@ from hdindex.domains import (
     sigma_class,
     vertex_boundary,
 )
+from hdindex.formulas import generator_multiplicity, maslov_quarters
 from hdindex.harness import bundled_corpus, load_bundled
 
 
@@ -208,12 +210,18 @@ def test_connects_admits_no_invalid_generator(genus2):
         Generator(("q1", "x2")): "vertex 'q1' is not on alpha curve 'a1'",
         Generator(("y1", "q1")): "generator uses beta curve 'b1' twice (not a matching)",
     }
+    # each reader of the generator records raises check_generator's message,
+    # every time, and stores no record of the bad generator
     for g, message in bad.items():
         for _ in range(3):
             for pair in ((g, y), (x, g), (g, g)):
-                with pytest.raises(DiagramError) as err:
-                    connects(genus2, zero, *pair)
-                assert str(err.value) == message
+                for call in (connects, partial(maslov_quarters, force=True)):
+                    with pytest.raises(DiagramError) as err:
+                        call(genus2, zero, *pair)
+                    assert str(err.value) == message
+            with pytest.raises(DiagramError) as err:
+                generator_multiplicity(genus2, zero, g)
+            assert str(err.value) == message
             with pytest.raises(DiagramError, match=re.escape(message)):
                 find_domains(genus2, g, y)
     assert _lattice(genus2).generators.keys() <= {g.points for g in enumerate_generators(genus2)}

@@ -15,7 +15,7 @@ from hdindex.domains import (
     find_domains,
     sigma_class,
 )
-from hdindex.harness import bundled_corpus, load_bundled
+from hdindex.harness import bundled_corpus
 from hdindex.formulas import (
     analytic_index,
     branch_budget,
@@ -163,44 +163,6 @@ def test_formulas_reject_wrong_length_domain(torus3):
         for formula in (maslov_index, embedded_euler_char, index_report):
             with pytest.raises(DiagramError):
                 formula(torus3, bad, v0, v0, force=True)
-
-
-# hand-built invalid generators of genus2_bigons, with check_generator's message
-BAD_GENERATORS = {
-    ("x1",): "generator needs 2 points, got 1",
-    ("x1", "zz"): "unknown vertex 'zz' in generator",
-    ("q1", "x2"): "vertex 'q1' is not on alpha curve 'a1'",
-    ("y1", "q1"): "generator uses beta curve 'b1' twice (not a matching)",
-}
-
-
-def test_index_formulas_admit_no_invalid_generator():
-    # the index formulas check each generator where its record is made: a
-    # bad one raises check_generator's message and leaves no record, with
-    # or without force, and a good one checked before it keeps its record
-    d = load_bundled("genus2_bigons.hd")  # a new instance: no records yet
-    records = _lattice(d).generators
-    x, zero = Generator(("x1", "x2")), Domain.zero(d)
-    for points, message in BAD_GENERATORS.items():
-        g = Generator(points)
-        for _ in range(2):
-            for call in (
-                lambda: maslov_quarters(d, zero, g, x, force=True),
-                lambda: maslov_quarters(d, zero, g, g, force=True),
-                lambda: maslov_quarters(d, zero, g, x),
-                lambda: generator_multiplicity(d, zero, g),
-            ):
-                with pytest.raises(DiagramError) as err:
-                    call()
-                assert str(err.value) == message
-                assert not records
-    for points, message in BAD_GENERATORS.items():
-        for force in (True, False):
-            with pytest.raises(DiagramError) as err:
-                maslov_quarters(d, zero, x, Generator(points), force)
-            assert str(err.value) == message
-            assert list(records) == [x.points]
-    assert maslov_quarters(d, zero, x, x) == 0 and generator_multiplicity(d, zero, x) == 0
 
 
 def test_mirror_symmetry(corpus):
