@@ -23,14 +23,12 @@ from hdindex.diagram import (
 from hdindex.domains import (
     Domain,
     Generator,
-    boundary_chain,
     connects,
     enumerate_generators,
     find_domains,
     is_positive,
     periodic_domain_basis,
     sigma_class,
-    vertex_boundary,
 )
 from hdindex.formulas import (
     IndexReport,

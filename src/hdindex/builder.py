@@ -933,10 +933,15 @@ def stage_contract(built: BuiltSurface) -> list[str]:
     """The ways ``built`` breaks its stage contract; empty when it holds.
 
     Stage S4: connected, 2g corners, pushforward equal to its domain (the
-    class plus the full surface class).  Any other stage is held to the
-    stage-S3 contract: 2g corners, all right angles; one boundary arc per
-    curve; pushforward equal to the domain; chi congruent mod 2 to the
-    embedded Euler characteristic of the class.
+    class plus the full surface class), and the Euler law
+    chi(S4) = chi(S3) + 2 - 4g - 2gL, where L counts the closed layers of
+    the S3 surface (``s3_chi`` and ``closed_layers``, which
+    ``stabilized_surface`` records): the fresh surface copy adds 2 - 2g,
+    and cutting it and each closed layer open at the g points of x costs 2
+    per point.  Any other stage is held to the stage-S3 contract: 2g
+    corners, all right angles; one boundary arc per curve; pushforward
+    equal to the domain; chi congruent mod 2 to the embedded Euler
+    characteristic of the class.
     """
     d = built.diagram
     corners = built.corners()
@@ -948,6 +953,10 @@ def stage_contract(built: BuiltSurface) -> list[str]:
     if built.stage == "S4":
         if built.component_count() != 1:
             problems.append("not connected")
+        g = d.genus
+        want = built.s3_chi + 2 - 4 * g - 2 * g * built.closed_layers
+        if built.chi != want:
+            problems.append(f"chi {built.chi} breaks the Euler law chi(S3) + 2 - 4g - 2gL = {want}")
         return problems
     if any(length != 1 for _, length in corners):
         problems.append("corner with angle above a right angle")
@@ -1000,11 +1009,13 @@ def stabilized_surface(
     the stage-3 surface (full-surface layers of the domain) are opened at
     the same points and joined into the same chain, so the result is
     connected with pushforward A plus the surface class.  The stage-S4
-    contract is enforced.
+    contract is enforced, with the chi of the stage-3 surface and its
+    number of closed layers recorded on the result for its Euler law.
     """
     if d.genus <= 1:
         raise PreconditionError("should have assumed that g>1")
-    surf = build_surface(d, a, x, y).surface
+    s3 = build_surface(d, a, x, y)
+    surf = s3.surface
     surf.degenerate_disks = []
 
     # a layer is a face per region, in region order
@@ -1028,7 +1039,9 @@ def stabilized_surface(
         pending = next((o for o in surf.open_classes_at(("v", v)) if len(o) % 2), None)
         for layer in layers:
             pending = _cut_layer_and_chain(surf, d, layer, v, pending)
-    return _enforce_contract(BuiltSurface("S4", d, a + sigma, surf, x, y))
+    s4 = BuiltSurface("S4", d, a + sigma, surf, x, y)
+    s4.s3_chi, s4.closed_layers = s3.chi, len(closed_layers)
+    return _enforce_contract(s4)
 
 
 def _layer_side(d: HeegaardDiagram, surf: _Surface, layer: list[int], dart: Dart, pt: Point) -> int:

@@ -42,7 +42,7 @@ from __future__ import annotations
 from operator import add, mul
 from typing import Mapping, NamedTuple
 
-from hdindex.diagram import ALPHA, BETA, DiagramError, HeegaardDiagram
+from hdindex.diagram import DiagramError, HeegaardDiagram
 
 # The packed dot product of ``connects`` is exact while every coefficient
 # lies strictly between -_PACK_LIMIT and _PACK_LIMIT (see the module text).
@@ -139,17 +139,6 @@ class Generator(NamedTuple):
         return g
 
 
-class BoundaryChain(NamedTuple):
-    """Per-edge coefficients of the boundary of a domain, split by family.
-
-    Keys are (curve name, edge index); edge i runs from the curve's i-th
-    listed vertex to the next one.
-    """
-
-    alpha_part: Mapping[tuple[str, int], int]
-    beta_part: Mapping[tuple[str, int], int]
-
-
 def check_generator(d: HeegaardDiagram, g: Generator) -> None:
     """Raise DiagramError unless g is a valid generator of d."""
     if len(g.points) != len(d.alpha):
@@ -171,52 +160,19 @@ def check_generator(d: HeegaardDiagram, g: Generator) -> None:
         betas_used.add(bname)
 
 
-def boundary_chain(d: HeegaardDiagram, a: Domain) -> BoundaryChain:
-    """The 1-chain boundary of ``a`` along both curve families."""
-    _check_domain(d, a)
-    alpha_part: dict[tuple[str, int], int] = {}
-    beta_part: dict[tuple[str, int], int] = {}
-    for name, edges in d.edges.items():
-        target = alpha_part if d.curve_family[name] == ALPHA else beta_part
-        for i in range(len(edges)):
-            left, right = d.edge_sides(name, i)
-            target[(name, i)] = a[left] - a[right]
-    return BoundaryChain(alpha_part, beta_part)
-
-
-def vertex_boundary(
-    d: HeegaardDiagram, chain: BoundaryChain, family: str
-) -> dict[str, int]:
-    """Boundary of the 1-chain restricted to one family, as a 0-chain.
-
-    At each vertex: incoming edge coefficient minus outgoing, summed along
-    the single curve of that family through the vertex.
-    """
-    if family not in (ALPHA, BETA):
-        raise ValueError(f"family must be {ALPHA!r} or {BETA!r}")
-    part = chain.alpha_part if family == ALPHA else chain.beta_part
-    out: dict[str, int] = {v: 0 for v in d.vertices}
-    for (name, i), c in part.items():
-        if c == 0:
-            continue
-        tail, head = d.edges[name][i]
-        out[head] += c
-        out[tail] -= c
-    return out
-
-
 def connects(d: HeegaardDiagram, a: Domain, x: Generator, y: Generator) -> bool:
     """True iff ``a`` is a strip class from x to y.
 
-    Demands vertex_boundary(alpha part) = y - x and
-    vertex_boundary(beta part) = x - y as 0-chains.  The second follows
-    from the first, so this is M . a = y - x for the diagram's cached alpha
-    boundary matrix M.  While every coefficient of ``a`` lies strictly
-    between -2^28 and 2^28 that is one dot product of the coefficients with
-    M's packed columns against the difference of the two generators' packed
-    points, exact by the row-sum bound of the module text.  Otherwise the
-    columns of the nonzero coefficients are summed onto x - y (the target
-    of the reverse class), and the domain connects iff nothing is left.
+    Demands that the vertex boundary of the alpha part of the boundary of
+    ``a`` be y - x and that of the beta part x - y, as 0-chains.  The
+    second follows from the first, so this is M . a = y - x for the
+    diagram's cached alpha boundary matrix M.  While every coefficient of
+    ``a`` lies strictly between -2^28 and 2^28 that is one dot product of
+    the coefficients with M's packed columns against the difference of the
+    two generators' packed points, exact by the row-sum bound of the module
+    text.  Otherwise the columns of the nonzero coefficients are summed
+    onto x - y (the target of the reverse class), and the domain connects
+    iff nothing is left.
     """
     lat, rx, ry = _records(d, x, y)
     _check_domain(d, a)  # before ``map``, which would stop at a short domain
@@ -341,8 +297,8 @@ class _Factorization(NamedTuple):
     normal form of ker M, positive pivots and reduced above them, with
     their pivot columns in ``kernel_pivots``.  Since
     M . (sum z_i U_i) = sum z_i H_i and the rows of H span im M, forward
-    substitution on H reduces a vector modulo im M (``reduce``) and solves
-    M a = t when it can (``solve``).
+    substitution on H reduces a vector modulo im M (``reduce``); the
+    vector lies in im M exactly when its residue is zero.
     """
 
     echelon: tuple[tuple[int, tuple[int, ...]], ...]
@@ -388,12 +344,6 @@ class _Factorization(NamedTuple):
                 residue = [r - z * c for r, c in zip(residue, h)]
                 a = [x + z * c for x, c in zip(a, u)]
         return residue, a
-
-    def solve(self, target: list[int]) -> list[int] | None:
-        """One integer solution of M a = target, or None if there is none:
-        the target lies in im M exactly when its residue is zero."""
-        residue, a = self.reduce(target)
-        return None if any(residue) else a
 
 
 class _GeneratorRecord(NamedTuple):

@@ -22,7 +22,9 @@ points' quadrants there.  So 4e, 4n_x and 4n_y are each one dot product
 of a weight vector with the coefficients.  The index formulas check each
 generator once per diagram, through the same validation that makes its
 record, and build each result from those three integers; the quarters are
-shared from one bounded cache.
+shared from one bounded cache.  Each formula of a generator pair rejects a
+domain that does not connect the pair; only ``index_report`` takes
+``force``, which evaluates the same expressions off the strip classes.
 """
 
 from __future__ import annotations
@@ -89,42 +91,25 @@ def generator_multiplicity(d: HeegaardDiagram, a: Domain, x: Generator) -> Fract
     return _quarter(sum(map(mul, rx.weights, a.coeffs)))
 
 
-def maslov_quarters(
-    d: HeegaardDiagram,
-    a: Domain,
-    x: Generator,
-    y: Generator,
-    force: bool = False,
-) -> int:
+def maslov_quarters(d: HeegaardDiagram, a: Domain, x: Generator, y: Generator) -> int:
     """4 mu(A) = 4e(A) + 4n_x(A) + 4n_y(A), an exact integer.
 
-    Rejects domains that do not connect x to y unless ``force`` is set;
-    with ``force`` the same expression is evaluated off the strip classes,
-    which is occasionally useful for exploration.
+    Rejects domains that do not connect x to y.  Only ``index_report``
+    takes ``force``, to evaluate the same expressions off the strip classes.
     """
-    return sum(_index_sums(d, a, x, y, force))
+    return sum(_index_sums(d, a, x, y, False))
 
 
-def maslov_index(
-    d: HeegaardDiagram,
-    a: Domain,
-    x: Generator,
-    y: Generator,
-    force: bool = False,
-) -> Fraction:
+def maslov_index(d: HeegaardDiagram, a: Domain, x: Generator, y: Generator) -> Fraction:
     """mu(A) = e(A) + n_x(A) + n_y(A): ``maslov_quarters`` over 4."""
-    return _quarter(maslov_quarters(d, a, x, y, force))
+    return _quarter(maslov_quarters(d, a, x, y))
 
 
 def embedded_euler_char(
-    d: HeegaardDiagram,
-    a: Domain,
-    x: Generator,
-    y: Generator,
-    force: bool = False,
+    d: HeegaardDiagram, a: Domain, x: Generator, y: Generator
 ) -> Fraction:
     """chi forced on an embedded representative: g - n_x - n_y + e."""
-    e, n_x, n_y = _index_sums(d, a, x, y, force)
+    e, n_x, n_y = _index_sums(d, a, x, y, False)
     return _quarter(4 * d.genus - n_x - n_y + e)
 
 
@@ -149,6 +134,9 @@ def index_report(
     y: Generator,
     force: bool = False,
 ) -> IndexReport:
+    """The index quantities of A from x to y; ``force`` takes them even
+    when A does not connect x to y, which is occasionally useful for
+    exploration."""
     e, n_x, n_y = _index_sums(d, a, x, y, force)
     g = d.genus
     return IndexReport(
@@ -175,7 +163,7 @@ def _index_sums(
     if not (force or connects(d, a, x, y)):
         raise DiagramError(
             f"domain {a.format()} does not connect {x.format()} to {y.format()}"
-            " (evaluate it anyway with force=True, or --force on the command line)"
+            " (evaluate it anyway with index_report's force, or --force on the command line)"
         )
     lat, rx, ry = _records(d, x, y)
     _check_domain(d, a)

@@ -14,8 +14,11 @@ line.  The clauses:
   than a wrong surface class; it stays in ``check``, whose case count
   ``perfbench/reference.json`` pins, until a check that can fail
   replaces it;
-* the builder: the stage contracts S3 and S4, chi of disjoint strip
-  classes, and the branched-cover bookkeeping of S4.
+* the builder: the stage contracts S3 and S4, which the builder enforces,
+  and chi of disjoint strip classes.  The S4 contract (connected, 2g
+  corners, pushforward, and the Euler law that ties chi(S4) to chi(S3))
+  is the whole S4 oracle: it implies the branched-cover bookkeeping that
+  ``hdindex stabilize`` reports.
 
 e-additivity (e is linear in the domain) and the analytic index at the
 embedded chi (which is mu) hold by algebra alone, so no suite checks them.
@@ -43,7 +46,6 @@ from hdindex.builder import (
     build_surface,
     local_vertex_chains,
     stabilized_surface,
-    branched_cover_check,
 )
 
 BUNDLED_DIAGRAMS = (
@@ -61,17 +63,11 @@ class SuiteResult:
 
     __slots__ = ("suite", "cases", "failures", "elapsed")
 
-    def __init__(
-        self,
-        suite: str,
-        cases: int = 0,
-        failures: list[dict] | None = None,
-        elapsed: float = 0.0,
-    ):
+    def __init__(self, suite: str, cases: int = 0):
         self.suite = suite
         self.cases = cases
-        self.failures = [] if failures is None else failures
-        self.elapsed = elapsed
+        self.failures: list[dict] = []
+        self.elapsed = 0.0
 
     @property
     def ok(self) -> bool:
@@ -240,9 +236,11 @@ def stabilized_surface_suite(
     """Stage S4 over the bounded positive domains (genus above one).
 
     The builder enforces the stage-S4 contract (``stage_contract``) and
-    raises on a breach; on top of it the branched-cover bookkeeping must
-    hold: even per-component corner counts with halves summing to the
-    genus, and a nonnegative integral branch budget.
+    raises on a breach, which is reported as a failure: the surface is
+    connected, has 2g corners and pushes forward to the class plus the
+    full surface class, and chi(S4) = chi(S3) + 2 - 4g - 2gL for its L
+    closed S3 layers.  Given that, every flag of the branched-cover
+    bookkeeping holds, so it is not checked again here.
     """
     res = SuiteResult("stabilized-surface")
     if d.genus <= 1:
@@ -253,13 +251,9 @@ def stabilized_surface_suite(
             res.cases += 1
             case = {"x": x.format(), "y": y.format(), "a": a.format()}
             try:
-                s4 = stabilized_surface(d, a, x, y)
+                stabilized_surface(d, a, x, y)
             except BuilderError as exc:
                 res.failures.append(dict(case, error=str(exc)))
-                continue
-            rep = branched_cover_check(s4)
-            if not rep["ok"]:
-                res.failures.append(dict(case, problems=["cover check"], report=rep))
     return res
 
 

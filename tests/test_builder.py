@@ -928,8 +928,14 @@ def test_stage_contract_reports_each_breach(genus2):
     s4 = stabilized_surface(genus2, a, x, y)
     assert stage_contract(s3) == [] and stage_contract(s4) == []
     # an S4 labelled with the class it stabilizes, not the class plus sigma
-    assert stage_contract(BuiltSurface("S4", genus2, a, s4.surface, x, y)) == [
-        "pushforward differs from the domain"
+    relabelled = BuiltSurface("S4", genus2, a, s4.surface, x, y)
+    relabelled.s3_chi, relabelled.closed_layers = s4.s3_chi, s4.closed_layers
+    assert stage_contract(relabelled) == ["pushforward differs from the domain"]
+    # one closed S3 layer too many moves the Euler law's chi by 2g
+    assert (s4.s3_chi, s4.closed_layers) == (s3.chi, 0)
+    s4.closed_layers = 1
+    assert stage_contract(s4) == [
+        f"chi {s4.chi} breaks the Euler law chi(S3) + 2 - 4g - 2gL = {s4.chi - 4}"
     ]
     s2_like = BuiltSurface("S3", genus2, a, glue_copies(genus2, a).surface, x, y)
     problems = stage_contract(s2_like)

@@ -16,16 +16,14 @@ from hdindex.domains import (
     _Factorization,
     _lattice,
     _records,
-    boundary_chain,
     connects,
     enumerate_generators,
     find_domains,
     is_positive,
     periodic_domain_basis,
     sigma_class,
-    vertex_boundary,
 )
-from hdindex.formulas import generator_multiplicity, maslov_quarters
+from hdindex.formulas import generator_multiplicity, index_report
 from hdindex.harness import bundled_corpus, load_bundled
 
 
@@ -64,34 +62,42 @@ def quadrant_vertex_boundary(d, a, family):
     return out
 
 
+def vertex_boundaries(d, a):
+    """The reference definition of ``connects``, read edge by edge: the
+    vertex boundary of the alpha part of the boundary of a, and that of
+    the beta part negated.  a connects x to y by definition when both
+    equal y - x.
+
+    An edge run along its curve's listed direction carries the coefficient
+    (left region) - (right region), and each vertex gets the edge of the
+    family that runs into it minus the one that runs out of it.
+    """
+    alpha, beta = ({v: 0 for v in d.vertices} for _ in range(2))
+    for name, edges in d.edges.items():
+        part = alpha if d.curve_family[name] == ALPHA else beta
+        for i, (tail, head) in enumerate(edges):
+            left, right = d.edge_sides(name, i)
+            part[head] += a[left] - a[right]
+            part[tail] -= a[left] - a[right]
+    return alpha, {v: -c for v, c in beta.items()}
+
+
 def test_vertex_boundary_matches_quadrant_oracle(corpus):
     for d in corpus.values():
         doms = [sigma_class(d), Domain.zero(d)]
         doms.append(Domain(tuple(i % 3 for i in range(len(d.regions)))))
         doms.append(Domain(tuple((7 * i + 2) % 5 - 2 for i in range(len(d.regions)))))
         for a in doms:
-            ch = boundary_chain(d, a)
-            for family in (ALPHA, BETA):
-                assert vertex_boundary(d, ch, family) == quadrant_vertex_boundary(
-                    d, a, family
-                )
+            alpha, minus_beta = vertex_boundaries(d, a)
+            assert alpha == quadrant_vertex_boundary(d, a, ALPHA)
+            assert minus_beta == {v: -c for v, c in quadrant_vertex_boundary(d, a, BETA).items()}
 
 
 def test_boundary_of_sigma_and_zero(corpus):
     for d in corpus.values():
         for a in (Domain.zero(d), sigma_class(d)):
-            ch = boundary_chain(d, a)
-            assert all(c == 0 for c in ch.alpha_part.values()) or a == sigma_class(d)
-            assert all(v == 0 for v in vertex_boundary(d, ch, ALPHA).values())
-            assert all(v == 0 for v in vertex_boundary(d, ch, BETA).values())
-
-
-def vertex_boundaries(d, a):
-    """The alpha vertex boundary of a and the negated beta one: a connects x
-    to y by definition when both equal y - x."""
-    ch = boundary_chain(d, a)
-    beta = vertex_boundary(d, ch, BETA)
-    return vertex_boundary(d, ch, ALPHA), {v: -c for v, c in beta.items()}
+            for part in vertex_boundaries(d, a):
+                assert all(v == 0 for v in part.values())
 
 
 def y_minus_x(d, x, y):
@@ -119,6 +125,28 @@ def test_connects_matches_boundary_chain_definition(corpus):
                     if a not in boundaries:
                         boundaries[a] = vertex_boundaries(d, a)
                     assert connects(d, a, x, y) == (boundaries[a] == (want, want))
+
+
+def test_the_definition_test_catches_a_dropped_column():
+    # a seeded mutant of connects: on each fresh diagram one nonzero column
+    # of the boundary matrix is dropped, in its packed and its sparse form
+    # (torus_g1_1x has one region, and its column is zero)
+    rng = random.Random(1801)
+    mutated = 0
+    for name, d in bundled_corpus().items():
+        lat = _lattice(d)
+        nonzero = [i for i, column in enumerate(lat.columns) if column]
+        if not nonzero:
+            continue
+        mutated += 1
+        r = rng.choice(nonzero)
+        d._lattice = lat._replace(
+            columns=lat.columns[:r] + ((),) + lat.columns[r + 1 :],
+            packed=lat.packed[:r] + (0,) + lat.packed[r + 1 :],
+        )
+        with pytest.raises(AssertionError):
+            test_connects_matches_boundary_chain_definition({name: d})
+    assert mutated == 5
 
 
 PROPERTY_CORPUS = bundled_corpus()
@@ -215,7 +243,7 @@ def test_connects_admits_no_invalid_generator(genus2):
     for g, message in bad.items():
         for _ in range(3):
             for pair in ((g, y), (x, g), (g, g)):
-                for call in (connects, partial(maslov_quarters, force=True)):
+                for call in (connects, partial(index_report, force=True)):
                     with pytest.raises(DiagramError) as err:
                         call(genus2, zero, *pair)
                     assert str(err.value) == message
@@ -244,9 +272,8 @@ def test_beta_vertex_boundary_is_minus_alpha(corpus):
             Domain(tuple(rng.randint(-3, 3) for _ in d.regions)) for _ in range(20)
         ]
         for a in found + randoms:
-            ch = boundary_chain(d, a)
-            alpha = vertex_boundary(d, ch, ALPHA)
-            assert vertex_boundary(d, ch, BETA) == {v: -c for v, c in alpha.items()}
+            alpha, minus_beta = vertex_boundaries(d, a)
+            assert minus_beta == alpha
 
 
 def test_connects_rejects_wrong_length_domain(torus3):
@@ -263,10 +290,8 @@ def test_torus3_bigon_connects(torus3):
     assert connects(torus3, b, v0, v2)
     assert not connects(torus3, b, v2, v0)
     assert not connects(torus3, b, v0, v1)
-    ch = boundary_chain(torus3, b)
-    vb = vertex_boundary(torus3, ch, ALPHA)
-    assert vb == {"v0": -1, "v1": 0, "v2": 1}
-    assert vertex_boundary(torus3, ch, BETA) == {"v0": 1, "v1": 0, "v2": -1}
+    alpha, minus_beta = vertex_boundaries(torus3, b)
+    assert alpha == minus_beta == {"v0": -1, "v1": 0, "v2": 1}
 
 
 def test_connects_trivial_cases(torus2):
@@ -375,10 +400,10 @@ def test_find_domains_max_coeff_zero(torus3):
 def test_solver_needs_non_unit_pivot():
     # 2 a0 + a1 = 1 has the integral solution (0, 1), but rational
     # elimination pivots on the 2 and lands on (1/2, 0)
-    a = _Factorization.of([[2, 1]], 2).solve([1])
-    assert a is not None and 2 * a[0] + a[1] == 1
-    assert _Factorization.of([[2, 4]], 2).solve([1]) is None
-    assert _Factorization.of([[2, 4], [1, 2]], 2).solve([2, 2]) is None
+    residue, a = _Factorization.of([[2, 1]], 2).reduce([1])
+    assert residue == [0] and 2 * a[0] + a[1] == 1
+    assert any(_Factorization.of([[2, 4]], 2).reduce([1])[0])
+    assert any(_Factorization.of([[2, 4], [1, 2]], 2).reduce([2, 2])[0])
 
 
 def _diagram(i):
@@ -444,9 +469,8 @@ def test_periodic_domain_basis(corpus, torus2, genus2s1s2):
         sigma = sigma_class(d)
         # every basis element has vanishing vertex boundaries
         for b in basis:
-            ch = boundary_chain(d, b)
-            assert all(v == 0 for v in vertex_boundary(d, ch, ALPHA).values())
-            assert all(v == 0 for v in vertex_boundary(d, ch, BETA).values())
+            for part in vertex_boundaries(d, b):
+                assert all(v == 0 for v in part.values())
         # the full surface class lies in the span (integer combination)
         assert _in_integer_span(basis, sigma)
     assert len(periodic_domain_basis(torus2)) == 1
@@ -546,6 +570,3 @@ def test_bad_arguments_raise_value_errors(torus3):
     x = Generator(("v0",))
     with pytest.raises(ValueError, match="max_coeff must be >= 0"):
         find_domains(torus3, x, x, -1)
-    chain = boundary_chain(torus3, Domain.parse(torus3, "r1:1"))
-    with pytest.raises(ValueError, match="family must be 'alpha' or 'beta'"):
-        vertex_boundary(torus3, chain, "gamma")

@@ -143,7 +143,7 @@ def test_maslov_rejects_nonconnecting(torus3):
     with pytest.raises(DiagramError):
         maslov_index(torus3, b, v0, v1)
     # the override evaluates the same expression off the strip classes
-    val = maslov_index(torus3, b, v0, v1, force=True)
+    val = index_report(torus3, b, v0, v1, force=True).mu
     assert val == euler_measure(torus3, b) + generator_multiplicity(
         torus3, b, v0
     ) + generator_multiplicity(torus3, b, v1)
@@ -162,7 +162,9 @@ def test_formulas_reject_wrong_length_domain(torus3):
             generator_multiplicity(torus3, bad, v0)
         for formula in (maslov_index, embedded_euler_char, index_report):
             with pytest.raises(DiagramError):
-                formula(torus3, bad, v0, v0, force=True)
+                formula(torus3, bad, v0, v0)
+        with pytest.raises(DiagramError):
+            index_report(torus3, bad, v0, v0, force=True)
 
 
 def test_mirror_symmetry(corpus):
@@ -272,12 +274,14 @@ def test_index_sums_match_a_quadrant_reference(case, force):
     assert generator_multiplicity(d, a, x) == F(nx4, 4)
     assert generator_multiplicity(d, a, y) == F(ny4, 4)
     mu4, chi4 = e4 + nx4 + ny4, 4 * d.genus - nx4 - ny4 + e4
-    if force or connects(d, a, x, y):
-        assert maslov_quarters(d, a, x, y, force) == mu4
-        want = (d.genus, F(e4, 4), F(nx4, 4), F(ny4, 4), F(mu4, 4), F(chi4, 4))
+    want = (d.genus, F(e4, 4), F(nx4, 4), F(ny4, 4), F(mu4, 4), F(chi4, 4))
+    if connects(d, a, x, y):
+        assert maslov_quarters(d, a, x, y) == mu4
         assert index_report(d, a, x, y, force) == want
     else:
         with pytest.raises(DiagramError, match="does not connect"):
             maslov_quarters(d, a, x, y)
         with pytest.raises(DiagramError, match="does not connect"):
             index_report(d, a, x, y)
+        if force:
+            assert index_report(d, a, x, y, force) == want

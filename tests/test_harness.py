@@ -1,4 +1,4 @@
-from fractions import Fraction
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -88,10 +88,8 @@ def test_strip_class_predicate(torus1, torus3, genus2):
 
 
 def test_format_results_reports_failures():
-    results = [
-        SuiteResult("good", cases=3),
-        SuiteResult("bad", cases=1, failures=[{"case": 1}]),
-    ]
+    results = [SuiteResult("good", cases=3), SuiteResult("bad", cases=1)]
+    results[1].failures.append({"case": 1})
     text = format_results(results)
     assert "FAIL (1)" in text
     assert "good" in text
@@ -167,14 +165,40 @@ def test_builder_suite_catches_a_wrong_strip_class_chi(monkeypatch, torus3):
     assert res.failures == strips
 
 
-def test_stabilized_suite_catches_a_negative_branch_budget(monkeypatch, genus2s1s2):
-    monkeypatch.setattr(builder, "branch_budget", lambda g, chi: Fraction(-1))
-    res = stabilized_surface_suite(genus2s1s2, max_coeff=1)
-    assert res.cases == 8 and len(res.failures) == 8
-    for failure in res.failures:
-        assert {"x", "y", "a"} <= set(failure)
-        assert failure["problems"] == ["cover check"]
-        report = failure["report"]
-        assert report["branch_budget"] == "-1"
-        assert not report["branch_budget_ok"] and not report["ok"]
-        assert report["corner_halves_sum_is_genus"] and report["connected"]
+def test_stabilized_suite_catches_a_stray_slit(monkeypatch):
+    # a builder mutant: one stray slit in the fresh surface copy of S4, at a
+    # vertex away from the points of x, just before the contract is taken.
+    # It costs chi one and leaves the corners, the pushforward and the
+    # connectivity as they were, so the Euler law alone catches it.
+    enforce = builder._enforce_contract
+
+    def with_stray_slit(built):
+        if built.stage == "S4":
+            surf, d = built.surface, built.diagram
+            fresh = len(surf.region) - len(d.regions)  # the copy's first face
+            surf.slit_at_tail(
+                next(
+                    s
+                    for s, state in enumerate(surf.state)
+                    if state == builder.GLUED
+                    and surf.face[s] >= fresh
+                    and surf.tail(s)[0] == "v"
+                    and surf.tail(s)[1] not in built.x.points
+                )
+            )
+        return enforce(built)
+
+    monkeypatch.setattr(builder, "_enforce_contract", with_stray_slit)
+    law = re.compile(
+        r"stage S4 contract: chi (-?\d+) breaks the Euler law chi\(S3\) \+ 2 - 4g - 2gL = (-?\d+)"
+    )
+    cases = 0
+    for name in ("genus2_bigons.hd", "genus2_s1s2.hd", "genus3_chain.hd"):
+        res = stabilized_surface_suite(load_bundled(name), max_coeff=2)
+        assert res.cases and len(res.failures) == res.cases
+        for failure in res.failures:
+            assert {"x", "y", "a"} <= set(failure)
+            chi, want = map(int, law.fullmatch(failure["error"]).groups())
+            assert want == chi + 1
+        cases += res.cases
+    assert cases == 609

@@ -56,9 +56,10 @@ def solvable_in_box(m, t):
 @hypothesis.settings(max_examples=300, deadline=None, database=None)
 @hypothesis.given(systems())
 def test_solver_is_exact_and_complete(system):
+    # t lies in im M exactly when its residue is zero, and then M a = t
     m, t = system
-    a = _Factorization.of(m, len(m[0])).solve(t)
-    if a is None:
+    residue, a = _Factorization.of(m, len(m[0])).reduce(t)
+    if any(residue):
         assert not solvable_in_box(m, t)
     else:
         assert [sum(k * x for k, x in zip(row, a)) for row in m] == t
