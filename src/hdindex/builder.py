@@ -13,13 +13,14 @@ position) slots.  All the sheets of a domain are allocated in one
 extension of the complex's lists (``_Surface.new_rings``), and every seam
 glues its sheet pairs side by slot, so no dart is hashed or compared while
 gluing.
-The preimages of a crossing are then the chains of quadrant sheets linked by
-those gluings; odd chains of length three or more are ground down to
-right-angle corners by slitting along beta arc preimages, in one pass (a
-slit cuts only its own chain and leaves every other orbit's length as it
-was), points shared by both generators receive their corners (as symbolic
-degenerate disks or boundary slits), and boundary circles lying over a
-single curve are spliced into the main boundary arc.  Only stage S1
+The preimages of a crossing are then its corner orbits, the chains of
+sheet corners linked by those gluings; odd chains of length three or more
+are ground down to right-angle corners by slitting along beta arc
+preimages, in one pass (a slit cuts only its own chain and leaves every
+other orbit's length as it was), points shared by both generators
+receive their corners (as symbolic degenerate disks or boundary slits),
+and boundary circles lying over a single curve are spliced into the main
+boundary arc.  Only stage S1
 grinds: the later stages keep every corner a right angle by construction,
 and the stage-S3 contract checks it.  A final stabilization stage cuts
 open a fresh copy of the whole surface at every point of the outgoing
@@ -111,27 +112,6 @@ class BuilderError(RuntimeError):
     """Internal invariant of the construction failed; indicates a bug."""
 
 
-class QuadrantSheet(NamedTuple):
-    """Sheet ``level`` of the quadrant at ``vertex`` in rotation ``position``."""
-
-    vertex: str
-    region: int
-    position: int
-    level: int
-
-
-class PreimageChain(NamedTuple):
-    """The quadrant sheets forming one preimage of a crossing."""
-
-    vertex: str
-    cells: tuple[QuadrantSheet, ...]
-    kind: str  # "closed" | "open"
-
-    @property
-    def length(self) -> int:
-        return len(self.cells)
-
-
 class _DegenerateDisk(NamedTuple):
     vertex: str
     alpha_curve: str
@@ -149,8 +129,8 @@ class _Surface:
     that a side starts where ``prv[s]`` ends, and a head never changes, so
     this holds for replaced sides too.  ``state[s]`` says whether s is
     glued, free or replaced, so the free sides are read off the bytes in
-    one pass.  Face f lies over region ``region[f]`` at sheet ``layer[f]``,
-    and its ring was allocated whole from the side id ``first[f]``.  Ids
+    one pass.  Face f lies over region ``region[f]``, and its ring was
+    allocated whole from the side id ``first[f]``.  Ids
     are never reused: a side that surgery replaces keeps its id, and its
     ``nxt`` then leads to the tail half that took its place.  The far ends
     of the slits, the boundary branch points, are counted in
@@ -166,7 +146,6 @@ class _Surface:
         self.head: list[Point] = []
         self.state = bytearray()
         self.region: list[int] = []
-        self.layer: list[int] = []
         self.first: list[int] = []
         self._next_cut = 0
         self.curve_family = curve_family
@@ -181,8 +160,8 @@ class _Surface:
 
     # -- construction ----------------------------------------------------
 
-    def new_rings(self, regions: list[int], layers: list[int], rings: list[tuple]) -> None:
-        """One new face per (region, layer, ring), bounded by the ring's sides.
+    def new_rings(self, regions: list[int], rings: list[tuple]) -> None:
+        """One new face per (region, ring), bounded by the ring's sides.
 
         A ring is two columns: the darts its sides run over and their head
         points.  The rings take consecutive ids, one after the other: a
@@ -205,7 +184,6 @@ class _Surface:
         self.head += chain.from_iterable(heads)
         self.state += bytes([FREE]) * (end - f)
         self.region += regions
-        self.layer += layers
         self.first += firsts
 
     def glue(self, a: int, b: int) -> None:
@@ -295,22 +273,6 @@ class _Surface:
                 marks[c] = _MET
             s = marks.find(0, s)
         return circles, closed
-
-    def orbits_at(self, pt: Point) -> list[list[int]]:
-        """Every corner orbit at ``pt``, sorted by smallest side id.
-
-        Each is walked from where ``corner_classes`` starts it: the open
-        ones from their free start sides (``open_classes_at``), then each
-        closed one from its smallest side not met yet.  No orbit at
-        another point is walked.
-        """
-        orbits = self.open_classes_at(pt)
-        met = set(chain.from_iterable(orbits))
-        for s, h in enumerate(self.head):
-            if h == pt and self.state[s] == GLUED and s not in met:
-                orbits.append(self.orbit(s))
-                met.update(orbits[-1])
-        return sorted(orbits, key=min)
 
     def open_classes_at(self, pt: Point) -> list[list[int]]:
         """The open orbits at ``pt``, sorted by smallest side id."""
@@ -596,8 +558,8 @@ def _s0_template(d: HeegaardDiagram) -> tuple[tuple, tuple]:
 def _add_region_copies(surf: _Surface, d: HeegaardDiagram, a: Domain) -> list[int]:
     """One polygon per sheet of ``a``, glued along the curve arcs; their face ids.
 
-    Sheet m of a region gets layer m.  The sheets are instantiated from the
-    diagram's template (``_s0_template``), region by region, so side ids
+    A region's sheets are consecutive faces, sheet 1 first.  They are
+    instantiated from the diagram's template (``_s0_template``), region by region, so side ids
     run by region, then sheet, then ring position; each seam then glues the
     sheets ``_sheet_pairs`` gives, side by slot (the side at position i of
     sheet m of a region whose sheets start at id b and have n sides is
@@ -609,8 +571,7 @@ def _add_region_copies(surf: _Surface, d: HeegaardDiagram, a: Domain) -> list[in
     sizes = [len(ring[0]) for ring in rings]
     starts = list(accumulate(map(mul, coeffs, sizes), initial=len(surf.nxt)))
     regions = [r for r, n in enumerate(coeffs) for _ in range(n)]
-    levels = [m for n in coeffs for m in range(1, n + 1)]
-    surf.new_rings(regions, levels, [rings[r] for r in regions])
+    surf.new_rings(regions, [rings[r] for r in regions])
     glue = surf.glue
     for family, r, i, r2, i2 in seams:
         n, n2 = sizes[r], sizes[r2]
@@ -635,27 +596,18 @@ def glue_copies(d: HeegaardDiagram, a: Domain) -> BuiltSurface:
     return BuiltSurface("S0", d, a, surf)
 
 
-def chains_at(built: BuiltSurface, v: str) -> list[PreimageChain]:
-    """Extract the quadrant-sheet chains at a crossing from any stage.
+def chains_at(built: BuiltSurface, v: str) -> list[tuple[str, int]]:
+    """(kind, length) of each corner orbit at a crossing, at any stage.
 
-    The chains come in the order of their orbits' smallest side ids.
+    The orbits are those of one ``corner_classes`` walk that lie at
+    ``("v", v)``, by smallest side id; an orbit is ``"open"`` when it
+    starts at a free side, ``"closed"`` otherwise.
     """
-    rot = built.diagram.rotation[v]
     surf = built.surface
-    out: list[PreimageChain] = []
-    for orbit in surf.orbits_at(("v", v)):
-        cells = []
-        for s in orbit:
-            # the corner between s and nxt(s) occupies the sector between
-            # dart(nxt(s)) and its rotation successor
-            dart = surf.dart[surf.nxt[s]]
-            if dart not in rot:
-                raise BuilderError(f"corner at {v} with foreign dart {dart}")
-            f = surf.face[s]
-            cells.append(QuadrantSheet(v, surf.region[f], rot.index(dart), surf.layer[f]))
-        kind = "open" if surf.partner[orbit[0]] == -1 else "closed"
-        out.append(PreimageChain(v, tuple(cells), kind))
-    return out
+    circles, closed = surf.corner_classes()
+    pt, head, partner = ("v", v), surf.head, surf.partner
+    orbits = sorted((o for o in chain(*circles, closed) if head[o[0]] == pt), key=min)
+    return [("open" if partner[o[0]] == -1 else "closed", len(o)) for o in orbits]
 
 
 # The crossing of the local chain model: its four quadrants lie in four
@@ -673,8 +625,8 @@ def _model_diagram() -> HeegaardDiagram:
     return load_bundled(_MODEL_DIAGRAM)
 
 
-def local_vertex_chains(coeffs: tuple[int, int, int, int]) -> list[PreimageChain]:
-    """Chains of a crossing whose four sectors have these coefficients.
+def local_vertex_chains(coeffs: tuple[int, int, int, int]) -> list[tuple[str, int]]:
+    """(kind, length) of the chains of a crossing whose sectors have these coefficients.
 
     Sector i sits counterclockwise between rotation darts i and i+1, alpha
     darts at 0 and 2.  The coefficients are put on the quadrant regions of

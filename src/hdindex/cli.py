@@ -48,9 +48,16 @@ EXIT_PRECONDITION = 2
 EXIT_SUITE = 3
 
 
+MAX_DIAGRAM_BYTES = 1 << 20  # 1 MiB; a larger diagram file is refused unread
+
+
 def _load(path: str, require_valid: bool = True) -> HeegaardDiagram:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as f:
+            data = f.read(MAX_DIAGRAM_BYTES + 1)
+        if len(data) > MAX_DIAGRAM_BYTES:
+            raise DiagramError(f"{path} is larger than the {MAX_DIAGRAM_BYTES}-byte limit")
+        text = data.decode("utf-8")
     except OSError as exc:
         raise DiagramError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

@@ -110,7 +110,7 @@ def local_pattern_oracle(bound: int = 3) -> SuiteResult:
         cases += [(base[:i] + (base[i] + 1,) + base[i + 1 :], "corner") for i in range(4)]
         for pattern, kind in cases:
             res.cases += 1
-            chains = [(c.kind, c.length) for c in local_vertex_chains(pattern)]
+            chains = local_vertex_chains(pattern)
             if kind == "interior":
                 ok = sorted(chains) == interior
             else:

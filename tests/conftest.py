@@ -1,6 +1,6 @@
 import pytest
 
-from hdindex.harness import BUNDLED_DIAGRAMS, bundled_corpus, load_bundled
+from hdindex.harness import bundled_corpus, load_bundled
 
 
 @pytest.fixture(scope="session")

@@ -57,10 +57,8 @@ def test_local_chains_empty():
 
 def test_local_chains_interior():
     # pattern (n, n+k, n+k+l, n+l): n closed 4-cycles plus k+l smooth pairs
-    chains = local_vertex_chains((1, 1, 1, 1))
-    assert [(c.kind, c.length) for c in chains] == [("closed", 4)]
-    chains = local_vertex_chains((2, 3, 4, 3))
-    assert sorted((c.kind, c.length) for c in chains) == [
+    assert local_vertex_chains((1, 1, 1, 1)) == [("closed", 4)]
+    assert sorted(local_vertex_chains((2, 3, 4, 3))) == [
         ("closed", 4),
         ("closed", 4),
         ("open", 2),
@@ -69,22 +67,19 @@ def test_local_chains_interior():
 
 
 def test_local_chains_plain_corner():
-    chains = local_vertex_chains((1, 0, 0, 0))
-    assert [(c.kind, c.length) for c in chains] == [("open", 1)]
+    assert local_vertex_chains((1, 0, 0, 0)) == [("open", 1)]
 
 
 def test_local_chains_branching_corner():
     # one level below the bump: the odd chain winds once around, length 5
-    chains = local_vertex_chains((2, 1, 1, 1))
-    assert [(c.kind, c.length) for c in chains] == [("open", 5)]
+    assert local_vertex_chains((2, 1, 1, 1)) == [("open", 5)]
 
 
 def test_local_chains_absorbed_two_chains():
     # the displayed case list of the source construction truncates this one:
     # tracing the gluings, the odd chain at pattern (2,2,2,1) has length 7
     # and there are no smooth pairs left over
-    chains = local_vertex_chains((2, 2, 2, 1))
-    assert [(c.kind, c.length) for c in chains] == [("open", 7)]
+    assert local_vertex_chains((2, 2, 2, 1)) == [("open", 7)]
 
 
 # sha256 of the (kind, length) chain lists of every pattern with sector
@@ -94,10 +89,7 @@ LOCAL_GOLDEN = (1296, "048fe97583a40338c66a6600b91c51a2e6bbfcff38ed623a2755d197e
 
 
 def test_local_chains_match_golden():
-    records = [
-        [[c.kind, c.length] for c in local_vertex_chains(p)]
-        for p in itertools.product(range(6), repeat=4)
-    ]
+    records = [local_vertex_chains(p) for p in itertools.product(range(6), repeat=4)]
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert (len(records), digest) == LOCAL_GOLDEN
 
@@ -130,10 +122,8 @@ def local_model_mismatches(d):
         s0 = glue_copies(d, a)
         for v in d.vertices:
             pattern = tuple(a[q.region] for q in d.quadrants_at(v))
-            ours = sorted((c.kind, c.length) for c in chains_at(s0, v))
-            model = sorted((c.kind, c.length) for c in local_vertex_chains(pattern))
             checks += 1
-            mismatches += ours != model
+            mismatches += sorted(chains_at(s0, v)) != sorted(local_vertex_chains(pattern))
     return checks, mismatches
 
 
@@ -142,23 +132,6 @@ def test_local_model_matches_every_crossing_of_real_builds(corpus):
     results = {name: local_model_mismatches(d) for name, d in corpus.items()}
     assert sum(checks for checks, _ in results.values()) == 5568
     assert {name: bad for name, (_, bad) in results.items() if bad} == {}
-
-
-def test_chains_at_walks_the_orbits_the_full_walk_finds_at_every_crossing(corpus):
-    # ``chains_at`` walks only the orbits at its crossing; the full walk of
-    # every corner class, filtered to the crossing, must give the same
-    # orbits, each from the same start side, in the same order
-    checks = 0
-    for d in corpus.values():
-        for a in box3_domains(d):
-            surf = glue_copies(d, a).surface
-            circles, closed = surf.corner_classes()
-            full = sorted(itertools.chain(*circles, closed), key=min)
-            for v in d.vertices:
-                pt = ("v", v)
-                assert surf.orbits_at(pt) == [o for o in full if surf.head[o[0]] == pt]
-                checks += 1
-    assert checks == 5568
 
 
 @pytest.mark.parametrize(
@@ -178,14 +151,17 @@ def test_classify_vertex_chains_on_diagram(genus2):
     a, x, y = example1_data(genus2)
     for v, want in (("x2", [("open", 5)]), ("y2", [("open", 5)]),
                     ("x1", [("open", 1)]), ("r1", [("open", 2)])):
-        chains = chains_at(glue_copies(genus2, a), v)
-        assert [(c.kind, c.length) for c in chains] == want
-    # quadrant sheets of the bad chain cover the five sector sheets: both
-    # lens levels and the three surrounding squares at that crossing
-    (chain,) = chains_at(glue_copies(genus2, a), "x2")
-    assert sorted((c.region, c.level) for c in chain.cells) == sorted(
-        [(7, 1), (7, 2), (3, 1), (4, 1), (6, 1)]
-    )
+        assert chains_at(glue_copies(genus2, a), v) == want
+    # the sheets of the bad chain cover the five sector sheets: both lens
+    # levels and the three surrounding squares at that crossing.  A
+    # region's sheets are consecutive faces, so a face's level is its id
+    # less the region's first face, plus one.
+    surf = glue_copies(genus2, a).surface
+    circles, _ = surf.corner_classes()
+    (chain,) = [o for circle in circles for o in circle if surf.head[o[0]] == ("v", "x2")]
+    faces = [surf.face[s] for s in chain]
+    sheets = [(surf.region[f], f - surf.region.index(surf.region[f]) + 1) for f in faces]
+    assert sorted(sheets) == sorted([(7, 1), (7, 2), (3, 1), (4, 1), (6, 1)])
 
 
 # -- stage S0 ----------------------------------------------------------------
@@ -223,9 +199,9 @@ def reference_s0(d, domains):
     """Stage S0 keyed by (dart, level), each arc read through ``rev`` and ``face_of``.
 
     The copies of each domain in turn are added to one complex.  Returns
-    sid -> [region, layer, face start sid, dart, tail, head, prev sid,
-    next sid, partner sid], with sids in allocation order: domain, then
-    region, then level, then dart.
+    sid -> [region, face start sid, dart, tail, head, prev sid, next sid,
+    partner sid], with sids in allocation order: domain, then region, then
+    level, then dart.
     """
     records = {}
     for a in domains:
@@ -236,9 +212,9 @@ def reference_s0(d, domains):
                 first = len(records)
                 for dart, head in zip(r.darts, heads):
                     sid = side_of[(dart, level)] = len(records)
-                    records[sid] = [r.index, level, first, dart, ("v", dart.vertex)]
+                    records[sid] = [r.index, first, dart, ("v", dart.vertex)]
                     records[sid] += [("v", head.vertex), sid - 1, sid + 1, None]
-                records[first][6], records[len(records) - 1][7] = len(records) - 1, first
+                records[first][5], records[len(records) - 1][6] = len(records) - 1, first
         for name, edges in d.edges.items():
             for tail, _ in edges:
                 e = Dart(tail, name, True)
@@ -246,8 +222,8 @@ def reference_s0(d, domains):
                 family = d.curve_family[name]
                 for m, m2 in builder._sheet_pairs(family, a[d.face_of[e]], a[d.face_of[f]]):
                     s, t = side_of[(e, m)], side_of[(f, m2)]
-                    assert records[s][8] is None and records[t][8] is None
-                    records[s][8], records[t][8] = t, s
+                    assert records[s][7] is None and records[t][7] is None
+                    records[s][7], records[t][7] = t, s
     return records
 
 
@@ -264,7 +240,6 @@ def s0_records(d, domains):
     return {
         s: [
             surf.region[surf.face[s]],
-            surf.layer[surf.face[s]],
             surf.first[surf.face[s]],
             surf.dart[s],
             surf.tail(s),
@@ -355,12 +330,10 @@ def test_double_bigon_chains(torus3):
     # two copies of the bigon stack into odd chains of length 5 at the
     # corners (one full turn plus the corner quadrant)
     a = Domain.parse(torus3, "r1:2")
-    chains = chains_at(glue_copies(torus3, a), "v0")
-    assert sorted((c.kind, c.length) for c in chains) == [("open", 1), ("open", 1)]
+    assert sorted(chains_at(glue_copies(torus3, a), "v0")) == [("open", 1), ("open", 1)]
     # and with the surrounding class the corner pattern deepens
     b = Domain.parse(torus3, "r0:1,r1:2,r2:1")
-    chains = chains_at(glue_copies(torus3, b), "v0")
-    assert [(c.kind, c.length) for c in chains] == [("open", 5)]
+    assert chains_at(glue_copies(torus3, b), "v0") == [("open", 5)]
 
 
 # -- stages S1..S3 -----------------------------------------------------------
@@ -662,7 +635,6 @@ def test_corner_orbits_partition_and_open_classes_agree(corpus):
                 assert all(surf.partner[surf.nxt[a]] == b for a, b in zip(orbit, orbit[1:]))
             for pt in {surf.head[s] for s in sides}:
                 here = [o for o in classes if surf.head[o[0]] == pt]
-                assert surf.orbits_at(pt) == here
                 assert surf.open_classes_at(pt) == [o for o in here if surf.partner[o[0]] == -1]
 
 

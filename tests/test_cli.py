@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hdindex.cli import main
+from hdindex.cli import MAX_DIAGRAM_BYTES, main
 from hdindex.harness import BUNDLED_DIAGRAMS
 from importlib import resources
 
@@ -244,6 +244,22 @@ def test_unreadable_diagram_paths_end_in_a_diagram_error(capsys, tmp_path, case,
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and str(path) in err and reason in err
+
+
+def test_a_diagram_file_over_the_size_limit_ends_in_a_diagram_error(capsys, data_dir, tmp_path):
+    # a valid diagram padded by a comment to exactly the limit is read
+    text = (data_dir / "torus_g1_3x.hd").read_bytes()
+    at_limit = text + b"#" * (MAX_DIAGRAM_BYTES - len(text) - 1) + b"\n"
+    path = tmp_path / "big.hd"
+    path.write_bytes(at_limit)
+    assert run(capsys, "validate", str(path)) == (0, "valid\n", "")
+    # one byte more is refused, before any of it is parsed
+    path.write_bytes(at_limit + b"\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert f"larger than the {MAX_DIAGRAM_BYTES}-byte limit" in err
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,9 @@
 The diagrams have at most seven vertices; some are two independent blocks,
 so their traced surface is disconnected.  ``validate_diagram`` is compared
 with a vertex DFS and a per-family region union-find, the one-pass grind
-of stage S1 with the fixpoint grind it replaced, and the class keys of
-``find_domains`` with one solve per generator pair.  Every build of a
+of stage S1 with the fixpoint grind it replaced, the class keys of
+``find_domains`` with one solve per generator pair, and the periodic rank
+with the rank of the signed intersection matrix.  Every build of a
 generated case must succeed.
 """
 
@@ -18,9 +19,11 @@ from hdindex.domains import (
     _Factorization,
     _lattice,
     _records,
+    _row_echelon,
     _target_vector,
     enumerate_generators,
     find_domains,
+    periodic_domain_basis,
 )
 from hdindex.harness import bundled_corpus
 
@@ -351,3 +354,54 @@ def test_class_key_check_catches_a_reversed_particular_solution(monkeypatch):
     corpus = list(bundled_corpus().values())
     faults, _, _ = class_key_faults(corpus + [d.mirror() for d in corpus])
     assert faults and all(got == [] for _, _, _, got, _ in faults)
+
+
+# -- the periodic rank from the crossing signs --------------------------------
+
+
+def intersection_matrix(d, signs):
+    """The alpha-by-beta matrix of summed crossing ``signs``, read off the curve lists."""
+    beta_of = {v: j for j, (_, vs) in enumerate(d.beta) for v in vs}
+    m = [[0] * len(d.beta) for _ in d.alpha]
+    for i, (_, vs) in enumerate(d.alpha):
+        for v in vs:
+            m[i][beta_of[v]] += signs[v]
+    return m
+
+
+def rank_law_holds(d, signs):
+    """Whether the periodic rank is 1 + g - rank(M) for M read with ``signs``.
+
+    The periodic domains are H_2(Y) plus the full surface class, and
+    b_1(Y) = g - rank(M); face tracing finds the one, the signs alone the
+    other.
+    """
+    rank_m = len(_row_echelon(intersection_matrix(d, signs)))
+    return len(periodic_domain_basis(d)) == 1 + d.genus - rank_m
+
+
+def test_periodic_rank_is_one_plus_b1_from_the_signs():
+    diagrams = key_diagrams()
+    assert len(diagrams) == 72
+    assert [d for d in diagrams if not rank_law_holds(d, d.signs)] == []
+
+
+def test_rank_check_catches_a_flipped_sign():
+    caught = {
+        name: [v for v in d.vertices if not rank_law_holds(d, {**d.signs, v: -d.signs[v]})]
+        for name, d in bundled_corpus().items()
+    }
+    assert {name: vs for name, vs in caught.items() if vs} == {
+        "torus_g1_2x.hd": ["x", "y"],
+        "genus2_s1s2.hd": ["a", "b"],
+        "genus3_chain.hd": ["t", "s3"],
+    }
+
+
+def test_rank_check_catches_unsigned_counts():
+    def caught(diagrams):
+        return [d for d in diagrams if not rank_law_holds(d, dict.fromkeys(d.vertices, 1))]
+
+    corpus = bundled_corpus()
+    assert caught(corpus.values()) == [corpus["genus2_s1s2.hd"]]
+    assert len(caught(valid_diagrams(seed=4919, count=60))) == 3

@@ -1,5 +1,4 @@
 import re
-from types import SimpleNamespace
 
 import pytest
 
@@ -103,8 +102,7 @@ def test_local_pattern_oracle_catches_a_stray_chain(monkeypatch, stray, failing)
     # a smooth pair breaks only the interior shape; a closed chain of length
     # three breaks both rules
     real = harness.local_vertex_chains
-    extra = SimpleNamespace(kind=stray[0], length=stray[1])
-    monkeypatch.setattr(harness, "local_vertex_chains", lambda c: real(c) + [extra])
+    monkeypatch.setattr(harness, "local_vertex_chains", lambda c: real(c) + [stray])
     res = local_pattern_oracle(1)
     assert res.cases == 8 * 5
     assert {f["kind"] for f in res.failures} == failing

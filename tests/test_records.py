@@ -15,14 +15,13 @@ from pathlib import Path
 import pytest
 
 import hdindex
-from hdindex.builder import PreimageChain, QuadrantSheet, _DegenerateDisk
+from hdindex.builder import _DegenerateDisk
 from hdindex.diagram import Dart, Quadrant, Region, Violation
 from hdindex.domains import Domain, Generator
 from hdindex.formulas import IndexReport
 from hdindex.harness import SuiteResult
 
 DART = Dart("v1", "a1", True)
-SHEET = QuadrantSheet("v1", 2, 3, 1)
 
 # (a record, a second one built from the same values, its field names, its repr)
 RECORDS = [
@@ -58,19 +57,6 @@ RECORDS = [
         ("g", "e", "n_x", "n_y", "mu", "chi_emb"),
         "IndexReport(g=2, e=Fraction(1, 2), n_x=Fraction(1, 4), n_y=Fraction(3, 4), "
         "mu=Fraction(3, 2), chi_emb=1)",
-    ),
-    (
-        SHEET,
-        lambda: QuadrantSheet("v1", 2, 3, 1),
-        ("vertex", "region", "position", "level"),
-        "QuadrantSheet(vertex='v1', region=2, position=3, level=1)",
-    ),
-    (
-        PreimageChain("v1", (SHEET,), "open"),
-        lambda: PreimageChain("v1", (QuadrantSheet("v1", 2, 3, 1),), "open"),
-        ("vertex", "cells", "kind"),
-        "PreimageChain(vertex='v1', cells=(QuadrantSheet(vertex='v1', region=2, "
-        "position=3, level=1),), kind='open')",
     ),
     (
         _DegenerateDisk("v1", "a1", "b2"),
