@@ -48,7 +48,7 @@ EXIT_PRECONDITION = 2
 EXIT_SUITE = 3
 
 
-MAX_DIAGRAM_BYTES = 1 << 20  # 1 MiB; a larger diagram file is refused unread
+MAX_DIAGRAM_BYTES = 1 << 20  # 1 MiB: a diagram file any larger is refused
 
 
 def _load(path: str, require_valid: bool = True) -> HeegaardDiagram:
