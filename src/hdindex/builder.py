@@ -102,6 +102,7 @@ Point = tuple  # ('v', vertex) or ('cut', serial)
 GLUED, FREE, REPLACED = 0, 1, 2  # the states of a side
 _MET = 3  # a side an orbit walk has met, in the marks of ``_Surface.circles``
 _FREE_MARKS = bytes(state == FREE for state in range(256))  # state -> 1 if free
+MAX_FACES = 1 << 16  # the most sheets one ``_add_region_copies`` call allocates
 
 
 class PreconditionError(ValueError):
@@ -564,10 +565,13 @@ def _add_region_copies(surf: _Surface, d: HeegaardDiagram, a: Domain) -> list[in
     sheets ``_sheet_pairs`` gives, side by slot (the side at position i of
     sheet m of a region whose sheets start at id b and have n sides is
     b + (m - 1) n + i).  A region adjacent to itself across an arc follows
-    the same rule, its two arc sides being two slots of one ring.
+    the same rule, its two arc sides being two slots of one ring.  More
+    than ``MAX_FACES`` sheets are refused before any is allocated.
     """
-    rings, seams = _s0_template(d)
     faces, coeffs = len(surf.region), a.coeffs
+    if (sheets := sum(coeffs)) > MAX_FACES:
+        raise PreconditionError(f"{sheets} sheets exceed the {MAX_FACES}-face limit")
+    rings, seams = _s0_template(d)
     sizes = [len(ring[0]) for ring in rings]
     starts = list(accumulate(map(mul, coeffs, sizes), initial=len(surf.nxt)))
     regions = [r for r, n in enumerate(coeffs) for _ in range(n)]

@@ -195,6 +195,15 @@ def test_glue_rejects_a_domain_of_the_wrong_length(corpus):
                 glue_copies(d, Domain(coeffs))
 
 
+def test_glue_refuses_more_sheets_than_the_face_limit(genus3, monkeypatch):
+    monkeypatch.setattr(builder, "MAX_FACES", 20)
+    two_sigma = Domain(tuple(2 * c for c in sigma_class(genus3).coeffs))
+    assert len(glue_copies(genus3, two_sigma).surface.region) == 20
+    one_more = Domain((3,) + two_sigma.coeffs[1:])
+    with pytest.raises(PreconditionError, match="21 sheets exceed the 20-face limit"):
+        glue_copies(genus3, one_more)
+
+
 def reference_s0(d, domains):
     """Stage S0 keyed by (dart, level), each arc read through ``rev`` and ``face_of``.
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hdindex import builder
 from hdindex.cli import MAX_DIAGRAM_BYTES, main
 from hdindex.harness import BUNDLED_DIAGRAMS
 from importlib import resources
@@ -186,6 +187,26 @@ def test_stabilize_rejects_genus_one(capsys, data_dir):
     )
     assert code == 2
     assert "g>1" in err
+
+
+@pytest.mark.parametrize("verb", ["build-surface", "stabilize"])
+def test_a_domain_past_the_face_limit_is_refused_before_building(
+    capsys, data_dir, monkeypatch, verb
+):
+    def no_allocation(*args):
+        raise AssertionError("sheets were allocated")
+
+    monkeypatch.setattr(builder._Surface, "new_rings", no_allocation)
+    # 6,554 times the surface class of genus3_chain: 65,540 sheets
+    domain = ",".join(f"r{r}:6554" for r in range(10))
+    code, out, err = run(
+        capsys,
+        verb,
+        str(data_dir / "genus3_chain.hd"),
+        "--from", "y1,y2,t", "--to", "y1,y2,t", "--domain", domain,
+    )
+    assert (code, out) == (2, "")
+    assert err == "precondition: 65540 sheets exceed the 65536-face limit\n"
 
 
 def test_json_outputs_are_reproducible(capsys, data_dir):

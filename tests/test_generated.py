@@ -4,14 +4,17 @@ The diagrams have at most seven vertices; some are two independent blocks,
 so their traced surface is disconnected.  ``validate_diagram`` is compared
 with a vertex DFS and a per-family region union-find, the one-pass grind
 of stage S1 with the fixpoint grind it replaced, the class keys of
-``find_domains`` with one solve per generator pair, and the periodic rank
-with the rank of the signed intersection matrix.  Every build of a
-generated case must succeed.
+``find_domains`` with one solve per generator pair, the periodic rank
+with the rank of the signed intersection matrix, and the parity of the
+Maslov index with the Z/2 grading from the crossing signs.  Every build
+of a generated case must succeed.
 """
 
 import random
 
-from hdindex import builder
+import pytest
+
+from hdindex import builder, formulas
 from hdindex.builder import BuilderError
 from hdindex.diagram import ALPHA, BETA, HeegaardDiagram, validate_diagram
 from hdindex.domains import (
@@ -25,6 +28,7 @@ from hdindex.domains import (
     find_domains,
     periodic_domain_basis,
 )
+from hdindex.formulas import maslov_quarters
 from hdindex.harness import bundled_corpus
 
 MAX_VERTICES = 7
@@ -359,9 +363,14 @@ def test_class_key_check_catches_a_reversed_particular_solution(monkeypatch):
 # -- the periodic rank from the crossing signs --------------------------------
 
 
+def beta_index(d):
+    """Each crossing's beta curve index, read off the curve lists."""
+    return {v: j for j, (_, vs) in enumerate(d.beta) for v in vs}
+
+
 def intersection_matrix(d, signs):
     """The alpha-by-beta matrix of summed crossing ``signs``, read off the curve lists."""
-    beta_of = {v: j for j, (_, vs) in enumerate(d.beta) for v in vs}
+    beta_of = beta_index(d)
     m = [[0] * len(d.beta) for _ in d.alpha]
     for i, (_, vs) in enumerate(d.alpha):
         for v in vs:
@@ -405,3 +414,99 @@ def test_rank_check_catches_unsigned_counts():
     corpus = bundled_corpus()
     assert caught(corpus.values()) == [corpus["genus2_s1s2.hd"]]
     assert len(caught(valid_diagrams(seed=4919, count=60))) == 3
+
+
+# -- the relative Z/2 grading from the crossing signs -------------------------
+
+
+def grading(d, x, signs, permutation=True):
+    """gr(x) = sign(sigma_x) * prod_i signs[x_i], where sigma_x takes each
+    alpha index to the index of the beta curve through x's point on it."""
+    beta_of = beta_index(d)
+    perm = [beta_of[v] for v in x.points]
+    gr = (-1) ** sum(p > q for i, p in enumerate(perm) for q in perm[i + 1 :]) if permutation else 1
+    for v in x.points:
+        gr *= signs[v]
+    return gr
+
+
+def grading_cases(diagrams):
+    """(d, x, y, A): each ordered pair of a class at A = a(y) - a(x), the
+    difference of the potentials, and each generator x with each periodic
+    basis vector, from x to x.  mu is affine in A for fixed (x, y), so
+    these cases decide the law on all of pi_2."""
+    for d in diagrams:
+        gens = enumerate_generators(d)
+        classes = {}
+        for x in gens:
+            _, rx, _ = _records(d, x, x)
+            classes.setdefault(rx.key, []).append((x, rx.potential))
+        for members in classes.values():
+            for x, ax in members:
+                for y, ay in members:
+                    yield d, x, y, Domain(tuple(b - a for a, b in zip(ax, ay)))
+        for x in gens:
+            for p in periodic_domain_basis(d):
+                yield d, x, x, p
+
+
+def signed_grading(d, x):
+    return grading(d, x, d.signs)
+
+
+def grading_faults(diagrams, gr=signed_grading):
+    """The cases where 4 mu is no multiple of 4 or (-1)^mu is not gr(x) gr(y)."""
+    faults = []
+    for d, x, y, a in grading_cases(diagrams):
+        q = maslov_quarters(d, a, x, y)
+        if q % 4 or (-1) ** (q // 4) != gr(d, x) * gr(d, y):
+            faults.append((d, x, y, a))
+    return faults
+
+
+def test_mu_parity_is_the_z2_grading_from_the_signs():
+    # the relative Z/2 grading of Ozsvath-Szabo (Ann. Math. 2004)
+    diagrams = key_diagrams()
+    assert sum(1 for _ in grading_cases(diagrams)) == 1510
+    assert grading_faults(diagrams) == []
+
+
+def _same(a, *terms):
+    return terms
+
+
+# (mutant, the terms of 4 mu from (A, 4e, 4n_x, 4n_y), gr, cases caught of
+# the 572 on the bundled corpus)
+GRADING_MUTANTS = [
+    ("e + 2n_x", lambda a, e, nx, ny: (e, 2 * nx), signed_grading, 266),
+    ("e + n_x - n_y", lambda a, e, nx, ny: (e, nx, -ny), signed_grading, 356),
+    (
+        "region weight 3 - c_i",
+        lambda a, e, nx, ny: (e - sum(a.coeffs), nx, ny),
+        signed_grading,
+        462,
+    ),
+    ("e + 2n_y", lambda a, e, nx, ny: (e, 2 * ny), signed_grading, 266),
+    ("permutation sign dropped", _same, lambda d, x: grading(d, x, d.signs, False), 216),
+    (
+        "crossing signs dropped",
+        _same,
+        lambda d, x: grading(d, x, dict.fromkeys(d.vertices, 1)),
+        258,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("terms", "gr", "caught"),
+    [m[1:] for m in GRADING_MUTANTS],
+    ids=[m[0] for m in GRADING_MUTANTS],
+)
+def test_grading_check_catches_each_mutant(monkeypatch, terms, gr, caught):
+    sums = formulas._index_sums
+    monkeypatch.setattr(
+        formulas, "_index_sums", lambda d, a, x, y, force: terms(a, *sums(d, a, x, y, force))
+    )
+    corpus = bundled_corpus().values()
+    assert sum(1 for _ in grading_cases(corpus)) == 572
+    assert len(grading_faults(corpus, gr)) == caught

@@ -1,15 +1,20 @@
-"""No module of the package, the tests or the scripts imports a name it never uses.
+"""No module of the package, the tests or the scripts imports a name it never uses,
+and importing one module of the package loads only the package modules it imports.
 
 A module-level import counts as used when its name appears anywhere in the
 module as a ``Name`` (the base of every ``Attribute`` chain is one, and so
 is a name inside an f-string expression) or inside a string annotation.
 The check walks the syntax tree, so a name that only a comment or a plain
-string mentions does not count.  ``__init__.py`` files are exempt: their
-imports are the package's re-exports.
+string mentions does not count.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TREES = ("src/hdindex", "tests", "scripts")
@@ -67,7 +72,37 @@ def test_no_module_has_an_unused_import():
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for tree in TREES
         for path in sorted((ROOT / tree).rglob("*.py"))
-        if path.name != "__init__.py"
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+# the package modules in import order: importing one in a fresh interpreter
+# loads the package and the modules before it, none after it
+ORDER = (
+    "hdindex",
+    "hdindex.diagram",
+    "hdindex.domains",
+    "hdindex.formulas",
+    "hdindex.builder",
+    "hdindex.harness",
+    "hdindex.cli",
+)
+
+
+@pytest.mark.parametrize("n", range(1, len(ORDER)), ids=ORDER[1:])
+def test_importing_a_module_loads_only_its_imports(n):
+    src = ROOT / "src"
+    code = (
+        f"import sys, {ORDER[n]}; "
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'hdindex')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=src,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == sorted(ORDER[: n + 1])
