@@ -31,9 +31,10 @@ and faces are integer ids into parallel lists of ``_Surface``, with no
 object per side.  Every polygon side has ``nxt`` and ``prv`` ids around
 its face, which is the ring of its sides, a head point (its tail point is
 the head of ``prv``), and a ``partner`` twin across a glued edge (-1 on the
-free boundary); a byte per side says whether it is glued, free or
-replaced by surgery.  Side ids are handed out in order and never reused,
-and they fix the order of every record: a boundary circle starts at its
+free boundary), the one record of whether a side is free.  Side ids are
+handed out in order and every id stays a live side: ``_Surface.subdivide``
+shortens a side to its tail half and gives its head half a new id.  The
+ids fix the order of every record: a boundary circle starts at its
 smallest free side, and closed orbits come by smallest id.
 The corners around one point of the surface form an orbit of the step
 s -> partner[nxt[s]], and ``_Surface.orbit`` is the only walk of it.  It
@@ -83,7 +84,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, repeat
 from operator import mul
 from typing import NamedTuple
 
@@ -91,6 +92,7 @@ from hdindex.diagram import ALPHA, BETA, Dart, HeegaardDiagram, components, load
 from hdindex.domains import (
     Domain,
     Generator,
+    PreconditionError,
     _records,
     connects,
     is_positive,
@@ -99,14 +101,7 @@ from hdindex.domains import (
 from hdindex.formulas import branch_budget, embedded_euler_char
 
 Point = tuple  # ('v', vertex) or ('cut', serial)
-GLUED, FREE, REPLACED = 0, 1, 2  # the states of a side
-_MET = 3  # a side an orbit walk has met, in the marks of ``_Surface.circles``
-_FREE_MARKS = bytes(state == FREE for state in range(256))  # state -> 1 if free
 MAX_FACES = 1 << 16  # the most sheets one ``_add_region_copies`` call allocates
-
-
-class PreconditionError(ValueError):
-    """An operation was called outside its contract (bad domain, genus...)."""
 
 
 class BuilderError(RuntimeError):
@@ -127,15 +122,13 @@ class _Surface:
     ``face[s]``; ``nxt``/``prv`` go counterclockwise around the face and
     ``partner[s]`` is the twin across the glued edge (-1 on the free
     boundary).  No tail is stored: rings are allocated and subdivided so
-    that a side starts where ``prv[s]`` ends, and a head never changes, so
-    this holds for replaced sides too.  ``state[s]`` says whether s is
-    glued, free or replaced, so the free sides are read off the bytes in
-    one pass.  Face f lies over region ``region[f]``, and its ring was
-    allocated whole from the side id ``first[f]``.  Ids
-    are never reused: a side that surgery replaces keeps its id, and its
-    ``nxt`` then leads to the tail half that took its place.  The far ends
-    of the slits, the boundary branch points, are counted in
-    ``branch_marks``.
+    that a side starts where ``prv[s]`` ends.  Face f lies over region
+    ``region[f]``, and its ring was allocated whole from the side id
+    ``first[f]``.  Ids are handed out in order and every id stays a live
+    side: ``subdivide`` shortens a side to its tail half, so a side keeps
+    its id, its face and its tail for good, and side ``first[f]`` stays on
+    face f's ring.  The far ends of the slits, the boundary branch points,
+    are counted in ``branch_marks``.
     """
 
     def __init__(self, curve_family: dict[str, str]) -> None:
@@ -145,7 +138,6 @@ class _Surface:
         self.face: list[int] = []
         self.dart: list[Dart] = []
         self.head: list[Point] = []
-        self.state = bytearray()
         self.region: list[int] = []
         self.first: list[int] = []
         self._next_cut = 0
@@ -183,24 +175,16 @@ class _Surface:
         self.partner += [-1] * (end - f)
         self.dart += chain.from_iterable(darts)
         self.head += chain.from_iterable(heads)
-        self.state += bytes([FREE]) * (end - f)
         self.region += regions
         self.first += firsts
 
     def glue(self, a: int, b: int) -> None:
-        state = self.state
-        if state[a] != FREE or state[b] != FREE:
+        partner = self.partner
+        if partner[a] != -1 or partner[b] != -1:
             raise BuilderError("side already glued")
-        self.partner[a], self.partner[b] = b, a
-        state[a] = state[b] = GLUED
+        partner[a], partner[b] = b, a
 
     # -- elementary queries ------------------------------------------------
-
-    def current(self, s: int) -> int:
-        """The side at s's tail that took s's place (s itself if not replaced)."""
-        while self.state[s] == REPLACED:
-            s = self.nxt[s]
-        return s
 
     def is_corner(self, orbit: list[int]) -> bool:
         """Whether an open orbit is a surface corner: odd, at a diagram vertex."""
@@ -230,7 +214,7 @@ class _Surface:
 
     def _free_sides(self) -> list[int]:
         """Every free side, in increasing id order."""
-        return list(compress(range(len(self.state)), self.state.translate(_FREE_MARKS)))
+        return [s for s, p in enumerate(self.partner) if p == -1]
 
     def circles(self) -> tuple[list[list[list[int]]], bytearray]:
         """(circles, marks): the boundary circles, each as its open orbits in turn.
@@ -239,19 +223,18 @@ class _Surface:
         with the orbit that starts at the free side ``nxt[o[-1]]``.  The
         free sides are taken in id order, and a circle is walked from each
         one not yet met, so a circle starts at its smallest free side and
-        the circles come in the order of those sides.  ``marks`` is the
-        side states with every side met marked ``_MET``: it is 0 exactly on
-        the glued sides of the closed orbits.
+        the circles come in the order of those sides.  ``marks`` has a 1 on
+        every side met, so it is 0 exactly on the sides of the closed orbits.
         """
         nxt, orbit = self.nxt, self.orbit
-        marks = bytearray(self.state)
+        marks = bytearray(len(nxt))
         circles = []
         for s in self._free_sides():
             circle = []
-            while marks[s] == FREE:
+            while not marks[s]:
                 circle.append(orbit(s))
                 for c in circle[-1]:
-                    marks[c] = _MET
+                    marks[c] = 1
                 s = nxt[circle[-1][-1]]
             if circle:
                 circles.append(circle)
@@ -271,7 +254,7 @@ class _Surface:
         while s != -1:
             closed.append(self.orbit(s))
             for c in closed[-1]:
-                marks[c] = _MET
+                marks[c] = 1
             s = marks.find(0, s)
         return circles, closed
 
@@ -292,49 +275,49 @@ class _Surface:
     # -- surgery primitives -------------------------------------------------
 
     def subdivide(self, s: int, mid: Point) -> tuple[int, int]:
-        """Put two new free sides, s's tail and head halves at ``mid``, in s's place.
+        """Split s at ``mid``; returns (s, new), its tail and head halves.
 
-        The halves of a glued side are left free: a caller that splits a
+        s shortens to its tail half, and the head half takes a new id after
+        it on the ring.  Both halves are left free: a caller that splits a
         glued side splits its partner too and glues the halves again.
         """
-        first = len(self.nxt)
-        second = first + 1
-        nxt, prv = self.nxt, self.prv
-        before, after = (second, first) if nxt[s] == s else (prv[s], nxt[s])
-        nxt += (second, after)
-        prv += (before, first)
-        nxt[before], prv[after] = first, second
-        self.partner += (-1, -1)
-        self.face += (self.face[s],) * 2
-        self.dart += (self.dart[s],) * 2
-        self.head += (mid, self.head[s])
-        self.state += b"\1\1"  # both FREE
-        self.state[s] = REPLACED
-        nxt[s] = first
-        return first, second
+        new, nxt = len(self.nxt), self.nxt
+        after = nxt[s]
+        nxt.append(after)
+        self.prv.append(s)
+        nxt[s] = self.prv[after] = new
+        self.partner[s] = -1
+        self.partner.append(-1)
+        self.face.append(self.face[s])
+        self.dart.append(self.dart[s])
+        self.head.append(self.head[s])
+        self.head[s] = mid
+        return s, new
 
     def slit_at_tail(self, s: int, mid: Point | None = None) -> tuple[int, int]:
         """Open the tail half of the glued side s; returns its two lips.
 
         s and its partner are both split at a cut point, and the halves
         over s's head half are glued again.  The lips run over the opened half:
-        the first from s's tail to the cut point on s's face, the second
-        back from the cut point on the partner's face.  The far end of the
+        the first, s shortened to its tail half, from s's tail to the cut
+        point on s's face, the second back from the cut point on the
+        partner's face.  The far end of the
         slit is a boundary branch point counted in ``branch_marks``.  Two
         parallel slits that will be cross-glued may share their cut point by
         passing ``mid`` explicitly.
         """
-        if self.state[s] != GLUED:
+        p = self.partner[s]
+        if p == -1:
             raise BuilderError("cannot slit a boundary side")
         if mid is None:
             self._next_cut += 1
             mid = ("cut", self._next_cut)
-        first, second = self.subdivide(s, mid)
-        # s runs tail->head, its partner head->tail over the same segment
-        partner_tail, partner_head = self.subdivide(self.partner[s], mid)
-        self.glue(second, partner_tail)
+        tail_half, head_half = self.subdivide(s, mid)
+        # s runs tail->head, its partner p head->tail over the same segment
+        partner_tail, partner_head = self.subdivide(p, mid)
+        self.glue(head_half, partner_tail)
         self.branch_marks += 1
-        return first, partner_head
+        return tail_half, partner_head
 
     def glue_boundary(self, a: int, b: int) -> None:
         """Glue two boundary sides running over the same segment oppositely."""
@@ -346,8 +329,8 @@ class _Surface:
 
     def face_components(self) -> list[list[int]]:
         """The faces connected across glued sides, by smallest face id."""
-        face, partner, state = self.face, self.partner, self.state
-        glued = ((face[s], face[p]) for s, p in enumerate(partner) if p > s and state[s] == GLUED)
+        face, partner = self.face, self.partner
+        glued = ((face[s], face[p]) for s, p in enumerate(partner) if p > s)
         return components(len(self.region), glued)
 
 
@@ -362,8 +345,8 @@ class _Census:
     by orbit, and then walks the closed orbits, each forward from its start.
     The circles' open orbits and the closed orbits together are the
     vertices, and the circles, each orbit with its corner mark, are the
-    ``boundary``.  Each open orbit starts at one free side, so E = (live
-    sides + free sides) / 2, and chi = V - E + F plus the degenerate disks.
+    ``boundary``.  Each open orbit starts at one free side, so E = (sides +
+    free sides) / 2, and chi = V - E + F plus the degenerate disks.
     Faces, disks and branch marks are counted alongside.  The face
     components are counted on first use only (stage S4 and the tests ask
     for them), so they too must be read before the stage is passed on.
@@ -383,8 +366,8 @@ class _Census:
         self.disks = list(surf.degenerate_disks)
         self.branch_marks = surf.branch_marks
         opens = sum(map(len, circles))
-        live = len(surf.state) - surf.state.count(REPLACED)
-        self.chi = opens + len(closed) - (live + opens) // 2 + len(self.regions) + len(self.disks)
+        edges = (len(surf.nxt) + opens) // 2
+        self.chi = opens + len(closed) - edges + len(self.regions) + len(self.disks)
 
     @functools.cached_property
     def components(self) -> int:
@@ -1004,11 +987,11 @@ def _layer_side(d: HeegaardDiagram, surf: _Surface, layer: list[int], dart: Dart
     """The layer's side over ``dart`` whose tail sits at ``pt``.
 
     It is read by slot: the first id of the layer's sheet of the dart's
-    region plus the dart's position in the region's ring.  If surgery
-    replaced that side, the tail half that took its place is followed.
+    region plus the dart's position in the region's ring.  A cut there
+    only shortens that side to its tail half, which keeps the id.
     """
     r = d.face_of[dart]
-    s = surf.current(surf.first[layer[r]] + d.regions[r].darts.index(dart))
+    s = surf.first[layer[r]] + d.regions[r].darts.index(dart)
     if surf.tail(s) != pt or surf.dart[s] != dart:
         raise BuilderError(f"layer has no side over {dart} at {pt}")
     return s
@@ -1055,7 +1038,7 @@ def _cut_layer_and_chain(
         # glue the pending corner's two sides into the matching lips
         for k_side in (k_in, k_out):
             _glue_to_lip(surf, k_side, lips[_dart_at(d, surf, k_side, pt)], pt)
-    free_lips = [lip for _, lip in lips.values() if surf.state[lip] == FREE]
+    free_lips = [lip for _, lip in lips.values() if surf.partner[lip] == -1]
     corners = [o for o in map(surf.orbit, free_lips) if len(o) % 2]
     if not corners:
         raise BuilderError("layer cut produced no corner")

@@ -11,15 +11,17 @@ Verbs map one-to-one onto the library operations:
     stabilize     the stabilized construction plus its cover bookkeeping
     check         run every verification suite
 
-Exit codes: 0 success, 1 parse or validation error, 2 precondition
-violation, 3 suite failure.  ``--json`` switches every verb to a stable
-machine-readable record (fixed key order, rationals in lowest terms).
+Exit codes: 0 success, 1 parse or validation error or an output pipe
+closed by its reader, 2 precondition violation, 3 suite failure.
+``--json`` switches every verb to a stable machine-readable record (fixed
+key order, rationals in lowest terms).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from hdindex.diagram import DiagramError, HeegaardDiagram, parse_diagram, valida
 from hdindex.domains import (
     Domain,
     Generator,
+    PreconditionError,
     enumerate_generators,
     find_domains,
     parse_int,
@@ -34,12 +37,7 @@ from hdindex.domains import (
     sigma_class,
 )
 from hdindex.formulas import euler_measure, index_report
-from hdindex.builder import (
-    PreconditionError,
-    branched_cover_check,
-    build_surface,
-    stabilized_surface,
-)
+from hdindex.builder import branched_cover_check, build_surface, stabilized_surface
 from hdindex import harness
 
 EXIT_OK = 0
@@ -289,6 +287,11 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush
+        # at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

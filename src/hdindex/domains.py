@@ -48,6 +48,11 @@ from hdindex.diagram import DiagramError, HeegaardDiagram
 # lies strictly between -_PACK_LIMIT and _PACK_LIMIT (see the module text).
 _PACK_BITS = 32
 _PACK_LIMIT = 1 << 28
+MAX_POINTS = 1 << 20  # the most box points one ``find_domains`` walk may visit
+
+
+class PreconditionError(ValueError):
+    """An operation was called outside its contract (bad domain, genus...)."""
 
 
 def parse_int(text: str) -> int:
@@ -463,15 +468,21 @@ def find_domains(
     over-approximation that the final membership filter tightens.  Any
     integral particular solution gives the same coset, hence the same
     results, sorted lexicographically in canonical region order.
+    Every pivot step is at least 1, so each basis vector multiplies the
+    points by at most the box width, and the walk visits at most
+    width ** rank points; a box for which that exceeds ``MAX_POINTS`` is
+    refused before walking.
     """
     if max_coeff < 0:
-        raise ValueError("max_coeff must be >= 0")
+        raise PreconditionError("max_coeff must be >= 0")
     lat, rx, ry = _records(d, x, y)
+    lo = 0 if positive_only else -max_coeff
+    hi = max_coeff
+    if (bound := (hi - lo + 1) ** len(lat.factorization.kernel)) > MAX_POINTS:
+        raise PreconditionError(f"{bound} box points exceed the {MAX_POINTS}-point limit")
     if rx.key != ry.key:
         return []
     x0 = [b - a for a, b in zip(rx.potential, ry.potential)]
-    lo = 0 if positive_only else -max_coeff
-    hi = max_coeff
 
     points = [x0]
     fact = lat.factorization

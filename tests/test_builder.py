@@ -237,8 +237,8 @@ def reference_s0(d, domains):
 
 
 def live_sides(surf):
-    """The ids of the sides no surgery has replaced, in increasing order."""
-    return [s for s, state in enumerate(surf.state) if state != builder.REPLACED]
+    """The ids of the sides, in increasing order: every id is a live side."""
+    return list(range(len(surf.nxt)))
 
 
 def s0_records(d, domains):
@@ -614,8 +614,8 @@ def stage_surfaces(d, limit=3):
 
 
 def face_ring(surf, f):
-    """The sides of face f, walked by nxt from the live side at its first slot."""
-    start = surf.current(surf.first[f])
+    """The sides of face f, walked by nxt from the side at its first slot."""
+    start = surf.first[f]
     ring = [start]
     while surf.nxt[ring[-1]] != start:
         ring.append(surf.nxt[ring[-1]])
@@ -631,12 +631,6 @@ def test_corner_orbits_partition_and_open_classes_agree(corpus):
                 ring = face_ring(surf, f)
                 assert all(surf.prv[surf.nxt[s]] == s and surf.face[s] == f for s in ring)
             assert sum(len(face_ring(surf, f)) for f in range(len(surf.region))) == len(sides)
-            # the state of a live side is whether it has a partner, and a
-            # replaced side leads, by tail halves, to a live side at its tail
-            for s in sides:
-                assert (surf.state[s] == builder.FREE) == (surf.partner[s] == -1)
-            for s in range(len(surf.state)):
-                assert surf.tail(surf.current(s)) == surf.tail(s)
             circles, closed = surf.corner_classes()
             classes = sorted([o for circle in circles for o in circle] + closed, key=min)
             assert sorted(s for orbit in classes for s in orbit) == sides
@@ -645,6 +639,92 @@ def test_corner_orbits_partition_and_open_classes_agree(corpus):
             for pt in {surf.head[s] for s in sides}:
                 here = [o for o in classes if surf.head[o[0]] == pt]
                 assert surf.open_classes_at(pt) == [o for o in here if surf.partner[o[0]] == -1]
+
+
+# -- the surgery primitives on a hand-made complex ------------------------------
+
+
+def two_rings_and_a_loop(d):
+    """Three faces: two rings of two sides glued along sides 0 and 2, and a
+    one-side ring, side 4.  Side 0 runs q -> p and side 2 runs p -> q."""
+    e, f = d.rotation["x1"][:2]
+    p, q, r = ("v", "p"), ("v", "q"), ("v", "r")
+    surf = builder._Surface(d.curve_family)
+    surf.new_rings([0, 1, 2], [((e, f), (p, q)), ((e, f), (q, p)), ((e,), (r,))])
+    surf.glue(0, 2)
+    return surf
+
+
+def assert_rings_hold(surf):
+    assert all(surf.prv[surf.nxt[s]] == s for s in range(len(surf.nxt)))
+    assert all(surf.face[surf.nxt[s]] == surf.face[s] for s in range(len(surf.nxt)))
+
+
+@pytest.mark.parametrize("s", [4, 0])
+def test_subdivide_shortens_a_side_to_its_tail_half(genus2, s):
+    # side 4 is a one-side ring, side 0 a glued side
+    surf = two_rings_and_a_loop(genus2)
+    tail, head, after = surf.tail(s), surf.head[s], surf.nxt[s]
+    mid = ("cut", 1)
+    new = len(surf.nxt)
+    assert surf.subdivide(s, mid) == (s, new)
+    assert (surf.tail(s), surf.head[s]) == (tail, mid)
+    assert (surf.tail(new), surf.head[new]) == (mid, head)
+    assert surf.nxt[s] == new and surf.nxt[new] == after
+    assert (surf.face[new], surf.dart[new]) == (surf.face[s], surf.dart[s])
+    assert surf.partner[s] == surf.partner[new] == -1
+    assert_rings_hold(surf)
+
+
+def test_slit_at_tail_glues_the_head_halves_and_returns_the_lips(genus2):
+    surf = two_rings_and_a_loop(genus2)
+    lips = surf.slit_at_tail(0)
+    mid = surf.head[0]
+    # new ids: 5 is side 0's head half, 6 the head half of its partner 2
+    assert lips == (0, 6)
+    assert (surf.tail(0), mid) == (("v", "q"), ("cut", 1))
+    assert (surf.tail(6), surf.head[6]) == (mid, ("v", "q"))
+    assert surf.partner[0] == surf.partner[6] == -1
+    assert (surf.partner[5], surf.partner[2]) == (2, 5)
+    assert (surf.tail(5), surf.head[5]) == (surf.head[2], surf.tail(2)) == (mid, ("v", "p"))
+    assert surf.branch_marks == 1
+    assert_rings_hold(surf)
+    with pytest.raises(BuilderError, match="cannot slit a boundary side"):
+        surf.slit_at_tail(0)
+
+
+def subdivide_keeping_the_head(surf, s, mid):
+    """A mutant of ``_Surface.subdivide``: s keeps its head half, and the new
+    side before it on the ring is its tail half."""
+    new, prv = len(surf.nxt), surf.prv
+    before = prv[s]
+    surf.nxt.append(s)
+    prv.append(before)
+    surf.nxt[before] = prv[s] = new
+    surf.partner[s] = -1
+    surf.partner.append(-1)
+    surf.face.append(surf.face[s])
+    surf.dart.append(surf.dart[s])
+    surf.head.append(mid)
+    return new, s
+
+
+def test_the_stabilized_suite_catches_a_subdivide_that_keeps_the_head_half(
+    monkeypatch, genus2s1s2
+):
+    # S4 reads a layer's side at a point by its slot, which holds only
+    # while a split side keeps its tail: from a generator to itself, the
+    # cut at the first point shortens the slot side over c<a2 that the cut
+    # at c reads.  The other cases pick another S3 corner at c, since the
+    # mutant numbers the halves the other way, and fail to chain it.
+    monkeypatch.setattr(builder._Surface, "subdivide", subdivide_keeping_the_head)
+    res = stabilized_surface_suite(genus2s1s2)
+    assert res.cases == 8 and len(res.failures) == 8
+    for f in res.failures:
+        if f["x"] == f["y"]:
+            assert f["error"] == "layer has no side over c<a2 at ('v', 'c')"
+        else:
+            assert f["error"] == "layer cut produced no corner"
 
 
 def reference_orbit(surf, s):
@@ -781,17 +861,16 @@ def test_layer_side_by_slot_is_the_side_a_scan_finds(monkeypatch, corpus):
             for t in face_ring(surf, f)
             if surf.tail(t) == pt and surf.dart[t] == dart
         ]
-        r = d.face_of[dart]
-        found.append((scan == [s], s != surf.first[layer[r]] + d.regions[r].darts.index(dart)))
+        found.append((scan == [s], surf.head[s][0] == "cut"))
         return s
 
     monkeypatch.setattr(builder, "_layer_side", checked)
     for d, x, y, a in s4_cases(corpus):
         stabilized_surface(d, a, x, y)
-    # every call agrees with the scan, and a few read a slot that an
-    # earlier cut had replaced, so the walk to its tail half is exercised
+    # every call agrees with the scan, and a few read a slot whose side an
+    # earlier cut had shortened to its tail half
     assert len(found) == 4686 and all(same for same, _ in found)
-    assert sum(replaced for _, replaced in found) == 6
+    assert sum(shortened for _, shortened in found) == 6
 
 
 def test_layer_side_raises_on_a_side_not_over_the_dart(corpus):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +211,37 @@ def test_a_domain_past_the_face_limit_is_refused_before_building(
     )
     assert (code, out) == (2, "")
     assert err == "precondition: 65540 sheets exceed the 65536-face limit\n"
+
+
+def test_a_box_past_the_point_budget_is_refused(capsys, data_dir):
+    # rank 2 and the signed box |c| <= 100000: 200001 ** 2 points
+    code, out, err = run(
+        capsys,
+        "domains",
+        str(data_dir / "genus2_s1s2.hd"),
+        "--from", "a,c", "--to", "a,c", "--max-coeff", "100000",
+    )
+    assert (code, out) == (2, "")
+    assert err == "precondition: 40000400001 box points exceed the 1048576-point limit\n"
+
+
+def test_a_reader_that_closes_the_pipe_gets_no_traceback(data_dir):
+    # 51,521 domains, far more than a pipe buffer holds
+    src = Path(__file__).resolve().parent.parent / "src"
+    with subprocess.Popen(
+        [
+            sys.executable, "-m", "hdindex.cli", "domains", str(data_dir / "genus2_s1s2.hd"),
+            "--from", "a,c", "--to", "a,c", "--max-coeff", "160",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert first == b"r0:-160,r1:-160,r2:-160\n"
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_json_outputs_are_reproducible(capsys, data_dir):

@@ -12,6 +12,7 @@ from hdindex.diagram import ALPHA, BETA, DiagramError
 from hdindex.domains import (
     Domain,
     Generator,
+    PreconditionError,
     _PACK_LIMIT,
     _Factorization,
     _lattice,
@@ -570,3 +571,16 @@ def test_bad_arguments_raise_value_errors(torus3):
     x = Generator(("v0",))
     with pytest.raises(ValueError, match="max_coeff must be >= 0"):
         find_domains(torus3, x, x, -1)
+
+
+def test_find_domains_refuses_a_box_past_the_point_budget(monkeypatch, genus2s1s2):
+    # rank 2 and the signed box |c| <= 3: at most 7 ** 2 = 49 points
+    x = Generator(("a", "c"))
+    assert len(periodic_domain_basis(genus2s1s2)) == 2
+    monkeypatch.setattr("hdindex.domains.MAX_POINTS", 49)
+    assert find_domains(genus2s1s2, x, x, 3, positive_only=False)
+    monkeypatch.setattr("hdindex.domains.MAX_POINTS", 48)
+    with pytest.raises(PreconditionError, match="^49 box points exceed the 48-point limit$"):
+        find_domains(genus2s1s2, x, x, 3, positive_only=False)
+    with pytest.raises(PreconditionError, match="max_coeff must be >= 0"):
+        find_domains(genus2s1s2, x, x, -1)

@@ -143,7 +143,7 @@ def test_validation_verdicts_match_the_reference():
 def corner_chains(surf):
     """The odd open orbits at diagram vertices, by smallest side id, from a
     scan of every free side."""
-    free = (s for s, state in enumerate(surf.state) if state == builder.FREE)
+    free = (s for s, p in enumerate(surf.partner) if p == -1)
     orbits = (surf.orbit(s) for s in free if surf.head[s][0] == "v")
     return sorted((o for o in orbits if len(o) % 2), key=min)
 

@@ -177,8 +177,8 @@ def test_stabilized_suite_catches_a_stray_slit(monkeypatch):
             surf.slit_at_tail(
                 next(
                     s
-                    for s, state in enumerate(surf.state)
-                    if state == builder.GLUED
+                    for s, p in enumerate(surf.partner)
+                    if p != -1
                     and surf.face[s] >= fresh
                     and surf.tail(s)[0] == "v"
                     and surf.tail(s)[1] not in built.x.points
