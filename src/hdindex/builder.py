@@ -298,13 +298,12 @@ class _Surface:
         """Open the tail half of the glued side s; returns its two lips.
 
         s and its partner are both split at a cut point, and the halves
-        over s's head half are glued again.  The lips run over the opened half:
-        the first, s shortened to its tail half, from s's tail to the cut
-        point on s's face, the second back from the cut point on the
-        partner's face.  The far end of the
-        slit is a boundary branch point counted in ``branch_marks``.  Two
-        parallel slits that will be cross-glued may share their cut point by
-        passing ``mid`` explicitly.
+        over s's head half are glued again.  The lips run over the opened
+        half: the first, s shortened to its tail half, from s's tail to the
+        cut point on s's face, the second back from the cut point on the
+        partner's face.  The far end of the slit is a boundary branch point
+        counted in ``branch_marks``.  Two parallel slits that will be
+        cross-glued may share their cut point by passing ``mid`` explicitly.
         """
         p = self.partner[s]
         if p == -1:
