@@ -9,7 +9,10 @@ Verbs map one-to-one onto the library operations:
     index         the index quantities of one (domain, x, y) triple
     build-surface run the construction and report the surface census
     stabilize     the stabilized construction plus its cover bookkeeping
-    check         run every verification suite
+    check         run every verification suite, at fixed bounds
+
+``check`` takes no bound: each suite runs at its default box
+(``harness.run_all``).
 
 Exit codes: 0 success, 1 parse or validation error or an output pipe
 closed by its reader, 2 precondition violation, 3 suite failure.
@@ -195,12 +198,7 @@ def _cmd_check(args) -> int:
             raise DiagramError(f"no .hd diagrams in {args.corpus}")
     else:
         diagrams = harness.bundled_corpus()
-    results = harness.run_all(
-        diagrams,
-        pattern_bound=args.pattern_bound,
-        max_coeff=args.max_coeff,
-        k_max=args.k_max,
-    )
+    results = harness.run_all(diagrams)
     payload = {"suites": [r.as_dict() for r in results]}
     _emit(args, payload, harness.format_results(results))
     return EXIT_OK if all(r.ok for r in results) else EXIT_SUITE
@@ -269,9 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="?",
         help="directory of .hd files (default: the bundled corpus)",
     )
-    q.add_argument("--pattern-bound", type=_at_least(1), default=3)
-    q.add_argument("--max-coeff", type=_at_least(0), default=3)
-    q.add_argument("--k-max", type=_at_least(0), default=3)
     q.set_defaults(fn=_cmd_check)
 
     return p

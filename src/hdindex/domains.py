@@ -49,6 +49,7 @@ from hdindex.diagram import DiagramError, HeegaardDiagram
 _PACK_BITS = 32
 _PACK_LIMIT = 1 << 28
 MAX_POINTS = 1 << 20  # the most box points one ``find_domains`` walk may visit
+MAX_GENERATORS = 1 << 16  # the most partial matchings ``enumerate_generators`` may hold
 
 
 class PreconditionError(ValueError):
@@ -205,7 +206,9 @@ def enumerate_generators(d: HeegaardDiagram) -> list[Generator]:
     """All matchings, in lexicographic order over the alpha curves' vertex lists.
 
     The partial matchings are extended one alpha curve at a time, each by
-    every vertex whose beta curve it does not use yet.
+    every vertex whose beta curve it does not use yet.  Their number can
+    grow as g!; once it exceeds ``MAX_GENERATORS`` after an extension the
+    enumeration is refused.
     """
     beta_of = {v: curve for v, (curve, _) in d.vertex_beta.items()}
     partial: list[tuple[tuple[str, ...], frozenset[str]]] = [((), frozenset())]
@@ -216,6 +219,8 @@ def enumerate_generators(d: HeegaardDiagram) -> list[Generator]:
             for v in vs
             if beta_of[v] not in used
         ]
+        if (n := len(partial)) > MAX_GENERATORS:
+            raise PreconditionError(f"{n} partial matchings exceed the {MAX_GENERATORS} limit")
     return [Generator(points) for points, _ in partial]
 
 
@@ -467,7 +472,11 @@ def find_domains(
     gives each multiplier a finite pivot-driven range, an
     over-approximation that the final membership filter tightens.  Any
     integral particular solution gives the same coset, hence the same
-    results, sorted lexicographically in canonical region order.
+    results.  They come lexicographically in canonical region order, as
+    walked: at the first multiplier in which two walked points differ,
+    every later basis row is zero up to and including that row's pivot
+    column, and the pivot step is positive, so the point with the larger
+    multiplier is the larger one.
     Every pivot step is at least 1, so each basis vector multiplies the
     points by at most the box width, and the walk visits at most
     width ** rank points; a box for which that exceeds ``MAX_POINTS`` is
@@ -484,21 +493,21 @@ def find_domains(
         return []
     x0 = [b - a for a, b in zip(rx.potential, ry.potential)]
 
-    points = [x0]
-    fact = lat.factorization
-    for vec, pc in zip(fact.kernel, fact.kernel_pivots):
+    def level(points, vec, pc):
         # Later basis rows have later pivots, hence zeros at column pc, so
         # the pivot coordinate is final once t is chosen: bracketing it
         # inside the box is sound and complete.  Pivots are positive.
         step = vec[pc]
-        points = [
-            [c + t * v for c, v in zip(current, vec)]
-            for current in points
-            for t in range(-((current[pc] - lo) // step), (hi - current[pc]) // step + 1)
-        ]
+        for current in points:
+            for t in range(-((current[pc] - lo) // step), (hi - current[pc]) // step + 1):
+                yield [c + t * v for c, v in zip(current, vec)]
+
+    points = [x0]
+    fact = lat.factorization
+    for vec, pc in zip(fact.kernel, fact.kernel_pivots):
+        points = level(points, vec, pc)
     # the basis is independent, so the points are distinct
-    inside = sorted(p for p in points if lo <= min(p) and max(p) <= hi)
-    doms = [Domain(tuple(p)) for p in inside]
+    doms = (Domain(tuple(p)) for p in points if lo <= min(p) and max(p) <= hi)
     return [a for a in doms if connects(d, a, x, y)]
 
 

@@ -24,6 +24,11 @@ e-additivity (e is linear in the domain) and the analytic index at the
 embedded chi (which is mu) hold by algebra alone, so no suite checks them.
 All suites are deterministic; a run is green iff every suite reports zero
 failures.
+
+``run_all``, the run of ``hdindex check``, calls each suite at its default
+box: local patterns up to bound 3, additivity over coefficients 0..2,
+stabilization for k <= 3 over 0..2, builder consistency over 0..3 and the
+stabilized surface over 0..1.
 """
 
 from __future__ import annotations
@@ -125,14 +130,30 @@ def _domain_table(
     d: HeegaardDiagram, max_coeff: int
 ) -> dict[tuple[Generator, Generator], list[Domain]]:
     gens = enumerate_generators(d)
-    return {
-        (x, y): find_domains(d, x, y, max_coeff)
-        for x in gens
-        for y in gens
-    }
+    return {(x, y): find_domains(d, x, y, max_coeff) for x in gens for y in gens}
 
 
-def additivity_suite(d: HeegaardDiagram, max_coeff: int = 3) -> SuiteResult:
+def _builds(res: SuiteResult, d: HeegaardDiagram, max_coeff: int, build):
+    """Call ``build(d, a, x, y)`` on every bounded positive connecting domain.
+
+    Each call is a case of ``res``, and a ``BuilderError`` is recorded
+    there as a failure with its x, y and a.  Yields ``(case, (x, y, a),
+    built)`` for each build that succeeds, ``case`` the failure record's
+    x, y and a fields.
+    """
+    for (x, y), domains in _domain_table(d, max_coeff).items():
+        for a in domains:
+            res.cases += 1
+            case = {"x": x.format(), "y": y.format(), "a": a.format()}
+            try:
+                built = build(d, a, x, y)
+            except BuilderError as exc:
+                res.failures.append(dict(case, error=str(exc)))
+                continue
+            yield case, (x, y, a), built
+
+
+def additivity_suite(d: HeegaardDiagram, max_coeff: int = 2) -> SuiteResult:
     """mu is additive under composition of connecting domains.
 
     e is linear in the domain, so the sum alone decides nothing; mu(A + B)
@@ -212,21 +233,12 @@ def builder_consistency_suite(
     squares, chi of the built surface must equal the embedded chi exactly.
     """
     res = SuiteResult("builder-consistency")
-    table = _domain_table(d, max_coeff)
-    for (x, y), domains in table.items():
-        for a in domains:
-            res.cases += 1
-            case = {"x": x.format(), "y": y.format(), "a": a.format()}
-            try:
-                s3 = build_surface(d, a, x, y)
-            except BuilderError as exc:
-                res.failures.append(dict(case, error=str(exc)))
-                continue
-            chi_emb = embedded_euler_char(d, a, x, y)
-            if _is_disjoint_strip_class(d, a) and s3.chi != chi_emb:
-                res.failures.append(
-                    dict(case, problems=[f"strip class chi {s3.chi} != {chi_emb}"])
-                )
+    for case, (x, y, a), s3 in _builds(res, d, max_coeff, build_surface):
+        chi_emb = embedded_euler_char(d, a, x, y)
+        if _is_disjoint_strip_class(d, a) and s3.chi != chi_emb:
+            res.failures.append(
+                dict(case, problems=[f"strip class chi {s3.chi} != {chi_emb}"])
+            )
     return res
 
 
@@ -243,17 +255,9 @@ def stabilized_surface_suite(
     bookkeeping holds, so it is not checked again here.
     """
     res = SuiteResult("stabilized-surface")
-    if d.genus <= 1:
-        return res
-    table = _domain_table(d, max_coeff)
-    for (x, y), domains in table.items():
-        for a in domains:
-            res.cases += 1
-            case = {"x": x.format(), "y": y.format(), "a": a.format()}
-            try:
-                stabilized_surface(d, a, x, y)
-            except BuilderError as exc:
-                res.failures.append(dict(case, error=str(exc)))
+    if d.genus > 1:
+        for _ in _builds(res, d, max_coeff, stabilized_surface):
+            pass  # the S4 contract is the whole check
     return res
 
 
@@ -292,24 +296,23 @@ def _is_disjoint_strip_class(d: HeegaardDiagram, a: Domain) -> bool:
 # Runner
 
 
-def _timed(suite, *args, **kwargs) -> SuiteResult:
+def _timed(suite, *args) -> SuiteResult:
     t0 = time.perf_counter()
-    res = suite(*args, **kwargs)
+    res = suite(*args)
     res.elapsed = time.perf_counter() - t0
     return res
 
 
-def run_all(
-    diagrams: dict[str, HeegaardDiagram],
-    pattern_bound: int = 3,
-    max_coeff: int = 3,
-    k_max: int = 3,
-) -> list[SuiteResult]:
-    """Run every suite; diagram-level suites run per diagram of ``diagrams``.
+def run_all(diagrams: dict[str, HeegaardDiagram]) -> list[SuiteResult]:
+    """Run every suite at its default box; diagram-level suites run per
+    valid diagram of ``diagrams``.
 
-    Each suite call is timed here, into its result's ``elapsed``.
+    The boxes: local patterns up to bound 3, additivity over coefficients
+    0..2, stabilization for k <= 3 over 0..2, builder consistency over 0..3
+    and the stabilized surface over 0..1.  Each suite call is timed here,
+    into its result's ``elapsed``.
     """
-    results = [_timed(local_pattern_oracle, pattern_bound)]
+    results = [_timed(local_pattern_oracle)]
     for name, d in diagrams.items():
         bad = validate_diagram(d)
         res = SuiteResult(f"validity[{name}]", cases=1)
@@ -318,13 +321,13 @@ def run_all(
         results.append(res)
         if bad:
             continue
-        for suite, kwargs in (
-            (additivity_suite, {"max_coeff": min(max_coeff, 2)}),
-            (stabilization_suite, {"k_max": k_max, "max_coeff": 2}),
-            (builder_consistency_suite, {"max_coeff": max_coeff}),
-            (stabilized_surface_suite, {"max_coeff": 1}),
+        for suite in (
+            additivity_suite,
+            stabilization_suite,
+            builder_consistency_suite,
+            stabilized_surface_suite,
         ):
-            r = _timed(suite, d, **kwargs)
+            r = _timed(suite, d)
             r.suite = f"{r.suite}[{name}]"
             results.append(r)
     return results

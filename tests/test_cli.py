@@ -140,10 +140,7 @@ def test_an_invalid_diagram_is_refused_by_the_verbs_that_need_a_valid_one(capsys
 def test_check_reports_an_invalid_diagram_and_runs_no_suite_on_it(capsys, tmp_path, data_dir):
     (tmp_path / "bad.hd").write_text(TWO_ALPHAS_ONE_BETA)
     (tmp_path / "good.hd").write_text((data_dir / "torus_g1_3x.hd").read_text())
-    code, out, _ = run(
-        capsys, "--json", "check", str(tmp_path),
-        "--pattern-bound", "1", "--max-coeff", "1", "--k-max", "1",
-    )
+    code, out, _ = run(capsys, "--json", "check", str(tmp_path))
     assert code == 3
     suites = {r["suite"]: r for r in json.loads(out)["suites"]}
     assert [name for name in suites if name.endswith("[bad.hd]")] == ["validity[bad.hd]"]
@@ -263,11 +260,43 @@ def test_check_small_corpus(capsys, tmp_path):
     for name in ("torus_g1_1x.hd", "torus_g1_3x.hd"):
         text = resources.files("hdindex.data").joinpath(name).read_text()
         (corpus / name).write_text(text)
-    code, out, _ = run(
-        capsys, "check", str(corpus), "--pattern-bound", "1", "--max-coeff", "2"
-    )
+    code, out, _ = run(capsys, "check", str(corpus))
     assert code == 0
     assert "ok" in out
+
+
+# check's case counts per bundled diagram: additivity, stabilization,
+# builder consistency and stabilized surface, each at its fixed box
+CHECK_CASES = {
+    "torus_g1_1x.hd": (9, 12, 4, 0),
+    "torus_g1_2x.hd": (18, 24, 8, 0),
+    "torus_g1_3x.hd": (121, 76, 28, 0),
+    "genus2_bigons.hd": (3205, 788, 332, 82),
+    "genus2_s1s2.hd": (162, 72, 32, 8),
+    "genus3_chain.hd": (6410, 1576, 664, 164),
+}
+
+
+def test_check_runs_each_suite_at_its_fixed_box(capsys):
+    code, out, _ = run(capsys, "--json", "check")
+    assert code == 0
+    got = [(r["suite"], r["cases"]) for r in json.loads(out)["suites"]]
+    want = [("local-pattern-oracle", 320)]
+    suites = ("additivity", "stabilization", "builder-consistency", "stabilized-surface")
+    for name, counts in CHECK_CASES.items():
+        want.append((f"validity[{name}]", 1))
+        want += [(f"{suite}[{name}]", n) for suite, n in zip(suites, counts)]
+    assert got == want
+    assert sum(n for _, n in got) == 14121
+
+
+@pytest.mark.parametrize("flag", ["--pattern-bound", "--max-coeff", "--k-max"])
+def test_check_takes_no_bound_flag(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", flag, "1"])
+    assert exc.value.code == 2
+    # the value is read as the corpus directory
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag}\n")
 
 
 @pytest.mark.parametrize("target", ["missing", "empty"])
@@ -322,17 +351,12 @@ def test_a_diagram_file_over_the_size_limit_ends_in_a_diagram_error(capsys, data
     "verb, flag, value, minimum",
     [
         ("domains", "--max-coeff", "-1", 0),
-        ("check", "--max-coeff", "-1", 0),
-        ("check", "--pattern-bound", "0", 1),
-        ("check", "--k-max", "-1", 0),
     ],
 )
 def test_bound_flags_reject_values_below_their_minimum(
     capsys, data_dir, verb, flag, value, minimum
 ):
-    args = [verb, flag, value]
-    if verb == "domains":
-        args += [str(data_dir / "torus_g1_3x.hd"), "--from", "v0", "--to", "v2"]
+    args = [verb, flag, value, str(data_dir / "torus_g1_3x.hd"), "--from", "v0", "--to", "v2"]
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2
@@ -348,16 +372,20 @@ def test_bound_flags_keep_their_minimum_and_integer_check(capsys, data_dir):
     )
     assert (code, out.split()) == (0, ["0"])
     with pytest.raises(SystemExit):
-        main(["check", "--k-max", "two"])
-    assert "argument --k-max: invalid int value: 'two'" in capsys.readouterr().err
+        main(["domains", str(data_dir / "torus_g1_3x.hd"), "--from", "v0", "--to", "v0",
+              "--max-coeff", "two"])
+    assert "argument --max-coeff: invalid int value: 'two'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["1_0", "\u0661", "+3", "03"])
-@pytest.mark.parametrize("flag", ["--max-coeff", "--k-max"])
-def test_bound_flags_read_integers_as_domain_coefficients_are_read(capsys, flag, value):
+@pytest.mark.parametrize("flag", ["--max-coeff"])
+def test_bound_flags_read_integers_as_domain_coefficients_are_read(
+    capsys, data_dir, flag, value
+):
     # Python's int reads 1_0 as 10, the Arabic-Indic one as 1, +3 and 03 as 3
     with pytest.raises(SystemExit) as exc:
-        main(["check", flag, value])
+        main(["domains", str(data_dir / "torus_g1_3x.hd"), "--from", "v0", "--to", "v0",
+              flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
 

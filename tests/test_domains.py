@@ -8,7 +8,7 @@ from operator import mul
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from hdindex.diagram import ALPHA, BETA, DiagramError
+from hdindex.diagram import ALPHA, BETA, DiagramError, HeegaardDiagram
 from hdindex.domains import (
     Domain,
     Generator,
@@ -353,6 +353,40 @@ def test_enumerate_generators_in_lexicographic_order(corpus):
             if len({d.vertex_beta[v][0] for v in points}) == len(points)
         ]
         assert [g.points for g in enumerate_generators(d)] == want
+
+
+def grid_diagram(g):
+    """g alpha and g beta curves, each alpha meeting each beta once, so g!
+    generators; it is not a valid diagram, but it is a diagram."""
+    alpha = [(f"a{i}", [f"v{i}_{j}" for j in range(g)]) for i in range(g)]
+    beta = [(f"b{j}", [f"v{i}_{j}" for i in range(g)]) for j in range(g)]
+    return HeegaardDiagram(alpha, beta, {f"v{i}_{j}": 1 for i in range(g) for j in range(g)})
+
+
+def test_enumerate_generators_refuses_past_the_matching_budget(monkeypatch, genus3):
+    # the grid of genus 9 has 9!/2! = 181,440 partial matchings after seven
+    # alpha curves, the first level past 2 ** 16
+    with pytest.raises(PreconditionError, match="^181440 partial matchings exceed the 65536 limit$"):
+        enumerate_generators(grid_diagram(9))
+    # genus3_chain's levels are 7, 23 and 26
+    monkeypatch.setattr("hdindex.domains.MAX_GENERATORS", 26)
+    assert len(enumerate_generators(genus3)) == 26
+    monkeypatch.setattr("hdindex.domains.MAX_GENERATORS", 25)
+    with pytest.raises(PreconditionError, match="^26 partial matchings exceed the 25 limit$"):
+        enumerate_generators(genus3)
+
+
+def test_find_domains_walks_the_box_in_increasing_order(corpus):
+    # no sort: the nested walk over the kernel basis is already lexicographic
+    found = 0
+    for d in corpus.values():
+        gens = enumerate_generators(d)
+        for x in gens:
+            for y in gens:
+                got = [a.coeffs for a in find_domains(d, x, y, 3, positive_only=False)]
+                assert all(p < q for p, q in zip(got, got[1:]))
+                found += len(got)
+    assert found > 0
 
 
 def test_solves_leave_no_cyclic_garbage(corpus):

@@ -66,7 +66,7 @@ def test_stabilized_suite_small(genus2s1s2, torus1):
 
 
 def test_run_all_times_each_suite_call(torus3):
-    results = run_all({"t": torus3}, pattern_bound=1, max_coeff=1, k_max=1)
+    results = run_all({"t": torus3})
     timed = [r for r in results if not r.suite.startswith("validity")]
     assert len(timed) == 5 and all(r.elapsed > 0 for r in timed)
     # a suite called directly is not timed
@@ -200,3 +200,26 @@ def test_stabilized_suite_catches_a_stray_slit(monkeypatch):
             assert want == chi + 1
         cases += res.cases
     assert cases == 609
+
+
+@pytest.mark.parametrize(
+    "suite, name",
+    [(builder_consistency_suite, "build_surface"), (stabilized_surface_suite, "stabilized_surface")],
+)
+def test_builder_suites_record_a_builder_error_and_build_on(monkeypatch, genus2s1s2, suite, name):
+    # the suite calls the builder its module names when it runs, as a
+    # tracer's wrapper is called: here the first call raises and every
+    # other one builds
+    real = getattr(harness, name)
+    calls = []
+
+    def first_fails(d, a, x, y):
+        calls.append({"x": x.format(), "y": y.format(), "a": a.format()})
+        if len(calls) == 1:
+            raise builder.BuilderError("stage contract: injected")
+        return real(d, a, x, y)
+
+    monkeypatch.setattr(harness, name, first_fails)
+    res = suite(genus2s1s2, max_coeff=1)
+    assert res.cases == len(calls) > 1
+    assert res.failures == [dict(calls[0], error="stage contract: injected")]
