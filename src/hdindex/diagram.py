@@ -248,12 +248,6 @@ class HeegaardDiagram:
         fwd = Dart(tail, curve, True)
         return self.face_of[fwd], self.face_of[self.rev(fwd)]
 
-    def mirror(self) -> "HeegaardDiagram":
-        """The diagram with the opposite surface orientation (all signs flipped)."""
-        return HeegaardDiagram(
-            self.alpha, self.beta, {v: -s for v, s in self.signs.items()}
-        )
-
     def region_census(self) -> tuple[int, ...]:
         return tuple(sorted(r.corner_count for r in self.regions))
 
@@ -398,17 +392,6 @@ def load_bundled(name: str) -> HeegaardDiagram:
     """Parse one of the diagrams shipped with the package."""
     text = resources.files("hdindex.data").joinpath(name).read_text()
     return parse_diagram(text)
-
-
-def serialize_diagram(d: HeegaardDiagram) -> str:
-    """Emit the diagram in canonical form; ``parse . serialize`` is identity."""
-    lines = [
-        f"{family} {name}: {' '.join(vs)}"
-        for family, curves in ((ALPHA, d.alpha), (BETA, d.beta))
-        for name, vs in curves
-    ]
-    lines += [f"sign {v}: {'+' if d.signs[v] == 1 else '-'}" for v in d.vertices]
-    return "\n".join(lines) + "\n"
 
 
 def _first_duplicate(items: Sequence[str]) -> str | None:

@@ -28,6 +28,12 @@ between -2^28 and 2^28 each entry of M . A - (y - x) is at most
 exactly when the vectors are.  A domain with a larger coefficient is
 tested column by column instead.
 
+The factorization is dense and costs more than the cube of the crossing
+count, so ``_lattice`` refuses a diagram of more than ``MAX_CROSSINGS``
+crossings before it builds the matrix; every index quantity, domain
+search and surface build reads the lattice, and ends in that
+``PreconditionError``.
+
 Sign convention (fixed): with the counterclockwise surface orientation an
 edge oriented along its curve's listed direction gets the coefficient
 (left region) - (right region), and ``connects(A, x, y)`` demands the vertex
@@ -50,6 +56,7 @@ _PACK_BITS = 32
 _PACK_LIMIT = 1 << 28
 MAX_POINTS = 1 << 20  # the most box points one ``find_domains`` walk may visit
 MAX_GENERATORS = 1 << 16  # the most partial matchings ``enumerate_generators`` may hold
+MAX_CROSSINGS = 1 << 8  # the most crossings ``_lattice`` factors
 
 
 class PreconditionError(ValueError):
@@ -92,10 +99,6 @@ class Domain(NamedTuple):
         """Compact text form ``r<k>:<int>,...``; omitted regions are 0."""
         parts = [f"r{i}:{c}" for i, c in enumerate(self.coeffs) if c != 0]
         return ",".join(parts) if parts else "0"
-
-    @staticmethod
-    def zero(d: HeegaardDiagram) -> "Domain":
-        return Domain((0,) * len(d.regions))
 
     @staticmethod
     def parse(d: HeegaardDiagram, text: str) -> "Domain":
@@ -206,21 +209,24 @@ def enumerate_generators(d: HeegaardDiagram) -> list[Generator]:
     """All matchings, in lexicographic order over the alpha curves' vertex lists.
 
     The partial matchings are extended one alpha curve at a time, each by
-    every vertex whose beta curve it does not use yet.  Their number can
-    grow as g!; once it exceeds ``MAX_GENERATORS`` after an extension the
-    enumeration is refused.
+    every vertex whose beta curve it does not use yet; each keeps the beta
+    curves it uses as a bit mask.  Their number can grow as g!, so each
+    level is counted, as the sum over the partial matchings of their
+    admissible vertices, before it is built, and one of more than
+    ``MAX_GENERATORS`` is refused without being allocated.
     """
-    beta_of = {v: curve for v, (curve, _) in d.vertex_beta.items()}
-    partial: list[tuple[tuple[str, ...], frozenset[str]]] = [((), frozenset())]
+    bit = {v: 1 << i for i, (_, vs) in enumerate(d.beta) for v in vs}
+    partial: list[tuple[tuple[str, ...], int]] = [((), 0)]
     for _, vs in d.alpha:
+        n = sum(not used & bit[v] for _, used in partial for v in vs)
+        if n > MAX_GENERATORS:
+            raise PreconditionError(f"{n} partial matchings exceed the {MAX_GENERATORS} limit")
         partial = [
-            (points + (v,), used | {beta_of[v]})
+            (points + (v,), used | bit[v])
             for points, used in partial
             for v in vs
-            if beta_of[v] not in used
+            if not used & bit[v]
         ]
-        if (n := len(partial)) > MAX_GENERATORS:
-            raise PreconditionError(f"{n} partial matchings exceed the {MAX_GENERATORS} limit")
     return [Generator(points) for points, _ in partial]
 
 
@@ -408,6 +414,8 @@ def _lattice(d: HeegaardDiagram) -> _Lattice:
     """
     lat = d.__dict__.get("_lattice")
     if lat is None:
+        if (n := len(d.vertices)) > MAX_CROSSINGS:
+            raise PreconditionError(f"{n} crossings exceed the {MAX_CROSSINGS}-crossing limit")
         rows = _boundary_matrix(d)
         columns = tuple(tuple((v, k) for v, k in enumerate(col) if k) for col in zip(*rows))
         lat = d._lattice = _Lattice(  # type: ignore[attr-defined]

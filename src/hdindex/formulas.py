@@ -4,10 +4,9 @@ All results are ``fractions.Fraction`` values with denominators 1, 2 or 4;
 no floating point enters anywhere.  The quantities:
 
 * ``euler_measure``      e(A)  = sum of n_i (1 - c_i/4) = (sum of n_i (4 - c_i)) / 4,
-* ``point_multiplicity`` n_p(A) = (sum of the four quadrant coefficients) / 4,
-* ``generator_multiplicity``   n_x(A) = sum over the tuple,
-* ``maslov_index``       mu(A) = e + n_x + n_y, and ``maslov_quarters`` 4 mu(A)
-  as an exact integer,
+* ``maslov_index``       mu(A) = e + n_x + n_y, where n_p(A) is the sum of A's
+  four quadrant coefficients at p over 4 and n_x(A) its sum over the tuple
+  x, and ``maslov_quarters`` 4 mu(A) as an exact integer,
 * ``embedded_euler_char`` chi  = g - n_x - n_y + e,
 * ``analytic_index``     g - chi(S) + 2 e(A); taken at chi(S) = chi_emb it is
   mu by algebra alone, so ``hdindex check`` does not use it,
@@ -74,21 +73,6 @@ def euler_measure(d: HeegaardDiagram, a: Domain) -> Fraction:
     """e(A): each region contributes coefficient times (1 - corners/4)."""
     _check_domain(d, a)
     return _quarter(sum(map(mul, _lattice(d).euler_weights, a.coeffs)))
-
-
-def point_multiplicity(d: HeegaardDiagram, a: Domain, v: str) -> Fraction:
-    """n_p(A): the mean of A's coefficients on the four quadrants at v."""
-    if v not in d.vertex_alpha:
-        raise DiagramError(f"unknown vertex {v!r}")
-    _check_domain(d, a)
-    return _quarter(sum(map(a.coeffs.__getitem__, _lattice(d).quadrants[v])))
-
-
-def generator_multiplicity(d: HeegaardDiagram, a: Domain, x: Generator) -> Fraction:
-    """n_x(A): the sum of the point multiplicities over the tuple."""
-    _, rx, _ = _records(d, x, x)
-    _check_domain(d, a)
-    return _quarter(sum(map(mul, rx.weights, a.coeffs)))
 
 
 def maslov_quarters(d: HeegaardDiagram, a: Domain, x: Generator, y: Generator) -> int:

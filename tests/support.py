@@ -1,0 +1,37 @@
+"""Diagram and domain helpers that only the tests use.
+
+The package itself never mirrors or writes a diagram, nor builds the zero
+domain, so these live beside the tests that do.
+"""
+
+from hdindex.diagram import ALPHA, BETA, HeegaardDiagram
+from hdindex.domains import Domain
+
+
+def mirror(d: HeegaardDiagram) -> HeegaardDiagram:
+    """The diagram with the opposite surface orientation (all signs flipped)."""
+    return HeegaardDiagram(d.alpha, d.beta, {v: -s for v, s in d.signs.items()})
+
+
+def serialize_diagram(d: HeegaardDiagram) -> str:
+    """Emit the diagram in canonical form; ``parse . serialize`` is identity."""
+    lines = [
+        f"{family} {name}: {' '.join(vs)}"
+        for family, curves in ((ALPHA, d.alpha), (BETA, d.beta))
+        for name, vs in curves
+    ]
+    lines += [f"sign {v}: {'+' if d.signs[v] == 1 else '-'}" for v in d.vertices]
+    return "\n".join(lines) + "\n"
+
+
+def zero_domain(d: HeegaardDiagram) -> Domain:
+    return Domain((0,) * len(d.regions))
+
+
+def torus_text(n: int) -> str:
+    """A genus-one diagram with n crossings: ``alpha a1`` and ``beta b1``
+    both list v0 ... v(n-1), with signs alternating from ``+``.  It is
+    valid for odd n."""
+    vs = " ".join(f"v{i}" for i in range(n))
+    signs = "".join(f"sign v{i}: {'+-'[i % 2]}\n" for i in range(n))
+    return f"alpha a1: {vs}\nbeta b1: {vs}\n{signs}"

@@ -35,6 +35,7 @@ from hdindex.domains import (
 )
 from hdindex.formulas import embedded_euler_char
 from hdindex.harness import builder_consistency_suite, stabilized_surface_suite
+from support import mirror, zero_domain
 
 
 EXAMPLE1 = "r2:1,r3:1,r4:1,r6:1,r7:2"
@@ -266,7 +267,7 @@ def s0_cases(d, seed):
     rng = random.Random(seed)
     sigma = sigma_class(d)
     randoms = [Domain(tuple(rng.randint(0, 4) for _ in d.regions)) for _ in range(6)]
-    yield [Domain.zero(d)]
+    yield [zero_domain(d)]
     yield [sigma]
     # a full-surface copy added onto a built complex, as stage S4 adds it
     yield [randoms[0], sigma]
@@ -324,12 +325,12 @@ def test_s0_template_is_built_once_per_diagram(monkeypatch):
     glue_copies(d, sigma_class(d))
     template = d._s0_template
     assert len(reversed_darts) == len(template[1]) == 2 * len(d.vertices)
-    for a in (sigma_class(d), Domain.zero(d), sigma_class(d) + sigma_class(d)):
+    for a in (sigma_class(d), zero_domain(d), sigma_class(d) + sigma_class(d)):
         glue_copies(d, a)
     # later builds read the template: no edge reversal, no new template
     assert len(reversed_darts) == len(template[1])
     assert d._s0_template is template
-    m = d.mirror()
+    m = mirror(d)
     glue_copies(m, sigma_class(m))
     assert m._s0_template is not template
     assert [ring[0] for ring in m._s0_template[0]] == [r.darts for r in m.regions]
@@ -370,7 +371,7 @@ def test_cuts_on_example1(genus2):
 
 
 def test_degenerate_disk_added(torus3):
-    z = Domain.zero(torus3)
+    z = zero_domain(torus3)
     x = Generator(("v0",))
     s0 = glue_copies(torus3, z)
     s0 = BuiltSurface("S0", torus3, z, s0.surface, x, x)
@@ -402,7 +403,7 @@ def test_build_surface_bigon_is_disk(torus3):
 def test_build_surface_zero_domain(torus3, genus2):
     for d, pts in ((torus3, ("v0",)), (genus2, ("x1", "x2"))):
         x = Generator(pts)
-        s3 = build_surface(d, Domain.zero(d), x, x)
+        s3 = build_surface(d, zero_domain(d), x, x)
         assert s3.chi == d.genus
         assert len(s3.corners()) == 2 * d.genus
         assert len(s3.surface.degenerate_disks) == d.genus
@@ -473,7 +474,7 @@ def test_chi_parity_against_embedded(genus2):
 
 def test_stabilized_zero_domain(genus2):
     x = Generator(("x1", "x2"))
-    s4 = stabilized_surface(genus2, Domain.zero(genus2), x, x)
+    s4 = stabilized_surface(genus2, zero_domain(genus2), x, x)
     assert s4.stage == "S4"
     assert s4.chi == -4  # the surface with two cut stars
     assert s4.pushforward() == sigma_class(genus2)
@@ -514,7 +515,7 @@ def test_stabilized_rejects_torus(torus1):
 
 def test_stabilized_genus3(genus3):
     x = enumerate_generators(genus3)[0]
-    s4 = stabilized_surface(genus3, Domain.zero(genus3), x, x)
+    s4 = stabilized_surface(genus3, zero_domain(genus3), x, x)
     assert s4.component_count() == 1
     assert len(s4.corners()) == 6
     rep = branched_cover_check(s4)

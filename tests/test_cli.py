@@ -10,6 +10,7 @@ from hdindex import builder
 from hdindex.cli import MAX_DIAGRAM_BYTES, main
 from hdindex.harness import BUNDLED_DIAGRAMS
 from importlib import resources
+from support import torus_text
 
 
 @pytest.fixture(scope="module")
@@ -224,13 +225,12 @@ def test_a_box_past_the_point_budget_is_refused(capsys, data_dir):
 
 def test_a_reader_that_closes_the_pipe_gets_no_traceback(data_dir):
     # 51,521 domains, far more than a pipe buffer holds
-    src = Path(__file__).resolve().parent.parent / "src"
     with subprocess.Popen(
         [
             sys.executable, "-m", "hdindex.cli", "domains", str(data_dir / "genus2_s1s2.hd"),
             "--from", "a,c", "--to", "a,c", "--max-coeff", "160",
         ],
-        env=dict(os.environ, PYTHONPATH=str(src)),
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     ) as proc:
@@ -239,6 +239,61 @@ def test_a_reader_that_closes_the_pipe_gets_no_traceback(data_dir):
         err = proc.stderr.read()
     assert first == b"r0:-160,r1:-160,r2:-160\n"
     assert (proc.returncode, err) == (1, b"")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+WALL_BOUND_S = 10  # the verbs below end in 0.1-0.2 s, and info on the big file in 2 s
+LIMIT = "precondition: {} crossings exceed the 256-crossing limit\n"
+PAIR = ("--from", "v0", "--to", "v0")
+
+
+def run_process(*args):
+    """Run the CLI in a fresh interpreter, killed past the wall bound."""
+    return subprocess.run(
+        [sys.executable, "-m", "hdindex.cli", *args],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=WALL_BOUND_S,
+    )
+
+
+# verb: (arguments after the diagram, or None to check its directory,
+# exit code, stderr)
+PAST_THE_BUDGET = {
+    "validate": ((), 0, ""),
+    "generators": ((), 0, ""),
+    "info": ((), 2, LIMIT.format(257)),
+    "index": ((*PAIR, "--domain", "0"), 2, LIMIT.format(257)),
+    "domains": (PAIR, 2, LIMIT.format(257)),
+    "build-surface": ((*PAIR, "--domain", "0"), 2, LIMIT.format(257)),
+    "stabilize": ((*PAIR, "--domain", "0"), 2, "precondition: should have assumed that g>1\n"),
+    "check": (None, 2, LIMIT.format(257)),
+}
+
+
+@pytest.mark.parametrize("verb", PAST_THE_BUDGET)
+def test_a_diagram_past_the_crossing_budget_ends_quickly(tmp_path, verb):
+    # one crossing past the limit: the verbs that read the lattice refuse it
+    # before they factor it; stabilize refuses genus one before that
+    extra, code, err = PAST_THE_BUDGET[verb]
+    path = tmp_path / "torus257.hd"
+    path.write_text(torus_text(257))
+    args = (verb, str(tmp_path)) if extra is None else (verb, str(path), *extra)
+    proc = run_process(*args)
+    assert (proc.returncode, proc.stderr) == (code, err)
+    assert bool(proc.stdout) == (code == 0)
+
+
+def test_info_on_a_file_near_the_size_limit_ends_quickly(tmp_path):
+    # the largest odd torus that the 1 MiB read admits, 37,305 crossings
+    n = 37305
+    text = torus_text(n)
+    assert MAX_DIAGRAM_BYTES - 1024 < len(text) <= MAX_DIAGRAM_BYTES < len(torus_text(n + 2))
+    path = tmp_path / "torus.hd"
+    path.write_text(text)
+    proc = run_process("info", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", LIMIT.format(n))
 
 
 def test_json_outputs_are_reproducible(capsys, data_dir):

@@ -8,9 +8,9 @@ from hdindex.diagram import (
     DiagramError,
     HeegaardDiagram,
     parse_diagram,
-    serialize_diagram,
     validate_diagram,
 )
+from support import mirror, serialize_diagram
 
 ONE_CROSSING = "alpha a1: x\nbeta b1: x\nsign x: +\n"
 TWO_CROSSING = "alpha a1: x y\nbeta b1: x y\nsign x: +\nsign y: +\n"
@@ -90,7 +90,7 @@ def test_face_structure_independent_of_curve_order(genus2):
 
 def test_mirror_preserves_face_multiset(corpus):
     for d in corpus.values():
-        m = d.mirror()
+        m = mirror(d)
         assert m.genus == d.genus
         assert m.region_census() == d.region_census()
         assert validate_diagram(m) == []

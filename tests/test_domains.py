@@ -1,6 +1,7 @@
 import gc
 import random
 import re
+import tracemalloc
 from functools import partial
 from itertools import product
 from operator import mul
@@ -24,8 +25,10 @@ from hdindex.domains import (
     periodic_domain_basis,
     sigma_class,
 )
-from hdindex.formulas import generator_multiplicity, index_report
+from hdindex.builder import build_surface, stabilized_surface
+from hdindex.formulas import index_report
 from hdindex.harness import bundled_corpus, load_bundled
+from support import mirror, zero_domain
 
 
 def brute_force_domains(d, x, y, max_coeff, positive_only):
@@ -85,7 +88,7 @@ def vertex_boundaries(d, a):
 
 def test_vertex_boundary_matches_quadrant_oracle(corpus):
     for d in corpus.values():
-        doms = [sigma_class(d), Domain.zero(d)]
+        doms = [sigma_class(d), zero_domain(d)]
         doms.append(Domain(tuple(i % 3 for i in range(len(d.regions)))))
         doms.append(Domain(tuple((7 * i + 2) % 5 - 2 for i in range(len(d.regions)))))
         for a in doms:
@@ -96,7 +99,7 @@ def test_vertex_boundary_matches_quadrant_oracle(corpus):
 
 def test_boundary_of_sigma_and_zero(corpus):
     for d in corpus.values():
-        for a in (Domain.zero(d), sigma_class(d)):
+        for a in (zero_domain(d), sigma_class(d)):
             for part in vertex_boundaries(d, a):
                 assert all(v == 0 for v in part.values())
 
@@ -122,7 +125,7 @@ def test_connects_matches_boundary_chain_definition(corpus):
             for y in gens:
                 want = y_minus_x(d, x, y)
                 found = find_domains(d, x, y, 2, positive_only=False)
-                for a in [Domain.zero(d), sigma_class(d), *found, *randoms]:
+                for a in [zero_domain(d), sigma_class(d), *found, *randoms]:
                     if a not in boundaries:
                         boundaries[a] = vertex_boundaries(d, a)
                     assert connects(d, a, x, y) == (boundaries[a] == (want, want))
@@ -184,7 +187,7 @@ def connects_cases(draw):
     elif kind == "class" and (found := find_domains(d, x, y, 1, positive_only=False)):
         a = draw(st.sampled_from(found)) + draw(SIGMA_SHIFTS) * sigma_class(d)
     else:
-        a = sigma_class(d) if kind == "sigma" else Domain.zero(d)
+        a = sigma_class(d) if kind == "sigma" else zero_domain(d)
     return d, a, x, y
 
 
@@ -231,7 +234,7 @@ def test_the_guard_keeps_a_packed_collision_from_connecting(genus2, genus3):
 
 def test_connects_admits_no_invalid_generator(genus2):
     x, y = Generator(("x1", "x2")), Generator(("y1", "y2"))
-    zero = Domain.zero(genus2)
+    zero = zero_domain(genus2)
     assert not connects(genus2, zero, x, y)
     bad = {
         Generator(("x1",)): "generator needs 2 points, got 1",
@@ -248,19 +251,16 @@ def test_connects_admits_no_invalid_generator(genus2):
                     with pytest.raises(DiagramError) as err:
                         call(genus2, zero, *pair)
                     assert str(err.value) == message
-            with pytest.raises(DiagramError) as err:
-                generator_multiplicity(genus2, zero, g)
-            assert str(err.value) == message
             with pytest.raises(DiagramError, match=re.escape(message)):
                 find_domains(genus2, g, y)
     assert _lattice(genus2).generators.keys() <= {g.points for g in enumerate_generators(genus2)}
     assert connects(genus2, zero, x, x)
     # admitted on genus2_bigons, still checked against each other diagram
     genus3 = load_bundled("genus3_chain.hd")
-    for d in (genus3, genus3.mirror()):
+    for d in (genus3, mirror(genus3)):
         for pair in ((x, x), (x, Generator(("x1", "x2", "t")))):
             with pytest.raises(DiagramError, match="generator needs 3 points, got 2"):
-                connects(d, Domain.zero(d), *pair)
+                connects(d, zero_domain(d), *pair)
 
 
 def test_beta_vertex_boundary_is_minus_alpha(corpus):
@@ -298,9 +298,9 @@ def test_torus3_bigon_connects(torus3):
 def test_connects_trivial_cases(torus2):
     gens = enumerate_generators(torus2)
     x, y = gens
-    assert connects(torus2, Domain.zero(torus2), x, x)
+    assert connects(torus2, zero_domain(torus2), x, x)
     assert connects(torus2, sigma_class(torus2), x, x)
-    assert not connects(torus2, Domain.zero(torus2), x, y)
+    assert not connects(torus2, zero_domain(torus2), x, y)
     # the lens diagram has no strip classes between distinct generators
     assert find_domains(torus2, x, y, 3, positive_only=False) == []
 
@@ -322,8 +322,8 @@ def test_compose_rejects_mismatched_middle(torus3):
     # from v0 to v1
     v0, v1 = Generator(("v0",)), Generator(("v1",))
     bigon = Domain.parse(torus3, "r1:1")
-    assert connects(torus3, Domain.zero(torus3), v1, v1)
-    assert not connects(torus3, bigon + Domain.zero(torus3), v0, v1)
+    assert connects(torus3, zero_domain(torus3), v1, v1)
+    assert not connects(torus3, bigon + zero_domain(torus3), v0, v1)
 
 
 def test_positivity_and_sigma(torus3):
@@ -365,15 +365,44 @@ def grid_diagram(g):
 
 def test_enumerate_generators_refuses_past_the_matching_budget(monkeypatch, genus3):
     # the grid of genus 9 has 9!/2! = 181,440 partial matchings after seven
-    # alpha curves, the first level past 2 ** 16
-    with pytest.raises(PreconditionError, match="^181440 partial matchings exceed the 65536 limit$"):
-        enumerate_generators(grid_diagram(9))
+    # alpha curves, the first level past 2 ** 16; the level is counted
+    # before it is built, so refusing it holds only the 60,480 before it
+    d = grid_diagram(9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="^181440 partial matchings exceed the 65536 limit$"):
+            enumerate_generators(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
     # genus3_chain's levels are 7, 23 and 26
     monkeypatch.setattr("hdindex.domains.MAX_GENERATORS", 26)
     assert len(enumerate_generators(genus3)) == 26
     monkeypatch.setattr("hdindex.domains.MAX_GENERATORS", 25)
     with pytest.raises(PreconditionError, match="^26 partial matchings exceed the 25 limit$"):
         enumerate_generators(genus3)
+
+
+LATTICE_READERS = {
+    "find_domains": lambda d, x: find_domains(d, x, x),
+    "index_report": lambda d, x: index_report(d, zero_domain(d), x, x),
+    "build_surface": lambda d, x: build_surface(d, zero_domain(d), x, x),
+    "stabilized_surface": lambda d, x: stabilized_surface(d, zero_domain(d), x, x),
+}
+
+
+@pytest.mark.parametrize("reader", LATTICE_READERS)
+def test_every_lattice_reader_keeps_the_crossing_budget(monkeypatch, reader):
+    # each call parses a fresh diagram, since the lattice is kept on the instance
+    call = LATTICE_READERS[reader]
+    x = Generator(("x1", "x2"))
+    n = len(load_bundled("genus2_bigons.hd").vertices)
+    monkeypatch.setattr("hdindex.domains.MAX_CROSSINGS", n)
+    call(load_bundled("genus2_bigons.hd"), x)
+    monkeypatch.setattr("hdindex.domains.MAX_CROSSINGS", n - 1)
+    with pytest.raises(PreconditionError, match=f"^{n} crossings exceed the {n - 1}-crossing limit$"):
+        call(load_bundled("genus2_bigons.hd"), x)
 
 
 def test_find_domains_walks_the_box_in_increasing_order(corpus):
@@ -428,7 +457,7 @@ def test_find_domains_matches_brute_force(torus2, torus3, genus2s1s2):
 
 def test_find_domains_max_coeff_zero(torus3):
     v0, v2 = Generator(("v0",)), Generator(("v2",))
-    assert find_domains(torus3, v0, v0, 0, True) == [Domain.zero(torus3)]
+    assert find_domains(torus3, v0, v0, 0, True) == [zero_domain(torus3)]
     assert find_domains(torus3, v0, v2, 0, True) == []
 
 
@@ -446,7 +475,7 @@ def _diagram(i):
     if i == 2:
         return load_bundled("genus2_bigons.hd")
     d = load_bundled("genus3_chain.hd")
-    return d.mirror() if i == 1 else d
+    return mirror(d) if i == 1 else d
 
 
 def _interleaved_queries(diagram_for, queries):
@@ -560,8 +589,8 @@ def test_domain_parse_and_format(torus3):
     a = Domain.parse(torus3, "r0:2,r2:-1")
     assert a.coeffs == (2, 0, -1)
     assert a.format() == "r0:2,r2:-1"
-    assert Domain.parse(torus3, "0") == Domain.zero(torus3)
-    assert Domain.zero(torus3).format() == "0"
+    assert Domain.parse(torus3, "0") == zero_domain(torus3)
+    assert zero_domain(torus3).format() == "0"
     with pytest.raises(DiagramError):
         Domain.parse(torus3, "r9:1")
     with pytest.raises(DiagramError):

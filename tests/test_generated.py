@@ -30,6 +30,7 @@ from hdindex.domains import (
 )
 from hdindex.formulas import maslov_quarters
 from hdindex.harness import bundled_corpus
+from support import mirror
 
 MAX_VERTICES = 7
 
@@ -318,7 +319,7 @@ def residue_faults(diagrams):
 def key_diagrams():
     """The bundled corpus, its mirrors and the generated diagrams, fresh."""
     corpus = list(bundled_corpus().values())
-    return corpus + [d.mirror() for d in corpus] + valid_diagrams(seed=4919, count=60)
+    return corpus + [mirror(d) for d in corpus] + valid_diagrams(seed=4919, count=60)
 
 
 def test_class_keys_match_the_per_pair_solve():
@@ -345,7 +346,7 @@ def test_residue_check_catches_a_ceiling_reduction(monkeypatch):
     # right under this mutant: only the residue window shows it
     monkeypatch.setattr(_Factorization, "reduce", ceiling_reduce)
     corpus = list(bundled_corpus().values())
-    assert residue_faults(corpus + [d.mirror() for d in corpus])
+    assert residue_faults(corpus + [mirror(d) for d in corpus])
 
 
 def test_class_key_check_catches_a_reversed_particular_solution(monkeypatch):
@@ -356,7 +357,7 @@ def test_class_key_check_catches_a_reversed_particular_solution(monkeypatch):
 
     monkeypatch.setattr(_Factorization, "reduce", negated)
     corpus = list(bundled_corpus().values())
-    faults, _, _ = class_key_faults(corpus + [d.mirror() for d in corpus])
+    faults, _, _ = class_key_faults(corpus + [mirror(d) for d in corpus])
     assert faults and all(got == [] for _, _, _, got, _ in faults)
 
 

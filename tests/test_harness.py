@@ -20,6 +20,7 @@ from hdindex.harness import (
     stabilized_surface_suite,
 )
 from hdindex.diagram import validate_diagram
+from support import zero_domain
 
 
 def test_bundled_corpus_is_valid():
@@ -77,7 +78,7 @@ def test_strip_class_predicate(torus1, torus3, genus2):
     # the lone square of the one-crossing torus is the whole surface, glued
     # to itself: not an embedded strip
     assert not _is_disjoint_strip_class(torus1, Domain.parse(torus1, "r0:1"))
-    assert _is_disjoint_strip_class(torus3, Domain.zero(torus3))
+    assert _is_disjoint_strip_class(torus3, zero_domain(torus3))
     assert _is_disjoint_strip_class(torus3, Domain.parse(torus3, "r1:1"))
     assert not _is_disjoint_strip_class(torus3, Domain.parse(torus3, "r1:2"))
     # adjacent supports share a vertex
