@@ -12,6 +12,8 @@ from hdindex.harness import BUNDLED_DIAGRAMS
 from importlib import resources
 from support import torus_text
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
@@ -241,7 +243,6 @@ def test_a_reader_that_closes_the_pipe_gets_no_traceback(data_dir):
     assert (proc.returncode, err) == (1, b"")
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 WALL_BOUND_S = 10  # the verbs below end in 0.1-0.2 s, and info on the big file in 2 s
 LIMIT = "precondition: {} crossings exceed the 256-crossing limit\n"
 PAIR = ("--from", "v0", "--to", "v0")
