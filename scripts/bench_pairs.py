@@ -13,13 +13,12 @@ times are brought to the probe's reference host speed, as ``run.py``
 brings untraced ones, so that traced runs made at different host speeds
 agree.
 
-Each file is one step of a trajectory.  Its ``chained`` wall_s value per
-workload is the change median over the parent median of this file times
-the ``chained`` value of the nearest earlier ``BENCH_<m>.json`` in the
-``--change`` checkout, wherever ``--out`` is written (computed from that
-file's own medians back to ``BENCH_7.json`` where a file has none), so it
-reads as the change's wall_s over that of ``BENCH_7``'s parent commit.  Medians of different files are not compared directly:
-probe scaling does not remove drift between runs made days apart.
+Each file compares two commits directly.  Medians of different files are
+not compared, nor are their ratios multiplied into a trajectory: probe
+scaling does not remove drift between runs made days apart, and a product
+of per-change ratios compounds each one's noise.  For the ratio over a
+longer range, run the pairs directly, with ``--parent`` a checkout of the
+earlier commit.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --out BENCH_8.json --pairs 10 --seed 8101 --traced-seed 8201 \\
@@ -36,7 +35,6 @@ import argparse
 import json
 import os
 import platform
-import re
 import statistics
 import subprocess
 import sys
@@ -165,29 +163,6 @@ def measure(args: argparse.Namespace, workload: str) -> tuple[dict, dict, bool]:
     return record, traced, correct
 
 
-def chained(out: Path, workload: str, ratio: float) -> float:
-    """``ratio`` times the chained wall_s ratio of the file before ``out``.
-
-    The file before is the nearest earlier ``BENCH_<m>.json`` beside it (so
-    pass ``out`` as its place in the trajectory, the ``--change`` checkout):
-    a number without a file, a change measured but not merged, is skipped.
-    The chain starts at the first file with no file before it, or whose
-    file before lacks the workload.
-    """
-    n = re.fullmatch(r"BENCH_(\d+)\.json", out.name)
-    earlier = (out.with_name(f"BENCH_{m}.json") for m in range(int(n[1]) - 1, 0, -1)) if n else ()
-    prev = next((p for p in earlier if p.exists()), None)
-    if prev is None:
-        return ratio
-    record = json.loads(prev.read_text())["workloads"].get(workload)
-    if record is None:
-        return ratio
-    wall = record["metrics"]["wall_s"]
-    if "chained" in wall:
-        return wall["chained"] * ratio
-    return chained(prev, workload, wall["change"]["median"] / wall["parent"]["median"]) * ratio
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -216,19 +191,14 @@ def main(argv: list[str] | None = None) -> int:
         "each side; change_wins counts pairs where the change is lower; median_change is "
         "change median / parent median - 1; gain_rule_met is true when the change wins at "
         "least nine tenths of the pairs and parent median - change median exceeds the "
-        "parent's q3 - q1; wall_s chained is the product of the change / "
-        "parent median ratios of this file and of every BENCH file before it back to "
-        f"BENCH_7; each traced value is the median of {TRACED_RUNS} traced runs per side, "
-        "the side that goes first alternating",
+        f"parent's q3 - q1; each traced value is the median of {TRACED_RUNS} traced runs "
+        "per side, the side that goes first alternating",
         "workloads": {},
         "traced": {},
     }
     all_correct = True
     for workload in (w["name"] for w in bench["workloads"]):
         record, traced, correct = measure(args, workload)
-        wall = record["metrics"]["wall_s"]
-        ratio = wall["change"]["median"] / wall["parent"]["median"]
-        wall["chained"] = round(chained(args.change / args.out.name, workload, ratio), 4)
         out["workloads"][workload] = record
         out["traced"][workload] = traced
         all_correct &= correct

@@ -25,8 +25,9 @@ has absolute sum at most 4 (two alpha edges, each giving +-1 to the
 regions on its two sides), so while every coefficient of A lies strictly
 between -2^28 and 2^28 each entry of M . A - (y - x) is at most
 4 (2^28 - 1) + 1 < 2^31 in absolute value, and the packed sums are equal
-exactly when the vectors are.  A domain with a larger coefficient is
-tested column by column instead.
+exactly when the vectors are.  That bound is the budget ``MAX_COEFF``:
+``connects`` refuses a domain with a larger coefficient, since its packed
+product could collide.
 
 The factorization is dense and costs more than the cube of the crossing
 count, so ``_lattice`` refuses a diagram of more than ``MAX_CROSSINGS``
@@ -50,10 +51,8 @@ from typing import Mapping, NamedTuple
 
 from hdindex.diagram import DiagramError, HeegaardDiagram
 
-# The packed dot product of ``connects`` is exact while every coefficient
-# lies strictly between -_PACK_LIMIT and _PACK_LIMIT (see the module text).
-_PACK_BITS = 32
-_PACK_LIMIT = 1 << 28
+_PACK_BITS = 32  # the width of one vertex row's field in a packed column
+MAX_COEFF = (1 << 28) - 1  # the largest coefficient magnitude ``connects`` tests
 MAX_POINTS = 1 << 20  # the most box points one ``find_domains`` walk may visit
 MAX_GENERATORS = 1 << 16  # the most partial matchings ``enumerate_generators`` may hold
 MAX_CROSSINGS = 1 << 8  # the most crossings ``_lattice`` factors
@@ -175,25 +174,19 @@ def connects(d: HeegaardDiagram, a: Domain, x: Generator, y: Generator) -> bool:
     Demands that the vertex boundary of the alpha part of the boundary of
     ``a`` be y - x and that of the beta part x - y, as 0-chains.  The
     second follows from the first, so this is M . a = y - x for the
-    diagram's cached alpha boundary matrix M.  While every coefficient of
-    ``a`` lies strictly between -2^28 and 2^28 that is one dot product of
-    the coefficients with M's packed columns against the difference of the
-    two generators' packed points, exact by the row-sum bound of the module
-    text.  Otherwise the columns of the nonzero coefficients are summed
-    onto x - y (the target of the reverse class), and the domain connects
-    iff nothing is left.
+    diagram's cached alpha boundary matrix M: one dot product of the
+    coefficients with M's packed columns against the difference of the two
+    generators' packed points.  It is exact while every coefficient of
+    ``a`` lies within +-``MAX_COEFF``, by the row-sum bound of the module
+    text; a domain with a larger coefficient is refused.
     """
     lat, rx, ry = _records(d, x, y)
     _check_domain(d, a)  # before ``map``, which would stop at a short domain
     coeffs = a.coeffs
-    if -_PACK_LIMIT < min(coeffs) and max(coeffs) < _PACK_LIMIT:
-        return sum(map(mul, lat.packed, coeffs)) == ry.packed - rx.packed
-    out = _target_vector(lat, y.points, x.points)
-    for column, c in zip(lat.columns, coeffs):
-        if c:
-            for v, k in column:
-                out[v] += k * c
-    return not any(out)
+    if not (-MAX_COEFF <= min(coeffs) and max(coeffs) <= MAX_COEFF):
+        m = max(map(abs, coeffs))
+        raise PreconditionError(f"coefficient magnitude {m} exceeds the {MAX_COEFF} limit")
+    return sum(map(mul, lat.packed, coeffs)) == ry.packed - rx.packed
 
 
 def is_positive(a: Domain) -> bool:
@@ -254,15 +247,11 @@ def _boundary_matrix(d: HeegaardDiagram) -> list[list[int]]:
     return rows
 
 
-def _target_vector(
-    lat: "_Lattice", x: tuple[str, ...], y: tuple[str, ...]
-) -> list[int]:
-    """M . A for A from the points x to the points y: y - x."""
+def _target_vector(lat: "_Lattice", points: tuple[str, ...]) -> list[int]:
+    """The point vector of ``points``: 1 in the vertex row of each."""
     out = [0] * len(lat.vertex_index)
-    for v in y:
+    for v in points:
         out[lat.vertex_index[v]] += 1
-    for v in x:
-        out[lat.vertex_index[v]] -= 1
     return out
 
 
@@ -382,10 +371,9 @@ class _GeneratorRecord(NamedTuple):
 class _Lattice(NamedTuple):
     """The integer data of one diagram that the solver and formulas read.
 
-    ``columns`` is the boundary matrix, each region's column as its
-    nonzero (vertex row, coefficient) pairs, and ``packed`` each column as
-    one int, the sum of coefficient * 2^(32 row): a signed 32-bit field per
-    vertex row, which ``connects`` dots with a domain's coefficients.
+    ``packed`` is the boundary matrix, each region's column as one int,
+    the sum of coefficient * 2^(32 row): a signed 32-bit field per vertex
+    row, which ``connects`` dots with a domain's coefficients.
     ``vertex_index`` maps a vertex name to its row; ``factorization``
     factors the matrix; ``euler_weights`` is 4 - corners per region, so
     that 4e(A) is its dot product with A, and ``quadrants`` the four
@@ -397,7 +385,6 @@ class _Lattice(NamedTuple):
     one tuple level less to hash than the generator.
     """
 
-    columns: tuple[tuple[tuple[int, int], ...], ...]
     packed: tuple[int, ...]
     vertex_index: Mapping[str, int]
     factorization: _Factorization
@@ -417,10 +404,8 @@ def _lattice(d: HeegaardDiagram) -> _Lattice:
         if (n := len(d.vertices)) > MAX_CROSSINGS:
             raise PreconditionError(f"{n} crossings exceed the {MAX_CROSSINGS}-crossing limit")
         rows = _boundary_matrix(d)
-        columns = tuple(tuple((v, k) for v, k in enumerate(col) if k) for col in zip(*rows))
         lat = d._lattice = _Lattice(  # type: ignore[attr-defined]
-            columns,
-            tuple(sum(k << _PACK_BITS * v for v, k in col) for col in columns),
+            tuple(sum(k << _PACK_BITS * v for v, k in enumerate(col)) for col in zip(*rows)),
             {v: i for i, v in enumerate(d.vertices)},
             _Factorization.of(rows, len(d.regions)),
             tuple(4 - r.corner_count for r in d.regions),
@@ -445,7 +430,7 @@ def _records(
         for g in (x, y):
             if g.points not in records:
                 check_generator(d, g)
-                residue, a = lat.factorization.reduce(_target_vector(lat, (), g.points))
+                residue, a = lat.factorization.reduce(_target_vector(lat, g.points))
                 regions = [r for v in g.points for r in lat.quadrants[v]]
                 weights = tuple(map(regions.count, range(len(lat.euler_weights))))
                 packed = sum(1 << _PACK_BITS * lat.vertex_index[v] for v in g.points)

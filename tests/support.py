@@ -1,11 +1,12 @@
 """Diagram and domain helpers that only the tests use.
 
 The package itself never mirrors or writes a diagram, nor builds the zero
-domain, so these live beside the tests that do.
+domain or the 0-chain y - x of two generators, so these live beside the
+tests that do.
 """
 
 from hdindex.diagram import ALPHA, BETA, HeegaardDiagram
-from hdindex.domains import Domain
+from hdindex.domains import Domain, Generator
 
 
 def mirror(d: HeegaardDiagram) -> HeegaardDiagram:
@@ -26,6 +27,17 @@ def serialize_diagram(d: HeegaardDiagram) -> str:
 
 def zero_domain(d: HeegaardDiagram) -> Domain:
     return Domain((0,) * len(d.regions))
+
+
+def y_minus_x(d: HeegaardDiagram, x: Generator, y: Generator) -> dict[str, int]:
+    """The 0-chain y - x, keyed by vertex in canonical order: the vertex
+    boundary that the alpha part of a domain from x to y must have."""
+    out = {v: 0 for v in d.vertices}
+    for v in y.points:
+        out[v] += 1
+    for v in x.points:
+        out[v] -= 1
+    return out
 
 
 def torus_text(n: int) -> str:

@@ -16,29 +16,6 @@ def bench_pairs():
     return module
 
 
-def write_bench(path, parent, change, chained=None):
-    wall = {"parent": {"median": parent}, "change": {"median": change}}
-    if chained is not None:
-        wall["chained"] = chained
-    path.write_text(json.dumps({"workloads": {"surfaces": {"metrics": {"wall_s": wall}}}}))
-
-
-def test_chained_ratio_multiplies_back_to_the_first_file(bench_pairs, tmp_path):
-    write_bench(tmp_path / "BENCH_7.json", 2.0, 1.0)  # 0.5
-    write_bench(tmp_path / "BENCH_8.json", 1.0, 0.8)  # 0.8, no chained value
-    write_bench(tmp_path / "BENCH_9.json", 1.0, 0.5)  # 0.5
-    out = tmp_path / "BENCH_10.json"
-    assert bench_pairs.chained(out, "surfaces", 0.9) == pytest.approx(0.5 * 0.8 * 0.5 * 0.9)
-    # a stored chained value is taken as it stands
-    write_bench(tmp_path / "BENCH_9.json", 1.0, 0.5, chained=0.25)
-    assert bench_pairs.chained(out, "surfaces", 0.9) == pytest.approx(0.25 * 0.9)
-    # a workload the file before does not have starts its chain here
-    assert bench_pairs.chained(out, "check", 0.9) == 0.9
-    assert bench_pairs.chained(tmp_path / "BENCH_7.json", "surfaces", 0.5) == 0.5
-    # a number without a file is skipped: BENCH_11 chains on to BENCH_9
-    assert bench_pairs.chained(tmp_path / "BENCH_11.json", "surfaces", 0.9) == pytest.approx(0.225)
-
-
 def test_traced_values_are_the_median_of_three_alternating_runs(bench_pairs, monkeypatch):
     calls = []
 
@@ -72,17 +49,18 @@ def test_traced_values_are_the_median_of_three_alternating_runs(bench_pairs, mon
     assert traced["change"]["domains.connects.calls"] == 17
 
 
-def test_the_chain_is_read_from_the_change_checkout(bench_pairs, monkeypatch, tmp_path):
+def test_main_reads_the_benchmark_from_the_change_checkout(bench_pairs, monkeypatch, tmp_path):
     change, elsewhere = tmp_path / "change", tmp_path / "elsewhere"
     change.mkdir()
     elsewhere.mkdir()
     workloads = [{"name": "surfaces"}]
     (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "workloads": workloads}))
-    write_bench(change / "BENCH_9.json", 1.0, 0.5, chained=0.25)
-    # a stray file beside --out is not the trajectory
-    write_bench(elsewhere / "BENCH_9.json", 1.0, 1.0, chained=1.0)
+    # a stray BENCHMARK.json beside --out is not the one measured
+    (elsewhere / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 9, "workloads": []}))
+    seen = []
 
     def fake_measure(args, workload):
+        seen.append((workload, args.seconds))
         wall = {"parent": {"median": 2.0}, "change": {"median": 1.0}}
         return {"metrics": {"wall_s": wall}}, {}, True
 
@@ -93,8 +71,10 @@ def test_the_chain_is_read_from_the_change_checkout(bench_pairs, monkeypatch, tm
         "--seed", "1", "--traced-seed", "2", "--parent-commit", "abc", "--change-note", "n",
     ]
     assert bench_pairs.main(argv) == 0
+    assert seen == [("surfaces", 1)]
+    # each file holds its own two medians and no ratio chained onto another file's
     wall = json.loads(out.read_text())["workloads"]["surfaces"]["metrics"]["wall_s"]
-    assert wall["chained"] == 0.125
+    assert wall == {"parent": {"median": 2.0}, "change": {"median": 1.0}}
 
 
 def test_the_gain_rule_needs_both_the_wins_and_a_drop_beyond_the_parent_spread(bench_pairs):

@@ -213,6 +213,28 @@ def test_a_domain_past_the_face_limit_is_refused_before_building(
     assert err == "precondition: 65540 sheets exceed the 65536-face limit\n"
 
 
+PAST_THE_COEFFICIENT_BUDGET = (
+    "--from", "x1,x2", "--to", "y1,y2", "--domain", "r2:268435456",
+)
+
+
+@pytest.mark.parametrize("verb", ["index", "build-surface", "stabilize"])
+def test_a_coefficient_past_the_budget_is_refused(capsys, data_dir, verb):
+    # 2^28: the packed product of connects is not exact past MAX_COEFF
+    path = str(data_dir / "genus2_bigons.hd")
+    code, out, err = run(capsys, verb, path, *PAST_THE_COEFFICIENT_BUDGET)
+    assert (code, out) == (2, "")
+    assert err == "precondition: coefficient magnitude 268435456 exceeds the 268435455 limit\n"
+
+
+def test_a_forced_index_evaluates_a_coefficient_past_the_budget(capsys, data_dir):
+    # --force never asks connects, so it still answers on any domain
+    path = str(data_dir / "genus2_bigons.hd")
+    code, out, err = run(capsys, "--json", "index", path, *PAST_THE_COEFFICIENT_BUDGET, "--force")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["n_y"] == "134217728"
+
+
 def test_a_box_past_the_point_budget_is_refused(capsys, data_dir):
     # rank 2 and the signed box |c| <= 100000: 200001 ** 2 points
     code, out, err = run(

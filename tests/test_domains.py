@@ -13,9 +13,11 @@ from hdindex.diagram import ALPHA, BETA, DiagramError, HeegaardDiagram
 from hdindex.domains import (
     Domain,
     Generator,
+    MAX_COEFF,
+    MAX_POINTS,
     PreconditionError,
-    _PACK_LIMIT,
     _Factorization,
+    _boundary_matrix,
     _lattice,
     _records,
     connects,
@@ -25,10 +27,11 @@ from hdindex.domains import (
     periodic_domain_basis,
     sigma_class,
 )
+from hdindex import builder
 from hdindex.builder import build_surface, stabilized_surface
 from hdindex.formulas import index_report
 from hdindex.harness import bundled_corpus, load_bundled
-from support import mirror, zero_domain
+from support import mirror, y_minus_x, zero_domain
 
 
 def brute_force_domains(d, x, y, max_coeff, positive_only):
@@ -104,15 +107,6 @@ def test_boundary_of_sigma_and_zero(corpus):
                 assert all(v == 0 for v in part.values())
 
 
-def y_minus_x(d, x, y):
-    out = {v: 0 for v in d.vertices}
-    for v in y.points:
-        out[v] += 1
-    for v in x.points:
-        out[v] -= 1
-    return out
-
-
 def test_connects_matches_boundary_chain_definition(corpus):
     rng = random.Random(1301)
     for d in corpus.values():
@@ -133,21 +127,19 @@ def test_connects_matches_boundary_chain_definition(corpus):
 
 def test_the_definition_test_catches_a_dropped_column():
     # a seeded mutant of connects: on each fresh diagram one nonzero column
-    # of the boundary matrix is dropped, in its packed and its sparse form
+    # of the boundary matrix is dropped from its packed form
     # (torus_g1_1x has one region, and its column is zero)
     rng = random.Random(1801)
     mutated = 0
     for name, d in bundled_corpus().items():
-        lat = _lattice(d)
-        nonzero = [i for i, column in enumerate(lat.columns) if column]
+        columns = list(zip(*_boundary_matrix(d)))
+        nonzero = [i for i, column in enumerate(columns) if any(column)]
         if not nonzero:
             continue
         mutated += 1
         r = rng.choice(nonzero)
-        d._lattice = lat._replace(
-            columns=lat.columns[:r] + ((),) + lat.columns[r + 1 :],
-            packed=lat.packed[:r] + (0,) + lat.packed[r + 1 :],
-        )
+        lat = _lattice(d)
+        d._lattice = lat._replace(packed=lat.packed[:r] + (0,) + lat.packed[r + 1 :])
         with pytest.raises(AssertionError):
             test_connects_matches_boundary_chain_definition({name: d})
     assert mutated == 5
@@ -160,12 +152,12 @@ PROPERTY_GENERATORS = {
 
 
 # Multiples of Sigma for the shifted cases: small ones, and ones just inside
-# and just outside the packed product's guard on either side, so that both
-# paths of ``connects`` are compared with the definition.
+# and just outside the coefficient budget on either side, so that both the
+# packed product and the refusal are tested at the edge of the budget.
 SIGMA_SHIFTS = st.one_of(
     st.integers(-2, 2),
-    st.integers(_PACK_LIMIT - 3, _PACK_LIMIT + 3),
-    st.integers(-_PACK_LIMIT - 3, -_PACK_LIMIT + 3),
+    st.integers(MAX_COEFF - 3, MAX_COEFF + 3),
+    st.integers(-MAX_COEFF - 3, -MAX_COEFF + 3),
 )
 
 
@@ -173,7 +165,7 @@ SIGMA_SHIFTS = st.one_of(
 def connects_cases(draw):
     """A bundled diagram, any generator pair on it and a domain: the zero
     domain, Sigma, or one shifted by a multiple of Sigma, small or near
-    +-2^28: random with coefficients in -5..5 (zeros drawn often), which
+    +-MAX_COEFF: random with coefficients in -5..5 (zeros drawn often), which
     almost never connects, or a class found from x to y, which does."""
     name = draw(st.sampled_from(sorted(PROPERTY_CORPUS)))
     d, gens = PROPERTY_CORPUS[name], PROPERTY_GENERATORS[name]
@@ -195,41 +187,61 @@ def connects_cases(draw):
 @settings(max_examples=400, deadline=None, database=None)
 @given(connects_cases())
 def test_connects_property_matches_boundary_chain_definition(case):
+    # inside the budget connects is the definition; outside it refuses
     d, a, x, y = case
-    want = y_minus_x(d, x, y)
-    assert connects(d, a, x, y) == (vertex_boundaries(d, a) == (want, want))
+    if (m := max(map(abs, a.coeffs))) > MAX_COEFF:
+        with pytest.raises(PreconditionError, match=f"^coefficient magnitude {m} exceeds"):
+            connects(d, a, x, y)
+    else:
+        want = y_minus_x(d, x, y)
+        assert connects(d, a, x, y) == (vertex_boundaries(d, a) == (want, want))
 
 
 def test_every_row_of_the_boundary_matrix_has_absolute_sum_at_most_four(corpus):
-    # the bound that makes the packed product exact under the guard
+    # the bound that makes the packed product exact inside the budget
     for d in corpus.values():
-        rows = [0] * len(d.vertices)
-        for column in _lattice(d).columns:
-            for v, k in column:
-                rows[v] += abs(k)
-        assert max(rows) <= 4
+        assert max(sum(map(abs, row)) for row in _boundary_matrix(d)) <= 4
 
 
-def test_the_guard_keeps_a_packed_collision_from_connecting(genus2, genus3):
+def test_the_guard_keeps_a_packed_collision_from_connecting(genus2, genus3, monkeypatch):
     # Where one region's column is another's moved down one vertex row, the
     # 32-bit packing of the second is 2^32 times the first, so 2^32 on the
     # first and -1 on the second packs to 0 although M . A is not 0.  Only
-    # the guard on the coefficients sends this domain to the column loop.
+    # the coefficient budget keeps connects from answering True on it.
+    cases = []
     for d in (genus2, genus3):
-        columns = _lattice(d).columns
+        columns = list(zip(*_boundary_matrix(d)))
         i, j = next(
             (i, j)
             for i, low in enumerate(columns)
             for j, high in enumerate(columns)
-            if low and high == tuple((v + 1, k) for v, k in low)
+            if any(low) and not low[-1] and high == (0, *low[:-1])
         )
         coeffs = [0] * len(d.regions)
         coeffs[i], coeffs[j] = 1 << 32, -1
         a = Domain(tuple(coeffs))
         x = enumerate_generators(d)[0]
-        assert sum(map(mul, _lattice(d).packed, a.coeffs)) == 0  # unguarded product
+        assert sum(map(mul, _lattice(d).packed, a.coeffs)) == 0  # the packed product
         assert vertex_boundaries(d, a) != (y_minus_x(d, x, x),) * 2
-        assert not connects(d, a, x, x)
+        with pytest.raises(PreconditionError) as refused:
+            connects(d, a, x, x)
+        assert str(refused.value) == "coefficient magnitude 4294967296 exceeds the 268435455 limit"
+        cases.append((d, a, x))
+    # a seeded mutant: a budget past the packing's exact range lets it connect
+    monkeypatch.setattr("hdindex.domains.MAX_COEFF", 1 << 40)
+    assert all(connects(d, a, x, x) for d, a, x in cases)
+
+
+def test_no_domain_the_program_makes_reaches_the_coefficient_budget():
+    # find_domains refuses a box of width w once w ** rank exceeds
+    # MAX_POINTS, and the rank of the periodic lattice is at least 1, since
+    # Sigma is periodic: so w <= w ** rank <= MAX_POINTS, and every domain
+    # it tests lies within +-MAX_POINTS.  A build of more than MAX_FACES
+    # sheets is refused, so no surface is built from a coefficient past
+    # MAX_FACES.  Raising either budget past MAX_COEFF would let domains the
+    # program itself makes meet the refusal in connects.
+    assert MAX_POINTS <= MAX_COEFF
+    assert builder.MAX_FACES <= MAX_COEFF
 
 
 def test_connects_admits_no_invalid_generator(genus2):

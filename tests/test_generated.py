@@ -11,6 +11,7 @@ of a generated case must succeed.
 """
 
 import random
+from operator import mul
 
 import pytest
 
@@ -19,18 +20,19 @@ from hdindex.builder import BuilderError
 from hdindex.diagram import ALPHA, BETA, HeegaardDiagram, validate_diagram
 from hdindex.domains import (
     Domain,
+    Generator,
     _Factorization,
+    _boundary_matrix,
     _lattice,
     _records,
     _row_echelon,
-    _target_vector,
     enumerate_generators,
     find_domains,
     periodic_domain_basis,
 )
 from hdindex.formulas import maslov_quarters
 from hdindex.harness import bundled_corpus
-from support import mirror
+from support import mirror, y_minus_x
 
 MAX_VERTICES = 7
 
@@ -257,12 +259,17 @@ REDUCE = _Factorization.reduce
 KEY_BOX = 2
 
 
+def target(d, x, y):
+    """y - x as a list over the vertex rows of the boundary matrix."""
+    return list(y_minus_x(d, x, y).values())
+
+
 def reference_find_domains(d, x, y, box):
     """The signed-box classes from x to y from one solve of M a = y - x: the
     particular solution moved along the kernel basis inside the box.  There
     is no connects filter, since every coset point connects x to y."""
     lat = _lattice(d)
-    residue, x0 = REDUCE(lat.factorization, _target_vector(lat, x.points, y.points))
+    residue, x0 = REDUCE(lat.factorization, target(d, x, y))
     if any(residue):
         return []
     points = [x0]
@@ -289,7 +296,7 @@ def class_key_faults(diagrams):
                 got = find_domains(d, x, y, KEY_BOX, positive_only=False)
                 lat, rx, ry = _records(d, x, y)
                 same = rx.key == ry.key
-                residue, _ = REDUCE(lat.factorization, _target_vector(lat, x.points, y.points))
+                residue, _ = REDUCE(lat.factorization, target(d, x, y))
                 want = reference_find_domains(d, x, y, KEY_BOX)
                 if same == any(residue) or got != want:
                     faults.append((d, x, y, got, want))
@@ -303,13 +310,11 @@ def residue_faults(diagrams):
     must be x - key, and every pivot coordinate of the key in [0, pivot)."""
     faults = []
     for d in diagrams:
+        rows = _boundary_matrix(d)
         for x in enumerate_generators(d):
             lat, rec, _ = _records(d, x, x)
-            image = [0] * len(lat.vertex_index)
-            for column, c in zip(lat.columns, rec.potential):
-                for v, k in column:
-                    image[v] += k * c
-            point = _target_vector(lat, (), x.points)
+            image = [sum(map(mul, row, rec.potential)) for row in rows]
+            point = target(d, Generator(()), x)
             reduced = all(0 <= rec.key[pc] < h[pc] for pc, h in lat.factorization.echelon)
             if [p - k for p, k in zip(point, rec.key)] != image or not reduced:
                 faults.append((d, x, rec))
