@@ -56,28 +56,32 @@ the whole pipeline deterministic.
 
 Every stage works on one complex.  ``glue_copies`` makes it; each later
 stage transformer does its surgery on the complex of the stage it is
-given and returns the next stage over that same complex.  A stage is
-consumed by the transformer it is passed to, so read it before passing
-it on.  Every cut that receives a corner side (the S3 splice and the S4
-chaining) glues it to the slit's lips by one rule, ``_glue_to_lip``.
+given and returns the next stage over that same complex, so a stage is
+consumed by the transformer it is passed to.  Every cut that receives a
+corner side (the S3 splice and the S4 chaining) glues it to the slit's
+lips by one rule, ``_glue_to_lip``.
 
-What a stage reports (chi, corners, boundary arcs, pushforward, components)
-is read from its census, taken on the first read from one walk of the
-corner orbits (``corner_classes``: the boundary circles, then the closed
-orbits) and kept for the life of the stage.  Stage S3 finds the circle
-to splice, and the open classes at its splice point, in a census of each
-round and hands the last one, which found none, to the stage it returns,
-so that walk is made once.  Stage S1 walks the circles only, and stage
-S4 reads each fresh corner off the lips of the cut that made it.
-The census is valid because a stage is read before it is passed on: once
-the next stage has been made, the complex is no longer the stage's own.
+A stage (``BuiltSurface``) reads what it reports off the complex: its
+boundary and chi from one walk of the corner orbits (``corner_classes``:
+the boundary circles, then the closed orbits), its corners and boundary
+arcs off that boundary, and its pushforward, degenerate disks and branch
+marks straight from the complex.  The walk's values, the corners, the
+arcs and the components are fixed when first read, and the rest is read
+at each call, so a stage must be read before it is passed on: once the
+next stage has been made, the complex is no longer the stage's own.
+Stage S3 makes one stage per splice round, finds the circle to splice in
+its boundary and returns the stage of the round that finds none, so that
+walk is made once; it reads the open classes at the splice point with
+``open_classes_at``, as stages S2 and S4 do.  Stage S1 walks the circles
+only, and stage S4 reads each fresh corner off the lips of the cut that
+made it.
 
 ``stage_contract`` states what stages S3 and S4 guarantee; the builder
 raises ``BuilderError`` when it fails, so a returned surface always
 satisfies it.  The contract, the JSON record, ``delta`` and
-``branched_cover_check`` all read the one census of the stage: its
-corners and boundary arcs are computed once and shared, and the stage
-keeps its embedded chi, so ``delta`` reuses the contract's.
+``branched_cover_check`` all read the one stage: its corners and
+boundary arcs are computed once and shared, and the stage keeps its
+embedded chi, so ``delta`` reuses the contract's.
 """
 
 from __future__ import annotations
@@ -337,88 +341,16 @@ class _Surface:
 # The public report object
 
 
-class _Census:
-    """What a finished stage reports, taken from one walk of its complex.
-
-    The walk is ``corner_classes``: it follows each boundary circle, orbit
-    by orbit, and then walks the closed orbits, each forward from its start.
-    The circles' open orbits and the closed orbits together are the
-    vertices, and the circles, each orbit with its corner mark, are the
-    ``boundary``.  Each open orbit starts at one free side, so E = (sides +
-    free sides) / 2, and chi = V - E + F plus the degenerate disks.
-    Faces, disks and branch marks are counted alongside.  The face
-    components are counted on first use only (stage S4 and the tests ask
-    for them), so they too must be read before the stage is passed on.
-    The corners and the boundary arcs are read off the boundary on first
-    use and kept; the contract, the JSON record and any other reader share
-    them.  Stage S3 takes one census per splice round, reads the open
-    classes at the splice point off it, and hands the last one, which
-    found no circle to splice, to the stage it returns.
-    """
-
-    def __init__(self, surf: _Surface):
-        circles, closed = surf.corner_classes()
-        is_corner = surf.is_corner
-        self.surface = surf
-        self.boundary = [[(o, is_corner(o)) for o in circle] for circle in circles]
-        self.regions = list(surf.region)
-        self.disks = list(surf.degenerate_disks)
-        self.branch_marks = surf.branch_marks
-        opens = sum(map(len, circles))
-        edges = (len(surf.nxt) + opens) // 2
-        self.chi = opens + len(closed) - edges + len(self.regions) + len(self.disks)
-
-    @functools.cached_property
-    def components(self) -> int:
-        return len(self.surface.face_components()) + len(self.disks)
-
-    @functools.cached_property
-    def corners(self) -> list[tuple[str, int]]:
-        """(vertex, chain length) of the surface corners, plus degenerate disks.
-
-        A corner is an open vertex class of odd length; after the cutting
-        stage every odd class has length one.  Each symbolic degenerate disk
-        contributes two corners at its vertex.
-        """
-        head = self.surface.head
-        out = [(head[o[0]][1], len(o)) for comp in self.boundary for o, corner in comp if corner]
-        return sorted(out + [(disk.vertex, 1) for disk in self.disks] * 2)
-
-    @functools.cached_property
-    def boundary_arcs(self) -> dict[str, list[dict]]:
-        """Maximal boundary arcs per curve, split at the surface corners."""
-        arcs: dict[str, list[dict]] = {name: [] for name in self.surface.curve_family}
-        dart = self.surface.dart
-        for comp in self.boundary:
-            # the curves of the free sides in runs that each end at a
-            # corner, from just after the first one; a cornerless circle is
-            # one run
-            first = next((i + 1 for i, (_, corner) in enumerate(comp) if corner), 0)
-            runs: list[list[str]] = [[]]
-            for o, corner in comp[first:] + comp[:first]:
-                runs[-1].append(dart[o[0]].curve)
-                if corner:
-                    runs.append([])
-            for run in runs[:-1] if first else runs:
-                if len(set(run)) != 1:
-                    raise BuilderError("boundary arc crosses curves without a corner")
-                arcs[run[0]].append({"sides": len(run), "circle": not first})
-        for disk in self.disks:
-            arcs[disk.alpha_curve].append({"sides": 1, "circle": False, "degenerate": True})
-            arcs[disk.beta_curve].append({"sides": 1, "circle": False, "degenerate": True})
-        return arcs
-
-
 class BuiltSurface:
-    """A stage of the construction, with its census.
+    """A stage of the construction and what it reports, read off its complex.
 
-    A stage transformer consumes the stage it is given: it does its surgery
-    on that stage's complex and returns the next stage over it.  Everything
-    a stage reports is read from its census (``_Census``), taken on first
-    read (stage S3 is handed the census of its last splice round) and
-    kept for the life of the stage, so read a stage before passing
-    it on: a census first taken after the next stage is made would count
-    the next stage's complex.
+    The boundary and chi come from one walk of the corner orbits
+    (``boundary``), and the corners and the boundary arcs are read off the
+    boundary.  These and the face components are kept on the stage from
+    their first read, so the contract, the JSON record and any other reader
+    share them; the pushforward, the degenerate disks and the branch marks
+    are read from the complex at each call.  So read a stage before
+    passing it on.
     """
 
     def __init__(
@@ -437,32 +369,87 @@ class BuiltSurface:
         self.x = x
         self.y = y
 
-    # -- census -------------------------------------------------------------
+    # -- what the stage reports --------------------------------------------
 
     @functools.cached_property
-    def census(self) -> _Census:
-        return _Census(self.surface)
+    def boundary(self) -> list[list[tuple[list[int], bool]]]:
+        """The boundary circles, each as its open orbits with their corner marks.
 
-    @property
+        The walk is ``corner_classes``: it follows each boundary circle,
+        orbit by orbit, and then walks the closed orbits.  It sets ``chi``
+        too: the open and the closed orbits are the vertices, each open
+        orbit starts at one free side, so E = (sides + free sides) / 2, and
+        chi = V - E + F plus the degenerate disks.
+        """
+        surf = self.surface
+        circles, closed = surf.corner_classes()
+        opens = sum(map(len, circles))
+        edges = (len(surf.nxt) + opens) // 2
+        self.chi = opens + len(closed) - edges + len(surf.region) + len(surf.degenerate_disks)
+        return [[(o, surf.is_corner(o)) for o in circle] for circle in circles]
+
+    @functools.cached_property
     def chi(self) -> int:
-        return self.census.chi
+        """The Euler characteristic, set by the walk of ``boundary``."""
+        self.boundary
+        return self.chi
 
     def pushforward(self) -> Domain:
         counts = [0] * len(self.diagram.regions)
-        for region in self.census.regions:
+        for region in self.surface.region:
             counts[region] += 1
         return Domain(tuple(counts))
 
     def corners(self) -> list[tuple[str, int]]:
-        """The census's surface corners (``_Census.corners``); do not change it."""
-        return self.census.corners
+        """The stage's surface corners (``_corners``); do not change them."""
+        return self._corners
+
+    @functools.cached_property
+    def _corners(self) -> list[tuple[str, int]]:
+        """(vertex, chain length) of the surface corners, plus degenerate disks.
+
+        A corner is an open vertex class of odd length; after the cutting
+        stage every odd class has length one.  Each symbolic degenerate disk
+        contributes two corners at its vertex.
+        """
+        head, disks = self.surface.head, self.surface.degenerate_disks
+        out = [(head[o[0]][1], len(o)) for comp in self.boundary for o, corner in comp if corner]
+        return sorted(out + [(disk.vertex, 1) for disk in disks] * 2)
 
     def boundary_arcs(self) -> dict[str, list[dict]]:
-        """The census's boundary arcs (``_Census.boundary_arcs``); do not change them."""
-        return self.census.boundary_arcs
+        """The stage's boundary arcs (``_boundary_arcs``); do not change them."""
+        return self._boundary_arcs
+
+    @functools.cached_property
+    def _boundary_arcs(self) -> dict[str, list[dict]]:
+        """Maximal boundary arcs per curve, split at the surface corners."""
+        arcs: dict[str, list[dict]] = {name: [] for name in self.surface.curve_family}
+        dart = self.surface.dart
+        for comp in self.boundary:
+            # the curves of the free sides in runs that each end at a
+            # corner, from just after the first one; a cornerless circle is
+            # one run
+            first = next((i + 1 for i, (_, corner) in enumerate(comp) if corner), 0)
+            runs: list[list[str]] = [[]]
+            for o, corner in comp[first:] + comp[:first]:
+                runs[-1].append(dart[o[0]].curve)
+                if corner:
+                    runs.append([])
+            for run in runs[:-1] if first else runs:
+                if len(set(run)) != 1:
+                    raise BuilderError("boundary arc crosses curves without a corner")
+                arcs[run[0]].append({"sides": len(run), "circle": not first})
+        for disk in self.surface.degenerate_disks:
+            arcs[disk.alpha_curve].append({"sides": 1, "circle": False, "degenerate": True})
+            arcs[disk.beta_curve].append({"sides": 1, "circle": False, "degenerate": True})
+        return arcs
 
     def component_count(self) -> int:
-        return self.census.components
+        return self._components
+
+    @functools.cached_property
+    def _components(self) -> int:
+        return len(self.surface.face_components()) + len(self.surface.degenerate_disks)
 
     @functools.cached_property
     def chi_emb(self) -> Fraction:
@@ -485,8 +472,8 @@ class BuiltSurface:
             "boundary_arcs": {
                 curve: arcs for curve, arcs in sorted(self.boundary_arcs().items())
             },
-            "degenerate_disks": len(self.census.disks),
-            "branch_marks": self.census.branch_marks,
+            "degenerate_disks": len(self.surface.degenerate_disks),
+            "branch_marks": self.surface.branch_marks,
             "pushforward": self.pushforward().format(),
         }
         if self.x is not None and self.y is not None:
@@ -726,10 +713,10 @@ def splice_boundary_circles(built: BuiltSurface) -> BuiltSurface:
     that curve, and one lip of the slit is glued to the matching side of
     the corner there; beta circles are treated symmetrically.  Each splice
     strictly decreases the number of circles.  The splices are made in
-    ``built``'s complex.  Each round looks for the circle in a census of
-    the complex and reads the open classes at the splice point off that
-    census too; the last round's census, which found none, is the census
-    of the returned stage, since no surgery follows it.
+    ``built``'s complex.  Each round makes the S3 stage of the complex and
+    looks for the circle in its ``boundary``; the round that finds none
+    returns its stage, since no surgery follows it, so that walk is made
+    once.
 
     No grind follows a splice: both splice moves take corners of length
     one and passages of length two to corners of length one and passages
@@ -742,25 +729,21 @@ def splice_boundary_circles(built: BuiltSurface) -> BuiltSurface:
     surf = built.surface
     guard = 0
     while True:
-        census = _Census(surf)
+        s3 = BuiltSurface("S3", d, built.domain, surf, built.x, built.y)
         # a component over one curve is one without corners: the two free
         # sides of an orbit at a vertex lie over curves of different
         # families exactly when the orbit is odd, and at a cut point both
         # lie over the slit's dart
-        circle = next((c for c in census.boundary if not any(k for _, k in c)), None)
+        circle = next((c for c in s3.boundary if not any(k for _, k in c)), None)
         if circle is None:
-            break
+            return s3
         sides = [o[0] for o, _ in circle]
         curve = surf.dart[sides[0]].curve
         v = _generator_point_on_curve(d, built.x, curve)
-        at_v = [o for comp in census.boundary for o, _ in comp if surf.head[o[0]] == ("v", v)]
-        _splice_circle(surf, d, sides, v, d.curve_family[curve], sorted(at_v, key=min))
+        _splice_circle(surf, d, sides, v, d.curve_family[curve])
         guard += 1
         if guard > 4 * len(surf.nxt):
             raise BuilderError("splicing does not terminate")
-    s3 = BuiltSurface("S3", d, built.domain, surf, built.x, built.y)
-    s3.census = census
-    return s3
 
 
 def _generator_point_on_curve(d: HeegaardDiagram, x: Generator, curve: str) -> str:
@@ -781,12 +764,8 @@ def _dart_at(d: HeegaardDiagram, surf: _Surface, s: int, pt: Point) -> Dart:
     raise BuilderError("side does not touch the vertex point")
 
 
-def _splice_circle(
-    surf: _Surface, d: HeegaardDiagram, circle: list[int], v: str, fam: str, open_here: list
-) -> None:
+def _splice_circle(surf: _Surface, d: HeegaardDiagram, circle: list[int], v: str, fam: str) -> None:
     """Merge the circle into the rest of the boundary at its passage over v.
-
-    ``open_here`` holds the open classes at v, sorted by smallest side id.
 
     Two local moves, tried in this order over the circle's passages and
     their other-family links:
@@ -802,6 +781,7 @@ def _splice_circle(
     count unchanged.
     """
     pt = ("v", v)
+    open_here = surf.open_classes_at(pt)
     other_family = BETA if fam == ALPHA else ALPHA
     circle_ids = set(circle)
     links = [
@@ -1058,7 +1038,7 @@ def branched_cover_check(s4: BuiltSurface) -> dict:
     if s4.stage != "S4":
         raise PreconditionError("branched_cover_check needs a stage S4 surface")
     g = s4.diagram.genus
-    per_component = [sum(corner for _, corner in comp) for comp in s4.census.boundary]
+    per_component = [sum(corner for _, corner in comp) for comp in s4.boundary]
     halves = sum(Fraction(n, 2) for n in per_component)
     budget = branch_budget(g, s4.chi)
     report = {

@@ -419,7 +419,7 @@ def test_build_surface_example1_is_annulus(genus2):
     assert s3.component_count() == 1
     # two boundary circles and chi zero: the annulus of the resolved
     # double point
-    assert len(s3.census.boundary) == 2
+    assert len(s3.boundary) == 2
     arcs = s3.boundary_arcs()
     assert all(len(v) == 1 and not v[0].get("circle") for v in arcs.values())
 
@@ -795,8 +795,8 @@ def orbit_mismatches(built):
         if surf.open_classes_at(pt) != [o for o in ref_open if surf.head[o[0]] == pt]:
             found.append(f"open classes at {pt}")
     corners = [o for o in ref_open if len(o) % 2 and surf.head[o[0]][0] == "v"]
-    census = builder._Census(surf)
-    if sorted((o for comp in census.boundary for o, corner in comp if corner), key=min) != corners:
+    fresh = BuiltSurface(built.stage, built.diagram, built.domain, surf, built.x, built.y)
+    if sorted((o for comp in fresh.boundary for o, corner in comp if corner), key=min) != corners:
         found.append("corner marks")
     return found
 
@@ -1007,7 +1007,7 @@ def stage_values(built):
     return built.chi, built.corners(), built.boundary_arcs(), built.component_count()
 
 
-def test_census_counts_the_cells_and_outlives_the_stage(corpus):
+def test_stage_values_count_the_cells_and_outlive_the_stage(corpus):
     for d in corpus.values():
         kept = []
         for built in stage_surfaces(d):
@@ -1027,23 +1027,37 @@ def test_census_counts_the_cells_and_outlives_the_stage(corpus):
         assert all(stage_values(built) == values for built, values in kept)
 
 
-def census_view(c):
-    boundary = [[(list(o), corner) for o, corner in comp] for comp in c.boundary]
-    disks = [(k.vertex, k.alpha_curve, k.beta_curve) for k in c.disks]
-    return c.chi, boundary, disks, c.branch_marks
+def differs_from_a_fresh_stage(built):
+    """Whether ``built`` reports other values than a fresh stage over its complex.
+
+    Chi and the boundary come first: the corners and the arcs are read off
+    the boundary, so they are compared only when it agrees.
+    """
+    fresh = BuiltSurface(built.stage, built.diagram, built.domain, built.surface, built.x, built.y)
+    views = (
+        lambda b: (b.chi, [[(list(o), corner) for o, corner in comp] for comp in b.boundary]),
+        lambda b: (b.corners(), b.boundary_arcs()),
+    )
+    return any(view(built) != view(fresh) for view in views)
 
 
-def stale_s3_censuses(monkeypatch, corpus, keep_first_round=False):
-    """(builds, [circles spliced in each build whose S3 census is stale]).
+def stale_s3_stages(monkeypatch, corpus, keep_first_round=False):
+    """(builds, [circles spliced in each build whose S3 stage is stale]).
 
-    The builds are those of ``check``: every positive domain at box 3.  An
-    S3 census is stale when it differs from a fresh census of the complex
-    S3 returns.  With ``keep_first_round`` the S3 stage is handed the
-    census of the first splice round instead of the last.
+    The builds are those of ``check``: every positive domain at box 3.  The
+    S3 stages each splice round makes are recorded; the returned stage must
+    be the last one made, and it is stale when it differs from a fresh stage
+    over its complex.  With ``keep_first_round``
+    the splice returns the stage of its first round instead of its last.
     """
     made = []
-    real_census = builder._Census
-    monkeypatch.setattr(builder, "_Census", lambda surf: made.append(real_census(surf)) or made[-1])
+    real_stage = builder.BuiltSurface
+
+    def recording(stage, *args):
+        made.append(real_stage(stage, *args))
+        return made[-1]
+
+    monkeypatch.setattr(builder, "BuiltSurface", recording)
     builds, stale = 0, []
     for d in corpus.values():
         gens = enumerate_generators(d)
@@ -1052,25 +1066,44 @@ def stale_s3_censuses(monkeypatch, corpus, keep_first_round=False):
                 s2 = add_degenerate_corners(cut_bad_corners(glue_copies(d, a)), x, y)
                 made.clear()
                 s3 = splice_boundary_circles(s2)
-                assert "census" in s3.__dict__  # handed over, not taken again
+                assert s3 is made[-1] and all(m.stage == "S3" for m in made)
                 if keep_first_round:
-                    s3.census = made[0]
+                    s3 = made[0]
                 builds += 1
-                if census_view(s3.census) != census_view(real_census(s3.surface)):
+                if differs_from_a_fresh_stage(s3):
                     stale.append(len(made) - 1)
     return builds, stale
 
 
-def test_the_s3_census_is_the_census_of_the_returned_complex(monkeypatch, corpus):
-    assert stale_s3_censuses(monkeypatch, corpus) == (1068, [])
+def test_the_s3_stage_is_the_last_round_stage_of_the_returned_complex(monkeypatch, corpus):
+    assert stale_s3_stages(monkeypatch, corpus) == (1068, [])
 
 
-def test_stale_census_check_catches_the_first_round_census(monkeypatch, corpus):
-    builds, stale = stale_s3_censuses(monkeypatch, corpus, keep_first_round=True)
+def test_stale_stage_check_catches_the_first_round_stage(monkeypatch, corpus):
+    builds, stale = stale_s3_stages(monkeypatch, corpus, keep_first_round=True)
     # caught on every build that splices, and only there: 36 builds, with
     # the 62 circles the traced ``check`` census counts
     assert builds == 1068 and len(stale) == 36 and sum(stale) == 62
     assert min(stale) >= 1
+
+
+def test_a_build_walks_the_corner_orbits_once_per_splice_round(monkeypatch, corpus):
+    # each S3 round walks the orbits once, and the round that finds no
+    # circle hands its walk to the returned stage: over the builds of
+    # ``check`` that is one walk per build plus one per spliced circle
+    walk = builder._Surface.corner_classes
+    walks = []
+    monkeypatch.setattr(
+        builder._Surface, "corner_classes", lambda surf: walks.append(1) or walk(surf)
+    )
+    builds = 0
+    for d in corpus.values():
+        gens = enumerate_generators(d)
+        for x, y in itertools.product(gens, gens):
+            for a in find_domains(d, x, y, 3):
+                build_surface(d, a, x, y).to_json_dict()
+                builds += 1
+    assert (builds, len(walks)) == (1068, 1068 + 62)
 
 
 def test_a_stage_computes_corners_arcs_and_embedded_chi_once(monkeypatch, genus2):
