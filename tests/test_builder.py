@@ -1047,14 +1047,14 @@ def stale_s3_stages(monkeypatch, corpus, keep_first_round=False):
     The builds are those of ``check``: every positive domain at box 3.  The
     S3 stages each splice round makes are recorded; the returned stage must
     be the last one made, and it is stale when it differs from a fresh stage
-    over its complex.  With ``keep_first_round``
-    the splice returns the stage of its first round instead of its last.
+    over its complex.  With ``keep_first_round`` the splice returns the
+    stage of its first round instead of its last.
     """
     made = []
     real_stage = builder.BuiltSurface
 
-    def recording(stage, *args):
-        made.append(real_stage(stage, *args))
+    def recording(*args):
+        made.append(real_stage(*args))
         return made[-1]
 
     monkeypatch.setattr(builder, "BuiltSurface", recording)
@@ -1089,7 +1089,7 @@ def test_stale_stage_check_catches_the_first_round_stage(monkeypatch, corpus):
 
 def test_a_build_walks_the_corner_orbits_once_per_splice_round(monkeypatch, corpus):
     # each S3 round walks the orbits once, and the round that finds no
-    # circle hands its walk to the returned stage: over the builds of
+    # circle returns its stage, walk made: over the builds of
     # ``check`` that is one walk per build plus one per spliced circle
     walk = builder._Surface.corner_classes
     walks = []
