@@ -90,7 +90,6 @@ import functools
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from operator import mul
-from typing import NamedTuple
 
 from hdindex.diagram import ALPHA, BETA, Dart, HeegaardDiagram, components, load_bundled
 from hdindex.domains import (
@@ -110,12 +109,6 @@ MAX_FACES = 1 << 16  # the most sheets one ``_add_region_copies`` call allocates
 
 class BuilderError(RuntimeError):
     """Internal invariant of the construction failed; indicates a bug."""
-
-
-class _DegenerateDisk(NamedTuple):
-    vertex: str
-    alpha_curve: str
-    beta_curve: str
 
 
 class _Surface:
@@ -146,7 +139,7 @@ class _Surface:
         self.first: list[int] = []
         self._next_cut = 0
         self.curve_family = curve_family
-        self.degenerate_disks: list[_DegenerateDisk] = []
+        self.degenerate_disks: list[str] = []  # the vertex of each symbolic disk
         self.branch_marks = 0
 
     def family(self, s: int) -> str:
@@ -414,7 +407,7 @@ class BuiltSurface:
         """
         head, disks = self.surface.head, self.surface.degenerate_disks
         out = [(head[o[0]][1], len(o)) for comp in self.boundary for o, corner in comp if corner]
-        return sorted(out + [(disk.vertex, 1) for disk in disks] * 2)
+        return sorted(out + [(v, 1) for v in disks] * 2)
 
     def boundary_arcs(self) -> dict[str, list[dict]]:
         """The stage's boundary arcs (``_boundary_arcs``); do not change them."""
@@ -439,9 +432,10 @@ class BuiltSurface:
                 if len(set(run)) != 1:
                     raise BuilderError("boundary arc crosses curves without a corner")
                 arcs[run[0]].append({"sides": len(run), "circle": not first})
-        for disk in self.surface.degenerate_disks:
-            arcs[disk.alpha_curve].append({"sides": 1, "circle": False, "degenerate": True})
-            arcs[disk.beta_curve].append({"sides": 1, "circle": False, "degenerate": True})
+        d = self.diagram
+        for v in self.surface.degenerate_disks:
+            arcs[d.vertex_alpha[v][0]].append({"sides": 1, "circle": False, "degenerate": True})
+            arcs[d.vertex_beta[v][0]].append({"sides": 1, "circle": False, "degenerate": True})
         return arcs
 
     def component_count(self) -> int:
@@ -610,8 +604,8 @@ def local_vertex_chains(coeffs: tuple[int, int, int, int]) -> list[tuple[str, in
         raise PreconditionError("need four nonnegative sector coefficients")
     d = _model_diagram()
     counts = [0] * len(d.regions)
-    for quadrant, c in zip(d.quadrants_at(_MODEL_VERTEX), coeffs):
-        counts[quadrant.region] = c
+    for region, c in zip(d.quadrants_at(_MODEL_VERTEX), coeffs):
+        counts[region] = c
     a = Domain(tuple(counts))
     surf = _Surface(d.curve_family)
     _add_region_copies(surf, d, a)
@@ -688,9 +682,7 @@ def add_degenerate_corners(
     for v in shared:
         open_here = surf.open_classes_at(("v", v))
         if not open_here:
-            surf.degenerate_disks.append(
-                _DegenerateDisk(v, d.vertex_alpha[v][0], d.vertex_beta[v][0])
-            )
+            surf.degenerate_disks.append(v)
             continue
         orbit = open_here[0]
         if len(orbit) % 2 == 1:

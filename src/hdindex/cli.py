@@ -204,18 +204,16 @@ def _cmd_check(args) -> int:
     return EXIT_OK if all(r.ok for r in results) else EXIT_SUITE
 
 
-def _at_least(minimum: int):
-    """An argparse type: an integer no smaller than ``minimum``, written as
+def _nonnegative(text: str) -> int:
+    """An argparse type: an integer no smaller than 0, written as
     ``Domain.parse`` reads a coefficient (``parse_int``)."""
+    value = parse_int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is below the minimum 0")
+    return value
 
-    def parse(text: str) -> int:
-        value = parse_int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"{value} is below the minimum {minimum}")
-        return value
 
-    parse.__name__ = "int"  # argparse names it for a non-integer, as with type=int
-    return parse
+_nonnegative.__name__ = "int"  # argparse names it for a non-integer, as with type=int
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -246,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = diagram_verb(
         "domains", _cmd_domains, parents=[pair], help="enumerate connecting domains"
     )
-    q.add_argument("--max-coeff", type=_at_least(0), default=4)
+    q.add_argument("--max-coeff", type=_nonnegative, default=4)
     q.add_argument("--positive", action="store_true")
 
     q = diagram_verb("index", _cmd_index, parents=[triple], help="index quantities of a domain")

@@ -30,15 +30,9 @@ _SIGN_TOKENS = {"+": 1, "-": -1}
 class DiagramError(ValueError):
     """Unparseable or structurally broken diagram input.
 
-    Carries the 1-based line number of the offending input line when the
-    error arose from a text file.
+    An error raised while parsing a text file starts its message with the
+    1-based number of the offending line (``line N: ...``).
     """
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class Dart(NamedTuple):
@@ -71,14 +65,6 @@ class Region(NamedTuple):
     @property
     def name(self) -> str:
         return f"r{self.index}"
-
-
-class Quadrant(NamedTuple):
-    """One of the four sectors at a vertex, in rotation order."""
-
-    vertex: str
-    region: int
-    position: int  # 0..3, counterclockwise from the alpha-forward dart
 
 
 class Violation(NamedTuple):
@@ -157,10 +143,6 @@ class HeegaardDiagram:
         if any(s not in (1, -1) for s in self.signs.values()):
             raise DiagramError("signs must be +1 or -1")
 
-        self.curve_vertices: dict[str, tuple[str, ...]] = {
-            name: vs for name, vs in self.alpha + self.beta
-        }
-
         self._derive()
 
     # -- construction helpers -------------------------------------------
@@ -228,19 +210,16 @@ class HeegaardDiagram:
                     yield Dart(v, name, True)
                     yield Dart(v, name, False)
 
-    def quadrants_at(self, v: str) -> tuple[Quadrant, Quadrant, Quadrant, Quadrant]:
-        """The four sectors at v in rotation order.
+    def quadrants_at(self, v: str) -> tuple[int, ...]:
+        """The region ids of the four sectors at v, in rotation order.
 
         Sector ``i`` lies counterclockwise between rotation dart ``i`` and
         dart ``i+1``; it belongs to the region whose boundary walk contains
-        dart ``i``.
+        dart ``i`` (and with it ``rev(dart i+1)``).
         """
         if v not in self.vertex_alpha:
             raise DiagramError(f"unknown vertex {v!r}")
-        rot = self.rotation[v]
-        return tuple(
-            Quadrant(v, self.face_of[rot[i]], i) for i in range(4)
-        )  # type: ignore[return-value]
+        return tuple(self.face_of[dart] for dart in self.rotation[v])
 
     def edge_sides(self, curve: str, i: int) -> tuple[int, int]:
         """(left region, right region) of oriented edge i of ``curve``."""
@@ -369,22 +348,22 @@ def parse_diagram(text: str) -> HeegaardDiagram:
         head_tokens = head.split()
         if len(head_tokens) != 2 or not colon:
             if head_tokens and head_tokens[0] in (ALPHA, BETA, "sign"):
-                raise DiagramError(f"expected '{head_tokens[0]} <name>: ...'", lineno)
-            raise DiagramError(f"unknown token {line.split()[0]!r}", lineno)
+                raise DiagramError(f"line {lineno}: expected '{head_tokens[0]} <name>: ...'")
+            raise DiagramError(f"line {lineno}: unknown token {line.split()[0]!r}")
         kind, name = head_tokens
         body = rest.split()
         if kind in (ALPHA, BETA):
             if not body:
-                raise DiagramError(f"curve {name!r} has no vertices", lineno)
+                raise DiagramError(f"line {lineno}: curve {name!r} has no vertices")
             (alpha if kind == ALPHA else beta).append((name, body))
         elif kind == "sign":
             if name in signs:
-                raise DiagramError(f"duplicate sign for vertex {name!r}", lineno)
+                raise DiagramError(f"line {lineno}: duplicate sign for vertex {name!r}")
             if len(body) != 1 or body[0] not in _SIGN_TOKENS:
-                raise DiagramError(f"sign for {name!r} must be + or -", lineno)
+                raise DiagramError(f"line {lineno}: sign for {name!r} must be + or -")
             signs[name] = _SIGN_TOKENS[body[0]]
         else:
-            raise DiagramError(f"unknown token {kind!r}", lineno)
+            raise DiagramError(f"line {lineno}: unknown token {kind!r}")
     return HeegaardDiagram(alpha, beta, signs)
 
 

@@ -238,7 +238,7 @@ def _boundary_matrix(d: HeegaardDiagram) -> list[list[int]]:
     for v in d.vertices:
         row = [0] * nreg
         curve, pos = d.vertex_alpha[v]
-        k = len(d.curve_vertices[curve])
+        k = len(d.edges[curve])
         for e, s in (((pos - 1) % k, 1), (pos, -1)):
             left, right = d.edge_sides(curve, e)
             row[left] += s
@@ -356,7 +356,8 @@ class _GeneratorRecord(NamedTuple):
 
     ``key`` is x's point vector reduced modulo im M (its class key),
     ``potential`` the a(x) with M . a(x) = x - key, ``weights`` a count
-    per region of the quadrants of x's points that lie in it (4g in all),
+    per region of the quadrants of x's points that lie in it (4g in all,
+    read off ``HeegaardDiagram.quadrants_at`` when the record is made),
     so that 4 n_x(A) is the dot product of ``weights`` with A, and
     ``packed`` x's point vector packed as ``_Lattice.packed`` packs a
     column: bit 32 v set for each point in vertex row v.
@@ -376,9 +377,7 @@ class _Lattice(NamedTuple):
     row, which ``connects`` dots with a domain's coefficients.
     ``vertex_index`` maps a vertex name to its row; ``factorization``
     factors the matrix; ``euler_weights`` is 4 - corners per region, so
-    that 4e(A) is its dot product with A, and ``quadrants`` the four
-    quadrant regions at each vertex, in rotation order, from which each
-    generator record counts its ``weights``.  ``generators`` maps the
+    that 4e(A) is its dot product with A.  ``generators`` maps the
     points of each generator already validated on this diagram to its
     record: at most all of them, and never an invalid one, since
     ``check_generator`` raises first.  It is keyed by the points tuple,
@@ -389,7 +388,6 @@ class _Lattice(NamedTuple):
     vertex_index: Mapping[str, int]
     factorization: _Factorization
     euler_weights: tuple[int, ...]
-    quadrants: Mapping[str, tuple[int, ...]]
     generators: dict[tuple[str, ...], _GeneratorRecord]
 
 
@@ -409,7 +407,6 @@ def _lattice(d: HeegaardDiagram) -> _Lattice:
             {v: i for i, v in enumerate(d.vertices)},
             _Factorization.of(rows, len(d.regions)),
             tuple(4 - r.corner_count for r in d.regions),
-            {v: tuple(d.face_of[dart] for dart in d.rotation[v]) for v in d.vertices},
             {},
         )
     return lat
@@ -431,7 +428,7 @@ def _records(
             if g.points not in records:
                 check_generator(d, g)
                 residue, a = lat.factorization.reduce(_target_vector(lat, g.points))
-                regions = [r for v in g.points for r in lat.quadrants[v]]
+                regions = [r for v in g.points for r in d.quadrants_at(v)]
                 weights = tuple(map(regions.count, range(len(lat.euler_weights))))
                 packed = sum(1 << _PACK_BITS * lat.vertex_index[v] for v in g.points)
                 records[g.points] = _GeneratorRecord(tuple(residue), tuple(a), weights, packed)

@@ -14,14 +14,16 @@ no floating point enters anywhere.  The quantities:
 
 Regions traced from a diagram are disks with right-angle corners, so the
 Euler measure needs no obtuse-corner correction term.  Both sums over 4
-are taken in integers, from tables cached with the boundary factorization:
-4 - c_i per region, the quadrant regions per vertex, and each validated
+are taken in integers, from what is cached with the boundary
+factorization: the table of 4 - c_i per region, and each validated
 generator's record, which holds a weight per region, the number of its
-points' quadrants there.  So 4e, 4n_x and 4n_y are each one dot product
-of a weight vector with the coefficients.  The index formulas check each
-generator once per diagram, through the same validation that makes its
-record, and build each result from those three integers; the quarters are
-shared from one bounded cache.  Each formula of a generator pair rejects a
+points' quadrants there (counted once, off the diagram's
+``quadrants_at``, when the record is made).  So 4e, 4n_x and 4n_y are
+each one dot product of a weight vector with the coefficients; no table
+of quadrant regions is kept.  The index formulas check each generator
+once per diagram, through the same validation that makes its record, and
+build each result from those three integers; the quarters are shared
+from one bounded cache.  Each formula of a generator pair rejects a
 domain that does not connect the pair; only ``index_report`` takes
 ``force``, which evaluates the same expressions off the strip classes.
 """

@@ -100,7 +100,7 @@ def test_local_model_crossing_is_generic(genus2):
     # must be distinct regions and no arc may come back to the crossing
     v = builder._MODEL_VERTEX
     assert builder._model_diagram().rotation == genus2.rotation
-    assert len({q.region for q in genus2.quadrants_at(v)}) == 4
+    assert len(set(genus2.quadrants_at(v))) == 4
     assert all(genus2.rev(dart).vertex != v for dart in genus2.rotation[v])
 
 
@@ -122,7 +122,7 @@ def local_model_mismatches(d):
     for a in box3_domains(d):
         s0 = glue_copies(d, a)
         for v in d.vertices:
-            pattern = tuple(a[q.region] for q in d.quadrants_at(v))
+            pattern = tuple(a[r] for r in d.quadrants_at(v))
             checks += 1
             mismatches += sorted(chains_at(s0, v)) != sorted(local_vertex_chains(pattern))
     return checks, mismatches
@@ -376,9 +376,13 @@ def test_degenerate_disk_added(torus3):
     s0 = glue_copies(torus3, z)
     s0 = BuiltSurface("S0", torus3, z, s0.surface, x, x)
     s2 = add_degenerate_corners(cut_bad_corners(s0), x, x)
-    assert len(s2.surface.degenerate_disks) == 1
+    assert s2.surface.degenerate_disks == ["v0"]
     assert s2.chi == 1
     assert len(s2.corners()) == 2
+    # the disk's two arcs lie on the curves through its vertex
+    arcs = s2.boundary_arcs()
+    degenerate = [curve for curve in arcs for arc in arcs[curve] if arc.get("degenerate")]
+    assert degenerate == [torus3.vertex_alpha["v0"][0], torus3.vertex_beta["v0"][0]]
 
 
 def test_no_shared_points_is_noop(genus2):
@@ -408,6 +412,26 @@ def test_build_surface_zero_domain(torus3, genus2):
         assert len(s3.corners()) == 2 * d.genus
         assert len(s3.surface.degenerate_disks) == d.genus
         assert s3.delta() == 0
+
+
+def test_zero_domain_degenerate_arcs_lie_on_the_curves_through_x(corpus):
+    # the zero domain from x to x is one degenerate disk per point of x;
+    # each disk puts one degenerate arc on each curve through its point
+    builds = 0
+    for d in corpus.values():
+        for x in enumerate_generators(d):
+            s3 = build_surface(d, zero_domain(d), x, x)
+            assert s3.surface.degenerate_disks == list(x.points)
+            got = sorted(
+                curve
+                for curve, arcs in s3.boundary_arcs().items()
+                for arc in arcs
+                if arc == {"sides": 1, "circle": False, "degenerate": True}
+            )
+            curves = [table[v][0] for table in (d.vertex_alpha, d.vertex_beta) for v in x.points]
+            assert got == sorted(curves)
+            builds += 1
+    assert builds == 47
 
 
 def test_build_surface_example1_is_annulus(genus2):

@@ -54,6 +54,20 @@ def test_gauss_bonnet_per_diagram(corpus):
         assert total == 2 - 2 * d.genus
 
 
+def quadrant_faults(d, quadrants_at):
+    """The (vertex, sector) pairs at which ``quadrants_at`` names a region
+    that does not hold both darts bounding the sector: rotation dart i and
+    ``rev(dart i+1)``, which the face walk takes one to the other."""
+    darts = [set(r.darts) for r in d.regions]
+    faults = []
+    for v in d.vertices:
+        rot = d.rotation[v]
+        for i, region in enumerate(quadrants_at(v)):
+            if not {rot[i], d.rev(rot[(i + 1) % 4])} <= darts[region]:
+                faults.append((v, i))
+    return faults
+
+
 def test_quadrants_alternate_and_partition(corpus):
     for d in corpus.values():
         for v in d.vertices:
@@ -62,6 +76,24 @@ def test_quadrants_alternate_and_partition(corpus):
             rot = d.rotation[v]
             families = [d.curve_family[dart.curve] for dart in rot]
             assert families == ["alpha", "beta", "alpha", "beta"]
+        assert quadrant_faults(d, d.quadrants_at) == []
+
+
+def test_the_quadrant_oracle_catches_a_rotated_tuple(corpus):
+    # a mutant that shifts each vertex's regions by one sector; torus_g1_1x
+    # has one region, so the shift cannot show there, only on the corpus
+    def rotated(d):
+        return lambda v: d.quadrants_at(v)[1:] + d.quadrants_at(v)[:1]
+
+    faults = {name: len(quadrant_faults(d, rotated(d))) for name, d in corpus.items()}
+    assert faults == {
+        "torus_g1_1x.hd": 0,
+        "torus_g1_2x.hd": 8,
+        "torus_g1_3x.hd": 8,
+        "genus2_bigons.hd": 36,
+        "genus2_s1s2.hd": 14,
+        "genus3_chain.hd": 52,
+    }
 
 
 def test_quadrants_unknown_vertex(torus1):
@@ -100,9 +132,8 @@ def test_edge_reversal_involution(corpus):
     for d in corpus.values():
         for dart in d.darts():
             assert d.rev(d.rev(dart)) == dart
-            assert d.rev(dart) != dart or len(
-                d.curve_vertices[dart.curve]
-            ) > 1  # a 1-vertex curve pairs forward with backward at the same vertex
+            # a 1-vertex curve pairs forward with backward at the same vertex
+            assert d.rev(dart) != dart or len(d.edges[dart.curve]) > 1
 
 
 def test_rev_matches_edge_lists(corpus):

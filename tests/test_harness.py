@@ -126,10 +126,10 @@ def test_additivity_suite_catches_a_dropped_quadrant(monkeypatch, torus3):
     # additive, while e (linear, whatever the quadrants) would still be.
     # The generator records are dropped, so each is rebuilt with weights
     # counted over the first three quadrants of each point in rotation order.
-    lat = _lattice(torus3)
-    three = {v: quadrants[:3] for v, quadrants in lat.quadrants.items()}
-    mutant = lat._replace(quadrants=three, generators={})
+    mutant = _lattice(torus3)._replace(generators={})
     monkeypatch.setitem(torus3.__dict__, "_lattice", mutant)
+    quadrants_at = torus3.quadrants_at
+    monkeypatch.setitem(torus3.__dict__, "quadrants_at", lambda v: quadrants_at(v)[:3])
     res = additivity_suite(torus3, max_coeff=1)
     assert all(sum(rec.weights) == 3 for rec in mutant.generators.values())
     assert res.cases == 34 and len(res.failures) == 2

@@ -15,8 +15,7 @@ from pathlib import Path
 import pytest
 
 import hdindex
-from hdindex.builder import _DegenerateDisk
-from hdindex.diagram import Dart, Quadrant, Region, Violation
+from hdindex.diagram import Dart, Region, Violation
 from hdindex.domains import Domain, Generator
 from hdindex.formulas import IndexReport
 from hdindex.harness import SuiteResult
@@ -31,12 +30,6 @@ RECORDS = [
         lambda: Region(0, (Dart("v1", "a1", True), Dart("v2", "b1", False))),
         ("index", "darts"),
         "Region(index=0, darts=(v1>a1, v2<b1))",
-    ),
-    (
-        Quadrant("v1", 2, 3),
-        lambda: Quadrant("v1", 2, 3),
-        ("vertex", "region", "position"),
-        "Quadrant(vertex='v1', region=2, position=3)",
     ),
     (
         Violation("genus-mismatch", "traced genus 1 != curve count 2"),
@@ -57,12 +50,6 @@ RECORDS = [
         ("g", "e", "n_x", "n_y", "mu", "chi_emb"),
         "IndexReport(g=2, e=Fraction(1, 2), n_x=Fraction(1, 4), n_y=Fraction(3, 4), "
         "mu=Fraction(3, 2), chi_emb=1)",
-    ),
-    (
-        _DegenerateDisk("v1", "a1", "b2"),
-        lambda: _DegenerateDisk("v1", "a1", "b2"),
-        ("vertex", "alpha_curve", "beta_curve"),
-        "_DegenerateDisk(vertex='v1', alpha_curve='a1', beta_curve='b2')",
     ),
 ]
 
