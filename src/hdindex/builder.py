@@ -4,8 +4,8 @@ A positive domain is realized as a surface by taking one polygon per region
 copy and gluing the copies along the curve arcs: top-aligned along alpha
 arcs, bottom-aligned along beta arcs (``_sheet_pairs`` is the one rule, and
 ``_add_region_copies`` the one routine that applies it: to the domain in
-stage S0, to the fresh surface copy in S4, and to a fixed crossing in the
-local chain model ``local_vertex_chains``).
+stage S0, to the full-surface layer that S4 copies, and to a fixed
+crossing in the local chain model ``local_vertex_chains``).
 It reads the diagram through a template built once per diagram and kept
 on it (``_s0_template``): each region's ring of sides as columns (darts
 and head points), and each arc as a seam joining two (region, ring
@@ -20,11 +20,13 @@ preimages, in one pass (a slit cuts only its own chain and leaves every
 other orbit's length as it was), points shared by both generators
 receive their corners (as symbolic degenerate disks or boundary slits),
 and boundary circles lying over a single curve are spliced into the main
-boundary arc.  Only stage S1
-grinds: the later stages keep every corner a right angle by construction,
-and the stage-S3 contract checks it.  A final stabilization stage cuts
-open a fresh copy of the whole surface at every point of the outgoing
-generator and chains it onto the corners.
+boundary arc.  Only stage S1 grinds: the later stages keep every corner a
+right angle by construction, and the stage-S3 contract checks it.  A
+final stabilization stage cuts open a fresh copy of the whole surface at
+every point of the outgoing generator and chains it onto the corners.
+That copy is appended with its ids offset (``_Surface.add_copy``) from
+one full-surface layer per diagram, glued once and kept on the diagram
+like the template (``_sigma_layer``).
 
 The complex is an array half-edge structure, as in mesh libraries: sides
 and faces are integer ids into parallel lists of ``_Surface``, with no
@@ -37,14 +39,16 @@ shortens a side to its tail half and gives its head half a new id.  The
 ids fix the order of every record: a boundary circle starts at its
 smallest free side, and closed orbits come by smallest id.
 The corners around one point of the surface form an orbit of the step
-s -> partner[nxt[s]], and ``_Surface.orbit`` is the only walk of it.  It
-goes forward only, from the orbit's start: the free side that begins an
-open orbit, or the side a closed one is first met at.  The open orbits
-are met along the boundary circles (``_Surface.circles``): the orbit
-that starts at the free side o[0] and ends at o[-1] is followed on its
-circle by the one that starts at the free side nxt[o[-1]].  The corner
-classes, the surface corners and the boundary circles are all read off
-that walk.
+s -> partner[nxt[s]], and every walk of it goes forward only, from the
+orbit's start: the free side that begins an open orbit, or the side a
+closed one is first met at.  ``_Surface.orbit`` walks one orbit for a
+point query; the whole-surface walk (``_Surface.corner_classes``) takes
+the same steps inline and marks each side as it meets it.  The open
+orbits are met along the boundary circles (``_Surface.circles``): the
+orbit that starts at the free side o[0] and ends at o[-1] is followed on
+its circle by the one that starts at the free side nxt[o[-1]].  The
+corner classes, the surface corners and the boundary circles are all
+read off that walk.
 
 All surgery happens on edges: faces are created once and never split, so
 the Euler characteristic is always an honest cell count V - E + F.
@@ -175,6 +179,23 @@ class _Surface:
         self.region += regions
         self.first += firsts
 
+    def add_copy(self, other: _Surface) -> list[int]:
+        """Append a copy of the uncut complex ``other``; the copy's face ids.
+
+        Its sides and faces take the next ids in the same order, so the copy
+        is what building ``other``'s faces into this complex would make.
+        """
+        sides, faces = len(self.nxt), len(self.region)
+        self.nxt += map(sides.__add__, other.nxt)
+        self.prv += map(sides.__add__, other.prv)
+        self.partner += [-1 if p == -1 else p + sides for p in other.partner]
+        self.face += map(faces.__add__, other.face)
+        self.first += map(sides.__add__, other.first)
+        self.dart += other.dart
+        self.head += other.head
+        self.region += other.region
+        return list(range(faces, len(self.region)))
+
     def glue(self, a: int, b: int) -> None:
         partner = self.partner
         if partner[a] != -1 or partner[b] != -1:
@@ -220,19 +241,24 @@ class _Surface:
         with the orbit that starts at the free side ``nxt[o[-1]]``.  The
         free sides are taken in id order, and a circle is walked from each
         one not yet met, so a circle starts at its smallest free side and
-        the circles come in the order of those sides.  ``marks`` has a 1 on
-        every side met, so it is 0 exactly on the sides of the closed orbits.
+        the circles come in the order of those sides.  Each orbit is walked
+        as ``orbit`` walks it, and each side is marked in the same step:
+        ``marks`` has a 1 on every side met, so it is 0 exactly on the sides
+        of the closed orbits.
         """
-        nxt, orbit = self.nxt, self.orbit
+        nxt, partner = self.nxt, self.partner
         marks = bytearray(len(nxt))
         circles = []
         for s in self._free_sides():
             circle = []
             while not marks[s]:
-                circle.append(orbit(s))
-                for c in circle[-1]:
-                    marks[c] = 1
-                s = nxt[circle[-1][-1]]
+                o = []
+                while s != -1:
+                    o.append(s)
+                    marks[s] = 1
+                    s = partner[nxt[s]]
+                circle.append(o)
+                s = nxt[o[-1]]
             if circle:
                 circles.append(circle)
         return circles, marks
@@ -243,15 +269,24 @@ class _Surface:
         The open orbits are walked along the boundary circles (``circles``).
         The closed ones are then walked from each side not yet met, in id
         order, so each is met first at its smallest side and they come out
-        sorted by it, each starting at that side.
+        sorted by it, each starting at that side.  A walk that ends at a
+        free end started inside an open chain that ``circles`` missed, and
+        raises ``BuilderError``.
         """
         circles, marks = self.circles()
+        nxt, partner = self.nxt, self.partner
         closed: list[list[int]] = []
         s = marks.find(0)
         while s != -1:
-            closed.append(self.orbit(s))
-            for c in closed[-1]:
-                marks[c] = 1
+            o, cur = [s], partner[nxt[s]]
+            marks[s] = 1
+            while cur != s:
+                if cur == -1:
+                    raise BuilderError("corner orbit walked from inside an open chain")
+                o.append(cur)
+                marks[cur] = 1
+                cur = partner[nxt[cur]]
+            closed.append(o)
             s = marks.find(0, s)
         return circles, closed
 
@@ -495,16 +530,16 @@ def _sheet_pairs(family: str, p: int, q: int) -> tuple[tuple[int, int], ...]:
     return tuple((m, m + off) for m in range(1, p + 1) if 1 <= m + off <= q)
 
 
-def _s0_template(d: HeegaardDiagram) -> tuple[tuple, tuple]:
-    """(rings, seams): what stage S0 reads of ``d``, in (region, position) slots.
+def _s0_template(d: HeegaardDiagram) -> tuple[tuple, tuple, dict]:
+    """(rings, seams, slots): what S0 and S4 read of ``d``, in (region, position) slots.
 
     ``rings`` holds each region's sides as two columns (darts, head points)
     in face-tracing order; ``seams`` holds each curve arc as (family,
     region, position, region', position'), the slots of its forward dart
-    and of the reversed dart across it.  Built on first use
-    and kept on ``d``: diagrams are immutable, so the template never goes
-    stale, and a mirror or a re-parsed diagram is a new instance that
-    builds its own.
+    and of the reversed dart across it; ``slots`` maps each dart to its
+    slot.  Built on first use and kept on ``d``: diagrams are immutable, so
+    the template never goes stale, and a mirror or a re-parsed diagram is a
+    new instance that builds its own.
     """
     t = d.__dict__.get("_s0_template")
     if t is None:
@@ -515,7 +550,7 @@ def _s0_template(d: HeegaardDiagram) -> tuple[tuple, tuple]:
         slot = {dart: (d.face_of[dart], i) for r in d.regions for i, dart in enumerate(r.darts)}
         arcs = [Dart(tail, name, True) for name, edges in d.edges.items() for tail, _ in edges]
         seams = tuple((d.curve_family[e.curve], *slot[e], *slot[d.rev(e)]) for e in arcs)
-        t = d._s0_template = (rings, seams)  # type: ignore[attr-defined]
+        t = d._s0_template = (rings, seams, slot)  # type: ignore[attr-defined]
     return t
 
 
@@ -534,7 +569,7 @@ def _add_region_copies(surf: _Surface, d: HeegaardDiagram, a: Domain) -> list[in
     faces, coeffs = len(surf.region), a.coeffs
     if (sheets := sum(coeffs)) > MAX_FACES:
         raise PreconditionError(f"{sheets} sheets exceed the {MAX_FACES}-face limit")
-    rings, seams = _s0_template(d)
+    rings, seams, _ = _s0_template(d)
     sizes = [len(ring[0]) for ring in rings]
     starts = list(accumulate(map(mul, coeffs, sizes), initial=len(surf.nxt)))
     regions = [r for r, n in enumerate(coeffs) for _ in range(n)]
@@ -546,6 +581,21 @@ def _add_region_copies(surf: _Surface, d: HeegaardDiagram, a: Domain) -> list[in
         for m, m2 in _sheet_pairs(family, coeffs[r], coeffs[r2]):
             glue(b + m * n, b2 + m2 * n2)
     return list(range(faces, len(surf.region)))
+
+
+def _sigma_layer(d: HeegaardDiagram) -> _Surface:
+    """The full-surface class of ``d`` glued alone, the layer stage S4 copies.
+
+    Glued by ``_add_region_copies`` on first use and kept on ``d``, like
+    ``_s0_template``, so each stabilization appends an offset copy of it
+    (``_Surface.add_copy``) instead of gluing every seam again.
+    """
+    layer = d.__dict__.get("_sigma_layer")
+    if layer is None:
+        layer = _Surface(d.curve_family)
+        _add_region_copies(layer, d, sigma_class(d))
+        d._sigma_layer = layer  # type: ignore[attr-defined]
+    return layer
 
 
 def glue_copies(d: HeegaardDiagram, a: Domain) -> BuiltSurface:
@@ -940,7 +990,7 @@ def stabilized_surface(
             raise BuilderError("closed component is not a single surface layer")
 
     sigma = sigma_class(d)
-    layers = closed_layers + [_add_region_copies(surf, d, sigma)]
+    layers = closed_layers + [surf.add_copy(_sigma_layer(d))]
     # a layer has free sides only at the points of x it was cut at and at
     # cut points, so the first corner at v is a stage-3 corner; a point of
     # x with none (a dropped degenerate disk) starts its chain inside the
@@ -957,12 +1007,13 @@ def stabilized_surface(
 def _layer_side(d: HeegaardDiagram, surf: _Surface, layer: list[int], dart: Dart, pt: Point) -> int:
     """The layer's side over ``dart`` whose tail sits at ``pt``.
 
-    It is read by slot: the first id of the layer's sheet of the dart's
-    region plus the dart's position in the region's ring.  A cut there
-    only shortens that side to its tail half, which keeps the id.
+    It is read by slot (``_s0_template``): the first id of the layer's
+    sheet of the dart's region plus the dart's position in the region's
+    ring.  A cut there only shortens that side to its tail half, which
+    keeps the id.
     """
-    r = d.face_of[dart]
-    s = surf.first[layer[r]] + d.regions[r].darts.index(dart)
+    r, i = _s0_template(d)[2][dart]
+    s = surf.first[layer[r]] + i
     if surf.tail(s) != pt or surf.dart[s] != dart:
         raise BuilderError(f"layer has no side over {dart} at {pt}")
     return s
@@ -1031,12 +1082,12 @@ def branched_cover_check(s4: BuiltSurface) -> dict:
         raise PreconditionError("branched_cover_check needs a stage S4 surface")
     g = s4.diagram.genus
     per_component = [sum(corner for _, corner in comp) for comp in s4.boundary]
-    halves = sum(Fraction(n, 2) for n in per_component)
+    total = sum(per_component)
     budget = branch_budget(g, s4.chi)
     report = {
         "corner_halves": [str(Fraction(n, 2)) for n in per_component],
-        "corner_halves_sum": str(halves),
-        "corner_halves_sum_is_genus": halves == g,
+        "corner_halves_sum": str(Fraction(total, 2)),
+        "corner_halves_sum_is_genus": total == 2 * g,
         "all_components_even": all(n % 2 == 0 for n in per_component),
         "branch_budget": str(budget),
         "branch_budget_ok": budget >= 0 and budget.denominator == 1,

@@ -305,23 +305,24 @@ def validate_diagram(d: HeegaardDiagram) -> list[Violation]:
 def components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     """The classes of 0..n-1 joined by ``pairs``, by first member (union-find).
 
-    Each class lists its members in increasing order.
+    Each class lists its members in increasing order.  Every walk to a root
+    halves its path, the final pass's too: a final pass that only read the
+    parents would walk a long chain once per member, quadratic on a path.
     """
     parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+        while (p := parent[a]) != a:
+            parent[a] = a = parent[p]
+        while (p := parent[b]) != b:
+            parent[b] = b = parent[p]
+        if a != b:
+            parent[a] = b
     classes: dict[int, list[int]] = {}
     for i in range(n):
-        classes.setdefault(find(i), []).append(i)
+        r = i
+        while (p := parent[r]) != r:
+            parent[r] = r = parent[p]
+        classes.setdefault(r, []).append(i)
     return list(classes.values())
 
 

@@ -110,7 +110,7 @@ def branch_budget(g: int, chi_s: Fraction | int) -> Fraction:
     Riemann-Hurwitz over the disk (chi = 1): returns g - chi_s.  The caller
     checks nonnegativity and integrality where those are required.
     """
-    return Fraction(g) - Fraction(chi_s)
+    return Fraction(g - chi_s)
 
 
 def index_report(

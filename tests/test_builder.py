@@ -142,9 +142,9 @@ def test_local_model_check_catches_a_bottom_aligned_alpha_seam(name, caught):
     # the first alpha seam glued bottom-aligned; not every alpha seam would
     # show (on genus3_chain 3 of 14 never do on these domains), this one does
     d = load_bundled(name)  # a fresh instance, so its template is this test's own
-    rings, seams = builder._s0_template(d)
+    rings, seams, slots = builder._s0_template(d)
     k = next(k for k, seam in enumerate(seams) if seam[0] == ALPHA)
-    d._s0_template = (rings, seams[:k] + ((BETA,) + seams[k][1:],) + seams[k + 1 :])
+    d._s0_template = (rings, seams[:k] + ((BETA,) + seams[k][1:],) + seams[k + 1 :], slots)
     assert local_model_mismatches(d) == caught
 
 
@@ -299,7 +299,7 @@ def test_s0_oracle_catches_a_conflated_self_adjacent_seam(corpus):
         seams = self_adjacent_seams(d)
         if not seams:
             continue
-        rings, template_seams = builder._s0_template(d)
+        rings, template_seams, slots = builder._s0_template(d)
         k = rng.choice(seams)
         family, r, i, _, i2 = template_seams[k]
         a = Domain.parse(d, f"r{r}:{rng.randint(1, 4)}")
@@ -307,7 +307,7 @@ def test_s0_oracle_catches_a_conflated_self_adjacent_seam(corpus):
         swapped, conflated = (family, r, i2, r, i), (family, r, i, r, i)
         for label, seam in (("swapped", swapped), ("conflated", conflated)):
             seams_now = template_seams[:k] + (seam,) + template_seams[k + 1 :]
-            d._s0_template = (rings, seams_now)
+            d._s0_template = (rings, seams_now, slots)
             mutants[label] = s0_records(d, [a])
         # gluing is symmetric and both ends carry the same sheet count, so
         # swapping the two ends glues the same pairs; one end read for both
@@ -908,6 +908,82 @@ def test_layer_side_raises_on_a_side_not_over_the_dart(corpus):
         builder._layer_side(d, surf, layer, dart, ("v", "x2"))
 
 
+def layer_copy_faults(d, seed):
+    """The complexes on which stage S4's copy of the full-surface layer
+    differs from gluing the layer in place, side by side on every list of
+    the complex: appended to an empty complex and to a cut one."""
+    rng = random.Random(seed)
+    faults = []
+    for label in ("empty", "cut"):
+        copied, glued = builder._Surface(d.curve_family), builder._Surface(d.curve_family)
+        if label == "cut":
+            a = Domain(tuple(rng.randint(0, 2) for _ in d.regions))
+            for surf in (copied, glued):
+                builder._add_region_copies(surf, d, a)
+                builder._grind_odd_chains(surf)
+        faces = copied.add_copy(builder._sigma_layer(d))
+        if faces != builder._add_region_copies(glued, d, sigma_class(d)) or vars(copied) != vars(glued):
+            faults.append(label)
+    return faults
+
+
+def s4_diagrams(corpus):
+    """The six bundled diagrams and their mirrors, each a fresh instance."""
+    for name in sorted(corpus):
+        d = load_bundled(name)
+        yield name, d
+        yield "mirror " + name, mirror(d)
+
+
+def test_the_layer_copy_is_the_layer_glued_in_place(corpus):
+    stabilized = 0
+    for k, (name, d) in enumerate(s4_diagrams(corpus)):
+        assert layer_copy_faults(d, 3100 + k) == [], name
+        layer = d._sigma_layer
+        # a stabilization cuts its copy, never the kept layer
+        if d.genus > 1:
+            for x, y, a in stage_cases(d, limit=1)[:20]:
+                if max(a.coeffs) <= 2:
+                    stabilized_surface(d, a, x, y)
+                    stabilized += 1
+        fresh = builder._Surface(d.curve_family)
+        builder._add_region_copies(fresh, d, sigma_class(d))
+        assert d._sigma_layer is layer and vars(layer) == vars(fresh), name
+    assert stabilized > 50
+
+
+def test_the_layer_is_glued_once_per_diagram_instance(monkeypatch):
+    add_copies = builder._add_region_copies
+    glued = []
+    monkeypatch.setattr(
+        builder, "_add_region_copies", lambda surf, e, a: glued.append((e, a)) or add_copies(surf, e, a)
+    )
+    d = load_bundled("genus3_chain.hd")
+    cases = [case for case in stage_cases(d, limit=1) if max(case[2].coeffs) <= 2][:10]
+    for x, y, a in cases:
+        stabilized_surface(d, a, x, y)
+    m = mirror(d)
+    x, y, a = next(case for case in stage_cases(m, limit=1) if max(case[2].coeffs) <= 2)
+    stabilized_surface(m, a, x, y)
+    # one S0 per build and one layer per instance: d's and the mirror's
+    layers = [e for e, a in glued if a == sigma_class(e)]
+    assert len(cases) == 10 and len(glued) == len(cases) + 1 + 2
+    assert len(layers) == 2 and layers[0] is d and layers[1] is m
+    assert m._sigma_layer is not d._sigma_layer
+
+
+def test_the_layer_copy_check_catches_a_layer_shared_with_the_mirror(monkeypatch, corpus):
+    # a seeded mutant keeps the layer by the diagram's curves, which a
+    # mirror shares: the mirror then copies its original's layer
+    shared = {}
+    real = builder._sigma_layer
+    monkeypatch.setattr(
+        builder, "_sigma_layer", lambda d: shared.setdefault(repr((d.alpha, d.beta)), real(d))
+    )
+    caught = [name for k, (name, d) in enumerate(s4_diagrams(corpus)) if layer_copy_faults(d, 3100 + k)]
+    assert caught == ["mirror " + name for name in sorted(corpus)]
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
@@ -959,6 +1035,21 @@ def test_an_orbit_walked_from_inside_an_open_chain_raises(corpus):
     assert walked > 3000 and mutant_raised > 1000
 
 
+def test_the_closed_orbit_walk_raises_inside_an_open_chain(monkeypatch, genus2):
+    # the closed orbits are walked from the sides the circles left unmarked;
+    # with only the free sides marked, a walk starts inside an open chain
+    a, _, _ = example1_data(genus2)
+    surf = glue_copies(genus2, a).surface
+    circles = builder._Surface.circles
+    monkeypatch.setattr(
+        builder._Surface,
+        "circles",
+        lambda self: (circles(self)[0], bytearray(p == -1 for p in self.partner)),
+    )
+    with pytest.raises(BuilderError, match="corner orbit walked from inside an open chain"):
+        surf.corner_classes()
+
+
 def test_stage_transformers_take_over_the_complex(monkeypatch, genus2):
     a, x, y = example1_data(genus2)
     s0 = BuiltSurface("S0", genus2, a, glue_copies(genus2, a).surface, x, y)
@@ -988,7 +1079,11 @@ def test_builder_suite_catches_a_skipped_splice(monkeypatch, genus2s1s2):
         assert "is not one arc" in failure["error"]
 
 
-def test_stabilized_suite_catches_a_wrong_pushforward(monkeypatch, genus2s1s2):
+def test_stabilized_suite_catches_a_wrong_pushforward(monkeypatch):
+    # the full-surface layer is glued once per diagram instance and kept on
+    # it, so the mutant needs an instance whose layer is not yet glued
+    d = load_bundled("genus2_s1s2.hd")
+    assert "_sigma_layer" not in d.__dict__
     add_copies = builder._add_region_copies
     asked = []  # the full-surface classes stage S4 asked for
 
@@ -1000,11 +1095,24 @@ def test_stabilized_suite_catches_a_wrong_pushforward(monkeypatch, genus2s1s2):
 
     monkeypatch.setattr(builder, "sigma_class", lambda d: asked.append(sigma_class(d)) or asked[-1])
     monkeypatch.setattr(builder, "_add_region_copies", with_stray_sheet)
-    res = stabilized_surface_suite(genus2s1s2, max_coeff=1)
-    assert res.cases and len(res.failures) == res.cases
-    for failure in res.failures:
-        assert {"x", "y", "a"} <= set(failure)
-        assert "pushforward differs" in failure["error"]
+    res = stabilized_surface_suite(d, max_coeff=1)
+    # every case fails, each as it failed when the layer was glued per build
+    closed = "pushforward differs from the domain; chi {} breaks the Euler law chi(S3) + 2 - 4g - 2gL = {}"
+    split = "6 corners, wanted 4; pushforward differs from the domain; not connected"
+    assert res.cases == 8
+    assert [(f["x"], f["y"], f["a"], f["error"]) for f in res.failures] == [
+        (x, y, a, "stage S4 contract: " + error)
+        for x, y, a, error in [
+            ("a,c", "a,c", "0", closed.format(-5, -4)),
+            ("a,c", "a,c", "r0:1,r1:1,r2:1", closed.format(-11, -10)),
+            ("a,c", "b,c", "r1:1", split),
+            ("a,c", "b,c", "r0:1", split),
+            ("b,c", "a,c", "r1:1,r2:1", split),
+            ("b,c", "a,c", "r0:1,r2:1", split),
+            ("b,c", "b,c", "0", closed.format(-5, -4)),
+            ("b,c", "b,c", "r0:1,r1:1,r2:1", closed.format(-11, -10)),
+        ]
+    ]
 
 
 def test_stage_contract_reports_each_breach(genus2):
@@ -1025,6 +1133,16 @@ def test_stage_contract_reports_each_breach(genus2):
     s2_like = BuiltSurface("S3", genus2, a, glue_copies(genus2, a).surface, x, y)
     problems = stage_contract(s2_like)
     assert "corner with angle above a right angle" in problems
+    # a stray degenerate disk at a vertex of the boundary adds its two
+    # corners, an arc on each of its curves and one to chi
+    surf = build_surface(genus2, a, x, y).surface
+    surf.degenerate_disks.append("x1")
+    assert stage_contract(BuiltSurface("S3", genus2, a, surf, x, y)) == [
+        "6 corners, wanted 4",
+        "boundary over a1 is not one arc",
+        "boundary over b1 is not one arc",
+        "chi parity differs from the embedded chi",
+    ]
 
 
 def stage_values(built):

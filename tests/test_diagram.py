@@ -1,3 +1,7 @@
+import random
+import signal
+import time
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -7,6 +11,7 @@ from hdindex.diagram import (
     Dart,
     DiagramError,
     HeegaardDiagram,
+    components,
     parse_diagram,
     validate_diagram,
 )
@@ -298,3 +303,62 @@ def test_parser_accepts_or_raises_diagram_error(text):
     except DiagramError:
         return
     assert isinstance(validate_diagram(d), list)
+
+
+def bfs_components(n, pairs):
+    """The classes of 0..n-1 joined by ``pairs``, by a breadth-first search
+    from each unmet member in increasing order."""
+    adjacent = [[] for _ in range(n)]
+    for a, b in pairs:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    met, classes = [False] * n, []
+    for start in range(n):
+        if met[start]:
+            continue
+        met[start], queue, members = True, deque([start]), []
+        while queue:
+            i = queue.popleft()
+            members.append(i)
+            for j in adjacent[i]:
+                if not met[j]:
+                    met[j] = True
+                    queue.append(j)
+        classes.append(sorted(members))
+    return classes
+
+
+def test_components_match_a_breadth_first_search():
+    rng = random.Random(3105)
+    sizes = set()
+    for _ in range(300):
+        n = rng.randint(0, 40)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n + 5))] if n else []
+        assert components(n, pairs) == bfs_components(n, pairs), (n, pairs)
+        sizes.add(len(bfs_components(n, pairs)))
+    # singletons only, one class and everything between are all met
+    assert {0, 1} <= sizes and max(sizes) > 20
+
+
+@pytest.mark.parametrize("order", ["forward", "backward"])
+def test_components_of_a_long_path_take_linear_time(order):
+    # joined head to tail, each union makes the chain one longer; a final
+    # pass that walks to the root without compressing the path would take
+    # about n^2 / 2 = 2e10 steps here, so the time bound fails it
+    n = 200_000
+    pairs = [(i, i + 1) if order == "forward" else (i + 1, i) for i in range(n - 1)]
+
+    def too_slow(signum, frame):
+        raise TimeoutError("components of a 200,000-node path took over 5 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        start = time.perf_counter()
+        classes = components(n, pairs)
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert classes == [list(range(n))]
+    assert elapsed < 5.0
