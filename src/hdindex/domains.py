@@ -8,8 +8,11 @@ integer boundary matrix M (see the sign convention for the beta one).
 
 M is factored once per diagram, exactly and in integers: the row-echelon
 form of [M^T | I] is [H | U], so U . M^T = H with U unimodular, and the
-rows of U beside the vanishing rows of H are a Hermite-normal-form basis
-of the periodic lattice ker M.  The factorization is cached on the diagram
+rows of U beside the vanishing rows of H are a basis of the periodic
+lattice ker M, in echelon form with positive pivots.  No entry above a
+pivot is reduced: every echelon basis spans the same lattice, and the
+class keys and the domain walks below need only the echelon shape and
+the positive pivots.  The factorization is cached on the diagram
 instance.  Each generator x is reduced once per diagram, by forward
 substitution on H: its point vector leaves a canonical residue modulo
 im M, its class key, and a potential a(x) with M . a(x) = x - key.  A
@@ -281,14 +284,6 @@ def _row_echelon(rows: list[list[int]]) -> list[list[int]]:
         out.append(piv)
         rows = [r for r in rows if r is not piv and any(r)]
         col += 1
-    # reduce entries above pivots so the basis is canonical
-    for i in reversed(range(len(out))):
-        pc = next(c for c in range(cols) if out[i][c] != 0)
-        for j in range(i):
-            q = out[j][pc] // out[i][pc]
-            if q:
-                for c in range(cols):
-                    out[j][c] -= q * out[i][c]
     return out
 
 
@@ -298,9 +293,9 @@ class _Factorization(NamedTuple):
     The row-echelon form of [M^T | I] is [H | U] with U unimodular.
     ``echelon`` holds the nonzero rows of H with their pivot columns,
     ``unimodular`` the rows of U (the first ``len(echelon)`` match them)
-    and ``kernel`` the rest, the rows whose H part vanished: the Hermite
-    normal form of ker M, positive pivots and reduced above them, with
-    their pivot columns in ``kernel_pivots``.  Since
+    and ``kernel`` the rest, the rows whose H part vanished: a basis of
+    ker M in echelon form, positive pivots and nothing reduced above
+    them, with their pivot columns in ``kernel_pivots``.  Since
     M . (sum z_i U_i) = sum z_i H_i and the rows of H span im M, forward
     substitution on H reduces a vector modulo im M (``reduce``); the
     vector lies in im M exactly when its residue is zero.
@@ -457,13 +452,13 @@ def find_domains(
     The connecting domains form a coset of the periodic lattice.  It is
     empty unless x and y have the same class key, and then a(y) - a(x),
     read off the two generators' records, is an integral particular
-    solution; the Hermite-normal-form kernel basis spans the rest.  The
-    coset is walked exhaustively inside the box: the echelonized basis
-    gives each multiplier a finite pivot-driven range, an
+    solution; the kernel basis, echelon with positive pivots, spans the
+    rest.  The coset is walked exhaustively inside the box: the echelon
+    basis gives each multiplier a finite pivot-driven range, an
     over-approximation that the final membership filter tightens.  Any
-    integral particular solution gives the same coset, hence the same
-    results.  They come lexicographically in canonical region order, as
-    walked: at the first multiplier in which two walked points differ,
+    integral particular solution and any echelon basis of the lattice give
+    the same coset, hence the same results.  They come lexicographically
+    in canonical region order, as walked: at the first multiplier in which two walked points differ,
     every later basis row is zero up to and including that row's pivot
     column, and the pivot step is positive, so the point with the larger
     multiplier is the larger one.

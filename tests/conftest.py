@@ -1,6 +1,18 @@
 import pytest
 
 from hdindex.harness import bundled_corpus, load_bundled
+from support import time_limit
+
+# The most seconds one test may run, set-up included: far above the slowest
+# test (about 2 s), so that a walk or a loop that never ends fails fast
+# instead of hanging the suite.
+TEST_SECONDS = 60
+
+
+@pytest.fixture(autouse=True)
+def per_test_time_limit(request):
+    with time_limit(TEST_SECONDS, request.node.nodeid):
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,43 @@
-"""Diagram and domain helpers that only the tests use.
+"""Diagram and domain helpers that only the tests use, and their time limit.
 
 The package itself never mirrors or writes a diagram, nor builds the zero
 domain or the 0-chain y - x of two generators, so these live beside the
-tests that do.
+tests that do.  ``time_limit`` bounds a block by ``SIGALRM``: each test
+under ``conftest.TEST_SECONDS``, and a walk or a loop that a test expects
+to end quickly under a shorter bound of its own.
 """
+
+import signal
+import time
+from contextlib import contextmanager
 
 from hdindex.diagram import ALPHA, BETA, HeegaardDiagram
 from hdindex.domains import Domain, Generator
+
+
+@contextmanager
+def time_limit(seconds: float, what: str):
+    """Raise ``TimeoutError`` inside the block once it has run ``seconds``.
+
+    Arms ``SIGALRM`` with a handler of its own, and on leaving restores the
+    handler it replaced and re-arms what is left of any timer it displaced,
+    so a shorter limit nests inside a longer one.
+    """
+
+    def too_slow(signum, frame):
+        raise TimeoutError(f"{what} ran over its {seconds} s limit")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    start = time.monotonic()
+    outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        if outer:
+            left = outer - (time.monotonic() - start)
+            signal.setitimer(signal.ITIMER_REAL, max(left, 1e-3))
 
 
 def mirror(d: HeegaardDiagram) -> HeegaardDiagram:

@@ -35,7 +35,7 @@ from hdindex.domains import (
 )
 from hdindex.formulas import embedded_euler_char
 from hdindex.harness import builder_consistency_suite, stabilized_surface_suite
-from support import mirror, zero_domain
+from support import mirror, time_limit, zero_domain
 
 
 EXAMPLE1 = "r2:1,r3:1,r4:1,r6:1,r7:2"
@@ -1048,6 +1048,49 @@ def test_the_closed_orbit_walk_raises_inside_an_open_chain(monkeypatch, genus2):
     )
     with pytest.raises(BuilderError, match="corner orbit walked from inside an open chain"):
         surf.corner_classes()
+
+
+def misglue(surf, rng, a_sides, b_sides):
+    """Point a glued side a at the partner of another glued side b, so that
+    ``partner`` is no longer an involution: the steps across a and across b
+    (s -> partner[nxt[s]] from prv[a] and prv[b]) both lead to b's partner
+    now, and none to a's old one."""
+    a = rng.choice(a_sides)
+    b = rng.choice([b for b in b_sides if b not in (a, surf.partner[a])])
+    surf.partner[a] = surf.partner[b]
+
+
+def test_a_partner_that_is_not_an_involution_raises(genus2s1s2):
+    # 2 Sigma glues every side, so each orbit is closed; the orbit walked
+    # from a's old partner never comes back to it, and without a bound
+    # ``orbit`` would step and grow its list until memory runs out
+    rng = random.Random(3201)
+    for _ in range(12):
+        surf = glue_copies(genus2s1s2, 2 * sigma_class(genus2s1s2)).surface
+        sides = range(len(surf.nxt))
+        misglue(surf, rng, sides, sides)
+        with pytest.raises(BuilderError, match="corner orbit longer than the complex"):
+            with time_limit(1.0, "the closed-orbit walk"):
+                surf.corner_classes()
+
+
+def test_a_boundary_walk_into_a_closed_orbit_raises(genus2):
+    # a step from an open orbit into a closed one would go round it for
+    # ever: the circle walk meets a side it has already marked.  A layer of
+    # Sigma under the annulus of example 1 gives closed orbits
+    a, _, _ = example1_data(genus2)
+    rng = random.Random(3202)
+    for _ in range(12):
+        surf = glue_copies(genus2, a + sigma_class(genus2)).surface
+        circles, marks = surf.circles()
+        opened = [surf.nxt[s] for c in circles for o in c for s in o[:-1]]
+        closed = [surf.nxt[s] for s, m in enumerate(marks) if not m]
+        # the step across a leaves an open orbit, and that across b goes
+        # round a closed one
+        misglue(surf, rng, opened, closed)
+        with pytest.raises(BuilderError, match="boundary walk met a side twice"):
+            with time_limit(1.0, "the boundary walk"):
+                surf.corner_classes()
 
 
 def test_stage_transformers_take_over_the_complex(monkeypatch, genus2):

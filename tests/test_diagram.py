@@ -1,5 +1,4 @@
 import random
-import signal
 import time
 from collections import deque
 from fractions import Fraction
@@ -15,7 +14,7 @@ from hdindex.diagram import (
     parse_diagram,
     validate_diagram,
 )
-from support import mirror, serialize_diagram
+from support import mirror, serialize_diagram, time_limit
 
 ONE_CROSSING = "alpha a1: x\nbeta b1: x\nsign x: +\n"
 TWO_CROSSING = "alpha a1: x y\nbeta b1: x y\nsign x: +\nsign y: +\n"
@@ -347,18 +346,9 @@ def test_components_of_a_long_path_take_linear_time(order):
     # about n^2 / 2 = 2e10 steps here, so the time bound fails it
     n = 200_000
     pairs = [(i, i + 1) if order == "forward" else (i + 1, i) for i in range(n - 1)]
-
-    def too_slow(signum, frame):
-        raise TimeoutError("components of a 200,000-node path took over 5 s")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.setitimer(signal.ITIMER_REAL, 5.0)
-    try:
+    with time_limit(5.0, "components of a 200,000-node path"):
         start = time.perf_counter()
         classes = components(n, pairs)
         elapsed = time.perf_counter() - start
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert classes == [list(range(n))]
     assert elapsed < 5.0
