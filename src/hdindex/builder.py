@@ -257,9 +257,9 @@ class _Surface:
         same step: ``marks`` has a 1 on every side met, so it is 0 exactly
         on the sides of the closed orbits.  The step loop is the one walk
         every stage makes, and calling ``orbit`` per open orbit measured
-        about 7% slower on ``stabilized_surface``.  A step that meets a side already
-        marked, which only a ``partner`` that is not an involution allows,
-        raises ``BuilderError``.
+        about 7% slower on ``stabilized_surface``.  A step that meets a
+        side already marked, which only a ``partner`` that is not an
+        involution allows, raises ``BuilderError``.
         """
         nxt, partner = self.nxt, self.partner
         marks = bytearray(len(nxt))

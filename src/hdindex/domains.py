@@ -458,10 +458,10 @@ def find_domains(
     over-approximation that the final membership filter tightens.  Any
     integral particular solution and any echelon basis of the lattice give
     the same coset, hence the same results.  They come lexicographically
-    in canonical region order, as walked: at the first multiplier in which two walked points differ,
-    every later basis row is zero up to and including that row's pivot
-    column, and the pivot step is positive, so the point with the larger
-    multiplier is the larger one.
+    in canonical region order, as walked: at the first multiplier in which
+    two walked points differ, every later basis row is zero up to and
+    including that row's pivot column, and the pivot step is positive, so
+    the point with the larger multiplier is the larger one.
     Every pivot step is at least 1, so each basis vector multiplies the
     points by at most the box width, and the walk visits at most
     width ** rank points; a box for which that exceeds ``MAX_POINTS`` is
