@@ -47,12 +47,14 @@ each point query.  Only the open orbits are stepped inline, along the
 boundary circles (``_Surface.circles``), which marks each side as it
 meets it: the orbit that starts at the free side o[0] and ends at o[-1]
 is followed on its circle by the one that starts at the free side
-nxt[o[-1]].  That is the one walk every stage makes, and routing it
-through ``orbit`` too, a call per open orbit, made ``stabilized_surface``
-about 7% slower.  Both step loops are bounded: a walk that meets more
-sides than the complex has, or a side it has already met, raises
-``BuilderError``, so a ``partner`` that is not an involution cannot make
-it loop.  The corner classes, the surface corners and the boundary
+nxt[o[-1]].  That is the one walk every stage makes, so it keeps its own
+step loop: routing it through ``orbit`` too, a call per open orbit, made
+``stabilized_surface`` about 7% slower, and walking the open orbits flat
+from the free sides and then linking them into circles by a dict made
+``circles`` about 33% slower.  Both step loops are bounded: a walk that
+meets more sides than the complex has, or a side it has already met,
+raises ``BuilderError``, so a ``partner`` that is not an involution cannot
+make it loop.  The corner classes, the surface corners and the boundary
 circles are all read off that walk.
 
 All surgery happens on edges: faces are created once and never split, so
@@ -82,8 +84,8 @@ Stage S3 makes one stage per splice round, finds the circle to splice in
 its boundary and returns the stage of the round that finds none, so that
 walk is made once; it reads the open classes at the splice point with
 ``open_classes_at``, as stages S2 and S4 do.  Stage S1 walks the circles
-only, and stage S4 reads each fresh corner off the lips of the cut that
-made it.
+only, and stage S4 reads the faces with a free side off the S3 walk and
+each fresh corner off the lips of the cut that made it.
 
 ``stage_contract`` states what stages S3 and S4 guarantee; the builder
 raises ``BuilderError`` when it fails, so a returned surface always
@@ -226,9 +228,8 @@ class _Surface:
         returned from s.  A walk from a glued side that ends at a free end
         started inside an open orbit and raises ``BuilderError``.  So does
         a walk that grows longer than the complex has sides, which only a
-        ``partner`` that is not an involution allows.  It walks every
-        closed orbit (``corner_classes``) and every point query; only
-        ``circles`` takes the same steps inline.
+        ``partner`` that is not an involution allows.  The module text says
+        which walks use it, and why ``circles`` steps inline instead.
         """
         nxt, partner = self.nxt, self.partner
         orbit, cur = [s], partner[nxt[s]]
@@ -255,11 +256,10 @@ class _Surface:
         the circles come in the order of those sides.  Each orbit is walked
         as ``orbit`` walks it, but inline, and each side is marked in the
         same step: ``marks`` has a 1 on every side met, so it is 0 exactly
-        on the sides of the closed orbits.  The step loop is the one walk
-        every stage makes, and calling ``orbit`` per open orbit measured
-        about 7% slower on ``stabilized_surface``.  A step that meets a
-        side already marked, which only a ``partner`` that is not an
-        involution allows, raises ``BuilderError``.
+        on the sides of the closed orbits.  The module text says why the
+        steps are inline.  A step that meets a side already marked, which
+        only a ``partner`` that is not an involution allows, raises
+        ``BuilderError``.
         """
         nxt, partner = self.nxt, self.partner
         marks = bytearray(len(nxt))
@@ -288,7 +288,8 @@ class _Surface:
         met, in id order, so each is met first at its smallest side and
         they come out sorted by it, each starting at that side.  A walk that
         ends at a free end started inside an open chain that ``circles``
-        missed, and ``orbit`` raises ``BuilderError``.
+        missed, and ``orbit`` raises ``BuilderError``.  The module text says
+        why the two parts walk differently.
         """
         circles, marks = self.circles()
         closed: list[list[int]] = []
@@ -738,7 +739,7 @@ def add_degenerate_corners(
     d = built.diagram
     _records(d, x, y)  # raises unless both are generators of d
     surf = built.surface
-    shared = [v for v in x.points if v in set(y.points)]
+    shared = [v for v in x.points if v in y.points]
     for v in shared:
         open_here = surf.open_classes_at(("v", v))
         if not open_here:
@@ -763,12 +764,14 @@ def splice_boundary_circles(built: BuiltSurface) -> BuiltSurface:
     For a circle over an alpha curve, a slit is made along a beta arc
     preimage at the circle's passage over the outgoing generator's point on
     that curve, and one lip of the slit is glued to the matching side of
-    the corner there; beta circles are treated symmetrically.  Each splice
-    strictly decreases the number of circles.  The splices are made in
-    ``built``'s complex.  Each round makes the S3 stage of the complex and
-    looks for the circle in its ``boundary``; the round that finds none
-    returns its stage, since no surgery follows it, so that walk is made
-    once.
+    the corner there; beta circles are treated symmetrically.  The splices
+    are made in ``built``'s complex.  Each round makes the S3 stage of the
+    complex and looks for the circle in its ``boundary``; the round that
+    finds none returns its stage, since no surgery follows it, so that walk
+    is made once.  Each splice removes one circle, and the complex starts
+    with no more circles than sides (each circle has free sides of its
+    own), so one round more than it has sides is enough; running out of
+    rounds raises ``BuilderError``.
 
     No grind follows a splice: both splice moves take corners of length
     one and passages of length two to corners of length one and passages
@@ -779,8 +782,7 @@ def splice_boundary_circles(built: BuiltSurface) -> BuiltSurface:
         raise PreconditionError("splice needs the generator pair")
     d = built.diagram
     surf = built.surface
-    guard = 0
-    while True:
+    for _ in range(len(surf.nxt) + 1):
         s3 = BuiltSurface("S3", d, built.domain, surf, built.x, built.y)
         # a component over one curve is one without corners: the two free
         # sides of an orbit at a vertex lie over curves of different
@@ -793,15 +795,12 @@ def splice_boundary_circles(built: BuiltSurface) -> BuiltSurface:
         curve = surf.dart[sides[0]].curve
         v = _generator_point_on_curve(d, built.x, curve)
         _splice_circle(surf, d, sides, v, d.curve_family[curve])
-        guard += 1
-        if guard > 4 * len(surf.nxt):
-            raise BuilderError("splicing does not terminate")
+    raise BuilderError("splicing does not terminate")
 
 
 def _generator_point_on_curve(d: HeegaardDiagram, x: Generator, curve: str) -> str:
-    fam = d.curve_family[curve]
+    table = d.vertex_alpha if d.curve_family[curve] == ALPHA else d.vertex_beta
     for v in x.points:
-        table = d.vertex_alpha if fam == ALPHA else d.vertex_beta
         if table[v][0] == curve:
             return v
     raise BuilderError(f"generator misses curve {curve}")
@@ -978,9 +977,12 @@ def stabilized_surface(
     beta curve) and chained onto the corners there.  Closed components of
     the stage-3 surface (full-surface layers of the domain) are opened at
     the same points and joined into the same chain, so the result is
-    connected with pushforward A plus the surface class.  The stage-S4
-    contract is enforced, with the chi of the stage-3 surface and its
-    number of closed layers recorded on the result for its Euler law.
+    connected with pushforward A plus the surface class.  The closed
+    components are those without a free side, and the faces with one are
+    read off the S3 stage's ``boundary``, since every free side starts one
+    of its open orbits.  The stage-S4 contract is enforced, with the chi of
+    the stage-3 surface and its number of closed layers recorded on the
+    result for its Euler law.
     """
     if d.genus <= 1:
         raise PreconditionError("should have assumed that g>1")
@@ -989,7 +991,7 @@ def stabilized_surface(
     surf.degenerate_disks = []
 
     # a layer is a face per region, in region order
-    free_faces = {surf.face[s] for s in surf._free_sides()}
+    free_faces = {surf.face[o[0]] for circle in s3.boundary for o, _ in circle}
     closed_layers = [
         sorted(comp, key=surf.region.__getitem__)
         for comp in surf.face_components()

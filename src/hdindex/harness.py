@@ -269,24 +269,13 @@ def _is_disjoint_strip_class(d: HeegaardDiagram, a: Domain) -> bool:
     """
     if any(c not in (0, 1) for c in a.coeffs):
         return False
-    support = set(a.support())
-    if not support:
-        return True
-    for idx in support:
-        region = d.regions[idx]
-        if region.corner_count not in (2, 4):
+    touched: set[str] = set()  # the vertices of the regions so far
+    for idx in a.support():
+        darts = d.regions[idx].darts
+        verts, own = {dart.vertex for dart in darts}, set(darts)
+        if len(darts) not in (2, 4) or len(verts) != len(darts) or not touched.isdisjoint(verts):
             return False
-        verts = [dart.vertex for dart in region.darts]
-        if len(set(verts)) != len(verts):
-            return False
-        darts = set(region.darts)
-        if any(d.rev(dart) in darts for dart in darts):
-            return False
-    # supports may not share a vertex (disjoint closures)
-    touched: set[str] = set()
-    for idx in support:
-        verts = {dart.vertex for dart in d.regions[idx].darts}
-        if touched & verts:
+        if any(d.rev(dart) in own for dart in darts):
             return False
         touched |= verts
     return True
@@ -316,10 +305,9 @@ def run_all(diagrams: dict[str, HeegaardDiagram]) -> list[SuiteResult]:
     for name, d in diagrams.items():
         bad = validate_diagram(d)
         res = SuiteResult(f"validity[{name}]", cases=1)
-        if bad:
-            res.failures.append({"violations": [v.code for v in bad]})
         results.append(res)
         if bad:
+            res.failures.append({"violations": [v.code for v in bad]})
             continue
         for suite in (
             additivity_suite,

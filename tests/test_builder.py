@@ -820,6 +820,10 @@ def orbit_mismatches(built):
             found.append(f"open classes at {pt}")
     corners = [o for o in ref_open if len(o) % 2 and surf.head[o[0]][0] == "v"]
     fresh = BuiltSurface(built.stage, built.diagram, built.domain, surf, built.x, built.y)
+    # stage S4 reads the faces with a free side off the open orbits' starts
+    free = {s for s in live_sides(surf) if surf.partner[s] == -1}
+    if {o[0] for comp in fresh.boundary for o, _ in comp} != free:
+        found.append("free sides")
     if sorted((o for comp in fresh.boundary for o, corner in comp if corner), key=min) != corners:
         found.append("corner marks")
     return found
@@ -1111,6 +1115,41 @@ def test_stage_transformers_take_over_the_complex(monkeypatch, genus2):
     # stage S4 works on the complex of the S3 it builds
     monkeypatch.setattr(builder, "build_surface", recording_build)
     assert stabilized_surface(genus2, a, x, y).surface is built[0].surface
+
+
+def check_build_errors(corpus):
+    """(builds, {error: count}) of ``build_surface`` over the builds of
+    ``check``: every positive domain at box 3."""
+    builds, errors = 0, {}
+    for d in corpus.values():
+        gens = enumerate_generators(d)
+        for x, y in itertools.product(gens, gens):
+            for a in find_domains(d, x, y, 3):
+                builds += 1
+                try:
+                    build_surface(d, a, x, y)
+                except BuilderError as exc:
+                    errors[str(exc)] = errors.get(str(exc), 0) + 1
+    return builds, errors
+
+
+def test_the_parallel_passage_move_skips_the_circles_own_passages(monkeypatch, corpus):
+    # met in reverse order, the circle's own passages come first at 5 of
+    # these builds, and swapping a link with itself would slit a side
+    # that the first slit has just opened
+    open_classes_at = builder._Surface.open_classes_at
+    monkeypatch.setattr(
+        builder._Surface, "open_classes_at", lambda surf, pt: open_classes_at(surf, pt)[::-1]
+    )
+    assert check_build_errors(corpus) == (1068, {})
+
+
+def test_splice_rounds_that_remove_no_circle_end(monkeypatch, corpus):
+    # the 36 builds that splice; without the bound on the rounds they
+    # would never end
+    monkeypatch.setattr(builder, "_splice_circle", lambda *args: None)
+    with time_limit(10.0, "the splice rounds"):
+        assert check_build_errors(corpus) == (1068, {"splicing does not terminate": 36})
 
 
 def test_builder_suite_catches_a_skipped_splice(monkeypatch, genus2s1s2):

@@ -467,6 +467,23 @@ def test_find_domains_matches_brute_force(torus2, torus3, genus2s1s2):
     assert rx.key != ry.key
 
 
+def test_generators_of_different_class_keys_ask_connects_nothing(monkeypatch, corpus):
+    # without the class-key test, find_domains walks these pairs' cosets
+    # from a point that solves nothing, and still returns [] for each, but
+    # only after 980 connects calls
+    pairs = []
+    for d in corpus.values():
+        for x, y in product(enumerate_generators(d), repeat=2):
+            _, rx, ry = _records(d, x, y)
+            if rx.key != ry.key:
+                pairs.append((d, x, y))
+    calls = []
+    monkeypatch.setattr("hdindex.domains.connects", lambda *args: calls.append(args))
+    assert len(pairs) == 340
+    assert all(find_domains(d, x, y, 2, False) == [] for d, x, y in pairs)
+    assert calls == []
+
+
 def test_find_domains_max_coeff_zero(torus3):
     v0, v2 = Generator(("v0",)), Generator(("v2",))
     assert find_domains(torus3, v0, v0, 0, True) == [zero_domain(torus3)]

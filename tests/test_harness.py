@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -20,7 +21,7 @@ from hdindex.harness import (
     stabilized_surface_suite,
 )
 from hdindex.diagram import validate_diagram
-from support import zero_domain
+from support import mirror, zero_domain
 
 
 def test_bundled_corpus_is_valid():
@@ -85,6 +86,55 @@ def test_strip_class_predicate(torus1, torus3, genus2):
     assert not _is_disjoint_strip_class(torus3, Domain.parse(torus3, "r1:1,r2:1"))
     # the lens and a surrounding square share crossings
     assert not _is_disjoint_strip_class(genus2, Domain.parse(genus2, "r2:1,r7:1"))
+
+
+def two_pass_strip_class(d, a, disjoint=True):
+    """The reference: every region of the support checked on its own, then
+    the supports checked for a shared vertex in a second pass.  Without
+    ``disjoint`` it is a seeded mutant that skips the second pass."""
+    if any(c not in (0, 1) for c in a.coeffs):
+        return False
+    for idx in a.support():
+        region = d.regions[idx]
+        verts = [dart.vertex for dart in region.darts]
+        darts = set(region.darts)
+        if region.corner_count not in (2, 4) or len(set(verts)) != len(verts):
+            return False
+        if any(d.rev(dart) in darts for dart in darts):
+            return False
+    touched = set()
+    for idx in a.support() if disjoint else ():
+        verts = {dart.vertex for dart in d.regions[idx].darts}
+        if touched & verts:
+            return False
+        touched |= verts
+    return True
+
+
+def strip_class_cases():
+    """(d, a) for every 0/1 domain with at most three regions in its
+    support, on the bundled diagrams and their mirrors."""
+    for d0 in bundled_corpus().values():
+        for d in (d0, mirror(d0)):
+            n = len(d.regions)
+            for k in range(4):
+                for support in itertools.combinations(range(n), k):
+                    yield d, Domain(tuple(int(i in support) for i in range(n)))
+
+
+def test_the_one_pass_strip_class_test_matches_the_two_pass_reference():
+    cases = list(strip_class_cases())
+    strips = [two_pass_strip_class(d, a) for d, a in cases]
+    assert (len(cases), sum(strips)) == (582, 74)
+    assert [_is_disjoint_strip_class(d, a) for d, a in cases] == strips
+
+
+def test_the_strip_class_reference_catches_supports_that_share_a_vertex():
+    # the mutant takes 152 supports that touch for strip classes
+    cases = list(strip_class_cases())
+    mutant = [two_pass_strip_class(d, a, disjoint=False) for d, a in cases]
+    assert sum(mutant) == 74 + 152
+    assert sum(m != two_pass_strip_class(d, a) for m, (d, a) in zip(mutant, cases)) == 152
 
 
 def test_format_results_reports_failures():
