@@ -83,9 +83,10 @@ next stage has been made, the complex is no longer the stage's own.
 Stage S3 makes one stage per splice round, finds the circle to splice in
 its boundary and returns the stage of the round that finds none, so that
 walk is made once; it reads the open classes at the splice point with
-``open_classes_at``, as stages S2 and S4 do.  Stage S1 walks the circles
-only, and stage S4 reads the faces with a free side off the S3 walk and
-each fresh corner off the lips of the cut that made it.
+``open_classes_at``, as stage S2 does.  Stage S1 walks the circles
+only, and stage S4 reads the faces with a free side and the S3 corner at
+each point of x off the S3 walk, and each fresh corner off the lips of
+the cut that made it.
 
 ``stage_contract`` states what stages S3 and S4 guarantee; the builder
 raises ``BuilderError`` when it fails, so a returned surface always
@@ -980,9 +981,13 @@ def stabilized_surface(
     connected with pushforward A plus the surface class.  The closed
     components are those without a free side, and the faces with one are
     read off the S3 stage's ``boundary``, since every free side starts one
-    of its open orbits.  The stage-S4 contract is enforced, with the chi of
-    the stage-3 surface and its number of closed layers recorded on the
-    result for its Euler law.
+    of its open orbits.  The corner each point v of x chains onto is read
+    off that walk too: the S3 corner orbit at v with the smallest side id.
+    The walk is still sound there after the cuts at the earlier points v'
+    of x, which touch only sides over the curves through v'; no such curve
+    meets v, since x has one point on each curve.  The stage-S4 contract
+    is enforced, with the chi of the stage-3 surface and its number of
+    closed layers recorded on the result for its Euler law.
     """
     if d.genus <= 1:
         raise PreconditionError("should have assumed that g>1")
@@ -1003,12 +1008,11 @@ def stabilized_surface(
 
     sigma = sigma_class(d)
     layers = closed_layers + [surf.add_copy(_sigma_layer(d))]
-    # a layer has free sides only at the points of x it was cut at and at
-    # cut points, so the first corner at v is a stage-3 corner; a point of
-    # x with none (a dropped degenerate disk) starts its chain inside the
-    # first layer
+    # a point of x with no S3 corner (a dropped degenerate disk) starts its
+    # chain inside the first layer
+    s3_corners = [o for circle in s3.boundary for o, corner in circle if corner]
     for v in x.points:
-        pending = next((o for o in surf.open_classes_at(("v", v)) if len(o) % 2), None)
+        pending = min((o for o in s3_corners if surf.head[o[0]] == ("v", v)), key=min, default=None)
         for layer in layers:
             pending = _cut_layer_and_chain(surf, d, layer, v, pending)
     s4 = BuiltSurface("S4", d, a + sigma, surf, x, y)

@@ -14,6 +14,9 @@ Verbs map one-to-one onto the library operations:
 ``check`` takes no bound: each suite runs at its default box
 (``harness.run_all``).
 
+Each verb returns its record, its text and its exit code, and ``main``
+prints the record (``--json``) or the text.
+
 Exit codes: 0 success, 1 parse or validation error or an output pipe
 closed by its reader, 2 precondition violation, 3 suite failure.
 ``--json`` switches every verb to a stable machine-readable record (fixed
@@ -80,7 +83,7 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple:
     d = _load(args.diagram, require_valid=False)
     report = validate_diagram(d)
     payload = {
@@ -88,11 +91,10 @@ def _cmd_validate(args) -> int:
         "violations": [{"code": v.code, "message": v.message} for v in report],
     }
     lines = ["valid"] if not report else [f"{v.code}: {v.message}" for v in report]
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK if not report else EXIT_INPUT
+    return payload, "\n".join(lines), EXIT_OK if not report else EXIT_INPUT
 
 
-def _cmd_info(args) -> int:
+def _cmd_info(args) -> tuple:
     d = _load(args.diagram)
     e_sigma = euler_measure(d, sigma_class(d))
     rank = len(periodic_domain_basis(d))
@@ -111,47 +113,41 @@ def _cmd_info(args) -> int:
         f"e(full surface class) = {e_sigma}\n"
         f"periodic domain rank = {rank}"
     )
-    _emit(args, payload, text)
-    return EXIT_OK
+    return payload, text, EXIT_OK
 
 
-def _cmd_generators(args) -> int:
+def _cmd_generators(args) -> tuple:
     d = _load(args.diagram)
     gens = enumerate_generators(d)
     payload = {"count": len(gens), "generators": [g.format() for g in gens]}
-    _emit(args, payload, "\n".join(g.format() for g in gens))
-    return EXIT_OK
+    return payload, "\n".join(g.format() for g in gens), EXIT_OK
 
 
-def _case(args, d: HeegaardDiagram) -> tuple:
-    """The parsed --from and --to generators, and the --domain if the verb has one."""
-    x = Generator.parse(d, args.from_)
-    y = Generator.parse(d, args.to)
-    if not hasattr(args, "domain"):
-        return x, y
-    return x, y, Domain.parse(d, args.domain)
-
-
-def _cmd_domains(args) -> int:
+def _case(args) -> tuple:
+    """The loaded diagram, the parsed --from and --to generators, and the
+    --domain if the verb has one."""
     d = _load(args.diagram)
-    x, y = _case(args, d)
+    x, y = Generator.parse(d, args.from_), Generator.parse(d, args.to)
+    if not hasattr(args, "domain"):
+        return d, x, y
+    return d, x, y, Domain.parse(d, args.domain)
+
+
+def _cmd_domains(args) -> tuple:
+    d, x, y = _case(args)
     doms = find_domains(d, x, y, args.max_coeff, args.positive)
     payload = {"count": len(doms), "domains": [a.format() for a in doms]}
-    _emit(args, payload, "\n".join(a.format() for a in doms))
-    return EXIT_OK
+    return payload, "\n".join(a.format() for a in doms), EXIT_OK
 
 
-def _cmd_index(args) -> int:
-    d = _load(args.diagram)
-    x, y, a = _case(args, d)
+def _cmd_index(args) -> tuple:
+    d, x, y, a = _case(args)
     rep = index_report(d, a, x, y, force=args.force)
-    _emit(args, rep.as_dict(), rep.as_text())
-    return EXIT_OK
+    return rep.as_dict(), rep.as_text(), EXIT_OK
 
 
-def _cmd_build_surface(args) -> int:
-    d = _load(args.diagram)
-    x, y, a = _case(args, d)
+def _cmd_build_surface(args) -> tuple:
+    d, x, y, a = _case(args)
     s3 = build_surface(d, a, x, y)
     payload = s3.to_json_dict()
     text = "\n".join(
@@ -164,13 +160,11 @@ def _cmd_build_surface(args) -> int:
             f"pushforward: {payload['pushforward']}",
         ]
     )
-    _emit(args, payload, text)
-    return EXIT_OK
+    return payload, text, EXIT_OK
 
 
-def _cmd_stabilize(args) -> int:
-    d = _load(args.diagram)
-    x, y, a = _case(args, d)
+def _cmd_stabilize(args) -> tuple:
+    d, x, y, a = _case(args)
     s4 = stabilized_surface(d, a, x, y)
     check = branched_cover_check(s4)
     payload = dict(s4.to_json_dict(), cover_check=check)
@@ -185,11 +179,10 @@ def _cmd_stabilize(args) -> int:
             f"cover bookkeeping: {'ok' if check['ok'] else 'VIOLATED'}",
         ]
     )
-    _emit(args, payload, text)
-    return EXIT_OK if check["ok"] else EXIT_SUITE
+    return payload, text, EXIT_OK if check["ok"] else EXIT_SUITE
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple:
     if args.corpus:
         diagrams = {}
         for path in sorted(Path(args.corpus).glob("*.hd")):
@@ -200,8 +193,8 @@ def _cmd_check(args) -> int:
         diagrams = harness.bundled_corpus()
     results = harness.run_all(diagrams)
     payload = {"suites": [r.as_dict() for r in results]}
-    _emit(args, payload, harness.format_results(results))
-    return EXIT_OK if all(r.ok for r in results) else EXIT_SUITE
+    code = EXIT_OK if all(r.ok for r in results) else EXIT_SUITE
+    return payload, harness.format_results(results), code
 
 
 def _nonnegative(text: str) -> int:
@@ -273,7 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        payload, text, code = args.fn(args)
+        _emit(args, payload, text)
+        return code
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -133,6 +133,12 @@ def _domain_table(
     return {(x, y): find_domains(d, x, y, max_coeff) for x in gens for y in gens}
 
 
+def _case(x: Generator, y: Generator, a: Domain) -> dict:
+    """A failure record's x, y and a, spelled as ``--from``, ``--to`` and
+    ``--domain`` read them."""
+    return {"x": x.format(), "y": y.format(), "a": a.format()}
+
+
 def _builds(res: SuiteResult, d: HeegaardDiagram, max_coeff: int, build):
     """Call ``build(d, a, x, y)`` on every bounded positive connecting domain.
 
@@ -144,7 +150,7 @@ def _builds(res: SuiteResult, d: HeegaardDiagram, max_coeff: int, build):
     for (x, y), domains in _domain_table(d, max_coeff).items():
         for a in domains:
             res.cases += 1
-            case = {"x": x.format(), "y": y.format(), "a": a.format()}
+            case = _case(x, y, a)
             try:
                 built = build(d, a, x, y)
             except BuilderError as exc:
@@ -209,16 +215,7 @@ def stabilization_suite(
                 mu_k = maslov_index(d, ak, x, y)
                 chi_k = embedded_euler_char(d, ak, x, y)
                 if mu_k != mu0 + 2 * k or chi_k != chi0 + k * (2 - 4 * g):
-                    res.failures.append(
-                        {
-                            "x": x.format(),
-                            "y": y.format(),
-                            "a": a.format(),
-                            "k": k,
-                            "mu": str(mu_k),
-                            "chi": str(chi_k),
-                        }
-                    )
+                    res.failures.append(dict(_case(x, y, a), k=k, mu=str(mu_k), chi=str(chi_k)))
     return res
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hdindex import builder
+from hdindex import builder, cli
 from hdindex.cli import MAX_DIAGRAM_BYTES, main
 from hdindex.harness import BUNDLED_DIAGRAMS
 from importlib import resources
@@ -180,6 +180,22 @@ def test_stabilize(capsys, data_dir):
     assert code == 0
     payload = json.loads(out)
     assert payload["cover_check"]["ok"] is True
+
+
+def test_stabilize_exits_3_when_the_cover_bookkeeping_fails(capsys, data_dir, monkeypatch):
+    real = cli.branched_cover_check
+    monkeypatch.setattr(cli, "branched_cover_check", lambda s4: dict(real(s4), ok=False))
+    case = (
+        "stabilize",
+        str(data_dir / "genus2_bigons.hd"),
+        "--from", "x1,x2", "--to", "x1,x2", "--domain", "0",
+    )
+    code, out, _ = run(capsys, *case)
+    assert code == 3
+    assert out.splitlines()[-1] == "cover bookkeeping: VIOLATED"
+    code, out, _ = run(capsys, "--json", *case)
+    assert code == 3
+    assert json.loads(out)["cover_check"]["ok"] is False
 
 
 def test_stabilize_rejects_genus_one(capsys, data_dir):

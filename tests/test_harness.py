@@ -5,7 +5,7 @@ import pytest
 
 from hdindex import builder, harness
 from hdindex.builder import build_surface
-from hdindex.domains import Domain, _lattice
+from hdindex.domains import Domain, Generator, _lattice
 from hdindex.harness import (
     BUNDLED_DIAGRAMS,
     SuiteResult,
@@ -50,6 +50,24 @@ def test_additivity_small(torus3):
 def test_stabilization_small(torus3):
     res = stabilization_suite(torus3, k_max=2, max_coeff=1)
     assert res.ok
+
+
+def test_stabilization_suite_catches_a_doubled_surface_class(monkeypatch, torus3):
+    # 2 Sigma for Sigma: mu and chi shift by twice the law, so every case
+    # with k >= 1 fails, and each record's x, y and a parse back as the
+    # command line's --from, --to and --domain read them
+    real = harness.sigma_class
+    monkeypatch.setattr(harness, "sigma_class", lambda d: 2 * real(d))
+    res = stabilization_suite(torus3)
+    assert res.cases == 76 and len(res.failures) == 57
+    first = res.failures[0]
+    assert list(first.items()) == [
+        ("x", "v0"), ("y", "v0"), ("a", "0"), ("k", 1), ("mu", "4"), ("chi", "-3")
+    ]
+    for f in res.failures:
+        x, y = Generator.parse(torus3, f["x"]), Generator.parse(torus3, f["y"])
+        a = Domain.parse(torus3, f["a"])
+        assert (x.format(), y.format(), a.format()) == (f["x"], f["y"], f["a"])
 
 
 def test_builder_suite_small(torus3, genus2s1s2):
