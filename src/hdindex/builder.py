@@ -4,7 +4,7 @@ A positive domain is realized as a surface by taking one polygon per region
 copy and gluing the copies along the curve arcs: top-aligned along alpha
 arcs, bottom-aligned along beta arcs (``_sheet_pairs`` is the one rule, and
 ``_add_region_copies`` the one routine that applies it: to the domain in
-stage S0, to the full-surface layer that S4 copies, and to a fixed
+stage S0, to the fresh full-surface layer of stage S4, and to a fixed
 crossing in the local chain model ``local_vertex_chains``).
 It reads the diagram through a template built once per diagram and kept
 on it (``_s0_template``): each region's ring of sides as columns (darts
@@ -24,9 +24,8 @@ boundary arc.  Only stage S1 grinds: the later stages keep every corner a
 right angle by construction, and the stage-S3 contract checks it.  A
 final stabilization stage cuts open a fresh copy of the whole surface at
 every point of the outgoing generator and chains it onto the corners.
-That copy is appended with its ids offset (``_Surface.add_copy``) from
-one full-surface layer per diagram, glued once and kept on the diagram
-like the template (``_sigma_layer``).
+That copy is glued into the stage's complex as S0 glues a domain, so a
+diagram keeps only immutable caches, and no complex outlives its build.
 
 The complex is an array half-edge structure, as in mesh libraries: sides
 and faces are integer ids into parallel lists of ``_Surface``, with no
@@ -115,7 +114,7 @@ from hdindex.domains import (
 )
 from hdindex.formulas import branch_budget, embedded_euler_char
 
-Point = tuple  # ('v', vertex) or ('cut', serial)
+Point = tuple  # ('v', vertex) or ('cut', id of the side that starts there)
 MAX_FACES = 1 << 16  # the most sheets one ``_add_region_copies`` call allocates
 
 
@@ -149,7 +148,6 @@ class _Surface:
         self.head: list[Point] = []
         self.region: list[int] = []
         self.first: list[int] = []
-        self._next_cut = 0
         self.curve_family = curve_family
         self.degenerate_disks: list[str] = []  # the vertex of each symbolic disk
         self.branch_marks = 0
@@ -186,23 +184,6 @@ class _Surface:
         self.head += chain.from_iterable(heads)
         self.region += regions
         self.first += firsts
-
-    def add_copy(self, other: _Surface) -> list[int]:
-        """Append a copy of the uncut complex ``other``; the copy's face ids.
-
-        Its sides and faces take the next ids in the same order, so the copy
-        is what building ``other``'s faces into this complex would make.
-        """
-        sides, faces = len(self.nxt), len(self.region)
-        self.nxt += map(sides.__add__, other.nxt)
-        self.prv += map(sides.__add__, other.prv)
-        self.partner += [-1 if p == -1 else p + sides for p in other.partner]
-        self.face += map(faces.__add__, other.face)
-        self.first += map(sides.__add__, other.first)
-        self.dart += other.dart
-        self.head += other.head
-        self.region += other.region
-        return list(range(faces, len(self.region)))
 
     def glue(self, a: int, b: int) -> None:
         partner = self.partner
@@ -346,15 +327,16 @@ class _Surface:
         half: the first, s shortened to its tail half, from s's tail to the
         cut point on s's face, the second back from the cut point on the
         partner's face.  The far end of the slit is a boundary branch point
-        counted in ``branch_marks``.  Two parallel slits that will be
-        cross-glued may share their cut point by passing ``mid`` explicitly.
+        counted in ``branch_marks``.  The cut point is named by the id its
+        head half takes, the side that starts there.  Two parallel slits
+        that will be cross-glued may share their cut point by passing
+        ``mid`` explicitly.
         """
         p = self.partner[s]
         if p == -1:
             raise BuilderError("cannot slit a boundary side")
         if mid is None:
-            self._next_cut += 1
-            mid = ("cut", self._next_cut)
+            mid = ("cut", len(self.nxt))
         tail_half, head_half = self.subdivide(s, mid)
         # s runs tail->head, its partner p head->tail over the same segment
         partner_tail, partner_head = self.subdivide(p, mid)
@@ -466,19 +448,27 @@ class BuiltSurface:
         arcs: dict[str, list[dict]] = {name: [] for name in self.surface.curve_family}
         dart = self.surface.dart
         for comp in self.boundary:
-            # the curves of the free sides in runs that each end at a
-            # corner, from just after the first one; a cornerless circle is
-            # one run
-            first = next((i + 1 for i, (_, corner) in enumerate(comp) if corner), 0)
-            runs: list[list[str]] = [[]]
-            for o, corner in comp[first:] + comp[:first]:
-                runs[-1].append(dart[o[0]].curve)
-                if corner:
-                    runs.append([])
-            for run in runs[:-1] if first else runs:
-                if len(set(run)) != 1:
+            # one pass: a run of free sides ends at each corner, and the
+            # run that ends at the first corner is held back for the sides
+            # after the last one, which continue it round the circle; a
+            # cornerless circle is one run
+            first, curve, n = None, None, 0
+            for o, corner in comp:
+                if (c := dart[o[0]].curve) != curve and n:
                     raise BuilderError("boundary arc crosses curves without a corner")
-                arcs[run[0]].append({"sides": len(run), "circle": not first})
+                curve, n = c, n + 1
+                if corner:
+                    if first is None:
+                        first = curve, n
+                    else:
+                        arcs[curve].append({"sides": n, "circle": False})
+                    n = 0
+            if first is None:
+                arcs[curve].append({"sides": n, "circle": True})
+            elif n and curve != first[0]:
+                raise BuilderError("boundary arc crosses curves without a corner")
+            else:
+                arcs[first[0]].append({"sides": first[1] + n, "circle": False})
         d = self.diagram
         for v in self.surface.degenerate_disks:
             arcs[d.vertex_alpha[v][0]].append({"sides": 1, "circle": False, "degenerate": True})
@@ -593,21 +583,6 @@ def _add_region_copies(surf: _Surface, d: HeegaardDiagram, a: Domain) -> list[in
         for m, m2 in _sheet_pairs(family, coeffs[r], coeffs[r2]):
             glue(b + m * n, b2 + m2 * n2)
     return list(range(faces, len(surf.region)))
-
-
-def _sigma_layer(d: HeegaardDiagram) -> _Surface:
-    """The full-surface class of ``d`` glued alone, the layer stage S4 copies.
-
-    Glued by ``_add_region_copies`` on first use and kept on ``d``, like
-    ``_s0_template``, so each stabilization appends an offset copy of it
-    (``_Surface.add_copy``) instead of gluing every seam again.
-    """
-    layer = d.__dict__.get("_sigma_layer")
-    if layer is None:
-        layer = _Surface(d.curve_family)
-        _add_region_copies(layer, d, sigma_class(d))
-        d._sigma_layer = layer  # type: ignore[attr-defined]
-    return layer
 
 
 def glue_copies(d: HeegaardDiagram, a: Domain) -> BuiltSurface:
@@ -973,12 +948,13 @@ def stabilized_surface(
 ) -> BuiltSurface:
     """Represent the class plus the full surface, with boundary, connectedly.
 
-    Degenerate disks are dropped; a fresh copy of the whole surface is cut
-    open at every point of x (two slits along the alpha curve, one along the
-    beta curve) and chained onto the corners there.  Closed components of
-    the stage-3 surface (full-surface layers of the domain) are opened at
-    the same points and joined into the same chain, so the result is
-    connected with pushforward A plus the surface class.  The closed
+    Degenerate disks are dropped; a fresh copy of the whole surface, glued
+    into the S3 complex by the stage-S0 routine (``_add_region_copies``),
+    is cut open at every point of x (two slits along the alpha curve, one
+    along the beta curve) and chained onto the corners there.  Closed
+    components of the stage-3 surface (full-surface layers of the domain)
+    are opened at the same points and joined into the same chain, so the
+    result is connected with pushforward A plus the surface class.  The closed
     components are those without a free side, and the faces with one are
     read off the S3 stage's ``boundary``, since every free side starts one
     of its open orbits.  The corner each point v of x chains onto is read
@@ -990,7 +966,9 @@ def stabilized_surface(
     closed layers recorded on the result for its Euler law.
     """
     if d.genus <= 1:
-        raise PreconditionError("should have assumed that g>1")
+        raise PreconditionError(
+            f"stabilization needs genus at least 2; this diagram has genus {d.genus}"
+        )
     s3 = build_surface(d, a, x, y)
     surf = s3.surface
     surf.degenerate_disks = []
@@ -1007,7 +985,7 @@ def stabilized_surface(
             raise BuilderError("closed component is not a single surface layer")
 
     sigma = sigma_class(d)
-    layers = closed_layers + [surf.add_copy(_sigma_layer(d))]
+    layers = closed_layers + [_add_region_copies(surf, d, sigma)]
     # a point of x with no S3 corner (a dropped degenerate disk) starts its
     # chain inside the first layer
     s3_corners = [o for circle in s3.boundary for o, corner in circle if corner]
@@ -1060,10 +1038,8 @@ def _cut_layer_and_chain(
     pt = ("v", v)
     if pending is not None:
         k_in, _, k_out = surf.class_slots(pending)
-        cuts = sorted(
-            {_dart_at(d, surf, k_in, pt), _dart_at(d, surf, k_out, pt)},
-            key=lambda dart: (dart.curve, dart.forward),
-        )
+        # both darts leave v, so tuple order is (curve, forward)
+        cuts = sorted({_dart_at(d, surf, k_in, pt), _dart_at(d, surf, k_out, pt)})
         if len(cuts) != 2:
             raise BuilderError("pending corner with degenerate free darts")
     else:

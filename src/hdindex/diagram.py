@@ -18,7 +18,6 @@ Orientation conventions (fixed once, globally):
 
 from __future__ import annotations
 
-from importlib import resources
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 ALPHA = "alpha"
@@ -370,6 +369,10 @@ def parse_diagram(text: str) -> HeegaardDiagram:
 
 def load_bundled(name: str) -> HeegaardDiagram:
     """Parse one of the diagrams shipped with the package."""
+    # imported here, not at the top: only ``check`` and the local crossing
+    # model read bundled data, so the other verbs start without it
+    from importlib import resources
+
     text = resources.files("hdindex.data").joinpath(name).read_text()
     return parse_diagram(text)
 

@@ -143,20 +143,20 @@ def _builds(res: SuiteResult, d: HeegaardDiagram, max_coeff: int, build):
     """Call ``build(d, a, x, y)`` on every bounded positive connecting domain.
 
     Each call is a case of ``res``, and a ``BuilderError`` is recorded
-    there as a failure with its x, y and a.  Yields ``(case, (x, y, a),
-    built)`` for each build that succeeds, ``case`` the failure record's
-    x, y and a fields.
+    there as a failure with its x, y and a (``_case``).  Yields ``(x, y, a,
+    built)`` for each build that succeeds; a caller that records a failure
+    spells its case with ``_case`` too, so no record is made for a case
+    that passes.
     """
     for (x, y), domains in _domain_table(d, max_coeff).items():
         for a in domains:
             res.cases += 1
-            case = _case(x, y, a)
             try:
                 built = build(d, a, x, y)
             except BuilderError as exc:
-                res.failures.append(dict(case, error=str(exc)))
+                res.failures.append(dict(_case(x, y, a), error=str(exc)))
                 continue
-            yield case, (x, y, a), built
+            yield x, y, a, built
 
 
 def additivity_suite(d: HeegaardDiagram, max_coeff: int = 2) -> SuiteResult:
@@ -230,11 +230,11 @@ def builder_consistency_suite(
     squares, chi of the built surface must equal the embedded chi exactly.
     """
     res = SuiteResult("builder-consistency")
-    for case, (x, y, a), s3 in _builds(res, d, max_coeff, build_surface):
+    for x, y, a, s3 in _builds(res, d, max_coeff, build_surface):
         chi_emb = embedded_euler_char(d, a, x, y)
         if _is_disjoint_strip_class(d, a) and s3.chi != chi_emb:
             res.failures.append(
-                dict(case, problems=[f"strip class chi {s3.chi} != {chi_emb}"])
+                dict(_case(x, y, a), problems=[f"strip class chi {s3.chi} != {chi_emb}"])
             )
     return res
 

@@ -1,9 +1,11 @@
 import gc
 import hashlib
+import inspect
 import itertools
 import json
 import random
 import re
+import textwrap
 import types
 from fractions import Fraction
 
@@ -534,7 +536,7 @@ def test_stabilized_full_surface_class(genus2):
 
 def test_stabilized_rejects_torus(torus1):
     x = enumerate_generators(torus1)[0]
-    with pytest.raises(PreconditionError, match="g>1"):
+    with pytest.raises(PreconditionError, match="needs genus at least 2; this diagram has genus 1"):
         stabilized_surface(torus1, sigma_class(torus1), x, x)
 
 
@@ -708,7 +710,7 @@ def test_slit_at_tail_glues_the_head_halves_and_returns_the_lips(genus2):
     mid = surf.head[0]
     # new ids: 5 is side 0's head half, 6 the head half of its partner 2
     assert lips == (0, 6)
-    assert (surf.tail(0), mid) == (("v", "q"), ("cut", 1))
+    assert (surf.tail(0), mid) == (("v", "q"), ("cut", 5))
     assert (surf.tail(6), surf.head[6]) == (mid, ("v", "q"))
     assert surf.partner[0] == surf.partner[6] == -1
     assert (surf.partner[5], surf.partner[2]) == (2, 5)
@@ -858,6 +860,59 @@ def test_the_circle_reference_catches_circles_that_are_not_linked(monkeypatch, c
     assert stages > 1000 and caught > stages // 2
 
 
+def rotated_runs_arcs(built):
+    """The boundary arcs of ``built`` by the reader the one-pass
+    ``BuiltSurface._boundary_arcs`` replaced: each circle is rotated to
+    start just after its first corner and cut into runs that each end at a
+    corner, and a run over more than one curve raises."""
+    surf = built.surface
+    arcs = {name: [] for name in surf.curve_family}
+    for comp in built.boundary:
+        first = next((i + 1 for i, (_, corner) in enumerate(comp) if corner), 0)
+        runs = [[]]
+        for o, corner in comp[first:] + comp[:first]:
+            runs[-1].append(surf.dart[o[0]].curve)
+            if corner:
+                runs.append([])
+        for run in runs[:-1] if first else runs:
+            if len(set(run)) != 1:
+                raise BuilderError("boundary arc crosses curves without a corner")
+            arcs[run[0]].append({"sides": len(run), "circle": not first})
+    d = built.diagram
+    for v in surf.degenerate_disks:
+        arcs[d.vertex_alpha[v][0]].append({"sides": 1, "circle": False, "degenerate": True})
+        arcs[d.vertex_beta[v][0]].append({"sides": 1, "circle": False, "degenerate": True})
+    return arcs
+
+
+def arc_mismatches(corpus, read, limit):
+    """(stages, mismatches): the S0-S4 stages of the corpus's box-2 builds,
+    the first ``limit`` domains of each generator pair (all for None), and
+    those on which ``read`` gives other boundary arcs than
+    ``rotated_runs_arcs``."""
+    stages = mismatches = 0
+    for d in corpus.values():
+        for built in stage_surfaces(d, limit):
+            mismatches += read(built) != rotated_runs_arcs(built)
+            stages += 1
+    return stages, mismatches
+
+
+def test_boundary_arcs_match_the_rotated_runs_reference(corpus):
+    assert arc_mismatches(corpus, BuiltSurface.boundary_arcs, None) == (2802, 0)
+
+
+def test_the_arc_reference_catches_a_reader_that_skips_the_wrap_around_join(corpus):
+    # a seeded mutant: the sides after a circle's last corner are dropped
+    # instead of joining the run that ends at its first corner
+    src = textwrap.dedent(inspect.getsource(BuiltSurface._boundary_arcs.func))
+    assert src.count("first[1] + n") == 1
+    scope = {}
+    mutant = src.replace("@functools.cached_property", "").replace("first[1] + n", "first[1]")
+    exec(mutant, vars(builder), scope)
+    assert arc_mismatches(corpus, scope["_boundary_arcs"], 1) == (1655, 968)
+
+
 def one_pass_classes(surf):
     """A seeded mutant of ``corner_classes``: one walk from each unseen side
     in id order, with no first step over the free sides."""
@@ -955,80 +1010,16 @@ def test_layer_side_raises_on_a_side_not_over_the_dart(corpus):
         builder._layer_side(d, surf, layer, dart, ("v", "x2"))
 
 
-def layer_copy_faults(d, seed):
-    """The complexes on which stage S4's copy of the full-surface layer
-    differs from gluing the layer in place, side by side on every list of
-    the complex: appended to an empty complex and to a cut one."""
-    rng = random.Random(seed)
-    faults = []
-    for label in ("empty", "cut"):
-        copied, glued = builder._Surface(d.curve_family), builder._Surface(d.curve_family)
-        if label == "cut":
-            a = Domain(tuple(rng.randint(0, 2) for _ in d.regions))
-            for surf in (copied, glued):
-                builder._add_region_copies(surf, d, a)
-                builder._grind_odd_chains(surf)
-        faces = copied.add_copy(builder._sigma_layer(d))
-        if faces != builder._add_region_copies(glued, d, sigma_class(d)) or vars(copied) != vars(glued):
-            faults.append(label)
-    return faults
-
-
-def s4_diagrams(corpus):
-    """The six bundled diagrams and their mirrors, each a fresh instance."""
-    for name in sorted(corpus):
-        d = load_bundled(name)
-        yield name, d
-        yield "mirror " + name, mirror(d)
-
-
-def test_the_layer_copy_is_the_layer_glued_in_place(corpus):
-    stabilized = 0
-    for k, (name, d) in enumerate(s4_diagrams(corpus)):
-        assert layer_copy_faults(d, 3100 + k) == [], name
-        layer = d._sigma_layer
-        # a stabilization cuts its copy, never the kept layer
-        if d.genus > 1:
-            for x, y, a in stage_cases(d, limit=1)[:20]:
-                if max(a.coeffs) <= 2:
-                    stabilized_surface(d, a, x, y)
-                    stabilized += 1
-        fresh = builder._Surface(d.curve_family)
-        builder._add_region_copies(fresh, d, sigma_class(d))
-        assert d._sigma_layer is layer and vars(layer) == vars(fresh), name
-    assert stabilized > 50
-
-
-def test_the_layer_is_glued_once_per_diagram_instance(monkeypatch):
-    add_copies = builder._add_region_copies
-    glued = []
-    monkeypatch.setattr(
-        builder, "_add_region_copies", lambda surf, e, a: glued.append((e, a)) or add_copies(surf, e, a)
-    )
+def test_stabilizing_keeps_no_complex_on_the_diagram():
+    # S4 glues its full-surface layer into the stage's complex, so a
+    # diagram and its mirror keep only immutable caches
     d = load_bundled("genus3_chain.hd")
-    cases = [case for case in stage_cases(d, limit=1) if max(case[2].coeffs) <= 2][:10]
-    for x, y, a in cases:
-        stabilized_surface(d, a, x, y)
-    m = mirror(d)
-    x, y, a = next(case for case in stage_cases(m, limit=1) if max(case[2].coeffs) <= 2)
-    stabilized_surface(m, a, x, y)
-    # one S0 per build and one layer per instance: d's and the mirror's
-    layers = [e for e, a in glued if a == sigma_class(e)]
-    assert len(cases) == 10 and len(glued) == len(cases) + 1 + 2
-    assert len(layers) == 2 and layers[0] is d and layers[1] is m
-    assert m._sigma_layer is not d._sigma_layer
-
-
-def test_the_layer_copy_check_catches_a_layer_shared_with_the_mirror(monkeypatch, corpus):
-    # a seeded mutant keeps the layer by the diagram's curves, which a
-    # mirror shares: the mirror then copies its original's layer
-    shared = {}
-    real = builder._sigma_layer
-    monkeypatch.setattr(
-        builder, "_sigma_layer", lambda d: shared.setdefault(repr((d.alpha, d.beta)), real(d))
-    )
-    caught = [name for k, (name, d) in enumerate(s4_diagrams(corpus)) if layer_copy_faults(d, 3100 + k)]
-    assert caught == ["mirror " + name for name in sorted(corpus)]
+    for e in (d, mirror(d)):
+        cases = [case for case in stage_cases(e, limit=1) if max(case[2].coeffs) <= 2][:10]
+        for x, y, a in cases:
+            stabilized_surface(e, a, x, y)
+        assert len(cases) == 10 and "_s0_template" in vars(e)
+        assert [k for k, v in vars(e).items() if isinstance(v, builder._Surface)] == []
 
 
 @pytest.mark.xfail(
@@ -1205,10 +1196,7 @@ def test_builder_suite_catches_a_skipped_splice(monkeypatch, genus2s1s2):
 
 
 def test_stabilized_suite_catches_a_wrong_pushforward(monkeypatch):
-    # the full-surface layer is glued once per diagram instance and kept on
-    # it, so the mutant needs an instance whose layer is not yet glued
     d = load_bundled("genus2_s1s2.hd")
-    assert "_sigma_layer" not in d.__dict__
     add_copies = builder._add_region_copies
     asked = []  # the full-surface classes stage S4 asked for
 

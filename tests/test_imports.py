@@ -106,3 +106,25 @@ def test_importing_a_module_loads_only_its_imports(n):
         check=True,
     )
     assert out.stdout.split() == sorted(ORDER[: n + 1])
+
+
+def test_the_cli_starts_without_importlib_resources():
+    # only ``check`` and the local crossing model read bundled data, so
+    # ``load_bundled`` imports it on first call; ``-S`` keeps out a site
+    # hook (a ``.pth`` file) that may import it before the package does
+    src = ROOT / "src"
+    code = (
+        "import sys, hdindex.cli; "
+        "print('importlib.resources' in sys.modules); "
+        "from hdindex.diagram import load_bundled; "
+        "print(load_bundled('torus_g1_1x.hd').genus)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        cwd=src,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["False", "1"]
