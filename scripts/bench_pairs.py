@@ -5,13 +5,13 @@ this runs ``perfbench/run.py`` in each for every workload that the
 change's ``BENCHMARK.json`` declares, for its ``run_seconds``: ``--pairs``
 untraced pairs, the side that goes first alternating from pair to pair,
 then three traced pairs on the seeds from ``--traced-seed`` on.  It writes
-the medians and quartiles of every end-to-end metric, whether each one
-meets the gain rule (``gain_rule_met``), the seeds, the run
-order, the failed operations and the median of the three traced runs of
-each chosen per-layer value, in the schema of ``BENCH_7.json``.  Traced
-times are brought to the probe's reference host speed, as ``run.py``
-brings untraced ones, so that traced runs made at different host speeds
-agree.
+the medians and quartiles of every ``end_to_end`` metric that file
+declares, whether each one meets the gain rule (``gain_rule_met``), the
+seeds, the run order, the failed operations and the median of the three
+traced runs of each of its ``per_layer`` values, in the schema of
+``BENCH_7.json``.  Traced times are brought to the probe's reference host
+speed, as ``run.py`` brings untraced ones, so that traced runs made at
+different host speeds agree.
 
 Each file compares two commits directly.  Medians of different files are
 not compared, nor are their ratios multiplied into a trajectory: probe
@@ -40,26 +40,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-END_TO_END = ("wall_s", "op_p50_ms", "op_p98_ms", "setup_s", "peak_rss_mb")
-TRACED = (
-    "domains.connects.self_s",
-    "domains.connects.calls",
-    "domains.find_domains.self_s",
-    "domains.find_domains.calls",
-    "harness.additivity.s",
-    "harness.builder-consistency.s",
-    "formulas.self_s",
-    "builder.s0_glue.self_s",
-    "builder.s1_cut.self_s",
-    "builder.s3_splice.self_s",
-    "builder.s3_verify.self_s",
-    "builder.census.self_s",
-    "builder.s4_stabilize.self_s",
-    "trace.wall_s",
-    "trace.untraced_wall_s",
-    "setup.traced_s",
-    "diagram.parse_validate.self_s",
-)
 SIDES = ("parent", "change")
 TRACED_RUNS = 3
 RUN = "python3 perfbench/run.py --workload <w> --seed {seed} --seconds {seconds} --trace {trace}"
@@ -117,27 +97,25 @@ def measure(args: argparse.Namespace, workload: str) -> tuple[dict, dict, bool]:
     checkouts = {"parent": args.parent, "change": args.change}
     seeds = [args.seed + k for k in range(args.pairs)]
     first = [SIDES[k % 2] for k in range(args.pairs)]
-    values: dict = {side: {m: [] for m in END_TO_END} for side in SIDES}
+    values: dict = {side: {m: [] for m in args.end_to_end} for side in SIDES}
     failed = dict.fromkeys(SIDES, 0)
     attempted, correct = None, True
-    units: dict[str, str] = {}
     for seed, lead in zip(seeds, first):
         for side in (lead, SIDES[1 - SIDES.index(lead)]):
             out = run_once(checkouts[side], workload, seed, args.seconds, 0)
             correct &= bool(out["correct"])
             failed[side] += out["failed"]
             attempted = out["attempted"]
-            for m in END_TO_END:
+            for m in args.end_to_end:
                 values[side][m].append(out["metrics"][m]["value"])
-                units[m] = out["metrics"][m]["unit"]
-            print(f"{workload} seed {seed} {side}: wall_s {values[side]['wall_s'][-1]:.4f}",
+            print(f"{workload} seed {seed} {side}: wall_s {out['metrics']['wall_s']['value']:.4f}",
                   file=sys.stderr)
     metrics = {}
-    for m in END_TO_END:
+    for m in args.end_to_end:
         parent, change = (summary(values[side][m]) for side in SIDES)
         wins = sum(c < p for p, c in zip(values["parent"][m], values["change"][m]))
         metrics[m] = {
-            "unit": units[m],
+            "unit": args.end_to_end[m],
             "parent": parent,
             "change": change,
             "change_wins": wins,
@@ -159,7 +137,9 @@ def measure(args: argparse.Namespace, workload: str) -> tuple[dict, dict, bool]:
             correct &= bool(out["correct"])
             runs[side].append(probe_scaled(out))
     for side in SIDES:
-        traced[side] = {k: round(statistics.median(m[k] for m in runs[side]), 6) for k in TRACED}
+        traced[side] = {
+            k: round(statistics.median(m[k] for m in runs[side]), 6) for k in args.per_layer
+        }
     return record, traced, correct
 
 
@@ -178,6 +158,8 @@ def main(argv: list[str] | None = None) -> int:
         ap.error("--pairs must be at least 2 for quartiles")
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     args.seconds = bench["run_seconds"]
+    args.end_to_end = {m["name"]: m["unit"] for m in bench["end_to_end"]}
+    args.per_layer = [m["name"] for m in bench["per_layer"]]
     host = f"{os.cpu_count()}-core {platform.machine()} host, Python {platform.python_version()}"
     out = {
         "provenance": f"measured: {args.pairs} alternating parent/change pairs per workload "

@@ -883,10 +883,11 @@ def stage_contract(built: BuiltSurface) -> list[str]:
     the S3 surface (``s3_chi`` and ``closed_layers``, which
     ``stabilized_surface`` records): the fresh surface copy adds 2 - 2g,
     and cutting it and each closed layer open at the g points of x costs 2
-    per point.  Any other stage is held to the stage-S3 contract: 2g
-    corners, all right angles; one boundary arc per curve; pushforward
-    equal to the domain; chi congruent mod 2 to the embedded Euler
-    characteristic of the class.
+    per point.  These clauses imply every flag of the branched-cover
+    bookkeeping that ``hdindex stabilize`` reports.  Any other stage is
+    held to the stage-S3 contract: 2g corners, all right angles; one
+    boundary arc per curve; pushforward equal to the domain; chi congruent
+    mod 2 to the embedded Euler characteristic of the class.
     """
     d = built.diagram
     corners = built.corners()

@@ -102,11 +102,6 @@ class HeegaardDiagram:
         )
         self.signs: dict[str, int] = dict(signs)
 
-        names = [n for n, _ in self.alpha] + [n for n, _ in self.beta]
-        dup = _first_duplicate(names)
-        if dup is not None:
-            raise DiagramError(f"duplicate curve name {dup!r}")
-
         # Vertex -> (curve name, position) per family, and curve -> family.
         # The canonical vertex order is the order of first appearance in
         # the alpha family.
@@ -118,6 +113,8 @@ class HeegaardDiagram:
             (BETA, self.beta, self.vertex_beta),
         ):
             for name, vs in curves:
+                if name in self.curve_family:
+                    raise DiagramError(f"duplicate curve name {name!r}")
                 if not vs:
                     raise DiagramError(f"{family} curve {name!r} has no vertices")
                 self.curve_family[name] = family
@@ -375,12 +372,3 @@ def load_bundled(name: str) -> HeegaardDiagram:
 
     text = resources.files("hdindex.data").joinpath(name).read_text()
     return parse_diagram(text)
-
-
-def _first_duplicate(items: Sequence[str]) -> str | None:
-    seen: set[str] = set()
-    for x in items:
-        if x in seen:
-            return x
-        seen.add(x)
-    return None

@@ -86,7 +86,8 @@ class Domain(NamedTuple):
         return self.coeffs[region]
 
     def __add__(self, other: "Domain") -> "Domain":
-        _same_length(self, other)
+        if len(self.coeffs) != len(other.coeffs):
+            raise ValueError("domains live on different diagrams")
         return Domain(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __mul__(self, k: int) -> "Domain":
@@ -502,8 +503,3 @@ def _check_domain(d: HeegaardDiagram, a: Domain) -> None:
             f"domain has {len(a.coeffs)} coefficients, diagram has "
             f"{len(d.regions)} regions"
         )
-
-
-def _same_length(a: Domain, b: Domain) -> None:
-    if len(a.coeffs) != len(b.coeffs):
-        raise ValueError("domains live on different diagrams")

@@ -14,11 +14,9 @@ line.  The clauses:
   than a wrong surface class; it stays in ``check``, whose case count
   ``perfbench/reference.json`` pins, until a check that can fail
   replaces it;
-* the builder: the stage contracts S3 and S4, which the builder enforces,
-  and chi of disjoint strip classes.  The S4 contract (connected, 2g
-  corners, pushforward, and the Euler law that ties chi(S4) to chi(S3))
-  is the whole S4 oracle: it implies the branched-cover bookkeeping that
-  ``hdindex stabilize`` reports.
+* the builder: the stage contracts S3 and S4 (``builder.stage_contract``
+  states their clauses), which the builder enforces, and chi of disjoint
+  strip classes.  The S4 contract is the whole S4 oracle.
 
 e-additivity (e is linear in the domain) and the analytic index at the
 embedded chi (which is mu) hold by algebra alone, so no suite checks them.
@@ -244,12 +242,9 @@ def stabilized_surface_suite(
 ) -> SuiteResult:
     """Stage S4 over the bounded positive domains (genus above one).
 
-    The builder enforces the stage-S4 contract (``stage_contract``) and
-    raises on a breach, which is reported as a failure: the surface is
-    connected, has 2g corners and pushes forward to the class plus the
-    full surface class, and chi(S4) = chi(S3) + 2 - 4g - 2gL for its L
-    closed S3 layers.  Given that, every flag of the branched-cover
-    bookkeeping holds, so it is not checked again here.
+    The builder raises on a breach of the stage-S4 contract, whose clauses
+    ``stage_contract`` states; each breach is reported as a failure, and
+    nothing more is checked here.
     """
     res = SuiteResult("stabilized-surface")
     if d.genus > 1:
@@ -290,13 +285,9 @@ def _timed(suite, *args) -> SuiteResult:
 
 
 def run_all(diagrams: dict[str, HeegaardDiagram]) -> list[SuiteResult]:
-    """Run every suite at its default box; diagram-level suites run per
-    valid diagram of ``diagrams``.
-
-    The boxes: local patterns up to bound 3, additivity over coefficients
-    0..2, stabilization for k <= 3 over 0..2, builder consistency over 0..3
-    and the stabilized surface over 0..1.  Each suite call is timed here,
-    into its result's ``elapsed``.
+    """Run every suite at its default box (the module text lists them);
+    diagram-level suites run per valid diagram of ``diagrams``.  Each suite
+    call is timed here, into its result's ``elapsed``.
     """
     results = [_timed(local_pattern_oracle)]
     for name, d in diagrams.items():

@@ -5,7 +5,11 @@ from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench_pairs.py"
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+END_TO_END = {m["name"]: m["unit"] for m in BENCHMARK["end_to_end"]}
+PER_LAYER = [m["name"] for m in BENCHMARK["per_layer"]]
 
 
 @pytest.fixture()
@@ -22,8 +26,8 @@ def test_traced_values_are_the_median_of_three_alternating_runs(bench_pairs, mon
     def fake_run(checkout, workload, seed, seconds, trace):
         calls.append((checkout, seed, trace))
         value = 10.0 * (checkout == "change") + len(calls)
-        metrics = {k: {"value": value, "unit": "s"} for k in bench_pairs.END_TO_END}
-        metrics.update({k: {"value": value, "unit": "count"} for k in bench_pairs.TRACED})
+        metrics = {k: {"value": value, "unit": "s"} for k in END_TO_END}
+        metrics.update({k: {"value": value, "unit": "count"} for k in PER_LAYER})
         # a traced pass at half the reference host speed: its times halve
         metrics["builder.s0_glue.self_s"] = {"value": value, "unit": "s"}
         metrics["trace.untraced_wall_s"] = {"value": 4.0, "unit": "s"}
@@ -32,7 +36,8 @@ def test_traced_values_are_the_median_of_three_alternating_runs(bench_pairs, mon
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     args = argparse.Namespace(
-        parent="parent", change="change", pairs=2, seed=1, traced_seed=50, seconds=1
+        parent="parent", change="change", pairs=2, seed=1, traced_seed=50, seconds=1,
+        end_to_end=END_TO_END, per_layer=PER_LAYER,
     )
     record, traced, correct = bench_pairs.measure(args, "surfaces")
     assert correct and record["seeds"] == [1, 2]
@@ -47,6 +52,7 @@ def test_traced_values_are_the_median_of_three_alternating_runs(bench_pairs, mon
     assert traced["parent"]["builder.s0_glue.self_s"] == 8 / 2
     assert traced["change"]["builder.s0_glue.self_s"] == 17 / 2
     assert traced["change"]["domains.connects.calls"] == 17
+    assert list(traced["parent"]) == list(traced["change"]) == PER_LAYER
 
 
 def test_main_reads_the_benchmark_from_the_change_checkout(bench_pairs, monkeypatch, tmp_path):
@@ -54,7 +60,8 @@ def test_main_reads_the_benchmark_from_the_change_checkout(bench_pairs, monkeypa
     change.mkdir()
     elsewhere.mkdir()
     workloads = [{"name": "surfaces"}]
-    (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "workloads": workloads}))
+    bench = dict(BENCHMARK, run_seconds=1, workloads=workloads)
+    (change / "BENCHMARK.json").write_text(json.dumps(bench))
     # a stray BENCHMARK.json beside --out is not the one measured
     (elsewhere / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 9, "workloads": []}))
     seen = []
@@ -75,6 +82,37 @@ def test_main_reads_the_benchmark_from_the_change_checkout(bench_pairs, monkeypa
     # each file holds its own two medians and no ratio chained onto another file's
     wall = json.loads(out.read_text())["workloads"]["surfaces"]["metrics"]["wall_s"]
     assert wall == {"parent": {"median": 2.0}, "change": {"median": 1.0}}
+
+
+def test_the_record_follows_the_metric_names_of_the_change_benchmark(
+    bench_pairs, monkeypatch, tmp_path
+):
+    # the change declares one more per-layer value and one end-to-end metric fewer
+    bench = dict(BENCHMARK, run_seconds=1, workloads=[{"name": "surfaces"}])
+    bench["end_to_end"] = [m for m in bench["end_to_end"] if m["name"] != "peak_rss_mb"]
+    bench["per_layer"] = bench["per_layer"] + [{"name": "builder.s5.self_s", "unit": "s"}]
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        names = list(END_TO_END) + PER_LAYER + ["builder.s5.self_s"]
+        metrics = {k: {"value": 1.0, "unit": END_TO_END.get(k, "s")} for k in names}
+        run = {"pass_wall_s": [1.0], "pass_scale": [1.0]}
+        return {"correct": True, "failed": 0, "attempted": 1, "metrics": metrics, "run": run}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "BENCH_1.json"
+    argv = [
+        "--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out),
+        "--seed", "1", "--traced-seed", "2", "--parent-commit", "abc", "--change-note", "n",
+    ]
+    assert bench_pairs.main(argv) == 0
+    record = json.loads(out.read_text())
+    metrics = record["workloads"]["surfaces"]["metrics"]
+    assert {m: metrics[m]["unit"] for m in metrics} == {
+        m["name"]: m["unit"] for m in bench["end_to_end"]
+    }
+    for side in ("parent", "change"):
+        assert list(record["traced"]["surfaces"][side]) == [m["name"] for m in bench["per_layer"]]
 
 
 def test_the_gain_rule_needs_both_the_wins_and_a_drop_beyond_the_parent_spread(bench_pairs):

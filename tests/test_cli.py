@@ -1,16 +1,21 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from hdindex import builder, cli
+from hdindex.builder import BuilderError
 from hdindex.cli import MAX_DIAGRAM_BYTES, main
-from hdindex.harness import BUNDLED_DIAGRAMS
+from hdindex.domains import Domain, enumerate_generators, find_domains
+from hdindex.harness import BUNDLED_DIAGRAMS, bundled_corpus
 from importlib import resources
-from support import torus_text
+from support import serialize_diagram, torus_text
+from test_generated import valid_diagrams
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -491,3 +496,69 @@ def test_info_text_matches_json(capsys, data_dir):
     _, text, _ = run(capsys, "info", path)
     assert f"e(full surface class) = {payload['euler_measure_sigma']}" in text
     assert f"periodic domain rank = {payload['periodic_rank']}" in text
+
+
+# -- a seeded fuzz of the verbs that read generators -------------------------
+
+FUZZ_VERBS = (["index"], ["index", "--force"], ["build-surface"], ["stabilize"], ["domains"])
+FUZZ_CALLS = 300
+FUZZ_CALL_S = 1  # the most one call may take; the slowest takes well under 0.1 s
+
+
+def fuzz_argvs(tmp_path):
+    """``FUZZ_CALLS`` seeded ``main`` argument lists on the corpus and 20
+    generated diagrams: random generator pairs, and for the verbs that read
+    ``--domain`` a connecting domain about half the time, else one with
+    random coefficients in -1..2."""
+    rng = random.Random(3601)
+    diagrams = list(bundled_corpus().items())
+    diagrams += [(f"gen{k}.hd", d) for k, d in enumerate(valid_diagrams(seed=2026, count=20))]
+    cases = []
+    for name, d in diagrams:
+        path = tmp_path / name
+        path.write_text(serialize_diagram(d))
+        cases.append((str(path), d, enumerate_generators(d)))
+    for _ in range(FUZZ_CALLS):
+        path, d, gens = rng.choice(cases)
+        verb = rng.choice(FUZZ_VERBS)
+        x, y = rng.choice(gens), rng.choice(gens)
+        if verb == ["domains"]:
+            # -1 is refused by argparse
+            tail = ["--max-coeff", str(rng.randint(-1, 2))] + ["--positive"] * rng.randint(0, 1)
+        elif rng.random() < 0.5:
+            # y = x has the zero domain, so this ends
+            while not (connecting := find_domains(d, x, y, 3)):
+                y = rng.choice(gens)
+            tail = ["--domain", rng.choice(connecting).format()]
+        else:
+            tail = ["--domain", Domain(tuple(rng.randint(-1, 2) for _ in d.regions)).format()]
+        yield [verb[0], path, "--from", x.format(), "--to", y.format(), *verb[1:], *tail]
+
+
+def fuzz_faults(tmp_path, capsys):
+    """Each fuzz call that ends in anything but exit code 0, 1 or 2, or
+    takes over ``FUZZ_CALL_S``, spelled as its command line."""
+    for argv in fuzz_argvs(tmp_path):
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = repr(exc)
+        elapsed = time.perf_counter() - start
+        capsys.readouterr()
+        if code not in (0, 1, 2) or elapsed > FUZZ_CALL_S:
+            yield f"hdindex {' '.join(argv)}: {code} after {elapsed:.3f} s"
+
+
+def test_every_fuzzed_verb_call_ends_in_an_exit_code(tmp_path, capsys):
+    assert list(fuzz_faults(tmp_path, capsys)) == []
+
+
+def test_verb_fuzz_catches_a_builder_error(tmp_path, capsys, monkeypatch):
+    def broken_splice(*args):
+        raise BuilderError("seeded splice fault")
+
+    monkeypatch.setattr(builder, "_splice_circle", broken_splice)
+    assert any("seeded splice fault" in fault for fault in fuzz_faults(tmp_path, capsys))

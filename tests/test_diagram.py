@@ -228,6 +228,12 @@ def test_parse_duplicate_sign():
         ),
         ([("a", ["x"])], [("b", ["x", "y"])], {"x": 1, "y": 1}, "vertex 'y' is not on any alpha curve"),
         ([("c", ["x"])], [("c", ["x"])], {"x": 1}, "duplicate curve name 'c'"),
+        (
+            [("c", ["x"]), ("c", ["y"])],
+            [("b", ["x", "y"])],
+            {"x": 1, "y": 1},
+            "duplicate curve name 'c'",
+        ),
     ],
 )
 def test_constructor_refuses_structural_defects(alpha, beta, signs, message):
