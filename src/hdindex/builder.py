@@ -475,11 +475,8 @@ class BuiltSurface:
             arcs[d.vertex_beta[v][0]].append({"sides": 1, "circle": False, "degenerate": True})
         return arcs
 
-    def component_count(self) -> int:
-        return self._components
-
     @functools.cached_property
-    def _components(self) -> int:
+    def component_count(self) -> int:
         return len(self.surface.face_components()) + len(self.surface.degenerate_disks)
 
     @functools.cached_property
@@ -769,17 +766,13 @@ def splice_boundary_circles(built: BuiltSurface) -> BuiltSurface:
             return s3
         sides = [o[0] for o, _ in circle]
         curve = surf.dart[sides[0]].curve
-        v = _generator_point_on_curve(d, built.x, curve)
-        _splice_circle(surf, d, sides, v, d.curve_family[curve])
+        fam = d.curve_family[curve]
+        table = d.vertex_alpha if fam == ALPHA else d.vertex_beta
+        v = next((v for v in built.x.points if table[v][0] == curve), None)
+        if v is None:
+            raise BuilderError(f"generator misses curve {curve}")
+        _splice_circle(surf, d, sides, v, fam)
     raise BuilderError("splicing does not terminate")
-
-
-def _generator_point_on_curve(d: HeegaardDiagram, x: Generator, curve: str) -> str:
-    table = d.vertex_alpha if d.curve_family[curve] == ALPHA else d.vertex_beta
-    for v in x.points:
-        if table[v][0] == curve:
-            return v
-    raise BuilderError(f"generator misses curve {curve}")
 
 
 def _dart_at(d: HeegaardDiagram, surf: _Surface, s: int, pt: Point) -> Dart:
@@ -835,7 +828,10 @@ def _splice_circle(surf: _Surface, d: HeegaardDiagram, circle: list[int], v: str
                 continue
             for olink in surf.class_slots(other)[1]:
                 if surf.dart[olink] == surf.dart[link]:
-                    _execute_swap(surf, link, olink)
+                    tail_lip, head_lip = surf.slit_at_tail(link)
+                    otail_lip, ohead_lip = surf.slit_at_tail(olink, surf.head[tail_lip])
+                    surf.glue_boundary(tail_lip, ohead_lip)
+                    surf.glue_boundary(otail_lip, head_lip)
                     return
     raise BuilderError(f"no matching corner side to splice at {v}")
 
@@ -860,14 +856,6 @@ def _glue_to_lip(
         surf.glue_boundary(first, head_lip)
     else:
         raise BuilderError("corner side does not touch the vertex")
-
-
-def _execute_swap(surf: _Surface, link: int, olink: int) -> None:
-    """Slit two parallel links at a shared cut point and cross-glue the lips."""
-    tail_lip, head_lip = surf.slit_at_tail(link)
-    otail_lip, ohead_lip = surf.slit_at_tail(olink, surf.head[tail_lip])
-    surf.glue_boundary(tail_lip, ohead_lip)
-    surf.glue_boundary(otail_lip, head_lip)
 
 
 # ---------------------------------------------------------------------------
@@ -897,7 +885,7 @@ def stage_contract(built: BuiltSurface) -> list[str]:
     if built.pushforward() != built.domain:
         problems.append("pushforward differs from the domain")
     if built.stage == "S4":
-        if built.component_count() != 1:
+        if built.component_count != 1:
             problems.append("not connected")
         g = d.genus
         want = built.s3_chi + 2 - 4 * g - 2 * g * built.closed_layers
@@ -1084,7 +1072,7 @@ def branched_cover_check(s4: BuiltSurface) -> dict:
         "all_components_even": all(n % 2 == 0 for n in per_component),
         "branch_budget": str(budget),
         "branch_budget_ok": budget >= 0 and budget.denominator == 1,
-        "connected": s4.component_count() == 1,
+        "connected": s4.component_count == 1,
     }
     flags = ("corner_halves_sum_is_genus", "all_components_even", "branch_budget_ok", "connected")
     report["ok"] = all(report[flag] for flag in flags)

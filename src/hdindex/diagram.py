@@ -139,11 +139,6 @@ class HeegaardDiagram:
         if any(s not in (1, -1) for s in self.signs.values()):
             raise DiagramError("signs must be +1 or -1")
 
-        self._derive()
-
-    # -- construction helpers -------------------------------------------
-
-    def _derive(self) -> None:
         # Rotation system: counterclockwise dart order at every vertex.
         self.rotation: dict[str, tuple[Dart, Dart, Dart, Dart]] = {}
         for v in self.vertices:
@@ -200,11 +195,10 @@ class HeegaardDiagram:
 
     def darts(self) -> Iterator[Dart]:
         """All darts in canonical order (family, curve, position, sense)."""
-        for _, curves in ((ALPHA, self.alpha), (BETA, self.beta)):
-            for name, vs in curves:
-                for v in vs:
-                    yield Dart(v, name, True)
-                    yield Dart(v, name, False)
+        for name, vs in self.alpha + self.beta:
+            for v in vs:
+                yield Dart(v, name, True)
+                yield Dart(v, name, False)
 
     def quadrants_at(self, v: str) -> tuple[int, ...]:
         """The region ids of the four sectors at v, in rotation order.

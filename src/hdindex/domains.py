@@ -251,20 +251,13 @@ def _boundary_matrix(d: HeegaardDiagram) -> list[list[int]]:
     return rows
 
 
-def _target_vector(lat: "_Lattice", points: tuple[str, ...]) -> list[int]:
-    """The point vector of ``points``: 1 in the vertex row of each."""
-    out = [0] * len(lat.vertex_index)
-    for v in points:
-        out[lat.vertex_index[v]] += 1
-    return out
-
-
-def _row_echelon(rows: list[list[int]]) -> list[list[int]]:
+def _row_echelon(rows: list[list[int]]) -> list[tuple[int, list[int]]]:
+    """The echelon form of ``rows`` as (pivot column, row) pairs, pivots increasing."""
     rows = [list(r) for r in rows if any(r)]
     if not rows:
         return []
     cols = len(rows[0])
-    out: list[list[int]] = []
+    out: list[tuple[int, list[int]]] = []
     col = 0
     while rows and col < cols:
         nz = [r for r in rows if r[col] != 0]
@@ -282,7 +275,7 @@ def _row_echelon(rows: list[list[int]]) -> list[list[int]]:
         piv = nz[0]
         if piv[col] < 0:
             piv[:] = [-a for a in piv]
-        out.append(piv)
+        out.append((col, piv))
         rows = [r for r in rows if r is not piv and any(r)]
         col += 1
     return out
@@ -316,14 +309,10 @@ class _Factorization(NamedTuple):
                 for c in range(ncols)
             ]
         )
-        echelon = tuple(
-            (next(c for c, k in enumerate(r) if k), tuple(r[:nrows]))
-            for r in reduced
-            if any(r[:nrows])
-        )
-        unimodular = tuple(tuple(r[nrows:]) for r in reduced)
+        echelon = tuple((c, tuple(r[:nrows])) for c, r in reduced if c < nrows)
+        unimodular = tuple(tuple(r[nrows:]) for _, r in reduced)
         kernel = unimodular[len(echelon) :]
-        pivots = tuple(next(c for c, k in enumerate(r) if k) for r in kernel)
+        pivots = tuple(c - nrows for c, _ in reduced[len(echelon) :])
         return _Factorization(echelon, unimodular, kernel, pivots)
 
     def reduce(self, target: list[int]) -> tuple[list[int], list[int]]:
@@ -423,7 +412,10 @@ def _records(
         for g in (x, y):
             if g.points not in records:
                 check_generator(d, g)
-                residue, a = lat.factorization.reduce(_target_vector(lat, g.points))
+                target = [0] * len(lat.vertex_index)
+                for v in g.points:
+                    target[lat.vertex_index[v]] += 1
+                residue, a = lat.factorization.reduce(target)
                 regions = [r for v in g.points for r in d.quadrants_at(v)]
                 weights = tuple(map(regions.count, range(len(lat.euler_weights))))
                 packed = sum(1 << _PACK_BITS * lat.vertex_index[v] for v in g.points)

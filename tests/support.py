@@ -1,18 +1,51 @@
-"""Diagram and domain helpers that only the tests use, and their time limit.
+"""Diagram and domain helpers that only the tests use, their time limit,
+and the one spelling of loading a script and of running a child interpreter.
 
 The package itself never mirrors or writes a diagram, nor builds the zero
 domain or the 0-chain y - x of two generators, so these live beside the
 tests that do.  ``time_limit`` bounds a block by ``SIGALRM``: each test
 under ``conftest.TEST_SECONDS``, and a walk or a loop that a test expects
-to end quickly under a shorter bound of its own.
+to end quickly under a shorter bound of its own.  ``class_frames`` and
+the generating-set additivity check on them stay here until a suite of
+``check`` calls them.
 """
 
+import importlib.util
+import os
 import signal
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 from hdindex.diagram import ALPHA, BETA, HeegaardDiagram
-from hdindex.domains import Domain, Generator
+from hdindex.domains import Domain, Generator, _records, enumerate_generators
+from hdindex.domains import periodic_domain_basis
+from hdindex.formulas import maslov_quarters
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def load_module(path: Path, name: str):
+    """The file ``path`` executed as a fresh module ``name``, not put in ``sys.modules``."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run ``python [flags] -c code`` in ``src`` with only ``src`` added to the path;
+    raise if it exits nonzero."""
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        cwd=SRC,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
 
 
 @contextmanager
@@ -78,3 +111,45 @@ def torus_text(n: int) -> str:
     vs = " ".join(f"v{i}" for i in range(n))
     signs = "".join(f"sign v{i}: {'+-'[i % 2]}\n" for i in range(n))
     return f"alpha a1: {vs}\nbeta b1: {vs}\n{signs}"
+
+
+def class_frames(d: HeegaardDiagram) -> list[tuple[Generator, dict, list[Domain]]]:
+    """(base generator, potentials, periodic basis) for each class of generators.
+
+    A class is the generators of one class key, in enumeration order; its
+    base is the first of them, and ``potentials`` maps each to its potential
+    a(x).  pi_2(x, y) of two generators of a class is a(y) - a(x) plus the
+    span of the basis, so each frame spans every domain of its class.
+    """
+    classes: dict = {}
+    for x in enumerate_generators(d):
+        _, rx, _ = _records(d, x, x)
+        classes.setdefault(rx.key, {})[x] = rx.potential
+    basis = periodic_domain_basis(d)
+    return [(next(iter(potentials)), potentials, basis) for potentials in classes.values()]
+
+
+def generating_set_faults(diagrams) -> list[tuple]:
+    """The cases where 4 mu is not additive, over each class frame.
+
+    For base o and members y, z of a class it compares 4 mu(A + B) with
+    4 mu(A) + 4 mu(B) at A = a(y) - a(o) from o to y and, from y to z,
+    B = a(z) - a(y) or B a periodic basis vector (z = y).  The defect of
+    4 mu is bilinear in (A, B) and, at the potentials, a sum of one
+    antisymmetric form over the three generators, so these cases decide
+    additivity on all of pi_2, whatever the box.
+    """
+    faults = []
+    for d in diagrams:
+        for o, potentials, basis in class_frames(d):
+            for y, ay in potentials.items():
+                a = Domain(tuple(q - p for p, q in zip(potentials[o], ay)))
+                mu_a = maslov_quarters(d, a, o, y)
+                steps = [
+                    (z, Domain(tuple(q - p for p, q in zip(ay, az))))
+                    for z, az in potentials.items()
+                ]
+                for z, b in steps + [(y, p) for p in basis]:
+                    if maslov_quarters(d, a + b, o, z) != mu_a + maslov_quarters(d, b, y, z):
+                        faults.append((d, o, y, z, a, b))
+    return faults

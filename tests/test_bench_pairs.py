@@ -1,9 +1,10 @@
 import argparse
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+
+from support import load_module
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "bench_pairs.py"
@@ -14,10 +15,7 @@ PER_LAYER = [m["name"] for m in BENCHMARK["per_layer"]]
 
 @pytest.fixture()
 def bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module(SCRIPT, "bench_pairs")
 
 
 def test_traced_values_are_the_median_of_three_alternating_runs(bench_pairs, monkeypatch):

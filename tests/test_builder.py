@@ -404,7 +404,7 @@ def test_build_surface_bigon_is_disk(torus3):
     assert s3.chi == 1
     assert s3.delta() == 0
     assert s3.corners() == [("v0", 1), ("v2", 1)]
-    assert s3.component_count() == 1
+    assert s3.component_count == 1
 
 
 def test_build_surface_zero_domain(torus3, genus2):
@@ -443,7 +443,7 @@ def test_build_surface_example1_is_annulus(genus2):
     assert s3.chi == 0
     assert s3.delta() == 0
     assert len(s3.corners()) == 4
-    assert s3.component_count() == 1
+    assert s3.component_count == 1
     # two boundary circles and chi zero: the annulus of the resolved
     # double point
     assert len(s3.boundary) == 2
@@ -506,7 +506,7 @@ def test_stabilized_zero_domain(genus2):
     assert s4.chi == -4  # the surface with two cut stars
     assert s4.pushforward() == sigma_class(genus2)
     assert len(s4.corners()) == 4
-    assert s4.component_count() == 1
+    assert s4.component_count == 1
     assert not s4.surface.degenerate_disks
     rep = branched_cover_check(s4)
     assert rep["ok"]
@@ -517,7 +517,7 @@ def test_stabilized_example1(genus2):
     a, x, y = example1_data(genus2)
     s4 = stabilized_surface(genus2, a, x, y)
     assert s4.pushforward() == a + sigma_class(genus2)
-    assert s4.component_count() == 1
+    assert s4.component_count == 1
     assert len(s4.corners()) == 4
     rep = branched_cover_check(s4)
     assert rep["ok"]
@@ -529,7 +529,7 @@ def test_stabilized_full_surface_class(genus2):
     # the closed layer of the surface class is opened and chained in
     x = Generator(("x1", "x2"))
     s4 = stabilized_surface(genus2, sigma_class(genus2), x, x)
-    assert s4.component_count() == 1
+    assert s4.component_count == 1
     assert s4.pushforward() == 2 * sigma_class(genus2)
     assert branched_cover_check(s4)["ok"]
 
@@ -543,7 +543,7 @@ def test_stabilized_rejects_torus(torus1):
 def test_stabilized_genus3(genus3):
     x = enumerate_generators(genus3)[0]
     s4 = stabilized_surface(genus3, zero_domain(genus3), x, x)
-    assert s4.component_count() == 1
+    assert s4.component_count == 1
     assert len(s4.corners()) == 6
     rep = branched_cover_check(s4)
     assert rep["ok"]
@@ -1260,7 +1260,7 @@ def test_stage_contract_reports_each_breach(genus2):
 
 
 def stage_values(built):
-    return built.chi, built.corners(), built.boundary_arcs(), built.component_count()
+    return built.chi, built.corners(), built.boundary_arcs(), built.component_count
 
 
 def test_stage_values_count_the_cells_and_outlive_the_stage(corpus):

@@ -1,14 +1,8 @@
-import importlib.util
 from pathlib import Path
 
+from support import load_module
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "code_lines.py"
-
-
-def load_script():
-    spec = importlib.util.spec_from_file_location("code_lines", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 SOURCE = '''"""Module docstring,
@@ -36,4 +30,4 @@ class C:
 def test_counts_code_lines_only():
     # import, def, the two lines of the string, the two of the return,
     # class, y
-    assert load_script().code_lines(SOURCE) == 8
+    assert load_module(SCRIPT, "code_lines").code_lines(SOURCE) == 8

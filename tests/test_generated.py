@@ -5,9 +5,11 @@ so their traced surface is disconnected.  ``validate_diagram`` is compared
 with a vertex DFS and a per-family region union-find, the one-pass grind
 of stage S1 with the fixpoint grind it replaced, the class keys of
 ``find_domains`` with one solve per generator pair, the periodic rank
-with the rank of the signed intersection matrix, and the parity of the
-Maslov index with the Z/2 grading from the crossing signs.  Every build
-of a generated case must succeed.
+with the rank of the signed intersection matrix, the parity of the
+Maslov index with the Z/2 grading from the crossing signs, and the
+pivots that the echelon form reports with a rescan of each row.
+Additivity of mu is checked on each class's generating set, and on the
+corpus compared with the box suite.  Every build of a generated case must succeed.
 """
 
 import copy
@@ -32,8 +34,8 @@ from hdindex.domains import (
     periodic_domain_basis,
 )
 from hdindex.formulas import maslov_quarters
-from hdindex.harness import bundled_corpus
-from support import mirror, y_minus_x
+from hdindex.harness import additivity_suite, bundled_corpus
+from support import class_frames, generating_set_faults, mirror, y_minus_x
 
 MAX_VERTICES = 7
 
@@ -438,13 +440,146 @@ def test_hermite_check_catches_a_negative_pivot(monkeypatch):
     # lattice, but its pivot step is negative
     def negative_pivot(rows):
         out = _row_echelon(rows)
-        out[-1] = [-k for k in out[-1]]
+        pc, row = out[-1]
+        out[-1] = pc, [-k for k in row]
         return out
 
     monkeypatch.setattr(domains, "_row_echelon", negative_pivot)
     corpus = list(bundled_corpus().values())
     faults, _, _ = hermite_faults(corpus + [mirror(d) for d in corpus])
     assert faults
+
+
+# -- the pivots the echelon form reports --------------------------------------
+
+
+def augmented(rows, ncols):
+    """[M^T | I] for the rows of M, as ``_Factorization.of`` reduces it."""
+    return [[row[c] for row in rows] + [int(i == c) for i in range(ncols)] for c in range(ncols)]
+
+
+def first_nonzero(row):
+    return next(c for c, k in enumerate(row) if k)
+
+
+def rescanned_factorization(rows, ncols):
+    """``echelon`` and ``kernel_pivots`` as ``_Factorization.of`` made them
+    before ``_row_echelon`` reported its pivots: each pivot found again by a
+    scan of its row."""
+    nrows = len(rows)
+    reduced = [r for _, r in _row_echelon(augmented(rows, ncols))]
+    echelon = tuple((first_nonzero(r), tuple(r[:nrows])) for r in reduced if any(r[:nrows]))
+    kernel = [r[nrows:] for r in reduced[len(echelon) :]]
+    return echelon, tuple(map(first_nonzero, kernel))
+
+
+def pivot_faults(diagrams):
+    """(diagram, what) where a pivot that ``_row_echelon`` reports, on [M^T | I]
+    or on the signed intersection matrix, is not the first nonzero column of
+    its row, or the pivots do not strictly increase, or ``_Factorization.of``
+    departs from the rescanning reference."""
+    faults = []
+    for d in diagrams:
+        rows, ncols = _boundary_matrix(d), len(d.regions)
+        for matrix in (augmented(rows, ncols), intersection_matrix(d, d.signs)):
+            pairs = domains._row_echelon(matrix)
+            if any(pc != first_nonzero(r) for pc, r in pairs):
+                faults.append((d, "first nonzero"))
+            if any(p >= q for (p, _), (q, _) in zip(pairs, pairs[1:])):
+                faults.append((d, "increasing"))
+        fact = _Factorization.of(rows, ncols)
+        if (fact.echelon, fact.kernel_pivots) != rescanned_factorization(rows, ncols):
+            faults.append((d, "factorization"))
+    return faults
+
+
+def test_reported_pivots_match_a_rescan_of_each_row():
+    assert pivot_faults(key_diagrams()) == []
+
+
+def test_pivot_check_catches_a_pivot_one_column_late(monkeypatch):
+    def late(rows):
+        return [(pc + 1, row) for pc, row in _row_echelon(rows)]
+
+    monkeypatch.setattr(domains, "_row_echelon", late)
+    corpus = list(bundled_corpus().values())
+    assert {what for _, what in pivot_faults(corpus)} == {"first nonzero", "factorization"}
+
+
+# -- additivity on the generating set of each class ---------------------------
+
+
+def test_additivity_holds_on_the_generating_set():
+    diagrams = key_diagrams()
+    frames = [frame for d in diagrams for frame in class_frames(d)]
+    assert sum(len(pot) * (len(pot) + len(basis)) for _, pot, basis in frames) == 1510
+    assert generating_set_faults(diagrams) == []
+
+
+def shift_pair(monkeypatch, x, y):
+    """4 mu raised by 4 on the pair (x, y) alone, wherever it is read."""
+    sums = formulas._index_sums
+
+    def shifted(d, a, u, v, force):
+        e, n_x, n_y = sums(d, a, u, v, force)
+        return (e + 4 if (u, v) == (x, y) else e), n_x, n_y
+
+    monkeypatch.setattr(formulas, "_index_sums", shifted)
+
+
+def box_missed_pairs(monkeypatch, d):
+    """Each same-class ordered pair (x, y) with no positive box-2 domain, with
+    whether a 4 mu shifted on it alone fails the generating set and whether
+    it fails ``additivity_suite`` at its default box.
+
+    The suite's table holds no domain from x to y, so a case meets the pair
+    only as the (x, z) of A + B, and once: the suite fails on the shift
+    exactly when it reads a mu from x to y at all, which one run with a spy
+    tells."""
+    read = set()
+    sums = formulas._index_sums
+
+    def spy(d, a, u, v, force):
+        read.add((u, v))
+        return sums(d, a, u, v, force)
+
+    with monkeypatch.context() as m:
+        m.setattr(formulas, "_index_sums", spy)
+        assert additivity_suite(d).ok
+    out = []
+    for _, potentials, _ in class_frames(d):
+        for x in potentials:
+            for y in potentials:
+                if not find_domains(d, x, y, 2):
+                    with monkeypatch.context() as m:
+                        shift_pair(m, x, y)
+                        caught = bool(generating_set_faults([d]))
+                    out.append((x, y, caught, (x, y) in read))
+    return out
+
+
+def test_the_generating_set_catches_shifts_the_box_misses(monkeypatch):
+    corpus = bundled_corpus()
+    pairs = {name: box_missed_pairs(monkeypatch, d) for name, d in corpus.items()}
+    assert sum(map(len, pairs.values())) == 162
+    assert all(caught for found in pairs.values() for _, _, caught, _ in found)
+    missed = {
+        name: [(x.format(), y.format()) for x, y, _, read in found if not read]
+        for name, found in pairs.items()
+    }
+    assert {name: len(m) for name, m in missed.items() if m} == {
+        "genus2_bigons.hd": 16,
+        "genus3_chain.hd": 32,
+    }
+    assert missed["genus2_bigons.hd"][0] == ("y1,x2", "s1,s2")
+    assert missed["genus3_chain.hd"][0] == ("y1,x2,t", "s1,s2,t")
+    # the spy's verdict against the shifted suite itself, on the first
+    # missed pair of genus2_bigons and its first caught one
+    found = pairs["genus2_bigons.hd"]
+    for x, y, _, read in (next(p for p in found if not p[3]), next(p for p in found if p[3])):
+        with monkeypatch.context() as m:
+            shift_pair(m, x, y)
+            assert additivity_suite(corpus["genus2_bigons.hd"]).ok != read
 
 
 # -- the periodic rank from the crossing signs --------------------------------
@@ -523,18 +658,12 @@ def grading_cases(diagrams):
     basis vector, from x to x.  mu is affine in A for fixed (x, y), so
     these cases decide the law on all of pi_2."""
     for d in diagrams:
-        gens = enumerate_generators(d)
-        classes = {}
-        for x in gens:
-            _, rx, _ = _records(d, x, x)
-            classes.setdefault(rx.key, []).append((x, rx.potential))
-        for members in classes.values():
-            for x, ax in members:
-                for y, ay in members:
+        for _, potentials, basis in class_frames(d):
+            for x, ax in potentials.items():
+                for y, ay in potentials.items():
                     yield d, x, y, Domain(tuple(b - a for a, b in zip(ax, ay)))
-        for x in gens:
-            for p in periodic_domain_basis(d):
-                yield d, x, x, p
+                for p in basis:
+                    yield d, x, x, p
 
 
 def signed_grading(d, x):

@@ -21,7 +21,7 @@ from hdindex.harness import (
     stabilized_surface_suite,
 )
 from hdindex.diagram import validate_diagram
-from support import mirror, zero_domain
+from support import generating_set_faults, mirror, zero_domain
 
 
 def test_bundled_corpus_is_valid():
@@ -201,6 +201,7 @@ def test_additivity_suite_catches_a_dropped_quadrant(monkeypatch, torus3):
     res = additivity_suite(torus3, max_coeff=1)
     assert all(sum(rec.weights) == 3 for rec in mutant.generators.values())
     assert res.cases == 34 and len(res.failures) == 2
+    assert generating_set_faults([torus3])
     assert res.failures[0] == {
         "x": "v0",
         "y": "v2",

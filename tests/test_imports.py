@@ -9,12 +9,11 @@ string mentions does not count.
 """
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from support import run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 TREES = ("src/hdindex", "tests", "scripts")
@@ -92,19 +91,11 @@ ORDER = (
 
 @pytest.mark.parametrize("n", range(1, len(ORDER)), ids=ORDER[1:])
 def test_importing_a_module_loads_only_its_imports(n):
-    src = ROOT / "src"
     code = (
         f"import sys, {ORDER[n]}; "
         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'hdindex')))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        cwd=src,
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    out = run_python(code)
     assert out.stdout.split() == sorted(ORDER[: n + 1])
 
 
@@ -112,19 +103,11 @@ def test_the_cli_starts_without_importlib_resources():
     # only ``check`` and the local crossing model read bundled data, so
     # ``load_bundled`` imports it on first call; ``-S`` keeps out a site
     # hook (a ``.pth`` file) that may import it before the package does
-    src = ROOT / "src"
     code = (
         "import sys, hdindex.cli; "
         "print('importlib.resources' in sys.modules); "
         "from hdindex.diagram import load_bundled; "
         "print(load_bundled('torus_g1_1x.hd').genus)"
     )
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        cwd=src,
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    out = run_python(code, "-S")
     assert out.stdout.split() == ["False", "1"]

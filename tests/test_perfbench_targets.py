@@ -1,20 +1,17 @@
 import importlib
-import importlib.util
 import sys
 from pathlib import Path
 
 from hdindex.diagram import load_bundled
 from hdindex.domains import Domain, Generator
+from support import load_module
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def load_tracer(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+    return load_module(TRACER, "perfbench_tracer")
 
 
 def test_every_tracer_target_resolves(monkeypatch):

@@ -1,17 +1,15 @@
-import importlib.util
 from pathlib import Path
 
 import pytest
+
+from support import load_module
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "pin_diff.py"
 
 
 @pytest.fixture()
 def pin_diff():
-    spec = importlib.util.spec_from_file_location("pin_diff", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module(SCRIPT, "pin_diff")
 
 
 def pins():

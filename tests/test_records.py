@@ -6,19 +6,15 @@ to an equal record, refuse assignment and keep its repr.  Importing the
 command line must not load ``dataclasses``.
 """
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import hdindex
 from hdindex.diagram import Dart, Region, Violation
 from hdindex.domains import Domain, Generator
 from hdindex.formulas import IndexReport
 from hdindex.harness import SuiteResult
+from support import run_python
 
 DART = Dart("v1", "a1", True)
 
@@ -103,14 +99,6 @@ def test_suite_result_keyword_constructor():
 
 
 def test_cli_import_leaves_dataclasses_out():
-    src = Path(hdindex.__file__).resolve().parent.parent
     code = "import sys, hdindex.cli; print('dataclasses' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        cwd=src,
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    out = run_python(code)
     assert out.stdout.strip() == "False"
