@@ -4,7 +4,7 @@ Given two checkouts of the repository, the parent commit and the change,
 this runs ``perfbench/run.py`` in each for every workload that the
 change's ``BENCHMARK.json`` declares, for its ``run_seconds``: ``--pairs``
 untraced pairs, the side that goes first alternating from pair to pair,
-then three traced pairs on the seeds from ``--traced-seed`` on.  It writes
+then three traced pairs on the seeds from ``--seed`` + 100 on.  It writes
 the medians and quartiles of every ``end_to_end`` metric that file
 declares, whether each one meets the gain rule (``gain_rule_met``), the
 seeds, the run order, the failed operations and the median of the three
@@ -21,7 +21,7 @@ longer range, run the pairs directly, with ``--parent`` a checkout of the
 earlier commit.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --out BENCH_8.json --pairs 10 --seed 8101 --traced-seed 8201 \\
+        --out BENCH_8.json --pairs 10 --seed 8101 \\
         --parent-commit 71004ac --change-note "what the change does"
 
 Each run is one process at a time, so the two sides see the same host.
@@ -129,7 +129,8 @@ def measure(args: argparse.Namespace, workload: str) -> tuple[dict, dict, bool]:
         "failed": failed,
         "metrics": metrics,
     }
-    traced: dict = {"seeds": [args.traced_seed + k for k in range(TRACED_RUNS)]}
+    # the traced seeds sit 100 above the untraced ones, clear of any --pairs in use
+    traced: dict = {"seeds": [args.seed + 100 + k for k in range(TRACED_RUNS)]}
     runs: dict = {side: [] for side in SIDES}
     for k, seed in enumerate(traced["seeds"]):
         for side in SIDES[:: 1 if k % 2 == 0 else -1]:
@@ -150,7 +151,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", type=Path, required=True, help="the BENCH_<n>.json to write")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    ap.add_argument("--traced-seed", type=int, required=True)
     ap.add_argument("--parent-commit", required=True)
     ap.add_argument("--change-note", required=True, help="one line on what the change does")
     args = ap.parse_args(argv)

@@ -24,8 +24,10 @@ boundary arc.  Only stage S1 grinds: the later stages keep every corner a
 right angle by construction, and the stage-S3 contract checks it.  A
 final stabilization stage cuts open a fresh copy of the whole surface at
 every point of the outgoing generator and chains it onto the corners.
-That copy is glued into the stage's complex as S0 glues a domain, so a
-diagram keeps only immutable caches, and no complex outlives its build.
+That copy is glued into the stage's complex as S0 glues a domain, so no
+complex outlives its build.  A diagram keeps two caches: the immutable
+``_s0_template``, and the solver's ``_lattice``, whose ``generators`` gains
+one record per generator validated on it, at most the generator count.
 
 The complex is an array half-edge structure, as in mesh libraries: sides
 and faces are integer ids into parallel lists of ``_Surface``, with no

@@ -1,5 +1,6 @@
 """Diagram and domain helpers that only the tests use, their time limit,
-and the one spelling of loading a script and of running a child interpreter.
+the generated diagrams, the one walk of a box's cases, and the one
+spelling of loading a script and of running a child interpreter.
 
 The package itself never mirrors or writes a diagram, nor builds the zero
 domain or the 0-chain y - x of two generators, so these live beside the
@@ -7,11 +8,15 @@ tests that do.  ``time_limit`` bounds a block by ``SIGALRM``: each test
 under ``conftest.TEST_SECONDS``, and a walk or a loop that a test expects
 to end quickly under a shorter bound of its own.  ``class_frames`` and
 the generating-set additivity check on them stay here until a suite of
-``check`` calls them.
+``check`` calls them.  ``box_cases`` walks the cases of a box in the order
+of ``check``'s suites, which the pinned digests and case counts follow,
+and ``valid_diagrams`` draws the seeded diagrams that the tests run beside
+the bundled corpus; no test module imports another.
 """
 
 import importlib.util
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -19,12 +24,14 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from hdindex.diagram import ALPHA, BETA, HeegaardDiagram
+from hdindex.diagram import ALPHA, BETA, HeegaardDiagram, validate_diagram
 from hdindex.domains import Domain, Generator, _records, enumerate_generators
 from hdindex.domains import periodic_domain_basis
 from hdindex.formulas import maslov_quarters
+from hdindex.harness import _domain_table
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+MAX_VERTICES = 7
 
 
 def load_module(path: Path, name: str):
@@ -153,3 +160,49 @@ def generating_set_faults(diagrams) -> list[tuple]:
                     if maslov_quarters(d, a + b, o, z) != mu_a + maslov_quarters(d, b, y, z):
                         faults.append((d, o, y, z, a, b))
     return faults
+
+
+def box_cases(diagrams, box):
+    """(d, x, y, a) of each positive domain ``a`` from x to y in the box 0..box,
+    as ``check``'s suites walk them: by generator pair, then in domain order."""
+    for d in diagrams:
+        for (x, y), domains in _domain_table(d, box).items():
+            for a in domains:
+                yield d, x, y, a
+
+
+def split(rng, vertices, k):
+    """``vertices`` shuffled and cut into k nonempty cyclic curves."""
+    vs = list(vertices)
+    rng.shuffle(vs)
+    cuts = sorted(rng.sample(range(1, len(vs)), k - 1))
+    return [vs[i:j] for i, j in zip([0] + cuts, cuts + [len(vs)])]
+
+
+def random_diagram(rng, blocks):
+    """One diagram of ``blocks`` blocks sharing no curve or vertex."""
+    alpha, beta, signs = [], [], {}
+    per_block = MAX_VERTICES // blocks
+    for b in range(blocks):
+        vs = [f"v{b}_{i}" for i in range(rng.randint(1, per_block))]
+        top = min(3, len(vs))
+        alpha += [(f"a{b}_{i}", c) for i, c in enumerate(split(rng, vs, rng.randint(1, top)))]
+        beta += [(f"b{b}_{i}", c) for i, c in enumerate(split(rng, vs, rng.randint(1, top)))]
+        signs.update((v, rng.choice((1, -1))) for v in vs)
+    return HeegaardDiagram(alpha, beta, signs)
+
+
+def valid_diagrams(seed, count):
+    """``count`` diagrams of genus 1-3, at most ``MAX_VERTICES`` vertices,
+    that pass ``validate_diagram``."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        g = rng.randint(1, 3)
+        vs = [f"v{i}" for i in range(rng.randint(g, MAX_VERTICES))]
+        alpha = [(f"a{i}", c) for i, c in enumerate(split(rng, vs, g))]
+        beta = [(f"b{i}", c) for i, c in enumerate(split(rng, vs, g))]
+        d = HeegaardDiagram(alpha, beta, {v: rng.choice((1, -1)) for v in vs})
+        if not validate_diagram(d):
+            found.append(d)
+    return found

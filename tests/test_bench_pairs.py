@@ -34,7 +34,7 @@ def test_traced_values_are_the_median_of_three_alternating_runs(bench_pairs, mon
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     args = argparse.Namespace(
-        parent="parent", change="change", pairs=2, seed=1, traced_seed=50, seconds=1,
+        parent="parent", change="change", pairs=2, seed=1, seconds=1,
         end_to_end=END_TO_END, per_layer=PER_LAYER,
     )
     record, traced, correct = bench_pairs.measure(args, "surfaces")
@@ -42,11 +42,11 @@ def test_traced_values_are_the_median_of_three_alternating_runs(bench_pairs, mon
     # the change side runs 10 higher, so it wins nothing
     assert record["metrics"]["wall_s"]["gain_rule_met"] is False
     assert [c[:2] for c in calls if c[2]] == [
-        ("parent", 50), ("change", 50), ("change", 51), ("parent", 51),
-        ("parent", 52), ("change", 52),
+        ("parent", 101), ("change", 101), ("change", 102), ("parent", 102),
+        ("parent", 103), ("change", 103),
     ]
     # the traced runs are calls 5-10: parent 5, 8, 9 and change 16, 17, 20
-    assert traced["seeds"] == [50, 51, 52]
+    assert traced["seeds"] == [101, 102, 103]
     assert traced["parent"]["builder.s0_glue.self_s"] == 8 / 2
     assert traced["change"]["builder.s0_glue.self_s"] == 17 / 2
     assert traced["change"]["domains.connects.calls"] == 17
@@ -73,7 +73,7 @@ def test_main_reads_the_benchmark_from_the_change_checkout(bench_pairs, monkeypa
     out = elsewhere / "BENCH_10.json"
     argv = [
         "--parent", str(tmp_path / "parent"), "--change", str(change), "--out", str(out),
-        "--seed", "1", "--traced-seed", "2", "--parent-commit", "abc", "--change-note", "n",
+        "--seed", "1", "--parent-commit", "abc", "--change-note", "n",
     ]
     assert bench_pairs.main(argv) == 0
     assert seen == [("surfaces", 1)]
@@ -101,7 +101,7 @@ def test_the_record_follows_the_metric_names_of_the_change_benchmark(
     out = tmp_path / "BENCH_1.json"
     argv = [
         "--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out),
-        "--seed", "1", "--traced-seed", "2", "--parent-commit", "abc", "--change-note", "n",
+        "--seed", "1", "--parent-commit", "abc", "--change-note", "n",
     ]
     assert bench_pairs.main(argv) == 0
     record = json.loads(out.read_text())

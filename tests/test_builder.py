@@ -37,8 +37,8 @@ from hdindex.domains import (
     sigma_class,
 )
 from hdindex.formulas import embedded_euler_char
-from hdindex.harness import builder_consistency_suite, stabilized_surface_suite
-from support import mirror, time_limit, zero_domain
+from hdindex.harness import _domain_table, builder_consistency_suite, stabilized_surface_suite
+from support import box_cases, mirror, time_limit, valid_diagrams, zero_domain
 
 
 EXAMPLE1 = "r2:1,r3:1,r4:1,r6:1,r7:2"
@@ -109,9 +109,7 @@ def test_local_model_crossing_is_generic(genus2):
 
 def box3_domains(d):
     """Every distinct positive domain of ``d`` at box 3, in coefficient order."""
-    gens = enumerate_generators(d)
-    domains = {a for x, y in itertools.product(gens, gens) for a in find_domains(d, x, y, 3)}
-    return sorted(domains, key=lambda a: a.coeffs)
+    return sorted({a for *_, a in box_cases([d], 3)}, key=lambda a: a.coeffs)
 
 
 def local_model_mismatches(d):
@@ -600,17 +598,13 @@ GOLDEN = {
 
 @pytest.mark.parametrize("fixture", sorted(GOLDEN))
 def test_surface_records_match_golden(fixture, request):
-    d = request.getfixturevalue(fixture)
-    gens = enumerate_generators(d)
     records = [
         [
             [x.format(), y.format(), a.format()],
             build_surface(d, a, x, y).to_json_dict(),
             stabilized_surface(d, a, x, y).to_json_dict(),
         ]
-        for x in gens
-        for y in gens
-        for a in find_domains(d, x, y, 2, True)
+        for d, x, y, a in box_cases([request.getfixturevalue(fixture)], 2)
     ]
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert (len(records), digest) == GOLDEN[fixture]
@@ -618,8 +612,7 @@ def test_surface_records_match_golden(fixture, request):
 
 def stage_cases(d, limit=3):
     """(x, y, a) of the first few positive domains of every generator pair."""
-    gens = enumerate_generators(d)
-    return [(x, y, a) for x in gens for y in gens for a in find_domains(d, x, y, 2, True)[:limit]]
+    return [(x, y, a) for (x, y), found in _domain_table(d, 2).items() for a in found[:limit]]
 
 
 def stages(d, x, y, a):
@@ -833,10 +826,8 @@ def orbit_mismatches(built):
 
 
 def test_orbit_walk_matches_the_back_walk_reference(corpus):
-    from test_generated import GRIND_DIAGRAMS
-
     stages = 0
-    for d in list(corpus.values()) + GRIND_DIAGRAMS:
+    for d in list(corpus.values()) + valid_diagrams(seed=4919, count=60):
         for built in stage_surfaces(d):
             assert orbit_mismatches(built) == [], (d, built.stage, built.domain)
             stages += 1
@@ -926,12 +917,7 @@ def one_pass_classes(surf):
 
 def s4_cases(corpus):
     """(d, x, y, a) of every positive domain at box 2 of the genus-2 and -3 diagrams."""
-    for d in corpus.values():
-        if d.genus > 1:
-            gens = enumerate_generators(d)
-            for x, y in itertools.product(gens, gens):
-                for a in find_domains(d, x, y, 2):
-                    yield d, x, y, a
+    return box_cases([d for d in corpus.values() if d.genus > 1], 2)
 
 
 def test_layer_side_by_slot_is_the_side_a_scan_finds(monkeypatch, corpus):
@@ -1155,15 +1141,12 @@ def check_build_errors(corpus):
     """(builds, {error: count}) of ``build_surface`` over the builds of
     ``check``: every positive domain at box 3."""
     builds, errors = 0, {}
-    for d in corpus.values():
-        gens = enumerate_generators(d)
-        for x, y in itertools.product(gens, gens):
-            for a in find_domains(d, x, y, 3):
-                builds += 1
-                try:
-                    build_surface(d, a, x, y)
-                except BuilderError as exc:
-                    errors[str(exc)] = errors.get(str(exc), 0) + 1
+    for d, x, y, a in box_cases(corpus.values(), 3):
+        builds += 1
+        try:
+            build_surface(d, a, x, y)
+        except BuilderError as exc:
+            errors[str(exc)] = errors.get(str(exc), 0) + 1
     return builds, errors
 
 
@@ -1315,19 +1298,16 @@ def stale_s3_stages(monkeypatch, corpus, keep_first_round=False):
 
     monkeypatch.setattr(builder, "BuiltSurface", recording)
     builds, stale = 0, []
-    for d in corpus.values():
-        gens = enumerate_generators(d)
-        for x, y in itertools.product(gens, gens):
-            for a in find_domains(d, x, y, 3):
-                s2 = add_degenerate_corners(cut_bad_corners(glue_copies(d, a)), x, y)
-                made.clear()
-                s3 = splice_boundary_circles(s2)
-                assert s3 is made[-1] and all(m.stage == "S3" for m in made)
-                if keep_first_round:
-                    s3 = made[0]
-                builds += 1
-                if differs_from_a_fresh_stage(s3):
-                    stale.append(len(made) - 1)
+    for d, x, y, a in box_cases(corpus.values(), 3):
+        s2 = add_degenerate_corners(cut_bad_corners(glue_copies(d, a)), x, y)
+        made.clear()
+        s3 = splice_boundary_circles(s2)
+        assert s3 is made[-1] and all(m.stage == "S3" for m in made)
+        if keep_first_round:
+            s3 = made[0]
+        builds += 1
+        if differs_from_a_fresh_stage(s3):
+            stale.append(len(made) - 1)
     return builds, stale
 
 
@@ -1353,12 +1333,9 @@ def test_a_build_walks_the_corner_orbits_once_per_splice_round(monkeypatch, corp
         builder._Surface, "corner_classes", lambda surf: walks.append(1) or walk(surf)
     )
     builds = 0
-    for d in corpus.values():
-        gens = enumerate_generators(d)
-        for x, y in itertools.product(gens, gens):
-            for a in find_domains(d, x, y, 3):
-                build_surface(d, a, x, y).to_json_dict()
-                builds += 1
+    for d, x, y, a in box_cases(corpus.values(), 3):
+        build_surface(d, a, x, y).to_json_dict()
+        builds += 1
     assert (builds, len(walks)) == (1068, 1068 + 62)
 
 

@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -14,10 +13,7 @@ from hdindex.cli import MAX_DIAGRAM_BYTES, main
 from hdindex.domains import Domain, enumerate_generators, find_domains
 from hdindex.harness import BUNDLED_DIAGRAMS, bundled_corpus
 from importlib import resources
-from support import serialize_diagram, torus_text
-from test_generated import valid_diagrams
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from support import SRC, serialize_diagram, torus_text, valid_diagrams
 
 
 @pytest.fixture(scope="module")

@@ -31,7 +31,7 @@ from hdindex import builder
 from hdindex.builder import build_surface, stabilized_surface
 from hdindex.formulas import index_report
 from hdindex.harness import bundled_corpus, load_bundled
-from support import mirror, y_minus_x, zero_domain
+from support import box_cases, mirror, y_minus_x, zero_domain
 
 
 def brute_force_domains(d, x, y, max_coeff, positive_only):
@@ -279,8 +279,7 @@ def test_beta_vertex_boundary_is_minus_alpha(corpus):
     # why the boundary matrix needs no beta block
     rng = random.Random(4919)
     for d in corpus.values():
-        gens = enumerate_generators(d)
-        found = [a for x in gens for y in gens for a in find_domains(d, x, y, 2)]
+        found = [a for *_, a in box_cases([d], 2)]
         randoms = [
             Domain(tuple(rng.randint(-3, 3) for _ in d.regions)) for _ in range(20)
         ]

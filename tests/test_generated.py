@@ -20,7 +20,7 @@ import pytest
 
 from hdindex import builder, domains, formulas
 from hdindex.builder import BuilderError
-from hdindex.diagram import ALPHA, BETA, HeegaardDiagram, validate_diagram
+from hdindex.diagram import ALPHA, BETA, validate_diagram
 from hdindex.domains import (
     Domain,
     Generator,
@@ -35,46 +35,8 @@ from hdindex.domains import (
 )
 from hdindex.formulas import maslov_quarters
 from hdindex.harness import additivity_suite, bundled_corpus
-from support import class_frames, generating_set_faults, mirror, y_minus_x
-
-MAX_VERTICES = 7
-
-
-def split(rng, vertices, k):
-    """``vertices`` shuffled and cut into k nonempty cyclic curves."""
-    vs = list(vertices)
-    rng.shuffle(vs)
-    cuts = sorted(rng.sample(range(1, len(vs)), k - 1))
-    return [vs[i:j] for i, j in zip([0] + cuts, cuts + [len(vs)])]
-
-
-def random_diagram(rng, blocks):
-    """One diagram of ``blocks`` blocks sharing no curve or vertex."""
-    alpha, beta, signs = [], [], {}
-    per_block = MAX_VERTICES // blocks
-    for b in range(blocks):
-        vs = [f"v{b}_{i}" for i in range(rng.randint(1, per_block))]
-        top = min(3, len(vs))
-        alpha += [(f"a{b}_{i}", c) for i, c in enumerate(split(rng, vs, rng.randint(1, top)))]
-        beta += [(f"b{b}_{i}", c) for i, c in enumerate(split(rng, vs, rng.randint(1, top)))]
-        signs.update((v, rng.choice((1, -1))) for v in vs)
-    return HeegaardDiagram(alpha, beta, signs)
-
-
-def valid_diagrams(seed, count):
-    """``count`` diagrams of genus 1-3 that pass ``validate_diagram``."""
-    rng = random.Random(seed)
-    found = []
-    while len(found) < count:
-        g = rng.randint(1, 3)
-        vs = [f"v{i}" for i in range(rng.randint(g, MAX_VERTICES))]
-        alpha = [(f"a{i}", c) for i, c in enumerate(split(rng, vs, g))]
-        beta = [(f"b{i}", c) for i, c in enumerate(split(rng, vs, g))]
-        d = HeegaardDiagram(alpha, beta, {v: rng.choice((1, -1)) for v in vs})
-        if not validate_diagram(d):
-            found.append(d)
-    return found
-
+from support import box_cases, class_frames, generating_set_faults, mirror, random_diagram
+from support import valid_diagrams, y_minus_x
 
 # -- the reference verdicts ---------------------------------------------------
 
@@ -179,16 +141,7 @@ def fixpoint_grind(surf):
 GRIND_DIAGRAMS = valid_diagrams(seed=4919, count=60)
 
 
-def cases():
-    for d in GRIND_DIAGRAMS:
-        gens = enumerate_generators(d)
-        for x in gens:
-            for y in gens:
-                for a in find_domains(d, x, y, 2):
-                    yield d, a, x, y
-
-
-def records(d, a, x, y):
+def records(d, x, y, a):
     """The S3 and (genus above one) S4 records, or the builder's error text."""
     out = []
     for build in (builder.build_surface, builder.stabilized_surface)[: 1 + (d.genus > 1)]:
@@ -203,16 +156,16 @@ def grind_mismatches(monkeypatch):
     """Cases where the grind in the builder departs from the reference."""
     long_chains = 0
     found = []
-    for d, a, x, y in cases():
+    for d, x, y, a in box_cases(GRIND_DIAGRAMS, 2):
         s0 = builder.glue_copies(d, a)
         long_chains = max(long_chains, sum(len(o) >= 3 for o in corner_chains(s0.surface)))
         s1 = builder.cut_bad_corners(s0)
         if any(len(o) > 1 for o in corner_chains(s1.surface)):
             found.append((d, a, "S1 left a long corner chain"))
-        ours = records(d, a, x, y)
+        ours = records(d, x, y, a)
         with monkeypatch.context() as m:
             m.setattr(builder, "_grind_odd_chains", fixpoint_grind)
-            theirs = records(d, a, x, y)
+            theirs = records(d, x, y, a)
         if ours != theirs:
             found.append((d, a, ours, theirs))
     # the corpus must hold builds with several chains to grind at once
@@ -239,7 +192,7 @@ def test_grind_check_catches_a_grind_of_the_first_chain_only(monkeypatch):
 
 def build_errors():
     """(records, records that are the builder's error text) over every case."""
-    out = [r for case in cases() for r in records(*case)]
+    out = [r for case in box_cases(GRIND_DIAGRAMS, 2) for r in records(*case)]
     return len(out), sum(isinstance(r, str) for r in out)
 
 
@@ -324,10 +277,15 @@ def residue_faults(diagrams):
     return faults
 
 
+def mirrored_corpus():
+    """The bundled corpus and its mirrors, fresh."""
+    corpus = list(bundled_corpus().values())
+    return corpus + [mirror(d) for d in corpus]
+
+
 def key_diagrams():
     """The bundled corpus, its mirrors and the generated diagrams, fresh."""
-    corpus = list(bundled_corpus().values())
-    return corpus + [mirror(d) for d in corpus] + valid_diagrams(seed=4919, count=60)
+    return mirrored_corpus() + valid_diagrams(seed=4919, count=60)
 
 
 def test_class_keys_match_the_per_pair_solve():
@@ -353,8 +311,7 @@ def test_residue_check_catches_a_ceiling_reduction(monkeypatch):
     # residues in (-pivot, 0] are canonical too, so keys and classes stay
     # right under this mutant: only the residue window shows it
     monkeypatch.setattr(_Factorization, "reduce", ceiling_reduce)
-    corpus = list(bundled_corpus().values())
-    assert residue_faults(corpus + [mirror(d) for d in corpus])
+    assert residue_faults(mirrored_corpus())
 
 
 def test_class_key_check_catches_a_reversed_particular_solution(monkeypatch):
@@ -364,8 +321,7 @@ def test_class_key_check_catches_a_reversed_particular_solution(monkeypatch):
         return residue, [-c for c in a]
 
     monkeypatch.setattr(_Factorization, "reduce", negated)
-    corpus = list(bundled_corpus().values())
-    faults, _, _ = class_key_faults(corpus + [mirror(d) for d in corpus])
+    faults, _, _ = class_key_faults(mirrored_corpus())
     assert faults and all(got == [] for _, _, _, got, _ in faults)
 
 
@@ -445,8 +401,7 @@ def test_hermite_check_catches_a_negative_pivot(monkeypatch):
         return out
 
     monkeypatch.setattr(domains, "_row_echelon", negative_pivot)
-    corpus = list(bundled_corpus().values())
-    faults, _, _ = hermite_faults(corpus + [mirror(d) for d in corpus])
+    faults, _, _ = hermite_faults(mirrored_corpus())
     assert faults
 
 

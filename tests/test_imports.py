@@ -1,11 +1,14 @@
 """No module of the package, the tests or the scripts imports a name it never uses,
-and importing one module of the package loads only the package modules it imports.
+no test module imports another, and importing one module of the package
+loads only the package modules it imports.
 
 A module-level import counts as used when its name appears anywhere in the
 module as a ``Name`` (the base of every ``Attribute`` chain is one, and so
 is a name inside an f-string expression) or inside a string annotation.
 The check walks the syntax tree, so a name that only a comment or a plain
-string mentions does not count.
+string mentions does not count.  A module under ``tests/`` that imports
+a ``test_*`` module runs that module's setup and shares its state, so
+what the tests share lives in ``tests/support.py`` instead.
 """
 
 import ast
@@ -73,6 +76,22 @@ def test_no_module_has_an_unused_import():
         for path in sorted((ROOT / tree).rglob("*.py"))
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
+    assert found == []
+
+
+def test_no_test_module_imports_another():
+    found = []
+    for path in sorted((ROOT / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] if node.module else [a.name for a in node.names]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(ROOT)}:{node.lineno}: {n}" for n in names if n.startswith("test_")
+            ]
     assert found == []
 
 

@@ -2,12 +2,9 @@
 
 from itertools import product
 
-import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
-
-from hdindex.domains import _Factorization  # noqa: E402
+from hdindex.domains import _Factorization
 
 BOX = 3
 
@@ -52,9 +49,9 @@ def solvable_in_box(m, t):
     )
 
 
-@hypothesis.seed(1301)
-@hypothesis.settings(max_examples=300, deadline=None, database=None)
-@hypothesis.given(systems())
+@seed(1301)
+@settings(max_examples=300, deadline=None, database=None)
+@given(systems())
 def test_solver_is_exact_and_complete(system):
     # t lies in im M exactly when its residue is zero, and then M a = t
     m, t = system
@@ -65,9 +62,9 @@ def test_solver_is_exact_and_complete(system):
         assert [sum(k * x for k, x in zip(row, a)) for row in m] == t
 
 
-@hypothesis.seed(1302)
-@hypothesis.settings(max_examples=300, deadline=None, database=None)
-@hypothesis.given(systems(), st.lists(st.integers(-BOX, BOX), min_size=5, max_size=5))
+@seed(1302)
+@settings(max_examples=300, deadline=None, database=None)
+@given(systems(), st.lists(st.integers(-BOX, BOX), min_size=5, max_size=5))
 def test_reduce_leaves_the_canonical_residue(system, shift):
     # M a = t - residue, every pivot coordinate of the residue lies in
     # [0, pivot), and t moved by any M c reduces to the same residue
