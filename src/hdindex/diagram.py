@@ -3,8 +3,10 @@
 A diagram is stored as two families of closed curves (alpha and beta) on an
 oriented closed surface, given by the cyclic sequences of their transverse
 crossings, plus a local crossing sign at every crossing.  Everything else --
-the rotation system, the regions (faces), the genus -- is derived here by
-face tracing, and all derived quantities are exact integers or rationals.
+the rotation system, the regions (faces), the genus -- is derived by the
+:class:`HeegaardDiagram` constructor, which traces the faces and fills
+``face_of`` in the same walk; all derived quantities are exact integers or
+rationals.
 
 Orientation conventions (fixed once, globally):
 
@@ -77,8 +79,9 @@ class HeegaardDiagram:
     Immutable by convention: all attributes are set during construction and
     never mutated afterwards, so instances are safe to share freely.
 
-    Construction derives the rotation system, traces the faces, and computes
-    the genus.  Structural defects (a vertex missing a sign, a vertex not on
+    Construction derives the rotation system, traces the faces (filling
+    ``face_of``, each dart's region id, in the same walk), and computes the
+    genus.  Structural defects (a vertex missing a sign, a vertex not on
     exactly one curve of each family, ...) raise :class:`DiagramError`;
     semantic defects (genus mismatch, disconnected complement, ...) are
     reported by :func:`validate_diagram` instead.
@@ -139,8 +142,10 @@ class HeegaardDiagram:
         if any(s not in (1, -1) for s in self.signs.values()):
             raise DiagramError("signs must be +1 or -1")
 
-        # Rotation system: counterclockwise dart order at every vertex.
+        # Rotation system: counterclockwise dart order at every vertex, and
+        # each dart's predecessor in that order (rotation^-1).
         self.rotation: dict[str, tuple[Dart, Dart, Dart, Dart]] = {}
+        rot_prev: dict[Dart, Dart] = {}
         for v in self.vertices:
             ac, _ = self.vertex_alpha[v]
             bc, _ = self.vertex_beta[v]
@@ -148,14 +153,10 @@ class HeegaardDiagram:
             ab = Dart(v, ac, False)
             bf = Dart(v, bc, True)
             bb = Dart(v, bc, False)
-            if self.signs[v] == 1:
-                self.rotation[v] = (af, bf, ab, bb)
-            else:
-                self.rotation[v] = (af, bb, ab, bf)
-        self._rot_prev: dict[Dart, Dart] = {}
-        for v, rot in self.rotation.items():
+            rot = (af, bf, ab, bb) if self.signs[v] == 1 else (af, bb, ab, bf)
+            self.rotation[v] = rot
             for i, d in enumerate(rot):
-                self._rot_prev[d] = rot[(i - 1) % 4]
+                rot_prev[d] = rot[i - 1]
 
         # Edges, oriented along their curve; (curve, i) runs from the i-th
         # listed vertex to the next.  Edge reversal pairs the forward dart
@@ -170,11 +171,24 @@ class HeegaardDiagram:
                 self._rev[fwd] = back
                 self._rev[back] = fwd
 
-        self.regions: tuple[Region, ...] = trace_faces(self)
-        self.face_of: dict[Dart, int] = {}
-        for r in self.regions:
-            for d in r.darts:
-                self.face_of[d] = r.index
+        # Faces are the orbits of the face step (rotation^-1 . edge-reversal);
+        # every dart lies in exactly one.  Region ids are assigned in order
+        # of first discovery when darts are iterated canonically (darts()),
+        # which makes them stable across runs and across re-serialization.
+        # face_of is filled as the walk meets each dart and serves as the
+        # visited set; each region lists its orbit from its first dart.
+        face_of: dict[Dart, int] = {}
+        regions: list[Region] = []
+        for d in self.darts():
+            orbit = []
+            while d not in face_of:
+                face_of[d] = len(regions)
+                orbit.append(d)
+                d = rot_prev[self._rev[d]]
+            if orbit:
+                regions.append(Region(len(regions), tuple(orbit)))
+        self.face_of: dict[Dart, int] = face_of
+        self.regions: tuple[Region, ...] = tuple(regions)
 
         v_count = len(self.vertices)
         e_count = 2 * v_count
@@ -188,10 +202,6 @@ class HeegaardDiagram:
     def rev(self, d: Dart) -> Dart:
         """Edge reversal: the matching dart at the other end of d's edge."""
         return self._rev[d]
-
-    def phi(self, d: Dart) -> Dart:
-        """Face-walk step: rotation^-1 composed with edge reversal."""
-        return self._rot_prev[self._rev[d]]
 
     def darts(self) -> Iterator[Dart]:
         """All darts in canonical order (family, curve, position, sense)."""
@@ -225,30 +235,6 @@ class HeegaardDiagram:
             f"HeegaardDiagram(genus={self.genus}, vertices={len(self.vertices)}, "
             f"regions={self.region_census()})"
         )
-
-
-def trace_faces(d: HeegaardDiagram) -> tuple[Region, ...]:
-    """Trace the faces of the rotation system.
-
-    Faces are the orbits of (rotation^-1 . edge-reversal); every dart lies in
-    exactly one face.  Region ids are assigned in order of first discovery
-    when darts are iterated canonically, which makes them stable across runs
-    and across re-serialization.
-    """
-    seen: set[Dart] = set()
-    regions: list[Region] = []
-    for start in d.darts():
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        cur = d.phi(start)
-        while cur != start:
-            orbit.append(cur)
-            seen.add(cur)
-            cur = d.phi(cur)
-        regions.append(Region(len(regions), tuple(orbit)))
-    return tuple(regions)
 
 
 def validate_diagram(d: HeegaardDiagram) -> list[Violation]:

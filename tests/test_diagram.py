@@ -1,6 +1,6 @@
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -10,11 +10,12 @@ from hdindex.diagram import (
     Dart,
     DiagramError,
     HeegaardDiagram,
+    Region,
     components,
     parse_diagram,
     validate_diagram,
 )
-from support import mirror, serialize_diagram, time_limit
+from support import mirror, serialize_diagram, time_limit, valid_diagrams
 
 ONE_CROSSING = "alpha a1: x\nbeta b1: x\nsign x: +\n"
 TWO_CROSSING = "alpha a1: x y\nbeta b1: x y\nsign x: +\nsign y: +\n"
@@ -159,6 +160,69 @@ def test_face_trace_partitions_darts(corpus):
             seen.extend(r.darts)
         assert len(seen) == 8 * len(d.vertices) // 2
         assert len(set(seen)) == len(seen)
+
+
+def face_trace_faults(d, regions):
+    """The ways ``regions`` departs from the face-tracing spec, as
+    (region id, fault) pairs: each region lists one orbit of the face step
+    (rotation^-1 . edge reversal) in walk order from its first dart, that
+    first dart is its first in ``darts()`` order, the ids count up from 0
+    as those first darts go, and the regions cover every dart."""
+    back = {dart: rot[i - 1] for rot in d.rotation.values() for i, dart in enumerate(rot)}
+    order = {dart: n for n, dart in enumerate(d.darts())}
+    faults = []
+    for i, r in enumerate(regions):
+        walk = [r.darts[0]]
+        while (step := back[d.rev(walk[-1])]) != walk[0] and len(walk) <= len(order):
+            walk.append(step)
+        if tuple(walk) != r.darts:
+            faults.append((r.index, "walk"))
+        if min(r.darts, key=order.__getitem__) != r.darts[0]:
+            faults.append((r.index, "first dart"))
+        if r.index != i or (i and order[r.darts[0]] < order[regions[i - 1].darts[0]]):
+            faults.append((r.index, "id"))
+    if sorted(order[x] for r in regions for x in r.darts) != list(range(len(order))):
+        faults.append((None, "cover"))
+    return faults
+
+
+def traced_regions(d, turn):
+    """Regions traced test-side by first discovery over ``darts()`` with the
+    step rotation^turn . edge reversal: turn -1 is the face step, +1 walks
+    the clockwise faces."""
+    step = {dart: rot[(i + turn) % 4] for rot in d.rotation.values() for i, dart in enumerate(rot)}
+    seen, regions = set(), []
+    for dart in d.darts():
+        orbit = []
+        while dart not in seen:
+            seen.add(dart)
+            orbit.append(dart)
+            dart = step[d.rev(dart)]
+        if orbit:
+            regions.append(Region(len(regions), tuple(orbit)))
+    return regions
+
+
+def test_faces_follow_the_face_step_numbered_by_first_discovery(corpus):
+    diagrams = list(corpus.values())
+    diagrams += [mirror(d) for d in diagrams] + valid_diagrams(seed=4919, count=60)
+    caught = Counter()
+    for d in diagrams:
+        assert face_trace_faults(d, d.regions) == []
+        assert d.face_of == {x: r.index for r in d.regions for x in r.darts}
+        assert face_trace_faults(d, traced_regions(d, -1)) == []
+        mutants = {
+            "clockwise": traced_regions(d, 1),
+            "reversed ids": [Region(i, r.darts) for i, r in enumerate(d.regions[::-1])],
+            "rotated start": [Region(r.index, r.darts[1:] + r.darts[:1]) for r in d.regions],
+            "last dropped": d.regions[:-1],
+        }
+        caught.update(name for name, regions in mutants.items() if face_trace_faults(d, regions))
+    # the clockwise faces are caught on every one of the 72 diagrams; a
+    # reversal of the ids cannot show on the 28 that trace one region
+    assert len(diagrams) == 72
+    assert sum(len(d.regions) == 1 for d in diagrams) == 28
+    assert caught == {"clockwise": 72, "reversed ids": 44, "rotated start": 72, "last dropped": 72}
 
 
 # -- parse errors ----------------------------------------------------------
