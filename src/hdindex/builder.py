@@ -8,11 +8,11 @@ stage S0, to the fresh full-surface layer of stage S4, and to a fixed
 crossing in the local chain model ``local_vertex_chains``).
 It reads the diagram through a template built once per diagram and kept
 on it (``_s0_template``): each region's ring of sides as columns (darts
-and head points), and each arc as a seam joining two (region, ring
-position) slots.  All the sheets of a domain are allocated in one
-extension of the complex's lists (``_Surface.new_rings``), and every seam
-glues its sheet pairs side by slot, so no dart is hashed or compared while
-gluing.
+and head points), and each arc, named by its forward dart, as a seam
+joining two (region, ring position) slots.  All the sheets of a domain are
+allocated in one extension of the complex's lists (``_Surface.new_rings``),
+and every seam glues its sheet pairs side by slot, so no dart is hashed or
+compared while gluing.
 The preimages of a crossing are then its corner orbits, the chains of
 sheet corners linked by those gluings; odd chains of length three or more
 are ground down to right-angle corners by slitting along beta arc
@@ -473,8 +473,8 @@ class BuiltSurface:
                 arcs[first[0]].append({"sides": first[1] + n, "circle": False})
         d = self.diagram
         for v in self.surface.degenerate_disks:
-            arcs[d.vertex_alpha[v][0]].append({"sides": 1, "circle": False, "degenerate": True})
-            arcs[d.vertex_beta[v][0]].append({"sides": 1, "circle": False, "degenerate": True})
+            arcs[d.vertex_alpha[v]].append({"sides": 1, "circle": False, "degenerate": True})
+            arcs[d.vertex_beta[v]].append({"sides": 1, "circle": False, "degenerate": True})
         return arcs
 
     @functools.cached_property
@@ -535,12 +535,13 @@ def _s0_template(d: HeegaardDiagram) -> tuple[tuple, tuple, dict]:
     """(rings, seams, slots): what S0 and S4 read of ``d``, in (region, position) slots.
 
     ``rings`` holds each region's sides as two columns (darts, head points)
-    in face-tracing order; ``seams`` holds each curve arc as (family,
-    region, position, region', position'), the slots of its forward dart
-    and of the reversed dart across it; ``slots`` maps each dart to its
-    slot.  Built on first use and kept on ``d``: diagrams are immutable, so
-    the template never goes stale, and a mirror or a re-parsed diagram is a
-    new instance that builds its own.
+    in face-tracing order; ``seams`` holds one seam per forward dart, in
+    ``darts()`` order, as (family, region, position, region', position'):
+    the slots of the forward dart, which names its curve arc, and of the
+    reversed dart across it; ``slots`` maps each dart to its slot.  Built
+    on first use and kept on ``d``: diagrams are immutable, so the template
+    never goes stale, and a mirror or a re-parsed diagram is a new instance
+    that builds its own.
     """
     t = d.__dict__.get("_s0_template")
     if t is None:
@@ -549,7 +550,7 @@ def _s0_template(d: HeegaardDiagram) -> tuple[tuple, tuple, dict]:
         pts = [tuple(("v", dart.vertex) for dart in r.darts) for r in d.regions]
         rings = tuple((r.darts, p[1:] + p[:1]) for r, p in zip(d.regions, pts))
         slot = {dart: (d.face_of[dart], i) for r in d.regions for i, dart in enumerate(r.darts)}
-        arcs = [Dart(tail, name, True) for name, edges in d.edges.items() for tail, _ in edges]
+        arcs = [e for e in d.darts() if e.forward]
         seams = tuple((d.curve_family[e.curve], *slot[e], *slot[d.rev(e)]) for e in arcs)
         t = d._s0_template = (rings, seams, slot)  # type: ignore[attr-defined]
     return t
@@ -770,7 +771,7 @@ def splice_boundary_circles(built: BuiltSurface) -> BuiltSurface:
         curve = surf.dart[sides[0]].curve
         fam = d.curve_family[curve]
         table = d.vertex_alpha if fam == ALPHA else d.vertex_beta
-        v = next((v for v in built.x.points if table[v][0] == curve), None)
+        v = next((v for v in built.x.points if table[v] == curve), None)
         if v is None:
             raise BuilderError(f"generator misses curve {curve}")
         _splice_circle(surf, d, sides, v, fam)
@@ -1034,7 +1035,7 @@ def _cut_layer_and_chain(
         if len(cuts) != 2:
             raise BuilderError("pending corner with degenerate free darts")
     else:
-        alpha, beta = d.vertex_alpha[v][0], d.vertex_beta[v][0]
+        alpha, beta = d.vertex_alpha[v], d.vertex_beta[v]
         cuts = [Dart(v, alpha, True), Dart(v, alpha, False), Dart(v, beta, True)]
     lips: dict[Dart, tuple[int, int]] = {}
     for dart in cuts:

@@ -224,11 +224,15 @@ def _build_parser() -> argparse.ArgumentParser:
         q.set_defaults(fn=fn)
         return q
 
+    # the forms Generator.format and Domain.format write
+    points = "generator: comma-separated points, one per alpha curve"
     pair = argparse.ArgumentParser(add_help=False)
-    pair.add_argument("--from", dest="from_", required=True, help="source generator")
-    pair.add_argument("--to", dest="to", required=True, help="target generator")
+    pair.add_argument("--from", dest="from_", required=True, help=f"source {points}")
+    pair.add_argument("--to", dest="to", required=True, help=f"target {points}")
     triple = argparse.ArgumentParser(add_help=False, parents=[pair])
-    triple.add_argument("--domain", required=True)
+    triple.add_argument(
+        "--domain", required=True, help="comma-separated r<k>:<int> terms; 0 is the zero domain"
+    )
 
     diagram_verb("validate", _cmd_validate, help="check diagram invariants")
     diagram_verb("info", _cmd_info, help="genus, regions, class summary")
@@ -237,8 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q = diagram_verb(
         "domains", _cmd_domains, parents=[pair], help="enumerate connecting domains"
     )
-    q.add_argument("--max-coeff", type=_nonnegative, default=4)
-    q.add_argument("--positive", action="store_true")
+    q.add_argument("--max-coeff", type=_nonnegative, default=4, help="coefficient bound N: -N..N")
+    q.add_argument("--positive", action="store_true", help="positive domains only: the box 0..N")
 
     q = diagram_verb("index", _cmd_index, parents=[triple], help="index quantities of a domain")
     q.add_argument(

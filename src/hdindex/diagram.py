@@ -2,7 +2,10 @@
 
 A diagram is stored as two families of closed curves (alpha and beta) on an
 oriented closed surface, given by the cyclic sequences of their transverse
-crossings, plus a local crossing sign at every crossing.  Everything else --
+crossings, plus a local crossing sign at every crossing.  That is the one
+description of the curves: an edge (an arc of a curve between consecutive
+crossings) is named by its forward dart at its tail, and edge reversal
+pairs that dart with the backward one at its head.  Everything else --
 the rotation system, the regions (faces), the genus -- is derived by the
 :class:`HeegaardDiagram` constructor, which traces the faces and fills
 ``face_of`` in the same walk; all derived quantities are exact integers or
@@ -79,6 +82,9 @@ class HeegaardDiagram:
     Immutable by convention: all attributes are set during construction and
     never mutated afterwards, so instances are safe to share freely.
 
+    ``vertex_alpha`` and ``vertex_beta`` map each vertex to the name of
+    its curve in that family; an edge is named by its forward dart, whose
+    left and right regions are ``face_of`` of it and of its ``rev``.
     Construction derives the rotation system, traces the faces (filling
     ``face_of``, each dart's region id, in the same walk), and computes the
     genus.  Structural defects (a vertex missing a sign, a vertex not on
@@ -105,11 +111,11 @@ class HeegaardDiagram:
         )
         self.signs: dict[str, int] = dict(signs)
 
-        # Vertex -> (curve name, position) per family, and curve -> family.
-        # The canonical vertex order is the order of first appearance in
-        # the alpha family.
-        self.vertex_alpha: dict[str, tuple[str, int]] = {}
-        self.vertex_beta: dict[str, tuple[str, int]] = {}
+        # Vertex -> curve name per family, and curve -> family.  The
+        # canonical vertex order is the order of first appearance in the
+        # alpha family.
+        self.vertex_alpha: dict[str, str] = {}
+        self.vertex_beta: dict[str, str] = {}
         self.curve_family: dict[str, str] = {}
         for family, curves, table in (
             (ALPHA, self.alpha, self.vertex_alpha),
@@ -121,10 +127,10 @@ class HeegaardDiagram:
                 if not vs:
                     raise DiagramError(f"{family} curve {name!r} has no vertices")
                 self.curve_family[name] = family
-                for pos, v in enumerate(vs):
+                for v in vs:
                     if v in table:
                         raise DiagramError(f"vertex {v!r} listed twice in the {family} family")
-                    table[v] = (name, pos)
+                    table[v] = name
         for v in self.vertex_alpha:
             if v not in self.vertex_beta:
                 raise DiagramError(f"vertex {v!r} is not on any beta curve")
@@ -147,8 +153,7 @@ class HeegaardDiagram:
         self.rotation: dict[str, tuple[Dart, Dart, Dart, Dart]] = {}
         rot_prev: dict[Dart, Dart] = {}
         for v in self.vertices:
-            ac, _ = self.vertex_alpha[v]
-            bc, _ = self.vertex_beta[v]
+            ac, bc = self.vertex_alpha[v], self.vertex_beta[v]
             af = Dart(v, ac, True)
             ab = Dart(v, ac, False)
             bf = Dart(v, bc, True)
@@ -158,15 +163,12 @@ class HeegaardDiagram:
             for i, d in enumerate(rot):
                 rot_prev[d] = rot[i - 1]
 
-        # Edges, oriented along their curve; (curve, i) runs from the i-th
-        # listed vertex to the next.  Edge reversal pairs the forward dart
-        # at its tail with the backward dart at its head.
-        self.edges: dict[str, tuple[tuple[str, str], ...]] = {}
+        # Edge reversal: each edge of a curve runs from a listed vertex to
+        # the next, and pairs the forward dart at its tail with the
+        # backward dart at its head.
         self._rev: dict[Dart, Dart] = {}
         for name, vs in self.alpha + self.beta:
-            k = len(vs)
-            self.edges[name] = tuple((vs[i], vs[(i + 1) % k]) for i in range(k))
-            for tail, head in self.edges[name]:
+            for tail, head in zip(vs, vs[1:] + vs[:1]):
                 fwd, back = Dart(tail, name, True), Dart(head, name, False)
                 self._rev[fwd] = back
                 self._rev[back] = fwd
@@ -221,12 +223,6 @@ class HeegaardDiagram:
             raise DiagramError(f"unknown vertex {v!r}")
         return tuple(self.face_of[dart] for dart in self.rotation[v])
 
-    def edge_sides(self, curve: str, i: int) -> tuple[int, int]:
-        """(left region, right region) of oriented edge i of ``curve``."""
-        tail, _ = self.edges[curve][i]
-        fwd = Dart(tail, curve, True)
-        return self.face_of[fwd], self.face_of[self.rev(fwd)]
-
     def region_census(self) -> tuple[int, ...]:
         return tuple(sorted(r.corner_count for r in self.regions))
 
@@ -262,11 +258,8 @@ def validate_diagram(d: HeegaardDiagram) -> list[Violation]:
     # a closed surface traced from a rotation system is connected exactly
     # when its regions are connected across edges
     n = len(d.regions)
-    sides = [
-        (d.curve_family[name], *d.edge_sides(name, i))
-        for name, edges in d.edges.items()
-        for i in range(len(edges))
-    ]
+    f = d.face_of
+    sides = [(d.curve_family[e.curve], f[e], f[d.rev(e)]) for e in d.darts() if e.forward]
     if len(components(n, [(a, b) for _, a, b in sides])) > 1:
         out.append(Violation("disconnected", "traced surface is disconnected"))
     for family, code in ((ALPHA, "alpha-complement"), (BETA, "beta-complement")):

@@ -52,7 +52,7 @@ from __future__ import annotations
 from operator import add, mul
 from typing import Mapping, NamedTuple
 
-from hdindex.diagram import DiagramError, HeegaardDiagram
+from hdindex.diagram import Dart, DiagramError, HeegaardDiagram
 
 _PACK_BITS = 32  # the width of one vertex row's field in a packed column
 MAX_COEFF = (1 << 28) - 1  # the largest coefficient magnitude ``connects`` tests
@@ -162,9 +162,9 @@ def check_generator(d: HeegaardDiagram, g: Generator) -> None:
         v = g.points[i]
         if v not in d.vertex_alpha:
             raise DiagramError(f"unknown vertex {v!r} in generator")
-        if d.vertex_alpha[v][0] != aname:
+        if d.vertex_alpha[v] != aname:
             raise DiagramError(f"vertex {v!r} is not on alpha curve {aname!r}")
-        bname = d.vertex_beta[v][0]
+        bname = d.vertex_beta[v]
         if bname in betas_used:
             raise DiagramError(
                 f"generator uses beta curve {bname!r} twice (not a matching)"
@@ -236,17 +236,20 @@ def _boundary_matrix(d: HeegaardDiagram) -> list[list[int]]:
 
     M . A is the vertex boundary of the alpha part of the boundary of A.
     The beta block is left out: it is always the negative of this one.
+    Each alpha edge is named by its forward dart; v is the head of the
+    edge whose forward dart is ``rev`` of v's backward alpha dart, and the
+    tail of the edge whose forward dart is v's own.
     """
     rows: list[list[int]] = []
     nreg = len(d.regions)
     for v in d.vertices:
         row = [0] * nreg
-        curve, pos = d.vertex_alpha[v]
-        k = len(d.edges[curve])
-        for e, s in (((pos - 1) % k, 1), (pos, -1)):
-            left, right = d.edge_sides(curve, e)
-            row[left] += s
-            row[right] -= s
+        curve = d.vertex_alpha[v]
+        # the edge into v counts +1, the edge out of v -1, each as
+        # (left region) - (right region)
+        for e, s in ((d.rev(Dart(v, curve, False)), 1), (Dart(v, curve, True), -1)):
+            row[d.face_of[e]] += s
+            row[d.face_of[d.rev(e)]] -= s
         rows.append(row)
     return rows
 

@@ -169,28 +169,27 @@ def additivity_suite(d: HeegaardDiagram, max_coeff: int = 2) -> SuiteResult:
     res = SuiteResult("additivity")
     table = _domain_table(d, max_coeff)
     gens = enumerate_generators(d)
-    for x in gens:
-        for y in gens:
-            for a in table[(x, y)]:
-                mu_a = maslov_quarters(d, a, x, y)
-                for z in gens:
-                    for b in table[(y, z)]:
-                        res.cases += 1
-                        mu_b = maslov_quarters(d, b, y, z)
-                        mu_ab = maslov_quarters(d, a + b, x, z)
-                        if mu_ab != mu_a + mu_b:
-                            res.failures.append(
-                                {
-                                    "x": x.format(),
-                                    "y": y.format(),
-                                    "z": z.format(),
-                                    "a": a.format(),
-                                    "b": b.format(),
-                                    "mu_a": str(Fraction(mu_a, 4)),
-                                    "mu_b": str(Fraction(mu_b, 4)),
-                                    "mu_ab": str(Fraction(mu_ab, 4)),
-                                }
-                            )
+    for (x, y), domains in table.items():
+        for a in domains:
+            mu_a = maslov_quarters(d, a, x, y)
+            for z in gens:
+                for b in table[(y, z)]:
+                    res.cases += 1
+                    mu_b = maslov_quarters(d, b, y, z)
+                    mu_ab = maslov_quarters(d, a + b, x, z)
+                    if mu_ab != mu_a + mu_b:
+                        res.failures.append(
+                            {
+                                "x": x.format(),
+                                "y": y.format(),
+                                "z": z.format(),
+                                "a": a.format(),
+                                "b": b.format(),
+                                "mu_a": str(Fraction(mu_a, 4)),
+                                "mu_b": str(Fraction(mu_b, 4)),
+                                "mu_ab": str(Fraction(mu_ab, 4)),
+                            }
+                        )
     return res
 
 

@@ -226,8 +226,8 @@ def reference_s0(d, domains):
                     records[sid] = [r.index, first, dart, ("v", dart.vertex)]
                     records[sid] += [("v", head.vertex), sid - 1, sid + 1, None]
                 records[first][5], records[len(records) - 1][6] = len(records) - 1, first
-        for name, edges in d.edges.items():
-            for tail, _ in edges:
+        for name, vs in d.alpha + d.beta:
+            for tail in vs:
                 e = Dart(tail, name, True)
                 f = d.rev(e)
                 family = d.curve_family[name]
@@ -383,7 +383,7 @@ def test_degenerate_disk_added(torus3):
     # the disk's two arcs lie on the curves through its vertex
     arcs = s2.boundary_arcs()
     degenerate = [curve for curve in arcs for arc in arcs[curve] if arc.get("degenerate")]
-    assert degenerate == [torus3.vertex_alpha["v0"][0], torus3.vertex_beta["v0"][0]]
+    assert degenerate == [torus3.vertex_alpha["v0"], torus3.vertex_beta["v0"]]
 
 
 def test_no_shared_points_is_noop(genus2):
@@ -429,7 +429,7 @@ def test_zero_domain_degenerate_arcs_lie_on_the_curves_through_x(corpus):
                 for arc in arcs
                 if arc == {"sides": 1, "circle": False, "degenerate": True}
             )
-            curves = [table[v][0] for table in (d.vertex_alpha, d.vertex_beta) for v in x.points]
+            curves = [table[v] for table in (d.vertex_alpha, d.vertex_beta) for v in x.points]
             assert got == sorted(curves)
             builds += 1
     assert builds == 47
@@ -871,8 +871,8 @@ def rotated_runs_arcs(built):
             arcs[run[0]].append({"sides": len(run), "circle": not first})
     d = built.diagram
     for v in surf.degenerate_disks:
-        arcs[d.vertex_alpha[v][0]].append({"sides": 1, "circle": False, "degenerate": True})
-        arcs[d.vertex_beta[v][0]].append({"sides": 1, "circle": False, "degenerate": True})
+        arcs[d.vertex_alpha[v]].append({"sides": 1, "circle": False, "degenerate": True})
+        arcs[d.vertex_beta[v]].append({"sides": 1, "circle": False, "degenerate": True})
     return arcs
 
 

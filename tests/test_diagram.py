@@ -135,18 +135,20 @@ def test_mirror_preserves_face_multiset(corpus):
 
 def test_edge_reversal_involution(corpus):
     for d in corpus.values():
+        curves = dict(d.alpha + d.beta)
         for dart in d.darts():
             assert d.rev(d.rev(dart)) == dart
             # a 1-vertex curve pairs forward with backward at the same vertex
-            assert d.rev(dart) != dart or len(d.edges[dart.curve]) > 1
+            assert d.rev(dart) != dart or len(curves[dart.curve]) > 1
 
 
 def test_rev_matches_edge_lists(corpus):
     # every edge of every curve, the single-vertex curves' loops included
     loops = 0
     for d in corpus.values():
-        for name, edges in d.edges.items():
-            for tail, head in edges:
+        for name, vs in d.alpha + d.beta:
+            for i, tail in enumerate(vs):
+                head = vs[(i + 1) % len(vs)]
                 fwd, back = Dart(tail, name, True), Dart(head, name, False)
                 assert d.rev(fwd) == back and d.rev(back) == fwd
                 loops += tail == head

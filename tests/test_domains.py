@@ -9,7 +9,7 @@ from operator import mul
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from hdindex.diagram import ALPHA, BETA, DiagramError, HeegaardDiagram
+from hdindex.diagram import ALPHA, BETA, Dart, DiagramError, HeegaardDiagram
 from hdindex.domains import (
     Domain,
     Generator,
@@ -31,7 +31,7 @@ from hdindex import builder
 from hdindex.builder import build_surface, stabilized_surface
 from hdindex.formulas import index_report
 from hdindex.harness import bundled_corpus, load_bundled
-from support import box_cases, mirror, y_minus_x, zero_domain
+from support import box_cases, mirror, valid_diagrams, y_minus_x, zero_domain
 
 
 def brute_force_domains(d, x, y, max_coeff, positive_only):
@@ -55,7 +55,7 @@ def quadrant_vertex_boundary(d, a, family):
     for v in d.vertices:
         rot = d.rotation[v]
         table = d.vertex_alpha if family == ALPHA else d.vertex_beta
-        curve = table[v][0]
+        curve = table[v]
         fwd = next(dart for dart in rot if dart.curve == curve and dart.forward)
         bwd = next(dart for dart in rot if dart.curve == curve and not dart.forward)
         sector = {dart: d.face_of[dart] for dart in rot}
@@ -80,24 +80,36 @@ def vertex_boundaries(d, a):
     family that runs into it minus the one that runs out of it.
     """
     alpha, beta = ({v: 0 for v in d.vertices} for _ in range(2))
-    for name, edges in d.edges.items():
+    for name, vs in d.alpha + d.beta:
         part = alpha if d.curve_family[name] == ALPHA else beta
-        for i, (tail, head) in enumerate(edges):
-            left, right = d.edge_sides(name, i)
+        for i, tail in enumerate(vs):
+            head = vs[(i + 1) % len(vs)]
+            # the edge's left region holds its forward dart at the tail, its
+            # right region the backward dart at the head
+            left, right = d.face_of[Dart(tail, name, True)], d.face_of[Dart(head, name, False)]
             part[head] += a[left] - a[right]
             part[tail] -= a[left] - a[right]
     return alpha, {v: -c for v, c in beta.items()}
 
 
 def test_vertex_boundary_matches_quadrant_oracle(corpus):
-    for d in corpus.values():
+    # on the corpus, its mirrors and the generated diagrams; each column of
+    # the boundary matrix is one more input: the alpha vertex boundary of
+    # its region's unit domain, read edge by edge
+    diagrams = list(corpus.values())
+    diagrams += [mirror(d) for d in diagrams] + valid_diagrams(seed=4919, count=60)
+    for d in diagrams:
+        n = len(d.regions)
         doms = [sigma_class(d), zero_domain(d)]
-        doms.append(Domain(tuple(i % 3 for i in range(len(d.regions)))))
-        doms.append(Domain(tuple((7 * i + 2) % 5 - 2 for i in range(len(d.regions)))))
+        doms.append(Domain(tuple(i % 3 for i in range(n))))
+        doms.append(Domain(tuple((7 * i + 2) % 5 - 2 for i in range(n))))
         for a in doms:
             alpha, minus_beta = vertex_boundaries(d, a)
             assert alpha == quadrant_vertex_boundary(d, a, ALPHA)
             assert minus_beta == {v: -c for v, c in quadrant_vertex_boundary(d, a, BETA).items()}
+        for r, column in enumerate(zip(*_boundary_matrix(d))):
+            alpha, _ = vertex_boundaries(d, Domain(tuple(int(i == r) for i in range(n))))
+            assert column == tuple(alpha[v] for v in d.vertices), (d, r)
 
 
 def test_boundary_of_sigma_and_zero(corpus):
@@ -350,7 +362,7 @@ def test_enumerate_generators(corpus, torus2, torus3, genus2):
     assert len(gens) == 13
     for g in gens:
         # one point per alpha curve, distinct beta curves
-        betas = {genus2.vertex_beta[v][0] for v in g.points}
+        betas = {genus2.vertex_beta[v] for v in g.points}
         assert len(betas) == len(genus2.beta)
 
 
@@ -361,7 +373,7 @@ def test_enumerate_generators_in_lexicographic_order(corpus):
         want = [
             points
             for points in product(*(vs for _, vs in d.alpha))
-            if len({d.vertex_beta[v][0] for v in points}) == len(points)
+            if len({d.vertex_beta[v] for v in points}) == len(points)
         ]
         assert [g.points for g in enumerate_generators(d)] == want
 

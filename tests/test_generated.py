@@ -20,7 +20,7 @@ import pytest
 
 from hdindex import builder, domains, formulas
 from hdindex.builder import BuilderError
-from hdindex.diagram import ALPHA, BETA, validate_diagram
+from hdindex.diagram import ALPHA, BETA, Dart, validate_diagram
 from hdindex.domains import (
     Domain,
     Generator,
@@ -64,10 +64,11 @@ def complement_connected(d, cut_family):
             i = parent[i]
         return i
 
-    for name, edges in d.edges.items():
+    for name, vs in d.alpha + d.beta:
         if d.curve_family[name] != cut_family:
-            for i in range(len(edges)):
-                a, b = d.edge_sides(name, i)
+            for i, tail in enumerate(vs):
+                head = vs[(i + 1) % len(vs)]
+                a, b = d.face_of[Dart(tail, name, True)], d.face_of[Dart(head, name, False)]
                 parent[find(a)] = find(b)
     return len({find(i) for i in range(len(d.regions))}) == 1
 
